@@ -1,15 +1,18 @@
 //! Protocol-layer benchmarks: the co-occurrence map's raison d'être is
 //! replacing repeated eq. (3) computation with a table lookup, so the
 //! cached and uncached paths are measured side by side, along with the
-//! hidden-terminal census and the offline adaptation-table build.
+//! hidden-terminal census (on a small neighborhood and on a 1000-node
+//! campus) and the offline adaptation-table build.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use comap_core::adapt::AdaptationTable;
 use comap_core::{Protocol, ProtocolConfig};
+use comap_experiments::topology::scale_campus;
 use comap_mac::timing::PhyTiming;
 use comap_radio::rates::Rate;
 use comap_radio::Position;
+use comap_sim::config::MacFeatures;
 
 /// A 12-node neighborhood shaped like the large-scale floor.
 fn protocol_with_neighbors() -> Protocol<u32> {
@@ -19,6 +22,22 @@ fn protocol_with_neighbors() -> Protocol<u32> {
         let angle = i as f64 * 0.55;
         let r = 10.0 + (i as f64) * 6.0;
         p.on_position_report(i, Position::new(r * angle.cos(), r * angle.sin()));
+    }
+    p
+}
+
+/// Client C0 of the 1000-node §VI campus with all 999 other nodes in
+/// its table, as every node has in a `campus_mobile` run. Its AP, AP0,
+/// is node 0.
+fn campus_protocol() -> Protocol<usize> {
+    let (cfg, _) = scale_campus(1000, 1, MacFeatures::COMAP, 1);
+    let me = cfg.nodes.len() / 10;
+    let mut p = Protocol::new(me, cfg.protocol);
+    p.set_own_position(cfg.nodes[me].position);
+    for (j, node) in cfg.nodes.iter().enumerate() {
+        if j != me {
+            p.on_position_report(j, node.position);
+        }
     }
     p
 }
@@ -43,6 +62,13 @@ fn bench_census(c: &mut Criterion) {
     });
     c.bench_function("tx_setting", |b| {
         b.iter(|| black_box(p.tx_setting(black_box(1)).unwrap()))
+    });
+    let campus = campus_protocol();
+    c.bench_function("ht_census_1000_neighbors", |b| {
+        b.iter(|| black_box(campus.ht_census(black_box(0)).unwrap()))
+    });
+    c.bench_function("tx_setting_1000_neighbors", |b| {
+        b.iter(|| black_box(campus.tx_setting(black_box(0)).unwrap()))
     });
 }
 

@@ -5,11 +5,17 @@ use serde::{Deserialize, Serialize};
 use comap_mac::timing::PhyTiming;
 use comap_radio::pathloss::LogNormalShadowing;
 
+use crate::adapt::{AdaptationTable, CW_CANDIDATES};
 use crate::model::HiddenProfile;
 use comap_radio::prr::ReceptionModel;
 use comap_radio::rates::Rate;
 use comap_radio::units::{Db, Dbm, Meters};
 use comap_radio::NOISE_FLOOR;
+
+/// Default table extents: the paper's Fig. 7 explores up to 5 HTs; we
+/// precompute a margin beyond that.
+const TABLE_MAX_HIDDEN: usize = 8;
+const TABLE_MAX_CONTENDERS: usize = 8;
 
 /// Position-update policy (paper Section V, "Mobility management").
 ///
@@ -155,6 +161,21 @@ impl ProtocolConfig {
     /// computation.
     pub fn reception(&self) -> ReceptionModel {
         ReceptionModel::new(self.channel, self.t_sir)
+    }
+
+    /// The adaptation table this configuration installs: a pure function
+    /// of the configuration, so nodes sharing one configuration can share
+    /// one table.
+    pub fn adaptation_table(&self) -> AdaptationTable {
+        AdaptationTable::precompute_with(
+            self.phy,
+            self.model_rate,
+            TABLE_MAX_HIDDEN,
+            TABLE_MAX_CONTENDERS,
+            self.max_adapted_payload,
+            Some(self.hidden_profile),
+            if self.adapt_cw { &CW_CANDIDATES } else { &[31] },
+        )
     }
 
     /// Replaces the carrier-sense threshold, keeping `T'_cs` consistent.

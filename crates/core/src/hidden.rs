@@ -12,9 +12,15 @@
 //! Neighbors that *can* sense `S` and interfere are **contenders** — they
 //! share the channel through CSMA rather than colliding blindly. Both
 //! counts feed the analytical model's `(h, c)` lookup.
+//!
+//! The census is neighbourhood-local: eq. (3) PRR rises monotonically
+//! with the interferer's distance to `R` and eq. (4) miss probability
+//! with the sense distance to `S`, so a neighbor beyond both closed-form
+//! ranges is `Independent` without evaluating either `erf` (DESIGN.md
+//! §12).
 
 use comap_radio::prr::ReceptionModel;
-use comap_radio::units::Dbm;
+use comap_radio::units::{Dbm, Meters};
 use comap_radio::Position;
 
 use crate::neighbor::NeighborTable;
@@ -55,6 +61,12 @@ impl<A> HtCensus<A> {
     }
 }
 
+/// Relative widening of both pre-filter radii. A 5 % longer distance
+/// moves eq. (3) and eq. (4) by `10 α log₁₀ 1.05 ≈ 0.2 α` dB — orders of
+/// magnitude above the `erf` and Newton-quantile rounding, so rounding
+/// can never flip a neighbor the pre-filter skips.
+const PREFILTER_MARGIN: f64 = 1.05;
+
 /// Census engine bundling the thresholds of Section IV-D1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HtCensusEngine {
@@ -64,6 +76,11 @@ pub struct HtCensusEngine {
     interference_prr: f64,
     /// CS-miss probability above which a node counts as hidden (90 %).
     miss_probability: f64,
+    /// `k` with `interference_range(d) = max(d, d₀)·k`, widened by
+    /// [`PREFILTER_MARGIN`].
+    interference_factor: f64,
+    /// The 90 %-miss carrier-sense range, widened by [`PREFILTER_MARGIN`].
+    cs_radius: f64,
 }
 
 impl HtCensusEngine {
@@ -86,12 +103,44 @@ impl HtCensusEngine {
             miss_probability > 0.0 && miss_probability < 1.0,
             "miss probability must be in (0, 1)"
         );
+        // A degenerate channel can make a range infinite or NaN. Either
+        // becomes an infinite radius, which fails every pre-filter
+        // comparison, so all neighbors then take the full path.
+        let widen = |x: f64| {
+            if x.is_finite() {
+                PREFILTER_MARGIN * x
+            } else {
+                f64::INFINITY
+            }
+        };
+        let d0 = reception.channel().reference_distance();
         HtCensusEngine {
             reception,
             t_cs,
             interference_prr,
             miss_probability,
+            interference_factor: widen(reception.interference_range(d0, interference_prr) / d0),
+            cs_radius: widen(
+                reception
+                    .cs_range_for_miss_probability(t_cs, miss_probability)
+                    .value(),
+            ),
         }
+    }
+
+    /// The pre-filter radii of a link of length `link_length`:
+    /// `(interference, carrier sense)`. A neighbor farther than the first
+    /// from the receiver *and* farther than the second from the sender is
+    /// `Independent`, and the census records it so without evaluating
+    /// eq. (3) or eq. (4). Both radii lie a fixed margin outside the
+    /// closed-form ranges they bound. An infinite radius (a degenerate
+    /// channel) disables the pre-filter: every neighbor is classified.
+    pub fn prefilter_radii(&self, link_length: Meters) -> (Meters, Meters) {
+        let d0 = self.reception.channel().reference_distance();
+        (
+            link_length.max(d0) * self.interference_factor,
+            Meters::new(self.cs_radius),
+        )
     }
 
     /// Classifies a single neighbor with respect to the link `s → r`.
@@ -125,18 +174,66 @@ impl HtCensusEngine {
             contenders: Vec::new(),
             independent: Vec::new(),
         };
+        self.each_class(table, s_addr, s, r_addr, r, |addr, class| match class {
+            NeighborClass::Hidden => census.hidden.push(addr),
+            NeighborClass::Contender => census.contenders.push(addr),
+            NeighborClass::Independent => census.independent.push(addr),
+        });
+        census
+    }
+
+    /// `(N_ht, c)` of the link `s → r`: the counts of [`Self::census`]
+    /// without collecting any address.
+    pub(crate) fn counts<A: Addr>(
+        &self,
+        table: &NeighborTable<A>,
+        s_addr: A,
+        s: Position,
+        r_addr: A,
+        r: Position,
+    ) -> (usize, usize) {
+        let (mut hidden, mut contenders) = (0, 0);
+        self.each_class(table, s_addr, s, r_addr, r, |_, class| match class {
+            NeighborClass::Hidden => hidden += 1,
+            NeighborClass::Contender => contenders += 1,
+            NeighborClass::Independent => {}
+        });
+        (hidden, contenders)
+    }
+
+    /// The census loop: classifies every neighbor except the link's
+    /// endpoints, in address order, and hands each verdict to `visit`.
+    /// Neighbors outside both pre-filter radii skip [`Self::classify`].
+    fn each_class<A: Addr>(
+        &self,
+        table: &NeighborTable<A>,
+        s_addr: A,
+        s: Position,
+        r_addr: A,
+        r: Position,
+        mut visit: impl FnMut(A, NeighborClass),
+    ) {
+        let (interference, cs) = self.prefilter_radii(s.distance_to(r));
+        let interference_sq = interference.value() * interference.value();
+        let cs_sq = cs.value() * cs.value();
         for (addr, entry) in table.iter() {
             if addr == s_addr || addr == r_addr {
                 continue;
             }
-            match self.classify(s, r, entry.position) {
-                NeighborClass::Hidden => census.hidden.push(addr),
-                NeighborClass::Contender => census.contenders.push(addr),
-                NeighborClass::Independent => census.independent.push(addr),
-            }
+            let n = entry.position;
+            let class = if distance_sq(n, r) > interference_sq && distance_sq(n, s) > cs_sq {
+                NeighborClass::Independent
+            } else {
+                self.classify(s, r, n)
+            };
+            visit(addr, class);
         }
-        census
     }
+}
+
+fn distance_sq(a: Position, b: Position) -> f64 {
+    let (dx, dy) = (a.x - b.x, a.y - b.y);
+    dx * dx + dy * dy
 }
 
 #[cfg(test)]
@@ -235,6 +332,42 @@ mod tests {
                 NeighborClass::Hidden,
                 NeighborClass::Independent
             ]
+        );
+    }
+
+    #[test]
+    fn prefilter_radii_sit_a_margin_outside_the_closed_form_ranges() {
+        let cfg = ProtocolConfig::testbed();
+        let e = engine();
+        let model = cfg.reception();
+        let cs = model.cs_range_for_miss_probability(cfg.t_cs, cfg.ht_miss_probability);
+        // Sub-reference links clamp to d₀ exactly as eq. (3) does.
+        for d in [0.5, 1.0, 15.0, 60.0] {
+            let d = Meters::new(d);
+            let (interference, sense) = e.prefilter_radii(d);
+            let exact = model.interference_range(d, cfg.census_interference_prr);
+            let ratio = interference / exact;
+            assert!((ratio - PREFILTER_MARGIN).abs() < 1e-12, "d = {d}: {ratio}");
+            assert!((sense / cs - PREFILTER_MARGIN).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn counts_agree_with_the_census() {
+        let e = engine();
+        let mut t = NeighborTable::new(MobilityConfig::default());
+        // A 5 m grid over a 200 m square around the link.
+        for i in 0..41 * 41u32 {
+            let (x, y) = (f64::from(i % 41), f64::from(i / 41));
+            t.insert(i, Position::new(5.0 * x - 100.0, 5.0 * y - 100.0));
+        }
+        let (s, r) = (Position::new(0.0, 0.0), Position::new(15.0, 0.0));
+        let census = e.census(&t, 100, s, 101, r);
+        assert!(census.n_ht() > 0 && census.n_contenders() > 0);
+        assert!(!census.independent.is_empty());
+        assert_eq!(
+            e.counts(&t, 100, s, 101, r),
+            (census.n_ht(), census.n_contenders())
         );
     }
 

@@ -6,6 +6,8 @@
 //! validation, and transmission parameters come from the hidden-terminal
 //! census plus the precomputed [`AdaptationTable`].
 
+use std::sync::Arc;
+
 use comap_radio::units::Dbm;
 use comap_radio::Position;
 
@@ -20,11 +22,6 @@ use crate::scheduler::EtScheduler;
 use crate::validate::{ConcurrencyDecision, ConcurrencyValidator};
 use crate::{Addr, Link};
 
-/// Default table extents: the paper's Fig. 7 explores up to 5 HTs; we
-/// precompute a margin beyond that.
-const TABLE_MAX_HIDDEN: usize = 8;
-const TABLE_MAX_CONTENDERS: usize = 8;
-
 /// Per-node CO-MAP state and decision logic.
 ///
 /// See the crate-level example for the typical flow.
@@ -37,7 +34,7 @@ pub struct Protocol<A: Addr> {
     map: CoOccurrenceMap<A>,
     validator: ConcurrencyValidator,
     census: HtCensusEngine,
-    adaptation: AdaptationTable,
+    adaptation: Arc<AdaptationTable>,
     location: LocationService,
 }
 
@@ -45,6 +42,18 @@ impl<A: Addr> Protocol<A> {
     /// Creates the protocol instance for node `addr`, precomputing the
     /// adaptation table for the configured PHY and model rate.
     pub fn new(addr: A, config: ProtocolConfig) -> Self {
+        Self::with_adaptation(addr, config, Arc::new(config.adaptation_table()))
+    }
+
+    /// Creates the protocol instance for node `addr` around an already
+    /// computed adaptation table, which must be
+    /// [`ProtocolConfig::adaptation_table`] of `config`. A simulator
+    /// builds the table once and shares it between all its nodes.
+    pub fn with_adaptation(
+        addr: A,
+        config: ProtocolConfig,
+        adaptation: Arc<AdaptationTable>,
+    ) -> Self {
         let reception = config.reception();
         Protocol {
             addr,
@@ -59,19 +68,7 @@ impl<A: Addr> Protocol<A> {
                 config.census_interference_prr,
                 config.ht_miss_probability,
             ),
-            adaptation: AdaptationTable::precompute_with(
-                config.phy,
-                config.model_rate,
-                TABLE_MAX_HIDDEN,
-                TABLE_MAX_CONTENDERS,
-                config.max_adapted_payload,
-                Some(config.hidden_profile),
-                if config.adapt_cw {
-                    &crate::adapt::CW_CANDIDATES
-                } else {
-                    &[31]
-                },
-            ),
+            adaptation,
             location: LocationService::new(config.mobility),
         }
     }
@@ -172,8 +169,7 @@ impl<A: Addr> Protocol<A> {
     ///
     /// Fails when positions are missing.
     pub fn ht_census(&self, receiver: A) -> Result<HtCensus<A>, CoMapError<A>> {
-        let me = self.own_position.ok_or(CoMapError::OwnPositionUnknown)?;
-        let rx = self.neighbor_position(receiver)?;
+        let (me, rx) = self.link_ends(receiver)?;
         Ok(self
             .census
             .census(&self.neighbors, self.addr, me, receiver, rx))
@@ -187,10 +183,11 @@ impl<A: Addr> Protocol<A> {
     ///
     /// Fails when positions are missing.
     pub fn tx_setting(&self, receiver: A) -> Result<TxSetting, CoMapError<A>> {
-        let census = self.ht_census(receiver)?;
-        Ok(self
-            .adaptation
-            .setting(census.n_ht(), census.n_contenders()))
+        let (me, rx) = self.link_ends(receiver)?;
+        let (n_ht, c) = self
+            .census
+            .counts(&self.neighbors, self.addr, me, receiver, rx);
+        Ok(self.adaptation.setting(n_ht, c))
     }
 
     /// Records the observed outcome of a *concurrent* transmission: a
@@ -227,6 +224,13 @@ impl<A: Addr> Protocol<A> {
     /// `(reports, suppressed)` counters of the location service.
     pub fn location_stats(&self) -> (u64, u64) {
         self.location.stats()
+    }
+
+    /// Positions of this node and `receiver`, the ends of the link
+    /// `self → receiver`.
+    fn link_ends(&self, receiver: A) -> Result<(Position, Position), CoMapError<A>> {
+        let me = self.own_position.ok_or(CoMapError::OwnPositionUnknown)?;
+        Ok((me, self.neighbor_position(receiver)?))
     }
 
     fn neighbor_position(&self, addr: A) -> Result<Position, CoMapError<A>> {
@@ -329,6 +333,17 @@ mod tests {
         let setting = p.tx_setting("AP").unwrap();
         let calm = p.adaptation().setting(0, census.n_contenders());
         assert!(setting.payload_bytes <= calm.payload_bytes);
+    }
+
+    #[test]
+    fn shared_adaptation_table_equals_the_own_one() {
+        for cfg in [ProtocolConfig::testbed(), ProtocolConfig::large_scale()] {
+            let shared = Arc::new(cfg.adaptation_table());
+            let a = Protocol::with_adaptation("a", cfg, Arc::clone(&shared));
+            let b = Protocol::with_adaptation("b", cfg, Arc::clone(&shared));
+            assert_eq!(a.adaptation(), Protocol::new("c", cfg).adaptation());
+            assert!(std::ptr::eq(a.adaptation(), b.adaptation()));
+        }
     }
 
     #[test]

@@ -1,17 +1,62 @@
 //! Property-based tests of the CO-MAP protocol invariants.
 
+use std::f64::consts::TAU;
+
 use comap_core::adapt::{payload_candidates, AdaptationTable, CW_CANDIDATES};
 use comap_core::cooccurrence::CoOccurrenceMap;
+use comap_core::hidden::HtCensusEngine;
 use comap_core::model::{DcfModel, HiddenProfile, ModelInput};
 use comap_core::validate::ConcurrencyValidator;
-use comap_core::ProtocolConfig;
+use comap_core::{HtCensus, NeighborClass, NeighborTable, Protocol, ProtocolConfig};
 use comap_mac::timing::PhyTiming;
+use comap_radio::pathloss::LogNormalShadowing;
 use comap_radio::rates::Rate;
+use comap_radio::units::{Db, Meters};
 use comap_radio::Position;
 use proptest::prelude::*;
 
 fn arb_pos() -> impl Strategy<Value = Position> {
     ((-150.0..150.0f64), (-150.0..150.0f64)).prop_map(|(x, y)| Position::new(x, y))
+}
+
+/// The census channels: the testbed office, the NS-2 floor, and the
+/// testbed with shadowing switched off (eqs. (3)/(4) become steps).
+fn census_config(channel: u8) -> ProtocolConfig {
+    match channel {
+        0 => ProtocolConfig::testbed(),
+        1 => ProtocolConfig::large_scale(),
+        _ => {
+            let mut cfg = ProtocolConfig::testbed();
+            cfg.channel = LogNormalShadowing::from_friis(cfg.tx_power, 2.9, Db::ZERO);
+            cfg
+        }
+    }
+}
+
+/// The census of `s → r` with every neighbor through `classify`: the
+/// reference the pre-filtered census must reproduce.
+fn brute_force_census(
+    engine: &HtCensusEngine,
+    table: &NeighborTable<u32>,
+    (s_addr, s): (u32, Position),
+    (r_addr, r): (u32, Position),
+) -> HtCensus<u32> {
+    let mut census = HtCensus {
+        hidden: Vec::new(),
+        contenders: Vec::new(),
+        independent: Vec::new(),
+    };
+    for (addr, entry) in table.iter() {
+        if addr == s_addr || addr == r_addr {
+            continue;
+        }
+        match engine.classify(s, r, entry.position) {
+            NeighborClass::Hidden => census.hidden.push(addr),
+            NeighborClass::Contender => census.contenders.push(addr),
+            NeighborClass::Independent => census.independent.push(addr),
+        }
+    }
+    census
 }
 
 proptest! {
@@ -131,5 +176,63 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The distance pre-filter changes no verdict: the census equals the
+    /// brute-force one list for list and in order, and `tx_setting` is
+    /// the table entry for the brute-force counts. Neighbors are placed
+    /// uniformly and within 0.1 % of the four radii that matter — the
+    /// exact interference and carrier-sense ranges, and the pre-filter
+    /// radii just outside them.
+    #[test]
+    fn prefiltered_census_equals_brute_force(
+        channel in 0u8..3,
+        link in (0.5..60.0f64, 0.0..TAU),
+        uniform in prop::collection::vec((-400.0..400.0f64, -400.0..400.0f64), 0..60),
+        boundary in prop::collection::vec((0usize..4, any::<bool>(), 0.0..TAU), 0..60),
+    ) {
+        let cfg = census_config(channel);
+        let engine = HtCensusEngine::new(
+            cfg.reception(),
+            cfg.t_cs,
+            cfg.census_interference_prr,
+            cfg.ht_miss_probability,
+        );
+        let (len, angle) = link;
+        let s = Position::new(3.0, -2.0);
+        let r = s.offset(len * angle.cos(), len * angle.sin());
+        let d = Meters::new(len);
+        let model = cfg.reception();
+        let (prefilter_interference, prefilter_cs) = engine.prefilter_radii(d);
+        let radii = [
+            (r, model.interference_range(d, cfg.census_interference_prr)),
+            (s, model.cs_range_for_miss_probability(cfg.t_cs, cfg.ht_miss_probability)),
+            (r, prefilter_interference),
+            (s, prefilter_cs),
+        ];
+
+        let mut proto = Protocol::new(0u32, cfg);
+        proto.set_own_position(s);
+        proto.on_position_report(1, r);
+        let mut next = 2u32;
+        let mut place = |proto: &mut Protocol<u32>, pos: Position| {
+            proto.on_position_report(next, pos);
+            next += 1;
+        };
+        for (x, y) in uniform {
+            place(&mut proto, Position::new(x, y));
+        }
+        for (which, outside, theta) in boundary {
+            let (centre, radius) = radii[which];
+            let rho = radius.value() * if outside { 1.0 + 1e-3 } else { 1.0 - 1e-3 };
+            place(&mut proto, centre.offset(rho * theta.cos(), rho * theta.sin()));
+        }
+
+        let brute = brute_force_census(&engine, proto.neighbors(), (0, s), (1, r));
+        prop_assert_eq!(
+            proto.tx_setting(1).unwrap(),
+            proto.adaptation().setting(brute.n_ht(), brute.n_contenders())
+        );
+        prop_assert_eq!(proto.ht_census(1).unwrap(), brute);
     }
 }

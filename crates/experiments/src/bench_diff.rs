@@ -536,18 +536,31 @@ mod tests {
     }
 
     #[test]
-    fn pinned_envelope_accepts_the_checked_in_artifact() {
-        // The repo's own gate must hold: the checked-in BENCH artifact
-        // passes against the checked-in envelope.
+    fn pinned_envelope_matches_a_fresh_fig_scale_profile() {
+        // The envelope's baseline is the one pinned fig_scale profile: it
+        // must parse and pass against itself, and a fresh profile of the
+        // same run must reproduce its deterministic counters exactly.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let envelope_text =
             std::fs::read_to_string(format!("{root}/results/BENCH_envelope.json")).unwrap();
         let envelope = Envelope::from_json(&Json::parse(&envelope_text).unwrap()).unwrap();
-        let artifact_text =
-            std::fs::read_to_string(format!("{root}/results/BENCH_profile_fig_scale_quick.json"))
-                .unwrap();
-        let candidate = RunProfile::from_json(&Json::parse(&artifact_text).unwrap()).unwrap();
-        let report = diff(&envelope, &candidate);
+        assert_eq!(envelope.name, "fig_scale");
+        let report = diff(&envelope, &envelope.baseline);
+        assert!(report.passed(), "{}", report.summary());
+
+        let (cfg, duration) = crate::instrument::representative("fig_scale");
+        let (_, fresh) = comap_sim::Simulator::new(cfg).run_profiled(duration);
+        // Wall clock depends on the build and the host; the CI
+        // bench_diff step gates it on a release build.
+        let counters_only = Envelope {
+            tolerances: Tolerances {
+                max_slowdown: f64::INFINITY,
+                max_per_type_slowdown: f64::INFINITY,
+                ..envelope.tolerances.clone()
+            },
+            ..envelope
+        };
+        let report = diff(&counters_only, &fresh);
         assert!(report.passed(), "{}", report.summary());
     }
 }

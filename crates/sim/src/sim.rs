@@ -2,11 +2,13 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use comap_core::protocol::Protocol;
+use comap_core::AdaptationTable;
 use comap_mac::time::{SimDuration, SimTime};
 use comap_radio::stream::CounterRng;
 use comap_radio::Position;
@@ -80,12 +82,17 @@ impl Simulator {
         );
         medium.set_inband_announce(cfg.inband_header);
 
+        // The adaptation table depends on the protocol configuration
+        // alone: built on first use and shared by every node.
+        let mut adaptation: Option<Arc<AdaptationTable>> = None;
         let mut macs = Vec::with_capacity(n);
         for i in 0..n {
             let id = NodeId(i);
             let features = cfg.features_of(id);
             let proto = if features.any() {
-                let mut p = Protocol::new(id, cfg.protocol);
+                let table =
+                    adaptation.get_or_insert_with(|| Arc::new(cfg.protocol.adaptation_table()));
+                let mut p = Protocol::with_adaptation(id, cfg.protocol, Arc::clone(table));
                 p.set_own_position(reported[i]);
                 for (j, &pos) in reported.iter().enumerate() {
                     if j != i {
@@ -584,6 +591,23 @@ mod tests {
         assert!(
             rts_timeouts < plain_timeouts,
             "virtual carrier sense must reduce HT collisions: {rts_timeouts} vs {plain_timeouts}"
+        );
+    }
+
+    #[test]
+    fn protocols_share_one_adaptation_table() {
+        let mut cfg = two_node_cfg(1);
+        cfg.default_features = MacFeatures::COMAP;
+        let sim = Simulator::new(cfg);
+        let tables: Vec<_> = sim
+            .macs
+            .iter()
+            .map(|m| m.protocol().expect("CO-MAP node").adaptation())
+            .collect();
+        assert!(std::ptr::eq(tables[0], tables[1]));
+        assert_eq!(
+            tables[0],
+            Protocol::new(NodeId(0), sim.cfg.protocol).adaptation()
         );
     }
 

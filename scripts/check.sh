@@ -32,7 +32,12 @@ echo "==> tier-1: cargo build --release"
 cargo build --release
 
 echo "==> tier-1: cargo test -q"
+# The workspace's default-members list every first-party crate (the
+# vendored stand-ins stay out), so this runs the whole suite.
 cargo test -q
+
+echo "==> simbench smoke test (its own workspace, not in tier-1)"
+cargo test -q --manifest-path simbench/Cargo.toml
 
 echo "==> profiling smoke run (fig02 --quick --profile-json)"
 cargo run --release -p comap-experiments --bin fig02 -- --quick \
