@@ -18,6 +18,11 @@
 //!   envelopes, wide enough for CI-runner jitter yet tight enough that
 //!   a genuine 2× slowdown fails.
 //!
+//! Before any diff, both profiles must pass [`health_violation`]: a
+//! profile with no events, no simulated time, an empty queue, per-type
+//! counts that do not sum to the total, or more link-cache recomputes
+//! than lookups is rejected outright.
+//!
 //! The pinned baseline lives in `results/BENCH_envelope.json` next to
 //! the raw artifacts: a [`RunProfile`] plus [`Tolerances`] plus a
 //! human-readable rationale for the last regeneration. The
@@ -236,6 +241,28 @@ impl DiffReport {
     }
 }
 
+/// Checks the invariants every healthy run profile satisfies, returning
+/// the first one that fails. A profile that breaks one is not a
+/// measurement to diff: it comes from a broken run or a corrupt file.
+pub fn health_violation(p: &RunProfile) -> Option<&'static str> {
+    let by_type: u64 = p.by_type.iter().map(|t| t.count).sum();
+    let mc = p.medium_counters;
+    [
+        (p.events > 0, "events > 0"),
+        (by_type == p.events, "per-type counts sum to the total"),
+        (p.sim_nanos > 0, "sim_nanos > 0"),
+        (p.queue_peak > 0, "queue_peak > 0"),
+        // More recomputes than lookups means link-cache rows are thrown
+        // away before they are read (the mobility cache-thrash bug).
+        (
+            mc.cache_recomputes <= mc.cache_lookups,
+            "cache_recomputes <= cache_lookups",
+        ),
+    ]
+    .into_iter()
+    .find_map(|(holds, invariant)| (!holds).then_some(invariant))
+}
+
 fn within_drift(baseline: f64, candidate: f64, drift: f64) -> bool {
     // simlint: allow(float-eq) — both sides come from integer counters; 0 is exact
     if baseline == 0.0 {
@@ -376,7 +403,7 @@ mod tests {
 
     fn baseline_profile() -> RunProfile {
         RunProfile {
-            events: 25_000,
+            events: 22_100,
             wall_nanos: 180_000_000,
             sim_nanos: 400_000_000,
             queue_peak: 700,
@@ -514,6 +541,27 @@ mod tests {
     }
 
     #[test]
+    fn unhealthy_profiles_name_the_broken_invariant() {
+        assert_eq!(health_violation(&baseline_profile()), None);
+        let broken = |breakage: fn(&mut RunProfile)| {
+            let mut p = baseline_profile();
+            breakage(&mut p);
+            health_violation(&p)
+        };
+        assert_eq!(broken(|p| p.events = 0), Some("events > 0"));
+        assert_eq!(
+            broken(|p| p.by_type[0].count -= 1),
+            Some("per-type counts sum to the total")
+        );
+        assert_eq!(broken(|p| p.sim_nanos = 0), Some("sim_nanos > 0"));
+        assert_eq!(broken(|p| p.queue_peak = 0), Some("queue_peak > 0"));
+        assert_eq!(
+            broken(|p| p.medium_counters.cache_recomputes = p.medium_counters.cache_lookups + 1),
+            Some("cache_recomputes <= cache_lookups")
+        );
+    }
+
+    #[test]
     fn envelope_round_trips_through_json() {
         let e = envelope();
         let text = e.to_json().to_string_compact();
@@ -545,11 +593,13 @@ mod tests {
             std::fs::read_to_string(format!("{root}/results/BENCH_envelope.json")).unwrap();
         let envelope = Envelope::from_json(&Json::parse(&envelope_text).unwrap()).unwrap();
         assert_eq!(envelope.name, "fig_scale");
+        assert_eq!(health_violation(&envelope.baseline), None);
         let report = diff(&envelope, &envelope.baseline);
         assert!(report.passed(), "{}", report.summary());
 
         let (cfg, duration) = crate::instrument::representative("fig_scale");
         let (_, fresh) = comap_sim::Simulator::new(cfg).run_profiled(duration);
+        assert_eq!(health_violation(&fresh), None);
         // Wall clock depends on the build and the host; the CI
         // bench_diff step gates it on a release build.
         let counters_only = Envelope {

@@ -3,12 +3,14 @@
 //! gains (ET concurrency, adaptation) and the costs (discovery headers)
 //! come from.
 
+use comap_experiments::instrument::{run_if_requested, Args};
 use comap_experiments::topology::et_testbed;
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 use comap_sim::sim::Simulator;
 
 fn main() {
+    let args = Args::from_env("ablation", &[]);
     for x in [12.0, 20.0, 26.0, 32.0] {
         println!("== C2 at {x} m ==");
         for (name, f) in [
@@ -54,5 +56,5 @@ fn main() {
             );
         }
     }
-    comap_experiments::instrument::run_if_requested("ablation");
+    run_if_requested("ablation", &args.instrumentation);
 }

@@ -1,9 +1,9 @@
 //! Runs every experiment in sequence (pass --quick for a fast pass).
 
-use comap_experiments::report::quick_flag;
+use comap_experiments::instrument::{run_if_requested, Args, Flag};
 
 fn main() {
-    let quick = quick_flag();
+    let args = Args::from_env("all", &[Flag::Quick]);
     for (name, f) in [
         ("table1", run_table1 as fn(bool)),
         ("fig01", run_fig01),
@@ -14,9 +14,9 @@ fn main() {
         ("fig10", run_fig10),
     ] {
         println!("\n########## {name} ##########");
-        f(quick);
+        f(args.quick);
     }
-    comap_experiments::instrument::run_if_requested("all");
+    run_if_requested("all", &args.instrumentation);
 }
 
 fn run_table1(_quick: bool) {

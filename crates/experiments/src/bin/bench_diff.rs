@@ -12,12 +12,13 @@
 //! (`results/BENCH_envelope.json`, the default when omitted) or a bare
 //! `RunProfile` baseline, which is compared under default tolerances.
 //! `--json` emits the machine-readable delta report on stdout instead
-//! of the human table.
+//! of the human table. Both profiles must pass the health invariants of
+//! [`health_violation`] before they are diffed.
 //!
-//! Exit codes: `0` pass, `1` regression detected, `2` usage / IO /
-//! schema error.
+//! Exit codes: `0` pass, `1` unhealthy profile or regression detected,
+//! `2` usage / IO / schema error.
 
-use comap_experiments::bench_diff::{diff, Envelope, Tolerances};
+use comap_experiments::bench_diff::{diff, health_violation, Envelope, Tolerances};
 use comap_sim::{Json, RunProfile};
 
 const DEFAULT_ENVELOPE: &str = "results/BENCH_envelope.json";
@@ -61,6 +62,16 @@ fn main() {
             )),
         },
     };
+
+    for (path, profile) in [
+        (&candidate_path, &candidate),
+        (&baseline_path, &envelope.baseline),
+    ] {
+        if let Some(invariant) = health_violation(profile) {
+            eprintln!("bench_diff: {path}: unhealthy profile, invariant violated: {invariant}");
+            std::process::exit(1);
+        }
+    }
 
     let report = diff(&envelope, &candidate);
     if json_out {

@@ -1,10 +1,12 @@
 //! Regenerates Fig. 1: ET motivation, goodput of C1→AP1 vs C2 position
 //! under basic DCF.
 
-use comap_experiments::report::{mbps, quick_flag, Table};
+use comap_experiments::instrument::{run_if_requested, Args, Flag};
+use comap_experiments::report::{mbps, Table};
 
 fn main() {
-    let fig = comap_experiments::fig01::run(quick_flag());
+    let args = Args::from_env("fig01", &[Flag::Quick]);
+    let fig = comap_experiments::fig01::run(args.quick);
     let mut t = Table::new(
         "Fig. 1 — goodput of C1→AP1 under basic DCF vs C2 position",
         &["C2 position (m from AP1)", "C1→AP1 (Mbps)", "C2→AP2 (Mbps)"],
@@ -23,5 +25,5 @@ fn main() {
         mbps(fig.exposed_region_mean()),
         mbps(fig.far_end())
     );
-    comap_experiments::instrument::run_if_requested("fig01");
+    run_if_requested("fig01", &args.instrumentation);
 }

@@ -2,10 +2,12 @@
 //! W ∈ {63, 255, 1023} and 0/3/5 hidden terminals.
 
 use comap_experiments::fig07::{HT_COUNTS, WINDOWS};
-use comap_experiments::report::{mbps, quick_flag, Table};
+use comap_experiments::instrument::{run_if_requested, Args, Flag};
+use comap_experiments::report::{mbps, Table};
 
 fn main() {
-    let fig = comap_experiments::fig07::run(quick_flag());
+    let args = Args::from_env("fig07", &[Flag::Quick]);
+    let fig = comap_experiments::fig07::run(args.quick);
     for &n_ht in &HT_COUNTS {
         let mut t = Table::new(
             format!("Fig. 7 — {n_ht} hidden terminal(s): per-node goodput (Mbps)"),
@@ -37,5 +39,5 @@ fn main() {
         "mean relative model-vs-sim error: {:.1}%",
         fig.mean_relative_error() * 100.0
     );
-    comap_experiments::instrument::run_if_requested("fig07");
+    run_if_requested("fig07", &args.instrumentation);
 }

@@ -1,9 +1,11 @@
 //! Regenerates Fig. 8: CO-MAP vs basic DCF in the ET testbed.
 
-use comap_experiments::report::{mbps, quick_flag, Table};
+use comap_experiments::instrument::{run_if_requested, Args, Flag};
+use comap_experiments::report::{mbps, Table};
 
 fn main() {
-    let fig = comap_experiments::fig08::run(quick_flag());
+    let args = Args::from_env("fig08", &[Flag::Quick]);
+    let fig = comap_experiments::fig08::run(args.quick);
     let mut t = Table::new(
         "Fig. 8 — goodput in the ET testbed, basic DCF vs CO-MAP",
         &[
@@ -30,5 +32,5 @@ fn main() {
         fig.exposed_region_gain() * 100.0,
         fig.exposed_region_aggregate_gain() * 100.0
     );
-    comap_experiments::instrument::run_if_requested("fig08");
+    run_if_requested("fig08", &args.instrumentation);
 }

@@ -1,10 +1,12 @@
 //! Regenerates Fig. 9: CDF of C1→AP1 goodput over ten HT topologies,
 //! CO-MAP vs DCF.
 
-use comap_experiments::report::{mbps, quick_flag, Table};
+use comap_experiments::instrument::{run_if_requested, Args, Flag};
+use comap_experiments::report::{mbps, Table};
 
 fn main() {
-    let fig = comap_experiments::fig09::run(quick_flag());
+    let args = Args::from_env("fig09", &[Flag::Quick]);
+    let fig = comap_experiments::fig09::run(args.quick);
     let mut t = Table::new(
         "Fig. 9 — C1→AP1 goodput per topology",
         &["Topology", "DCF (Mbps)", "CO-MAP (Mbps)"],
@@ -21,5 +23,5 @@ fn main() {
         mbps(c.quantile(0.5)),
         fig.mean_gain() * 100.0
     );
-    comap_experiments::instrument::run_if_requested("fig09");
+    run_if_requested("fig09", &args.instrumentation);
 }

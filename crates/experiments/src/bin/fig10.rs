@@ -2,10 +2,12 @@
 //! CO-MAP with perfect positions, and CO-MAP under position error.
 
 use comap_experiments::fig10::Variant;
-use comap_experiments::report::{mbps, quick_flag, Table};
+use comap_experiments::instrument::{run_if_requested, Args, Flag};
+use comap_experiments::report::{mbps, Table};
 
 fn main() {
-    let fig = comap_experiments::fig10::run(quick_flag());
+    let args = Args::from_env("fig10", &[Flag::Quick]);
+    let fig = comap_experiments::fig10::run(args.quick);
     let mut t = Table::new(
         "Fig. 10 — per-link goodput distribution (Mbps) and aggregate gain",
         &[
@@ -36,5 +38,5 @@ fn main() {
     println!(
         "paper: CO-MAP(perfect) = 1.385x aggregated goodput (+38.5%); with position error the gain shrinks but stays positive"
     );
-    comap_experiments::instrument::run_if_requested("fig10");
+    run_if_requested("fig10", &args.instrumentation);
 }

@@ -3,14 +3,16 @@
 //! concurrent (aggravating the ET problem) while fixing hidden-terminal
 //! collisions only at a steep overhead — CO-MAP beats it on both fronts.
 
-use comap_experiments::report::{mbps, quick_flag, Table};
+use comap_experiments::instrument::{run_if_requested, Args, Flag};
+use comap_experiments::report::{mbps, Table};
 use comap_experiments::topology::{et_testbed, ht_testbed};
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 use comap_sim::sim::Simulator;
 
 fn main() {
-    let (seeds, duration): (&[u64], _) = if quick_flag() {
+    let args = Args::from_env("rtscts", &[Flag::Quick]);
+    let (seeds, duration): (&[u64], _) = if args.quick {
         (&[1], SimDuration::from_millis(400))
     } else {
         (&[1, 2, 3, 4], SimDuration::from_secs(2))
@@ -72,5 +74,5 @@ fn main() {
         "RTS/CTS removes hidden-terminal collisions but serializes the exposed pair;\n\
          CO-MAP keeps the collision protection *and* the concurrency."
     );
-    comap_experiments::instrument::run_if_requested("rtscts");
+    run_if_requested("rtscts", &args.instrumentation);
 }

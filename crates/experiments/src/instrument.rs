@@ -1,7 +1,11 @@
-//! Shared instrumentation plumbing for the experiment binaries.
+//! The command line and instrumentation plumbing every experiment binary
+//! shares.
 //!
-//! Every binary accepts three optional flags on top of its own
-//! arguments:
+//! One strict parser, [`Args`], serves every binary: each declares the
+//! experiment [`Flag`]s it accepts (`--quick`, `--report-json`), and an
+//! unknown flag, a stray argument or a path flag without its path prints
+//! usage and exits with code 2 — a typo never silently runs a different
+//! experiment. Every binary accepts the instrumentation flags:
 //!
 //! * `--trace=<path>` — run one representative simulation of the
 //!   experiment's topology with a [`JsonlSink`] attached and write the
@@ -44,58 +48,101 @@ pub struct Instrumentation {
     pub latency_json: Option<PathBuf>,
 }
 
-impl Instrumentation {
-    /// Parses the process arguments, exiting with a message on a
-    /// malformed flag (a path-taking flag with no value).
-    pub fn from_args() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(inst) => inst,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                exit(2);
-            }
-        }
+/// An experiment flag a binary may declare on top of the instrumentation
+/// flags every binary accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--quick` / `-q`: fewer seeds and shorter simulations.
+    Quick,
+    /// `--report-json=<path>`: write one representative `SimReport`.
+    ReportJson,
+}
+
+/// A parsed experiment command line.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Args {
+    /// `--quick` was given.
+    pub quick: bool,
+    /// Where `--report-json` asked for the representative report.
+    pub report_json: Option<PathBuf>,
+    /// The instrumentation flags.
+    pub instrumentation: Instrumentation,
+}
+
+impl Args {
+    /// Parses the process arguments of binary `name`, which accepts the
+    /// instrumentation flags plus `accepts`. On any error prints the
+    /// message and the usage line and exits with code 2.
+    pub fn from_env(name: &str, accepts: &[Flag]) -> Args {
+        Self::parse(accepts, std::env::args().skip(1)).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            eprintln!("{}", usage(name, accepts));
+            exit(2)
+        })
     }
 
+    /// Parses `args` (without the program name). Path flags take their
+    /// path as `--flag=<path>` or as the next argument. The error names
+    /// the offending argument when it is not a flag of this binary, when
+    /// a path flag lacks its path, or when a switch is given a value.
+    fn parse(accepts: &[Flag], args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) if flag.starts_with("--") => (flag, Some(value)),
+                _ => (arg.as_str(), None),
+            };
+            let mut path = || {
+                inline
+                    .map(str::to_string)
+                    .or_else(|| args.next())
+                    .map(PathBuf::from)
+                    .ok_or_else(|| format!("{flag} requires a path"))
+            };
+            let switch = |set: &mut bool| match inline {
+                Some(_) => Err(format!("{flag} takes no value")),
+                None => {
+                    *set = true;
+                    Ok(())
+                }
+            };
+            let inst = &mut out.instrumentation;
+            match flag {
+                "--quick" | "-q" if accepts.contains(&Flag::Quick) => switch(&mut out.quick)?,
+                "--report-json" if accepts.contains(&Flag::ReportJson) => {
+                    out.report_json = Some(path()?);
+                }
+                "--trace" => inst.trace = Some(path()?),
+                "--profile-json" => inst.profile_json = Some(path()?),
+                "--latency-json" => inst.latency_json = Some(path()?),
+                "--metrics" => switch(&mut inst.metrics)?,
+                _ => return Err(format!("unknown argument {arg}")),
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// The usage line of binary `name` accepting `accepts`.
+fn usage(name: &str, accepts: &[Flag]) -> String {
+    let mut line = format!("usage: {name}");
+    for flag in accepts {
+        line.push_str(match flag {
+            Flag::Quick => " [--quick]",
+            Flag::ReportJson => " [--report-json=<path>]",
+        });
+    }
+    line + " [--trace=<path>] [--metrics] [--profile-json=<path>] [--latency-json=<path>]"
+}
+
+impl Instrumentation {
     /// `true` when any instrumentation flag was given.
     pub fn any(&self) -> bool {
         self.trace.is_some()
             || self.metrics
             || self.profile_json.is_some()
             || self.latency_json.is_some()
-    }
-
-    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut inst = Instrumentation::default();
-        let args: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            i += 1;
-            if let Some(v) = arg.strip_prefix("--trace=") {
-                inst.trace = Some(PathBuf::from(v));
-            } else if arg == "--trace" {
-                let v = args.get(i).ok_or("--trace requires a path")?;
-                i += 1;
-                inst.trace = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--profile-json=") {
-                inst.profile_json = Some(PathBuf::from(v));
-            } else if arg == "--profile-json" {
-                let v = args.get(i).ok_or("--profile-json requires a path")?;
-                i += 1;
-                inst.profile_json = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--latency-json=") {
-                inst.latency_json = Some(PathBuf::from(v));
-            } else if arg == "--latency-json" {
-                let v = args.get(i).ok_or("--latency-json requires a path")?;
-                i += 1;
-                inst.latency_json = Some(PathBuf::from(v));
-            } else if arg == "--metrics" {
-                inst.metrics = true;
-            }
-            // Anything else belongs to the experiment (e.g. --quick).
-        }
-        Ok(inst)
     }
 
     /// Runs one instrumented simulation of `cfg` for `duration`,
@@ -223,11 +270,10 @@ pub fn representative(name: &str) -> (SimConfig, SimDuration) {
     (cfg, duration)
 }
 
-/// One-liner for experiment binaries: parses the instrumentation flags
-/// and, when any is present, runs one instrumented representative
-/// simulation of the named experiment after the figure's own output.
-pub fn run_if_requested(name: &str) {
-    let inst = Instrumentation::from_args();
+/// One-liner for experiment binaries: when any instrumentation flag was
+/// given, runs one instrumented representative simulation of the named
+/// experiment after the figure's own output.
+pub fn run_if_requested(name: &str, inst: &Instrumentation) {
     if !inst.any() {
         return;
     }
@@ -239,8 +285,12 @@ pub fn run_if_requested(name: &str) {
 mod tests {
     use super::*;
 
+    fn try_parse(accepts: &[Flag], args: &[&str]) -> Result<Args, String> {
+        Args::parse(accepts, args.iter().map(|s| s.to_string()))
+    }
+
     fn parse(args: &[&str]) -> Instrumentation {
-        Instrumentation::parse(args.iter().map(|s| s.to_string())).expect("valid args")
+        try_parse(&[], args).expect("valid args").instrumentation
     }
 
     #[test]
@@ -260,10 +310,40 @@ mod tests {
     }
 
     #[test]
-    fn ignores_experiment_args() {
-        let inst = parse(&["--quick", "-q", "somefile"]);
-        assert_eq!(inst, Instrumentation::default());
-        assert!(!inst.any());
+    fn experiment_flags_parse_only_where_declared() {
+        let both = [Flag::Quick, Flag::ReportJson];
+        let args = try_parse(&both, &["-q", "--report-json", "r.json"]).expect("declared");
+        assert!(args.quick);
+        assert_eq!(args.report_json, Some(PathBuf::from("r.json")));
+        assert_eq!(args.instrumentation, Instrumentation::default());
+        assert!(!args.instrumentation.any());
+        assert!(try_parse(&both, &["--quick"]).expect("declared").quick);
+
+        let err = try_parse(&[], &["--quick"]).unwrap_err();
+        assert!(err.contains("--quick"), "{err}");
+        assert!(try_parse(&[Flag::Quick], &["--report-json=r.json"]).is_err());
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected() {
+        for bad in ["--quik", "somefile", "-x", "--metric"] {
+            let err = try_parse(&[Flag::Quick], &[bad]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
+    fn switches_take_no_value() {
+        assert!(try_parse(&[Flag::Quick], &["--quick=yes"]).is_err());
+        assert!(try_parse(&[], &["--metrics=1"]).is_err());
+    }
+
+    #[test]
+    fn usage_lists_the_declared_flags() {
+        let line = usage("fig_scale", &[Flag::Quick, Flag::ReportJson]);
+        assert!(line.starts_with("usage: fig_scale [--quick] [--report-json=<path>]"));
+        assert!(line.contains("--latency-json"));
+        assert!(!usage("table1", &[]).contains("--quick"));
     }
 
     #[test]
@@ -274,8 +354,8 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let err = Instrumentation::parse(["--profile-json".to_string()].into_iter());
-        assert!(err.is_err());
+        let err = try_parse(&[], &["--profile-json"]).unwrap_err();
+        assert!(err.contains("requires a path"), "{err}");
     }
 
     #[test]

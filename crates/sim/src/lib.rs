@@ -38,8 +38,9 @@
 //! the MAC and the CO-MAP logic — a JSONL exporter, an in-memory
 //! metrics aggregator and a human-readable timeline ship with the
 //! crate, and [`Simulator::run_profiled`] times the event loop itself.
-//! With no sink attached no event is ever constructed, and sinks can
-//! never perturb results (see `tests/observability.rs`).
+//! The [`SimReport`] counters are a fold of the same events; with no
+//! sink attached only those report-counted events are constructed, and
+//! sinks can never perturb results (see `tests/observability.rs`).
 //!
 //! # Example
 //!

@@ -16,7 +16,15 @@
 //!   installed from the protocol's adaptation table.
 //!
 //! The MAC is a pure state machine: the simulator feeds it [`MacEvent`]s
-//! plus a context snapshot and applies the returned [`MacAction`]s.
+//! (timers and traffic from the event queue; `Sense`, `Rx`, `TxDone` and
+//! `Announce` straight from the medium) plus a context snapshot, and
+//! applies the returned [`MacAction`]s.
+//!
+//! Everything the MAC reports leaves as a [`MacAction::Emit`] of a
+//! [`SimEvent`]. The seven events the [`SimReport`](crate::SimReport)
+//! counts — `FrameTx`, `Delivered`, `AckTimeout`, `FrameDropped`,
+//! `ConcurrentTx`, `EtAbandon` and `HeaderHeard` — are always emitted;
+//! every other event only when [`MacCtx::observing`] is set.
 
 use std::collections::BTreeMap;
 
@@ -50,17 +58,21 @@ pub struct MacCtx {
     /// Whether this node's receiver is locked onto a decodable frame
     /// (preamble carrier sense).
     pub locked: bool,
-    /// Whether an observer is attached — gates every
-    /// [`MacAction::Emit`] so an unobserved run constructs no events.
+    /// Whether an observer is attached — gates every [`MacAction::Emit`]
+    /// except the seven report-counted ones, so an unobserved run builds
+    /// only the events the report needs.
     pub observing: bool,
 }
 
-/// Events delivered to the MAC.
-#[derive(Debug, Clone, Copy)]
+/// Events delivered to the MAC. The medium hands `Sense`, `Rx`, `TxDone`
+/// and `Announce` straight to the affected nodes.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MacEvent {
-    /// Ambient power changed.
+    /// Ambient power changed: re-evaluate carrier sense and any armed
+    /// RSSI watchdog.
     Sense,
-    /// A frame was decoded (any kind, any addressee).
+    /// A frame was decoded (any kind, any addressee): the lock held to
+    /// the end with sufficient SINR.
     Rx {
         /// The decoded frame.
         frame: Frame,
@@ -79,7 +91,9 @@ pub enum MacEvent {
     ResponderTimer,
     /// New traffic bytes are available.
     Traffic,
-    /// An in-band header was decoded from a data frame on the air.
+    /// In-band announcement: the node locked onto a data frame whose MAC
+    /// header (the paper's 4-byte-FCS variant) reveals the link and the
+    /// remaining airtime.
     Announce {
         /// The announced link.
         link: (NodeId, NodeId),
@@ -102,44 +116,9 @@ pub enum MacAction {
     ScheduleTraffic(SimTime),
     /// Put a frame on the air.
     Transmit(Frame),
-    /// A statistics event for the simulator to account.
-    Stat(StatEvent),
-    /// An instrumentation event for the attached observers (only ever
-    /// produced when [`MacCtx::observing`] is set).
+    /// An event for the report and the attached observers (see the
+    /// module docs for which events are always emitted).
     Emit(SimEvent),
-}
-
-/// Statistics notifications.
-#[derive(Debug, Clone, Copy)]
-pub enum StatEvent {
-    /// A data frame went on the air toward `dst`.
-    DataTx {
-        /// Flow destination.
-        dst: NodeId,
-    },
-    /// Unique payload bytes arrived from `src`.
-    Delivered {
-        /// Flow source.
-        src: NodeId,
-        /// Payload bytes of the frame.
-        bytes: u32,
-    },
-    /// An ACK timeout expired for a frame toward `dst`.
-    AckTimeout {
-        /// Flow destination.
-        dst: NodeId,
-    },
-    /// A frame toward `dst` was dropped after the retry limit.
-    Drop {
-        /// Flow destination.
-        dst: NodeId,
-    },
-    /// A concurrent (exposed-terminal) transmission started.
-    ConcurrentTx,
-    /// An exposed opportunity was abandoned by the RSSI watchdog.
-    EtAbandon,
-    /// A discovery header was decoded.
-    HeaderHeard,
 }
 
 /// The frame currently in service.
@@ -434,14 +413,11 @@ impl Mac {
                 self.traffic_armed = false;
             }
             MacEvent::Announce { link, data_end } => {
-                out.push(MacAction::Stat(StatEvent::HeaderHeard));
-                if ctx.observing {
-                    out.push(MacAction::Emit(SimEvent::HeaderHeard {
-                        node: self.cfg.id,
-                        src: link.0,
-                        dst: link.1,
-                    }));
-                }
+                out.push(MacAction::Emit(SimEvent::HeaderHeard {
+                    node: self.cfg.id,
+                    src: link.0,
+                    dst: link.1,
+                }));
                 if self.cfg.features.et_concurrency {
                     // Unlike a separate header, the in-band announcement
                     // arrives once the data frame is already on the air.
@@ -479,12 +455,7 @@ impl Mac {
                     Some(sched) => {
                         if sched.on_rssi(ctx.sensed.to_dbm()) == EtAction::Abandon {
                             self.opportunity = None;
-                            out.push(MacAction::Stat(StatEvent::EtAbandon));
-                            if ctx.observing {
-                                out.push(MacAction::Emit(SimEvent::EtAbandon {
-                                    node: self.cfg.id,
-                                }));
-                            }
+                            out.push(MacAction::Emit(SimEvent::EtAbandon { node: self.cfg.id }));
                         }
                     }
                 }
@@ -496,14 +467,11 @@ impl Mac {
     fn on_rx(&mut self, frame: Frame, rssi: Dbm, ctx: MacCtx, out: &mut Vec<MacAction>) {
         match frame.body {
             FrameBody::Discovery { data_duration } => {
-                out.push(MacAction::Stat(StatEvent::HeaderHeard));
-                if ctx.observing {
-                    out.push(MacAction::Emit(SimEvent::HeaderHeard {
-                        node: self.cfg.id,
-                        src: frame.src,
-                        dst: frame.dst,
-                    }));
-                }
+                out.push(MacAction::Emit(SimEvent::HeaderHeard {
+                    node: self.cfg.id,
+                    src: frame.src,
+                    dst: frame.dst,
+                }));
                 self.consider_opportunity(frame, data_duration, rssi, ctx, out);
             }
             FrameBody::Data {
@@ -530,17 +498,11 @@ impl Mac {
                     (new, FrameBody::Ack { seq, sr: None })
                 };
                 if is_new {
-                    out.push(MacAction::Stat(StatEvent::Delivered {
-                        src: frame.src,
+                    out.push(MacAction::Emit(SimEvent::Delivered {
+                        node: self.cfg.id,
+                        from: frame.src,
                         bytes: payload_bytes,
                     }));
-                    if ctx.observing {
-                        out.push(MacAction::Emit(SimEvent::Delivered {
-                            node: self.cfg.id,
-                            from: frame.src,
-                            bytes: payload_bytes,
-                        }));
-                    }
                 }
                 self.pending_ack = Some((frame.src, ack_body));
                 out.push(MacAction::ArmResponderTimer(ctx.now + self.cfg.phy.sifs()));
@@ -572,8 +534,7 @@ impl Mac {
                         if let Some(p) = self.pending {
                             out.push(MacAction::CancelFlowTimer);
                             self.state = FlowState::TxData;
-                            let data = self.data_frame(p, ctx, out);
-                            out.push(MacAction::Stat(StatEvent::DataTx { dst: p.dst }));
+                            let data = self.data_frame(p, out);
                             out.push(MacAction::Transmit(data));
                         }
                     }
@@ -682,8 +643,7 @@ impl Mac {
                 // Data follows back-to-back.
                 if let Some(p) = self.pending {
                     self.state = FlowState::TxData;
-                    let data = self.data_frame(p, ctx, out);
-                    out.push(MacAction::Stat(StatEvent::DataTx { dst: p.dst }));
+                    let data = self.data_frame(p, out);
                     out.push(MacAction::Transmit(data));
                 } else {
                     self.state = FlowState::Idle;
@@ -720,7 +680,7 @@ impl Mac {
                     if self.effective_busy(ctx) {
                         self.wait = WaitPhase::NeedIdle;
                     } else if self.backoff.is_expired() {
-                        self.start_transmission(ctx, out);
+                        self.start_transmission(out);
                     } else {
                         self.wait = WaitPhase::Counting(ctx.now);
                         if ctx.observing {
@@ -743,7 +703,7 @@ impl Mac {
                         self.wait = WaitPhase::NeedIdle;
                     } else {
                         self.backoff.consume(self.backoff.slots_remaining());
-                        self.start_transmission(ctx, out);
+                        self.start_transmission(out);
                     }
                 }
                 WaitPhase::NeedIdle => {
@@ -759,13 +719,10 @@ impl Mac {
             self.state = FlowState::Idle;
             return;
         };
-        out.push(MacAction::Stat(StatEvent::AckTimeout { dst: p.dst }));
-        if ctx.observing {
-            out.push(MacAction::Emit(SimEvent::AckTimeout {
-                node: self.cfg.id,
-                dst: p.dst,
-            }));
-        }
+        out.push(MacAction::Emit(SimEvent::AckTimeout {
+            node: self.cfg.id,
+            dst: p.dst,
+        }));
         if let Some(rate) = self.last_data_rate {
             if let Some(m) = self.minstrel.get_mut(&p.dst) {
                 m.report(rate, false);
@@ -787,17 +744,12 @@ impl Mac {
         } else {
             self.retries += 1;
             if self.retries > self.cfg.retry_limit {
-                out.push(MacAction::Stat(StatEvent::Drop { dst: p.dst }));
+                out.push(MacAction::Emit(SimEvent::FrameDropped {
+                    node: self.cfg.id,
+                    dst: p.dst,
+                    seq: p.seq,
+                }));
                 if ctx.observing {
-                    out.push(MacAction::Emit(SimEvent::Drop {
-                        node: self.cfg.id,
-                        dst: p.dst,
-                    }));
-                    out.push(MacAction::Emit(SimEvent::FrameDropped {
-                        node: self.cfg.id,
-                        dst: p.dst,
-                        seq: p.seq,
-                    }));
                     out.push(MacAction::Emit(SimEvent::Dequeue {
                         node: self.cfg.id,
                         dst: p.dst,
@@ -1004,10 +956,8 @@ impl Mac {
                 let attempts = window.attempts_of(seq).unwrap_or(0);
                 if attempts > self.cfg.retry_limit {
                     window.abandon(seq);
-                    out.push(MacAction::Stat(StatEvent::Drop { dst }));
+                    out.push(MacAction::Emit(SimEvent::FrameDropped { node, dst, seq }));
                     if ctx.observing {
-                        out.push(MacAction::Emit(SimEvent::Drop { node, dst }));
-                        out.push(MacAction::Emit(SimEvent::FrameDropped { node, dst, seq }));
                         out.push(MacAction::Emit(SimEvent::Dequeue {
                             node,
                             dst,
@@ -1109,21 +1059,18 @@ impl Mac {
         self.cfg.backoff
     }
 
-    fn start_transmission(&mut self, ctx: MacCtx, out: &mut Vec<MacAction>) {
+    fn start_transmission(&mut self, out: &mut Vec<MacAction>) {
         let Some(p) = self.pending else {
             self.state = FlowState::Idle;
             return;
         };
         self.concurrent_sent = self.opportunity.map(|op| op.link);
         if let Some(link) = self.concurrent_sent {
-            out.push(MacAction::Stat(StatEvent::ConcurrentTx));
-            if ctx.observing {
-                out.push(MacAction::Emit(SimEvent::ConcurrentTx {
-                    node: self.cfg.id,
-                    src: link.0,
-                    dst: link.1,
-                }));
-            }
+            out.push(MacAction::Emit(SimEvent::ConcurrentTx {
+                node: self.cfg.id,
+                src: link.0,
+                dst: link.1,
+            }));
         }
         if self.cfg.features.selective_repeat {
             if let Some(w) = self.arq_tx.get_mut(&p.dst) {
@@ -1170,21 +1117,18 @@ impl Mac {
             out.push(MacAction::Transmit(header));
         } else {
             self.state = FlowState::TxData;
-            let frame = self.data_frame(p, ctx, out);
-            out.push(MacAction::Stat(StatEvent::DataTx { dst: p.dst }));
+            let frame = self.data_frame(p, out);
             out.push(MacAction::Transmit(frame));
         }
     }
 
-    fn data_frame(&mut self, p: PendingFrame, ctx: MacCtx, out: &mut Vec<MacAction>) -> Frame {
-        if ctx.observing {
-            out.push(MacAction::Emit(SimEvent::FrameTx {
-                node: self.cfg.id,
-                dst: p.dst,
-                seq: p.seq,
-                attempt: p.attempt,
-            }));
-        }
+    fn data_frame(&mut self, p: PendingFrame, out: &mut Vec<MacAction>) -> Frame {
+        out.push(MacAction::Emit(SimEvent::FrameTx {
+            node: self.cfg.id,
+            dst: p.dst,
+            seq: p.seq,
+            attempt: p.attempt,
+        }));
         let rate = self.rate_for(p.dst);
         self.last_data_rate = Some(rate);
         Frame {

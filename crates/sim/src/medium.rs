@@ -8,6 +8,12 @@
 //! holds **no mutable RNG state at all**, so no sweep order, backend or
 //! future shard plan can perturb a single sample.
 //!
+//! The medium speaks the MAC's language: [`Medium::begin`] and
+//! [`Medium::end`] return `(node, MacEvent)` pairs — `Sense`, `Rx`,
+//! `TxDone`, `Announce` — that the simulator dispatches unchanged, and
+//! observed runs collect the physical-layer [`SimEvent`]s for
+//! [`Medium::drain_events`].
+//!
 //! Reception follows the SINR-threshold capture model: a receiver locks
 //! onto the first frame whose SINR against the current ambient power
 //! clears the rate's minimum; the frame survives if its SINR against the
@@ -35,7 +41,7 @@
 //! A link whose cached mean received power sits below the *relevance
 //! floor* ([`RELEVANCE_MARGIN_DB`] decibels under the thermal noise
 //! floor) contributes **exactly zero** to every receiver-side quantity:
-//! no fading draw, no ledger grains, no [`PhyNote::Sense`]. That rule is
+//! no fading draw, no ledger grains, no [`MacEvent::Sense`]. That rule is
 //! part of the propagation model itself — both backends apply it to the
 //! same cached means — which is what makes the two backends bit-identical
 //! by construction:
@@ -85,38 +91,9 @@ use comap_radio::units::{Db, Dbm, Meters, MilliWatts, QuantizedPower};
 use comap_radio::{Position, NOISE_FLOOR};
 
 use crate::frame::{Frame, NodeId, TxId};
+use crate::mac::MacEvent;
 use crate::observe::SimEvent;
 use crate::stats::MediumStats;
-
-/// A notification the medium hands back to the simulator for a node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PhyNote {
-    /// The ambient power at the node changed; the MAC should re-evaluate
-    /// carrier sense and any armed RSSI watchdog.
-    Sense,
-    /// A frame was received successfully (lock held to the end with
-    /// sufficient SINR).
-    Rx {
-        /// The decoded frame.
-        frame: Frame,
-        /// Received signal strength of the frame.
-        rssi: Dbm,
-    },
-    /// The node's own transmission left the air.
-    TxDone {
-        /// The transmitted frame.
-        frame: Frame,
-    },
-    /// In-band announcement: the node locked onto a data frame whose
-    /// MAC header (the paper's 4-byte-FCS variant) reveals the link and
-    /// the remaining airtime.
-    Announce {
-        /// The announced link.
-        link: (NodeId, NodeId),
-        /// When the data frame ends.
-        data_end: SimTime,
-    },
-}
 
 /// How the medium enumerates the receivers of a transmission.
 ///
@@ -421,7 +398,7 @@ pub struct Medium {
     positions: Vec<Position>,
     capture: bool,
     backend: MediumBackend,
-    /// Emit [`PhyNote::Announce`] when a node locks onto a data frame
+    /// Emit [`MacEvent::Announce`] when a node locks onto a data frame
     /// (the paper\'s in-band header implementation, Section V method 1).
     inband_announce: bool,
     states: Vec<PhyState>,
@@ -502,7 +479,7 @@ pub struct Medium {
     cs_threshold: MilliWatts,
     /// Last carrier-sense state emitted per node.
     cs_busy: Vec<bool>,
-    /// Events accumulated since the last [`Medium::take_events`].
+    /// Events accumulated since the last [`Medium::drain_events`].
     events: Vec<SimEvent>,
     /// Wall-clock nanoseconds spent verifying the ledger. Kept outside
     /// [`MediumStats`] so wall-clock time never enters a [`SimReport`].
@@ -668,17 +645,10 @@ impl Medium {
     }
 
     /// Drains the events accumulated since the last call (always empty
-    /// unless [`Medium::enable_observation`] was called).
-    pub fn take_events(&mut self) -> Vec<SimEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Hands a drained buffer back so its capacity is reused.
-    pub fn restore_event_buffer(&mut self, mut buf: Vec<SimEvent>) {
-        if self.events.is_empty() {
-            buf.clear();
-            self.events = buf;
-        }
+    /// unless [`Medium::enable_observation`] was called); the buffer
+    /// keeps its capacity.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, SimEvent> {
+        self.events.drain(..)
     }
 
     /// Wall-clock nanoseconds spent in ledger verification (debug
@@ -1136,7 +1106,7 @@ impl Medium {
 
     /// Receiver-side bookkeeping when a transmission starts: ledger
     /// credit, lock acquisition or preamble capture, and the
-    /// sense/announce notes. `power` is always non-zero (culled
+    /// `Sense`/`Announce` MAC events. `power` is always non-zero (culled
     /// receivers are never visited).
     #[allow(clippy::too_many_arguments)]
     fn receive_begin(
@@ -1147,7 +1117,7 @@ impl Medium {
         frame: Frame,
         now: SimTime,
         end: SimTime,
-        notes: &mut Vec<(NodeId, PhyNote)>,
+        notes: &mut Vec<(NodeId, MacEvent)>,
         captured: &mut Vec<usize>,
     ) {
         let p = power.to_milliwatts();
@@ -1205,17 +1175,18 @@ impl Medium {
         {
             notes.push((
                 NodeId(n),
-                PhyNote::Announce {
+                MacEvent::Announce {
                     link: (frame.src, frame.dst),
                     data_end: end,
                 },
             ));
         }
-        notes.push((NodeId(n), PhyNote::Sense));
+        notes.push((NodeId(n), MacEvent::Sense));
     }
 
     /// Puts `frame` on the air from its source at `now`, lasting until
-    /// `end`. Returns the transmission id and the per-node notifications.
+    /// `end`. Returns the transmission id and the [`MacEvent`]s for the
+    /// nodes it affects.
     /// Only receivers above the relevance floor are visited — they are
     /// the same set under either backend.
     ///
@@ -1228,7 +1199,7 @@ impl Medium {
         frame: Frame,
         now: SimTime,
         end: SimTime,
-    ) -> (TxId, Vec<(NodeId, PhyNote)>) {
+    ) -> (TxId, Vec<(NodeId, MacEvent)>) {
         let src = frame.src.0;
         assert!(
             self.states[src].transmitting.is_none(),
@@ -1311,7 +1282,7 @@ impl Medium {
     }
 
     /// Receiver-side bookkeeping when a transmission ends: ledger
-    /// debit, lock resolution (survival draw) and the sense note.
+    /// debit, lock resolution (survival draw) and the `Sense` MAC event.
     fn receive_end(
         &mut self,
         n: usize,
@@ -1319,7 +1290,7 @@ impl Medium {
         id: TxId,
         frame: Frame,
         now: SimTime,
-        notes: &mut Vec<(NodeId, PhyNote)>,
+        notes: &mut Vec<(NodeId, MacEvent)>,
     ) {
         let observe = self.observe;
         self.states[n].incoming -= power;
@@ -1350,7 +1321,7 @@ impl Medium {
                     }
                     notes.push((
                         NodeId(n),
-                        PhyNote::Rx {
+                        MacEvent::Rx {
                             frame,
                             rssi: lock.signal.to_dbm(),
                         },
@@ -1374,11 +1345,11 @@ impl Medium {
                 self.states[n].lock = Some(lock);
             }
         }
-        notes.push((NodeId(n), PhyNote::Sense));
+        notes.push((NodeId(n), MacEvent::Sense));
     }
 
     /// Takes a transmission off the air at `now`, resolving receptions.
-    /// Returns per-node notifications (`Rx` for a successful receiver,
+    /// Returns per-node [`MacEvent`]s (`Rx` for a successful receiver,
     /// `TxDone` for the sender, `Sense` for everyone whose ambient power
     /// dropped). Receivers the begin culled to exact zero are skipped —
     /// their ambient power provably did not change.
@@ -1389,7 +1360,7 @@ impl Medium {
     /// end time the transmission was scheduled with — ending a frame at
     /// the wrong instant would corrupt every overlapping hazard
     /// integral, so the medium refuses instead of silently accepting it.
-    pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<(NodeId, PhyNote)> {
+    pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<(NodeId, MacEvent)> {
         let scheduled = self.active(tx).end;
         assert_eq!(
             scheduled, now,
@@ -1430,7 +1401,7 @@ impl Medium {
                 }
             }
         }
-        notes.push((NodeId(src), PhyNote::TxDone { frame }));
+        notes.push((NodeId(src), MacEvent::TxDone { frame }));
         if observe {
             self.emit_cs_transitions();
         }
@@ -1508,11 +1479,11 @@ mod tests {
         let notes = m.end(tx, end_at(1000));
         let rx = notes
             .iter()
-            .find(|(n, note)| *n == NodeId(1) && matches!(note, PhyNote::Rx { .. }));
+            .find(|(n, note)| *n == NodeId(1) && matches!(note, MacEvent::Rx { .. }));
         assert!(rx.is_some(), "B must receive: {notes:?}");
         assert!(notes
             .iter()
-            .any(|(n, note)| *n == NodeId(0) && matches!(note, PhyNote::TxDone { .. })));
+            .any(|(n, note)| *n == NodeId(0) && matches!(note, MacEvent::TxDone { .. })));
     }
 
     #[test]
@@ -1551,7 +1522,7 @@ mod tests {
         assert!(
             !notes
                 .iter()
-                .any(|(n, note)| *n == NodeId(1) && matches!(note, PhyNote::Rx { .. })),
+                .any(|(n, note)| *n == NodeId(1) && matches!(note, MacEvent::Rx { .. })),
             "B was transmitting and must miss A's frame"
         );
         m.end(tx_b, end_at(1000));
@@ -1568,14 +1539,14 @@ mod tests {
         assert!(
             notes_a
                 .iter()
-                .any(|(n, note)| *n == NodeId(1) && matches!(note, PhyNote::Rx { .. })),
+                .any(|(n, note)| *n == NodeId(1) && matches!(note, MacEvent::Rx { .. })),
             "A's frame captures: {notes_a:?}"
         );
         let notes_c = m.end(tx_c, end_at(2000));
         assert!(
             !notes_c
                 .iter()
-                .any(|(n, note)| *n == NodeId(1) && matches!(note, PhyNote::Rx { .. })),
+                .any(|(n, note)| *n == NodeId(1) && matches!(note, MacEvent::Rx { .. })),
             "C's frame is lost"
         );
     }
@@ -1602,14 +1573,14 @@ mod tests {
         assert!(
             !notes_a
                 .iter()
-                .any(|(_, note)| matches!(note, PhyNote::Rx { .. })),
+                .any(|(_, note)| matches!(note, MacEvent::Rx { .. })),
             "A must not be received without capture"
         );
         let notes_c = m.end(tx_c, end_at(2000));
         assert!(
             !notes_c
                 .iter()
-                .any(|(_, note)| matches!(note, PhyNote::Rx { .. })),
+                .any(|(_, note)| matches!(note, MacEvent::Rx { .. })),
             "C was corrupted by A"
         );
     }
@@ -1637,7 +1608,7 @@ mod tests {
         assert!(
             !notes
                 .iter()
-                .any(|(n, note)| *n == NodeId(1) && matches!(note, PhyNote::Rx { .. })),
+                .any(|(n, note)| *n == NodeId(1) && matches!(note, MacEvent::Rx { .. })),
             "frame must be corrupted by the transient interferer"
         );
         assert!(

@@ -4,10 +4,15 @@
 //! The medium, the MAC and the CO-MAP protocol logic emit [`SimEvent`]s
 //! describing everything the paper *watches*: transmissions on the air,
 //! capture and collision outcomes, carrier-sense transitions, queue and
-//! backoff dynamics, and every CO-MAP decision. Events flow to whatever
-//! [`Observer`]s are attached to the [`crate::Simulator`]; with none
-//! attached, no event is ever constructed — every emission site is gated
-//! on a single bool, so an unobserved run pays one predictable branch.
+//! backoff dynamics, and every CO-MAP decision. The same vocabulary
+//! feeds the report: the per-link and per-node counters of
+//! [`SimReport`] are a projection of seven variants (`FrameTx`,
+//! `Delivered`, `AckTimeout`, `FrameDropped`, `ConcurrentTx`,
+//! `EtAbandon`, `HeaderHeard`), which the simulator folds in before
+//! fanning each event out to whatever [`Observer`]s are attached to the
+//! [`crate::Simulator`]. Those seven are always built; every other
+//! emission site is gated on a single bool, so with no sink attached an
+//! unobserved run builds only what the report counts.
 //!
 //! Sinks are strictly one-way: they see events and may fold summaries
 //! into the final [`SimReport`](crate::stats::SimReport), but nothing
@@ -152,13 +157,6 @@ pub enum SimEvent {
         dst: NodeId,
         /// Attempt number (1 = first retransmission).
         attempt: u32,
-    },
-    /// A frame was abandoned after the retry limit.
-    Drop {
-        /// The dropping node.
-        node: NodeId,
-        /// Flow destination.
-        dst: NodeId,
     },
     /// Unique payload bytes were delivered.
     Delivered {
@@ -338,7 +336,6 @@ impl SimEvent {
             SimEvent::Resume { .. } => "resume",
             SimEvent::AckTimeout { .. } => "ack_timeout",
             SimEvent::Retry { .. } => "retry",
-            SimEvent::Drop { .. } => "drop",
             SimEvent::Delivered { .. } => "delivered",
             SimEvent::FrameQueued { .. } => "frame_queued",
             SimEvent::FrameTx { .. } => "frame_tx",
@@ -417,7 +414,7 @@ impl SimEvent {
                 fields.push(("stage", Json::Uint(u64::from(stage))));
                 fields.push(("slots", Json::Uint(u64::from(slots))));
             }
-            SimEvent::AckTimeout { node: n, dst } | SimEvent::Drop { node: n, dst } => {
+            SimEvent::AckTimeout { node: n, dst } => {
                 fields.push(("node", node(n)));
                 fields.push(("dst", node(dst)));
             }
@@ -551,10 +548,6 @@ impl SimEvent {
                 dst: node("dst")?,
                 attempt: uint("attempt")?,
             },
-            "drop" => SimEvent::Drop {
-                node: node("node")?,
-                dst: node("dst")?,
-            },
             "delivered" => SimEvent::Delivered {
                 node: node("node")?,
                 from: node("from")?,
@@ -656,9 +649,6 @@ impl fmt::Display for SimEvent {
             SimEvent::AckTimeout { node, dst } => write!(f, "{node} ACK timeout toward {dst}"),
             SimEvent::Retry { node, dst, attempt } => {
                 write!(f, "{node} retry #{attempt} toward {dst}")
-            }
-            SimEvent::Drop { node, dst } => {
-                write!(f, "{node} drops frame toward {dst} (retry limit)")
             }
             SimEvent::Delivered { node, from, bytes } => {
                 write!(f, "{node} delivered {bytes} B from {from}")
@@ -932,10 +922,6 @@ mod tests {
                 dst: NodeId(1),
                 attempt: 3,
             },
-            SimEvent::Drop {
-                node: NodeId(0),
-                dst: NodeId(1),
-            },
             SimEvent::Delivered {
                 node: NodeId(1),
                 from: NodeId(0),
@@ -1010,14 +996,14 @@ mod tests {
         for (i, e) in samples().into_iter().enumerate() {
             sink.on_event(SimTime::from_nanos(i as u64 * 10), &e);
         }
-        assert_eq!(sink.written(), 25);
+        assert_eq!(sink.written(), 24);
         assert!(sink.error().is_none());
         let text = String::from_utf8(sink.out.clone()).unwrap();
         let parsed: Vec<_> = text
             .lines()
             .map(|l| parse_jsonl_line(l).expect("line parses"))
             .collect();
-        assert_eq!(parsed.len(), 25);
+        assert_eq!(parsed.len(), 24);
         assert_eq!(parsed[0].0, SimTime::ZERO);
         assert_eq!(parsed[5].0, SimTime::from_nanos(50));
         assert_eq!(parsed, {

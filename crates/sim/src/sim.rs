@@ -16,8 +16,8 @@ use comap_radio::Position;
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
 use crate::frame::NodeId;
-use crate::mac::{Mac, MacAction, MacConfig, MacCtx, MacEvent, StatEvent};
-use crate::medium::{Medium, PhyNote};
+use crate::mac::{Mac, MacAction, MacConfig, MacCtx, MacEvent};
+use crate::medium::Medium;
 use crate::observe::{Observer, SimEvent};
 use crate::profile::{Profiler, RunProfile};
 use crate::stats::SimReport;
@@ -35,7 +35,7 @@ pub struct Simulator {
     /// Attached observers; events fan out to each in order.
     sinks: Vec<Box<dyn Observer>>,
     /// `true` once any sink is attached — the single gate every
-    /// emission site checks.
+    /// emission site checks, bar the seven report-counted events.
     observing: bool,
     /// Seed of the counter-keyed localization-noise streams.
     move_seed: u64,
@@ -212,9 +212,9 @@ impl Simulator {
             let started = profiler.as_ref().map(Profiler::dispatch_start);
             match event {
                 Event::TxEnd(tx) => {
-                    let notes = self.medium.end(tx, self.now);
+                    let events = self.medium.end(tx, self.now);
                     self.forward_medium_events();
-                    self.dispatch_notes(notes);
+                    self.drain(events.into());
                 }
                 Event::FlowTimer { node, gen } => {
                     if self.flow_gen[node.0] == gen {
@@ -262,14 +262,11 @@ impl Simulator {
     /// after every `Medium::begin`/`Medium::end` so physical-layer
     /// events precede the MAC reactions they trigger.
     fn forward_medium_events(&mut self) {
-        if !self.observing {
-            return;
+        for event in self.medium.drain_events() {
+            for sink in &mut self.sinks {
+                sink.on_event(self.now, &event);
+            }
         }
-        let events = self.medium.take_events();
-        for ev in &events {
-            self.emit(*ev);
-        }
-        self.medium.restore_event_buffer(events);
     }
 
     /// Human-readable node name.
@@ -313,24 +310,7 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, node: NodeId, event: MacEvent) {
-        let mut work: VecDeque<(NodeId, MacEvent)> = VecDeque::new();
-        work.push_back((node, event));
-        self.drain(work);
-    }
-
-    fn dispatch_notes(&mut self, notes: Vec<(NodeId, PhyNote)>) {
-        let mut work: VecDeque<(NodeId, MacEvent)> = VecDeque::new();
-        for (n, note) in notes {
-            match note {
-                PhyNote::Sense => work.push_back((n, MacEvent::Sense)),
-                PhyNote::Rx { frame, rssi } => work.push_back((n, MacEvent::Rx { frame, rssi })),
-                PhyNote::TxDone { frame } => work.push_back((n, MacEvent::TxDone { frame })),
-                PhyNote::Announce { link, data_end } => {
-                    work.push_back((n, MacEvent::Announce { link, data_end }))
-                }
-            }
-        }
-        self.drain(work);
+        self.drain(VecDeque::from([(node, event)]));
     }
 
     fn drain(&mut self, mut work: VecDeque<(NodeId, MacEvent)>) {
@@ -384,51 +364,63 @@ impl Simulator {
                     .phy
                     .frame_duration(frame.on_air_bytes(), frame.rate);
                 let end = self.now + duration;
-                let (tx, notes) = self.medium.begin(frame, self.now, end);
+                let (tx, events) = self.medium.begin(frame, self.now, end);
                 self.forward_medium_events();
                 self.queue.schedule(end, Event::TxEnd(tx));
                 self.report.node_mut(node).airtime += duration;
-                for (n, note) in notes {
-                    match note {
-                        PhyNote::Sense => work.push_back((n, MacEvent::Sense)),
-                        PhyNote::Announce { link, data_end } => {
-                            work.push_back((n, MacEvent::Announce { link, data_end }))
-                        }
-                        // begin() produces no receptions or completions.
-                        PhyNote::Rx { .. } | PhyNote::TxDone { .. } => {}
-                    }
-                }
+                work.extend(events);
             }
-            MacAction::Stat(stat) => self.account(node, stat),
-            MacAction::Emit(ev) => self.emit(ev),
+            MacAction::Emit(event) => {
+                self.account(&event);
+                self.emit(event);
+            }
         }
     }
 
-    fn account(&mut self, node: NodeId, stat: StatEvent) {
-        match stat {
-            StatEvent::DataTx { dst } => {
+    /// Folds one event into the report: the per-link and per-node
+    /// counters are exactly a projection of the event stream.
+    fn account(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::FrameTx { node, dst, .. } => {
                 self.report.link_mut(node, dst).data_tx += 1;
             }
-            StatEvent::Delivered { src, bytes } => {
-                let link = self.report.link_mut(src, node);
+            SimEvent::Delivered { node, from, bytes } => {
+                let link = self.report.link_mut(from, node);
                 link.delivered_bytes += u64::from(bytes);
                 link.delivered_frames += 1;
             }
-            StatEvent::AckTimeout { dst } => {
+            SimEvent::AckTimeout { node, dst } => {
                 self.report.link_mut(node, dst).ack_timeouts += 1;
             }
-            StatEvent::Drop { dst } => {
+            SimEvent::FrameDropped { node, dst, .. } => {
                 self.report.link_mut(node, dst).drops += 1;
             }
-            StatEvent::ConcurrentTx => {
+            SimEvent::ConcurrentTx { node, .. } => {
                 self.report.node_mut(node).concurrent_tx += 1;
             }
-            StatEvent::EtAbandon => {
+            SimEvent::EtAbandon { node } => {
                 self.report.node_mut(node).et_abandons += 1;
             }
-            StatEvent::HeaderHeard => {
+            SimEvent::HeaderHeard { node, .. } => {
                 self.report.node_mut(node).headers_heard += 1;
             }
+            SimEvent::TxBegin { .. }
+            | SimEvent::TxEnd { .. }
+            | SimEvent::Capture { .. }
+            | SimEvent::HazardDrop { .. }
+            | SimEvent::RxResolved { .. }
+            | SimEvent::CsBusy { .. }
+            | SimEvent::CsIdle { .. }
+            | SimEvent::Enqueue { .. }
+            | SimEvent::Dequeue { .. }
+            | SimEvent::BackoffDraw { .. }
+            | SimEvent::Defer { .. }
+            | SimEvent::Resume { .. }
+            | SimEvent::Retry { .. }
+            | SimEvent::FrameQueued { .. }
+            | SimEvent::FrameAcked { .. }
+            | SimEvent::EtOpportunity { .. }
+            | SimEvent::Adapt { .. } => {}
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The observability layer's two contracts, end to end:
+//! The observability layer's three contracts, end to end:
 //!
 //! 1. **Non-perturbation** — attaching any combination of sinks to a
 //!    run must leave the `SimReport` bit-identical to a run without
@@ -8,17 +8,22 @@
 //!    the JSONL event stream parses back to the exact events the
 //!    in-memory timeline saw, and a `SimReport` with a metrics section
 //!    round-trips through JSON losslessly.
+//! 3. **Projection** — the report's per-link and per-node counters are
+//!    exactly the counts of their events in the recorded stream.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::io;
 use std::rc::Rc;
 
-use comap_mac::time::SimDuration;
+use comap_mac::time::{SimDuration, SimTime};
 use comap_radio::Position;
 use comap_sim::config::{MacFeatures, NodeSpec, SimConfig, Traffic};
 use comap_sim::observe::parse_jsonl_line;
+use comap_sim::stats::{LinkStats, NodeStats};
 use comap_sim::{
-    Json, JsonlSink, LatencySink, MetricsSink, NoopSink, SimReport, Simulator, TimelineSink,
+    Json, JsonlSink, LatencySink, MetricsSink, NodeId, NoopSink, SimEvent, SimReport, Simulator,
+    TimelineSink,
 };
 
 /// A CO-MAP four-node topology that exercises every event source:
@@ -33,6 +38,33 @@ fn busy_cfg(seed: u64) -> SimConfig {
     let c2 = cfg.add_node(NodeSpec::client("C2", Position::new(26.0, 0.0)));
     cfg.add_flow(c1, ap1, Traffic::Saturated);
     cfg.add_flow(c2, ap2, Traffic::Saturated);
+    cfg
+}
+
+/// The Fig. 2 hidden-terminal pair with a retry limit of one: the two
+/// saturated senders cannot hear each other, so collisions exhaust the
+/// retries and frames are dropped.
+fn lossy_cfg(seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::testbed(seed);
+    cfg.default_features = MacFeatures::COMAP;
+    cfg.retry_limit = 1;
+    let c1 = cfg.add_node(NodeSpec::client("C1", Position::new(0.0, 0.0)));
+    let ap1 = cfg.add_node(NodeSpec::ap("AP1", Position::new(15.0, 0.0)));
+    let c2 = cfg.add_node(NodeSpec::client("C2", Position::new(37.0, 0.0)));
+    let ap2 = cfg.add_node(NodeSpec::ap("AP2", Position::new(49.0, 0.0)));
+    cfg.add_flow(c1, ap1, Traffic::Saturated);
+    cfg.add_flow(c2, ap2, Traffic::Saturated);
+    cfg
+}
+
+/// [`busy_cfg`] with a second exposed terminal next to C1: both enter
+/// the same opportunities beside C2's link, and whichever transmits
+/// first trips the other's RSSI watchdog into abandoning.
+fn crowded_cfg(seed: u64) -> SimConfig {
+    let mut cfg = busy_cfg(seed);
+    let ap3 = cfg.add_node(NodeSpec::ap("AP3", Position::new(0.0, 5.0)));
+    let c3 = cfg.add_node(NodeSpec::client("C3", Position::new(-8.0, 5.0)));
+    cfg.add_flow(c3, ap3, Traffic::Saturated);
     cfg
 }
 
@@ -247,4 +279,110 @@ fn report_with_metrics_round_trips_through_json() {
     let text = bare.to_json().to_string_compact();
     let back = SimReport::from_json(&Json::parse(&text).unwrap()).expect("valid report JSON");
     assert_eq!(back, bare);
+}
+
+type LinkCounters = BTreeMap<(NodeId, NodeId), LinkStats>;
+type NodeCounters = BTreeMap<NodeId, NodeStats>;
+
+/// Counts the report-counted events of a recorded stream into
+/// report-shaped counters. No event carries airtime, so node counters
+/// leave it at zero.
+fn project(events: &[(SimTime, SimEvent)]) -> (LinkCounters, NodeCounters) {
+    let mut links = LinkCounters::new();
+    let mut nodes = NodeCounters::new();
+    for (_, event) in events {
+        match *event {
+            SimEvent::FrameTx { node, dst, .. } => {
+                links.entry((node, dst)).or_default().data_tx += 1;
+            }
+            SimEvent::Delivered { node, from, bytes } => {
+                let link = links.entry((from, node)).or_default();
+                link.delivered_frames += 1;
+                link.delivered_bytes += u64::from(bytes);
+            }
+            SimEvent::AckTimeout { node, dst } => {
+                links.entry((node, dst)).or_default().ack_timeouts += 1;
+            }
+            SimEvent::FrameDropped { node, dst, .. } => {
+                links.entry((node, dst)).or_default().drops += 1;
+            }
+            SimEvent::ConcurrentTx { node, .. } => {
+                nodes.entry(node).or_default().concurrent_tx += 1;
+            }
+            SimEvent::EtAbandon { node } => {
+                nodes.entry(node).or_default().et_abandons += 1;
+            }
+            SimEvent::HeaderHeard { node, .. } => {
+                nodes.entry(node).or_default().headers_heard += 1;
+            }
+            _ => {}
+        }
+    }
+    (links, nodes)
+}
+
+#[test]
+fn report_counters_are_a_projection_of_the_event_stream() {
+    let stop_and_wait = |mut cfg: SimConfig| {
+        cfg.default_features.selective_repeat = false;
+        cfg
+    };
+    let corpus = [
+        ("busy, selective repeat", busy_cfg(7)),
+        ("busy, stop-and-wait", stop_and_wait(busy_cfg(7))),
+        ("lossy, selective repeat", lossy_cfg(7)),
+        ("lossy, stop-and-wait", stop_and_wait(lossy_cfg(7))),
+        ("crowded, selective repeat", crowded_cfg(7)),
+        ("crowded, stop-and-wait", stop_and_wait(crowded_cfg(7))),
+    ];
+    let (mut link_sum, mut node_sum) = (LinkStats::default(), NodeStats::default());
+    for (name, cfg) in corpus {
+        let (timeline, handle) = TimelineSink::new();
+        let mut sim = Simulator::new(cfg);
+        sim.attach_sink(Box::new(timeline));
+        let report = sim.run(DURATION);
+        let (links, nodes) = project(&handle.events());
+
+        assert_eq!(report.links, links, "{name}: link counters");
+        let counted: NodeCounters = report
+            .nodes
+            .iter()
+            .map(|(&n, s)| {
+                let s = NodeStats {
+                    airtime: SimDuration::ZERO,
+                    ..*s
+                };
+                (n, s)
+            })
+            .filter(|(_, s)| *s != NodeStats::default())
+            .collect();
+        assert_eq!(counted, nodes, "{name}: node counters");
+
+        for l in links.values() {
+            link_sum.data_tx += l.data_tx;
+            link_sum.delivered_frames += l.delivered_frames;
+            link_sum.delivered_bytes += l.delivered_bytes;
+            link_sum.ack_timeouts += l.ack_timeouts;
+            link_sum.drops += l.drops;
+        }
+        for n in nodes.values() {
+            node_sum.concurrent_tx += n.concurrent_tx;
+            node_sum.et_abandons += n.et_abandons;
+            node_sum.headers_heard += n.headers_heard;
+        }
+    }
+    // Every counter moves somewhere in the corpus, so none of the
+    // equalities above holds only as 0 == 0.
+    for (counter, total) in [
+        ("data_tx", link_sum.data_tx),
+        ("delivered_frames", link_sum.delivered_frames),
+        ("delivered_bytes", link_sum.delivered_bytes),
+        ("ack_timeouts", link_sum.ack_timeouts),
+        ("drops", link_sum.drops),
+        ("concurrent_tx", node_sum.concurrent_tx),
+        ("et_abandons", node_sum.et_abandons),
+        ("headers_heard", node_sum.headers_heard),
+    ] {
+        assert!(total > 0, "{counter} is zero across the whole corpus");
+    }
 }

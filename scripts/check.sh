@@ -42,10 +42,16 @@ cargo test -q --manifest-path simbench/Cargo.toml
 echo "==> profiling smoke run (fig02 --quick --profile-json)"
 cargo run --release -p comap-experiments --bin fig02 -- --quick \
     --profile-json target/profile_smoke.json
-cargo run --release -p comap-experiments --bin profile_check -- \
-    target/profile_smoke.json
 
-echo "==> perf-regression gate (fig_scale --quick vs pinned envelope)"
+echo "==> a typo'd flag exits 2 (fig02 --quik)"
+status=0
+cargo run -q --release -p comap-experiments --bin fig02 -- --quik || status=$?
+if [ "$status" != 2 ]; then
+    echo "fig02 --quik exited $status, expected 2" >&2
+    exit 1
+fi
+
+echo "==> perf-regression gate (fig_scale --quick vs pinned envelope, health invariants first)"
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \
     --profile-json target/profile_fig_scale.json > /dev/null
 cargo run --release -p comap-experiments --bin bench_diff -- \
