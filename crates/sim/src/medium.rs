@@ -42,22 +42,23 @@
 //! floor* ([`RELEVANCE_MARGIN_DB`] decibels under the thermal noise
 //! floor) contributes **exactly zero** to every receiver-side quantity:
 //! no fading draw, no ledger grains, no [`MacEvent::Sense`]. That rule is
-//! part of the propagation model itself — both backends apply it to the
-//! same cached means — which is what makes the two backends bit-identical
-//! by construction:
+//! part of the propagation model itself, applied to the cached means.
 //!
-//! * [`MediumBackend::Exhaustive`] scans every node per transmission and
-//!   keeps the dense per-node power vector (the reference algorithm).
-//! * [`MediumBackend::Culled`] enumerates only the nodes in the 3 × 3
-//!   grid-cell neighbourhood of the sender (cell side = the channel's
-//!   relevance range) plus a per-node *overflow list* of links whose
-//!   static shadowing draw keeps them relevant beyond that range, and
-//!   stores powers sparsely.
+//! A backend only chooses the *candidate* receivers, ascending:
 //!
-//! Both enumerations filter by the same relevance predicate in the same
-//! ascending node order, so they consume identical RNG streams and move
-//! identical grains. See DESIGN.md §7 for the derivation of the radius
-//! and the exactness argument.
+//! * [`MediumBackend::Exhaustive`] takes every other node (the reference
+//!   enumeration).
+//! * [`MediumBackend::Culled`] takes the nodes in the 3 × 3 grid-cell
+//!   neighbourhood of the sender (cell side = the channel's relevance
+//!   range) plus a per-node *overflow list* of links whose static
+//!   shadowing draw keeps them relevant beyond that range.
+//!
+//! One code path then filters the candidates by the relevance floor into
+//! the transmission's single receiver list — `(node, power)`, ascending —
+//! which `begin` and `end` walk. Both candidate sets cover the relevant
+//! set, so both backends build the same list and move identical grains.
+//! See DESIGN.md §7 for the derivation of the radius and the exactness
+//! argument.
 //!
 //! # The mobility hot path
 //!
@@ -66,20 +67,19 @@
 //! *position epoch* and refreshes the overflow lists — nothing else. A
 //! link's slow-fade mean is a **pure function** of the endpoints'
 //! positions and epochs: the slow-fade draw comes from a counter-based
-//! stream keyed by `(seed, min(i, j), max(i, j), epoch sum)`, so the
-//! struct-of-arrays link cache can be refilled lazily, on the first
-//! lookup that sees a stale epoch tag — in any order, under any
-//! backend. See DESIGN.md §8.
+//! stream keyed by `(seed, min(i, j), max(i, j), epoch sum)`, so the link
+//! cache — one 16-byte record `(epoch tag, mean dBm)` per directed link —
+//! can be refilled lazily, on the first lookup that sees a stale epoch
+//! tag, in any order, under any backend. See DESIGN.md §8.
 //!
 //! # Per-frame stream discipline
 //!
 //! Fast fades are keyed by `(fade seed, tx → rx, frame counter)` and
 //! hazard-survival draws by `(hazard seed, tx → rx, frame counter)`,
 //! where the frame counter is the transmission's never-reused [`TxId`]
-//! generation. [`Medium::begin`] therefore draws the whole
-//! relevant-receiver sweep as one branch-light batched pass over the
-//! struct-of-arrays link row — there is no sequential-RNG data
-//! dependence left to order it. See DESIGN.md §11.
+//! generation. No draw depends on another, so the order in which
+//! [`Medium::begin`] visits its candidates cannot change a value. See
+//! DESIGN.md §11.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -95,19 +95,20 @@ use crate::mac::MacEvent;
 use crate::observe::SimEvent;
 use crate::stats::MediumStats;
 
-/// How the medium enumerates the receivers of a transmission.
+/// Which candidate receivers the medium enumerates for a transmission.
 ///
-/// Both backends produce bit-identical results (same reports, same event
-/// streams, same RNG consumption) — the culled backend is only allowed
-/// to be *faster*. The differential harness in
-/// `crates/sim/tests/differential.rs` pins that equivalence.
+/// That is all a backend decides: the relevance filter, the draws and
+/// the ledger run the same code over any candidate set, so both backends
+/// produce bit-identical results (same reports, same event streams, same
+/// draws) — the culled backend is only allowed to be *faster*. The
+/// differential harness in `crates/sim/tests/differential.rs` pins that
+/// equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MediumBackend {
-    /// Dense reference algorithm: every transmission visits all `n`
-    /// nodes and carries an `n`-entry power vector.
+    /// Reference enumeration: every other node is a candidate.
     Exhaustive,
-    /// Spatial culling: only grid-neighbour nodes (plus the overflow
-    /// list) are visited, and powers are stored sparsely.
+    /// Spatial culling: the 3 × 3 grid neighbourhood of the sender plus
+    /// its overflow list.
     Culled,
 }
 
@@ -155,39 +156,37 @@ struct PhyState {
     lock: Option<RxLock>,
 }
 
-/// Per-receiver powers of one active transmission. Dense under the
-/// exhaustive backend (own and culled entries zero), sparse under the
-/// culled backend (relevant receivers only, ascending by node). Both
-/// describe the same function `node → grains`, so begin/end move
-/// identical grains either way.
-#[derive(Debug, Clone)]
-enum PowerMap {
-    /// Received power of this transmission at every node (own entry 0),
-    /// pre-quantized so begin/end move identical grains.
-    Dense(Vec<QuantizedPower>),
-    /// `(node, power)` of every relevant receiver, ascending by node.
-    Sparse(Vec<(u32, QuantizedPower)>),
-}
-
-impl PowerMap {
-    /// Power delivered to `node` (zero when culled or the sender).
-    fn at(&self, node: usize) -> QuantizedPower {
-        match self {
-            PowerMap::Dense(v) => v[node],
-            PowerMap::Sparse(v) => v
-                .binary_search_by_key(&(node as u32), |&(n, _)| n)
-                .map(|i| v[i].1)
-                .unwrap_or(QuantizedPower::ZERO),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct ActiveTx {
     id: TxId,
     frame: Frame,
     end: SimTime,
-    powers: PowerMap,
+    /// `(node, power)` of every receiver above the relevance floor,
+    /// ascending by node and pre-quantized so begin/end move identical
+    /// grains. The same list under either backend.
+    receivers: Vec<(u32, QuantizedPower)>,
+}
+
+impl ActiveTx {
+    /// Power delivered to `node` (zero below the floor or at the sender).
+    fn power_at(&self, node: usize) -> QuantizedPower {
+        self.receivers
+            .binary_search_by_key(&(node as u32), |&(n, _)| n)
+            .map_or(QuantizedPower::ZERO, |i| self.receivers[i].1)
+    }
+}
+
+/// One entry of the link cache: the mean received power of an ordered
+/// link and the epoch sum it was computed at. 16 bytes per directed link;
+/// the relevance predicate and the ledger quantization are derived from
+/// `dbm` where they are needed.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// Epoch sum of the endpoints when filled ([`STALE`] = never).
+    tag: u64,
+    /// Mean received power in dBm: mean path loss at the current
+    /// distance plus the slow-fade draw.
+    dbm: f64,
 }
 
 /// Per-frame fading deviation: for *static* nodes most of the shadowing
@@ -429,17 +428,9 @@ pub struct Medium {
     /// endpoints' epochs — the sum strictly increases on any move, so a
     /// stale entry can never alias a fresh one.
     node_epoch: Vec<u32>,
-    /// Struct-of-arrays link cache over ordered links (`src * n + dst`),
-    /// filled lazily on first read with a stale tag. `link_tag` holds
-    /// the epoch sum the entry was computed at ([`STALE`] = never);
-    /// `link_dbm` the mean received power (mean path loss at the current
-    /// distance plus the slow-fade draw); `link_quant` its exact ledger
-    /// quantization (only when relevant — the `powf` is skipped for
-    /// sub-floor links); `link_relevant` the floor predicate.
-    link_tag: Vec<u64>,
-    link_dbm: Vec<f64>,
-    link_quant: Vec<QuantizedPower>,
-    link_relevant: Vec<bool>,
+    /// Link cache over ordered links (`src * n + dst`), filled lazily on
+    /// the first read that finds a stale tag.
+    links: Vec<Link>,
     /// Static (slow) shadowing deviation in dB: the channel sigma minus
     /// the fast-fading component, in quadrature.
     slow_sigma: f64,
@@ -468,7 +459,7 @@ pub struct Medium {
     /// the mean. Symmetric, typically empty, refreshed against the
     /// movers' *current* epochs on every applied move.
     overflow: Vec<Vec<u32>>,
-    /// Reusable candidate buffer for the culled gather path.
+    /// Reusable candidate buffer of [`Medium::draw_receivers`].
     scratch: Vec<u32>,
     stats: MediumStats,
     counters: MediumCounters,
@@ -587,10 +578,13 @@ impl Medium {
             fade_seed,
             hazard_seed,
             node_epoch: vec![0; n],
-            link_tag: vec![STALE; n * n],
-            link_dbm: vec![f64::NEG_INFINITY; n * n],
-            link_quant: vec![QuantizedPower::ZERO; n * n],
-            link_relevant: vec![false; n * n],
+            links: vec![
+                Link {
+                    tag: STALE,
+                    dbm: f64::NEG_INFINITY,
+                };
+                n * n
+            ],
             slow_sigma: slow,
             fast_sigma: Db::new(fast),
             relevance_floor,
@@ -612,18 +606,9 @@ impl Medium {
         };
         // Bootstrap the overflow lists (link means stay lazy): ascending
         // pair order keeps every list sorted.
-        let skip2 = medium.overflow_skip * medium.overflow_skip;
         for a in 0..n {
             for b in (a + 1)..n {
-                let (pa, pb) = (medium.positions[a], medium.positions[b]);
-                let (dx, dy) = (pa.x - pb.x, pa.y - pb.y);
-                if dx * dx + dy * dy > skip2 {
-                    continue;
-                }
-                let d = pa.distance_to(pb);
-                if d.value() > medium.relevance_range.value()
-                    && medium.compute_link_dbm(a, b) >= medium.relevance_floor.value()
-                {
+                if medium.overflows(a, b) {
                     medium.overflow[a].push(b as u32);
                     medium.overflow[b].push(a as u32);
                 }
@@ -638,10 +623,13 @@ impl Medium {
     }
 
     /// Enables instrumentation-event emission; carrier-sense busy/idle
-    /// transitions are judged against the CCA threshold `t_cs`.
+    /// transitions are judged against the CCA threshold `t_cs`. Nodes
+    /// already busy at this point get their `CsBusy` now, so later
+    /// passes need only look at the nodes whose power moved.
     pub fn enable_observation(&mut self, t_cs: Dbm) {
         self.observe = true;
         self.cs_threshold = t_cs.to_milliwatts();
+        self.emit_cs_transitions(0..self.states.len());
     }
 
     /// Drains the events accumulated since the last call (always empty
@@ -680,10 +668,10 @@ impl Medium {
         self.relevance_range
     }
 
-    /// Emits a carrier-sense transition event for every node whose
-    /// sensed power crossed the CCA threshold since the last pass.
-    fn emit_cs_transitions(&mut self) {
-        for n in 0..self.states.len() {
+    /// Emits a carrier-sense transition event for every node of `nodes`
+    /// whose sensed power crossed the CCA threshold since its last pass.
+    fn emit_cs_transitions(&mut self, nodes: impl IntoIterator<Item = usize>) {
+        for n in nodes {
             let busy = self.sensed(NodeId(n)).value() >= self.cs_threshold.value();
             if busy != self.cs_busy[n] {
                 self.cs_busy[n] = busy;
@@ -701,50 +689,64 @@ impl Medium {
     /// near-field clamp of
     /// [`link_mean_at`](LogNormalShadowing::link_mean_at)) plus the
     /// link's slow-fade draw. A pure function — the lazy cache fill, the
-    /// `&self` relevance fallback and the overflow scan all evaluate
-    /// exactly this expression, so they can never disagree.
+    /// `&self` read of [`Medium::link_dbm_now`] and the overflow scan all
+    /// evaluate exactly this expression, so they can never disagree.
     fn compute_link_dbm(&self, a: usize, b: usize) -> f64 {
         let d = self.positions[a].distance_to(self.positions[b]);
         let mut dbm = self.channel.link_mean_at(d).value();
         if self.slow_sigma > 0.0 {
             let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            let esum = self.node_epoch[a] as u64 + self.node_epoch[b] as u64;
-            dbm += self.slow_sigma * link_slow_normal(self.link_seed, lo as u32, hi as u32, esum);
+            dbm += self.slow_sigma
+                * link_slow_normal(self.link_seed, lo as u32, hi as u32, self.epoch_sum(a, b));
         }
         dbm
     }
 
-    /// Freshens the ordered link `src → dst` if its epoch tag is stale;
-    /// the reciprocal entry is refreshed by the same fill.
+    /// The tag a fresh cache entry for the link `{a, b}` carries.
+    fn epoch_sum(&self, a: usize, b: usize) -> u64 {
+        self.node_epoch[a] as u64 + self.node_epoch[b] as u64
+    }
+
+    /// Mean received power of `src → dst` in dBm, refilling the entry
+    /// (and its reciprocal mirror) first if its epoch tag is stale.
     #[inline]
-    fn ensure_fresh(&mut self, src: usize, dst: usize) {
+    fn fresh_link_dbm(&mut self, src: usize, dst: usize) -> f64 {
         let n = self.positions.len();
-        let tag = self.node_epoch[src] as u64 + self.node_epoch[dst] as u64;
-        if self.link_tag[src * n + dst] != tag {
-            self.fill_link(src, dst, tag);
+        let tag = self.epoch_sum(src, dst);
+        if self.links[src * n + dst].tag != tag {
+            self.counters.cache_recomputes += 1;
+            let link = Link {
+                tag,
+                dbm: self.compute_link_dbm(src, dst),
+            };
+            self.links[src * n + dst] = link;
+            self.links[dst * n + src] = link;
+        }
+        self.links[src * n + dst].dbm
+    }
+
+    /// [`Medium::fresh_link_dbm`] without touching the cache: served
+    /// from it when fresh, recomputed otherwise (the identical
+    /// expression, so the answer matches what a fill would store).
+    fn link_dbm_now(&self, a: usize, b: usize) -> f64 {
+        let link = self.links[a * self.positions.len() + b];
+        if link.tag == self.epoch_sum(a, b) {
+            link.dbm
+        } else {
+            self.compute_link_dbm(a, b)
         }
     }
 
-    /// Recomputes one link and stores it under both ordered indices. The
-    /// exact ledger quantization (the `powf`-heavy conversion) is only
-    /// paid for relevant links — sub-floor entries never reach the
-    /// ledger, so their quantized power is dead weight.
-    fn fill_link(&mut self, src: usize, dst: usize, tag: u64) {
-        self.counters.cache_recomputes += 1;
-        let n = self.positions.len();
-        let dbm = self.compute_link_dbm(src, dst);
-        let relevant = dbm >= self.relevance_floor.value();
-        let quant = if relevant {
-            QuantizedPower::from_milliwatts(Dbm::new(dbm).to_milliwatts())
-        } else {
-            QuantizedPower::ZERO
-        };
-        for idx in [src * n + dst, dst * n + src] {
-            self.link_tag[idx] = tag;
-            self.link_dbm[idx] = dbm;
-            self.link_quant[idx] = quant;
-            self.link_relevant[idx] = relevant;
-        }
+    /// Whether `b` belongs on `a`'s overflow list: beyond the grid reach
+    /// (`dist > relevance_range`) yet relevant. Pairs beyond the hard
+    /// skip radius are rejected on the squared distance alone, before
+    /// any path-loss math. Symmetric in `a` and `b`.
+    fn overflows(&self, a: usize, b: usize) -> bool {
+        let (p, q) = (self.positions[a], self.positions[b]);
+        let (dx, dy) = (p.x - q.x, p.y - q.y);
+        dx * dx + dy * dy <= self.overflow_skip * self.overflow_skip
+            && p.distance_to(q).value() > self.relevance_range.value()
+            && self.compute_link_dbm(a, b) >= self.relevance_floor.value()
     }
 
     /// Moves a node. The target snaps onto the position quantum: a move
@@ -779,37 +781,18 @@ impl Medium {
 
     /// Rebuilds `node`'s overflow list and updates its membership in
     /// every affected peer's list — both sides of each pair, so no stale
-    /// entry referencing the mover survives anywhere. Far nodes are
-    /// rejected on the squared distance against the hard skip radius
-    /// before any path-loss math, and peer lists are touched only where
-    /// membership actually flipped: the lists are kept symmetric
-    /// (`b ∈ overflow[a]` ⟺ `a ∈ overflow[b]`), so the flips are
-    /// exactly the differences between the old and new lists, found by
-    /// one merge walk over the two sorted vectors.
+    /// entry referencing the mover survives anywhere. Peer lists are
+    /// touched only where membership actually flipped: the lists are
+    /// kept symmetric (`b ∈ overflow[a]` ⟺ `a ∈ overflow[b]`), so the
+    /// flips are exactly the differences between the old and new lists,
+    /// found by one merge walk over the two sorted vectors.
     fn refresh_overflow(&mut self, node: usize) {
-        let n = self.positions.len();
         let old = std::mem::take(&mut self.overflow[node]);
-        let mut new = Vec::with_capacity(old.len());
-        let p = self.positions[node];
-        let skip2 = self.overflow_skip * self.overflow_skip;
-        let range = self.relevance_range.value();
         // Ascending scan order keeps the rebuilt list sorted.
-        for other in 0..n {
-            if other == node {
-                continue;
-            }
-            let q = self.positions[other];
-            let (dx, dy) = (p.x - q.x, p.y - q.y);
-            if dx * dx + dy * dy > skip2 {
-                continue;
-            }
-            let d = p.distance_to(q);
-            if d.value() > range
-                && self.compute_link_dbm(node, other) >= self.relevance_floor.value()
-            {
-                new.push(other as u32);
-            }
-        }
+        let new: Vec<u32> = (0..self.positions.len())
+            .filter(|&other| other != node && self.overflows(node, other))
+            .map(|other| other as u32)
+            .collect();
         let (mut i, mut j) = (0usize, 0usize);
         loop {
             // A peer only in `old` dropped out; one only in `new` joined.
@@ -841,41 +824,45 @@ impl Medium {
         self.overflow[node] = new;
     }
 
-    /// Whether the link `a → b` clears the relevance floor *now*. Served
-    /// from the cache when fresh; otherwise recomputed functionally
-    /// (identical expression to the fill, so the answer matches what a
-    /// fill would store) without touching the cache — this accessor is
-    /// `&self`.
-    fn link_relevant_now(&self, a: usize, b: usize) -> bool {
-        let n = self.positions.len();
-        let tag = self.node_epoch[a] as u64 + self.node_epoch[b] as u64;
-        if self.link_tag[a * n + b] == tag {
-            self.link_relevant[a * n + b]
-        } else {
-            self.compute_link_dbm(a, b) >= self.relevance_floor.value()
+    /// Fills `out` with the candidate receivers of a transmission from
+    /// `src`, ascending and without `src` — the one place the backends
+    /// differ. Everything downstream (freshening, the relevance filter,
+    /// the fading draws, the ledger) runs the same code over the
+    /// candidates, so a backend whose candidates cover the relevant set
+    /// produces the same receiver list as any other.
+    fn candidates(&self, src: usize, out: &mut Vec<u32>) {
+        out.clear();
+        match self.backend {
+            MediumBackend::Exhaustive => {
+                out.extend((0..self.positions.len() as u32).filter(|&j| j as usize != src));
+            }
+            MediumBackend::Culled => {
+                self.grid.gather_neighbors(src, out);
+                out.extend_from_slice(&self.overflow[src]);
+                out.sort_unstable();
+                out.dedup();
+                out.retain(|&j| j as usize != src);
+            }
         }
     }
 
-    /// The candidate receivers the culling layer enumerates for a
-    /// transmission from `node`: the 3 × 3 grid neighbourhood plus the
-    /// overflow list, sorted and deduplicated, before the relevance
-    /// filter. A superset of the relevant set by construction (the
-    /// property test pins this).
+    /// The candidate receivers the backend in force enumerates for a
+    /// transmission from `node`, before the relevance filter. Under
+    /// [`MediumBackend::Culled`] that is the 3 × 3 grid neighbourhood
+    /// plus the overflow list — a superset of the relevant set by
+    /// construction (the property test pins this).
     pub fn candidate_receivers(&self, node: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.grid.gather_neighbors(node.0, &mut out);
-        out.extend_from_slice(&self.overflow[node.0]);
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&j| j as usize != node.0);
+        self.candidates(node.0, &mut out);
         out.into_iter().map(|j| NodeId(j as usize)).collect()
     }
 
     /// The receivers above the relevance floor for a transmission from
-    /// `node`, ascending — the set both backends actually visit.
+    /// `node`, ascending — the receiver list either backend builds.
     pub fn relevant_receivers(&self, node: NodeId) -> Vec<NodeId> {
+        let floor = self.relevance_floor.value();
         (0..self.positions.len())
-            .filter(|&j| j != node.0 && self.link_relevant_now(node.0, j))
+            .filter(|&j| j != node.0 && self.link_dbm_now(node.0, j) >= floor)
             .map(NodeId)
             .collect()
     }
@@ -902,7 +889,7 @@ impl Medium {
     pub fn warm_links(&mut self, node: NodeId) {
         for j in 0..self.positions.len() {
             if j != node.0 {
-                self.ensure_fresh(node.0, j);
+                self.fresh_link_dbm(node.0, j);
             }
         }
     }
@@ -937,15 +924,8 @@ impl Medium {
 
     /// Recomputes `node`'s incoming power from scratch over the active
     /// transmissions — the reference the incremental ledger must match.
-    /// Culled entries read back as exact zeros, so the recomputation is
-    /// backend-agnostic.
     fn recomputed_incoming(&self, node: usize) -> QuantizedPower {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|a| a.frame.src.0 != node)
-            .map(|a| a.powers.at(node))
-            .sum()
+        self.slots.iter().flatten().map(|a| a.power_at(node)).sum()
     }
 
     /// Largest divergence (in ledger grains) between any node's
@@ -976,8 +956,9 @@ impl Medium {
         }
     }
 
-    /// Allocates a slab slot for a new transmission and returns its id.
-    fn allocate(&mut self, active: ActiveTx) -> TxId {
+    /// Reserves a slab slot for a new transmission and returns its id;
+    /// the caller stores the transmission under `id.slot()`.
+    fn reserve_id(&mut self) -> TxId {
         let slot = match self.free_slots.pop() {
             Some(s) => s as usize,
             None => {
@@ -988,8 +969,6 @@ impl Medium {
         assert!(slot < (1usize << SLOT_BITS), "transmission slab exhausted");
         let id = TxId((self.next_gen << SLOT_BITS) | slot as u64);
         self.next_gen += 1;
-        self.slots[slot] = Some(ActiveTx { id, ..active });
-        self.live += 1;
         id
     }
 
@@ -1007,122 +986,56 @@ impl Medium {
             .unwrap_or_else(|| panic!("transmission {tx:?} not on the air"))
     }
 
-    /// Draws the per-receiver powers of a transmission from `src` under
-    /// the backend in force, keyed by the frame counter. Both arms run
-    /// the same two-phase shape: freshen the row, then one branch-light
-    /// batched sweep over the SoA link arrays. Every fade is a pure
-    /// function of `(fade_seed, src → rx, frame_ctr)`, so the sweep
-    /// order — and the backend — cannot change a single value.
-    fn draw_powers(&mut self, src: usize, frame_ctr: u64) -> PowerMap {
-        let n = self.positions.len();
+    /// Builds the receiver list of a transmission from `src`: the
+    /// backend's candidates, each freshened and filtered by the
+    /// relevance floor, with one fading draw per survivor. Every fade is
+    /// a pure function of `(fade_seed, src → rx, frame_ctr)`, so neither
+    /// the visiting order nor the backend can change a single value.
+    fn draw_receivers(&mut self, src: usize, frame_ctr: u64) -> Vec<(u32, QuantizedPower)> {
+        let mut candidates = std::mem::take(&mut self.scratch);
+        self.candidates(src, &mut candidates);
+        self.counters.cull_candidates += candidates.len() as u64;
+        let floor = self.relevance_floor.value();
         let sigma = self.fast_sigma.value();
-        match self.backend {
-            MediumBackend::Exhaustive => {
-                self.counters.cull_candidates += (n - 1) as u64;
-                for j in 0..n {
-                    if j != src {
-                        self.ensure_fresh(src, j);
-                    }
-                }
-                // Batched sweep. The diagonal entry is never filled, so
-                // `link_relevant[src*n+src]` is false and the sweep
-                // needs no self-exclusion branch.
-                let mut v = vec![QuantizedPower::ZERO; n];
-                let mut relevant = 0u64;
-                if sigma <= 0.0 {
-                    // A fading deviation is non-negative; zero disables
-                    // fast fading and the cache holds the exact power.
-                    for (j, slot) in v.iter_mut().enumerate() {
-                        let idx = src * n + j;
-                        if self.link_relevant[idx] {
-                            relevant += 1;
-                            *slot = self.link_quant[idx];
-                        }
-                    }
-                } else {
-                    for (j, slot) in v.iter_mut().enumerate() {
-                        let idx = src * n + j;
-                        if self.link_relevant[idx] {
-                            relevant += 1;
-                            let h = keyed_state(
-                                self.fade_seed,
-                                link_key(src as u32, j as u32),
-                                frame_ctr,
-                            );
-                            let fast = Db::new(sigma * normal_from_state(h));
-                            *slot = QuantizedPower::from_milliwatts(
-                                (Dbm::new(self.link_dbm[idx]) + fast).to_milliwatts(),
-                            );
-                        }
-                    }
-                }
-                self.counters.cull_relevant += relevant;
-                self.counters.cache_lookups += relevant;
-                PowerMap::Dense(v)
+        let mut receivers = Vec::with_capacity(candidates.len());
+        for &j in &candidates {
+            let mean = self.fresh_link_dbm(src, j as usize);
+            if mean < floor {
+                continue;
             }
-            MediumBackend::Culled => {
-                let mut targets = std::mem::take(&mut self.scratch);
-                targets.clear();
-                self.grid.gather_neighbors(src, &mut targets);
-                targets.extend_from_slice(&self.overflow[src]);
-                targets.sort_unstable();
-                targets.dedup();
-                targets.retain(|&j| j as usize != src);
-                self.counters.cull_candidates += targets.len() as u64;
-                for &j in &targets {
-                    self.ensure_fresh(src, j as usize);
-                }
-                let mut v = Vec::with_capacity(targets.len());
-                if sigma <= 0.0 {
-                    for &j in &targets {
-                        let idx = src * n + j as usize;
-                        if self.link_relevant[idx] {
-                            v.push((j, self.link_quant[idx]));
-                        }
-                    }
-                } else {
-                    for &j in &targets {
-                        let idx = src * n + j as usize;
-                        if self.link_relevant[idx] {
-                            let h = keyed_state(self.fade_seed, link_key(src as u32, j), frame_ctr);
-                            let fast = Db::new(sigma * normal_from_state(h));
-                            v.push((
-                                j,
-                                QuantizedPower::from_milliwatts(
-                                    (Dbm::new(self.link_dbm[idx]) + fast).to_milliwatts(),
-                                ),
-                            ));
-                        }
-                    }
-                }
-                let relevant = v.len() as u64;
-                self.counters.cull_relevant += relevant;
-                self.counters.cache_lookups += relevant;
-                self.scratch = targets;
-                PowerMap::Sparse(v)
-            }
+            // A fading deviation is non-negative; zero disables fast
+            // fading and the mean is the exact power.
+            let dbm = if sigma > 0.0 {
+                let h = keyed_state(self.fade_seed, link_key(src as u32, j), frame_ctr);
+                Dbm::new(mean) + Db::new(sigma * normal_from_state(h))
+            } else {
+                Dbm::new(mean)
+            };
+            receivers.push((j, QuantizedPower::from_milliwatts(dbm.to_milliwatts())));
         }
+        let relevant = receivers.len() as u64;
+        self.counters.cull_relevant += relevant;
+        self.counters.cache_lookups += relevant;
+        self.scratch = candidates;
+        receivers
     }
 
-    /// Receiver-side bookkeeping when a transmission starts: ledger
-    /// credit, lock acquisition or preamble capture, and the
-    /// `Sense`/`Announce` MAC events. `power` is always non-zero (culled
-    /// receivers are never visited).
-    #[allow(clippy::too_many_arguments)]
+    /// Receiver-side bookkeeping when `tx` starts: ledger credit, lock
+    /// acquisition or preamble capture, and the `Sense`/`Announce` MAC
+    /// events. `power` is always non-zero (sub-floor receivers are never
+    /// visited).
     fn receive_begin(
         &mut self,
         n: usize,
         power: QuantizedPower,
-        id: TxId,
-        frame: Frame,
+        tx: &ActiveTx,
         now: SimTime,
-        end: SimTime,
         notes: &mut Vec<(NodeId, MacEvent)>,
-        captured: &mut Vec<usize>,
     ) {
+        let (id, frame) = (tx.id, tx.frame);
         let p = power.to_milliwatts();
-        let observe = self.observe;
         let capture = self.capture;
+        let mut captured = false;
         let state = &mut self.states[n];
         let ambient = NOISE_FLOOR.to_milliwatts() + state.incoming.to_milliwatts();
         let threshold = frame.rate.min_sinr().to_linear();
@@ -1152,10 +1065,7 @@ impl Medium {
                 // over the locked signal.
                 if capture && decodable {
                     announced = true;
-                    self.stats.captures += 1;
-                    if observe {
-                        captured.push(n);
-                    }
+                    captured = true;
                     Some(RxLock {
                         tx: id,
                         signal: p,
@@ -1169,6 +1079,15 @@ impl Medium {
                 }
             }
         };
+        if captured {
+            self.stats.captures += 1;
+            if self.observe {
+                self.events.push(SimEvent::Capture {
+                    node: NodeId(n),
+                    src: frame.src,
+                });
+            }
+        }
         if announced
             && self.inband_announce
             && matches!(frame.body, crate::frame::FrameBody::Data { .. })
@@ -1177,7 +1096,7 @@ impl Medium {
                 NodeId(n),
                 MacEvent::Announce {
                     link: (frame.src, frame.dst),
-                    data_end: end,
+                    data_end: tx.end,
                 },
             ));
         }
@@ -1186,9 +1105,8 @@ impl Medium {
 
     /// Puts `frame` on the air from its source at `now`, lasting until
     /// `end`. Returns the transmission id and the [`MacEvent`]s for the
-    /// nodes it affects.
-    /// Only receivers above the relevance floor are visited — they are
-    /// the same set under either backend.
+    /// nodes it affects. Only the receivers above the relevance floor
+    /// are visited — the same list under either backend.
     ///
     /// # Panics
     ///
@@ -1212,25 +1130,21 @@ impl Medium {
         );
 
         // One fading draw per relevant receiver, consistent for the
-        // frame's whole lifetime, keyed by the generation this frame is
-        // about to take (`allocate` embeds the same value in the TxId,
-        // which is how `receive_end` recovers the hazard key).
-        let frame_ctr = self.next_gen;
-        let powers = self.draw_powers(src, frame_ctr);
-
-        let id = self.allocate(ActiveTx {
-            id: TxId(0),
+        // frame's whole lifetime, keyed by the generation embedded in
+        // the id (which is how `receive_end` recovers the hazard key).
+        let id = self.reserve_id();
+        let active = ActiveTx {
+            id,
             frame,
             end,
-            powers: powers.clone(),
-        });
+            receivers: self.draw_receivers(src, id.0 >> SLOT_BITS),
+        };
 
         self.states[src].transmitting = Some(id);
         // A transmitting node cannot keep receiving: it loses any lock.
         self.states[src].lock = None;
 
-        let observe = self.observe;
-        if observe {
+        if self.observe {
             self.events.push(SimEvent::TxBegin {
                 src: frame.src,
                 dst: frame.dst,
@@ -1240,58 +1154,30 @@ impl Medium {
         }
 
         let mut notes = Vec::new();
-        // Captured receivers, recorded as events once the per-node
-        // borrow below is released.
-        let mut captured: Vec<usize> = Vec::new();
-        match &powers {
-            PowerMap::Dense(v) => {
-                for (n, &power) in v.iter().enumerate() {
-                    if n == src || power == QuantizedPower::ZERO {
-                        continue;
-                    }
-                    self.receive_begin(n, power, id, frame, now, end, &mut notes, &mut captured);
-                }
-            }
-            PowerMap::Sparse(v) => {
-                for &(n, power) in v {
-                    self.receive_begin(
-                        n as usize,
-                        power,
-                        id,
-                        frame,
-                        now,
-                        end,
-                        &mut notes,
-                        &mut captured,
-                    );
-                }
-            }
+        for &(n, power) in &active.receivers {
+            self.receive_begin(n as usize, power, &active, now, &mut notes);
         }
-
-        if observe {
-            for n in captured {
-                self.events.push(SimEvent::Capture {
-                    node: NodeId(n),
-                    src: frame.src,
-                });
-            }
-            self.emit_cs_transitions();
+        if self.observe {
+            // Only the receivers' ambient power moved.
+            self.emit_cs_transitions(active.receivers.iter().map(|&(n, _)| n as usize));
         }
+        self.slots[id.slot()] = Some(active);
+        self.live += 1;
         self.debug_check_ledger();
         (id, notes)
     }
 
-    /// Receiver-side bookkeeping when a transmission ends: ledger
-    /// debit, lock resolution (survival draw) and the `Sense` MAC event.
+    /// Receiver-side bookkeeping when `tx` ends: ledger debit, lock
+    /// resolution (survival draw) and the `Sense` MAC event.
     fn receive_end(
         &mut self,
         n: usize,
         power: QuantizedPower,
-        id: TxId,
-        frame: Frame,
+        tx: &ActiveTx,
         now: SimTime,
         notes: &mut Vec<(NodeId, MacEvent)>,
     ) {
+        let (id, frame) = (tx.id, tx.frame);
         let observe = self.observe;
         self.states[n].incoming -= power;
         if let Some(mut lock) = self.states[n].lock {
@@ -1351,8 +1237,8 @@ impl Medium {
     /// Takes a transmission off the air at `now`, resolving receptions.
     /// Returns per-node [`MacEvent`]s (`Rx` for a successful receiver,
     /// `TxDone` for the sender, `Sense` for everyone whose ambient power
-    /// dropped). Receivers the begin culled to exact zero are skipped —
-    /// their ambient power provably did not change.
+    /// dropped). Only the receivers `begin` listed are visited — no one
+    /// else's ambient power moved.
     ///
     /// # Panics
     ///
@@ -1367,18 +1253,15 @@ impl Medium {
             "Medium::end({tx:?}) at {now}, but the transmission is scheduled to end at {scheduled}"
         );
         let slot = tx.slot();
-        let ActiveTx {
-            id, frame, powers, ..
-            // simlint: allow(panic-policy) — active(tx) above already proved the slot is occupied
-        } = self.slots[slot].take().expect("checked by active()");
+        // simlint: allow(panic-policy) — active(tx) above already proved the slot is occupied
+        let active = self.slots[slot].take().expect("checked by active()");
         self.free_slots.push(slot as u32);
         self.live -= 1;
 
-        let src = frame.src.0;
-        self.states[src].transmitting = None;
+        let frame = active.frame;
+        self.states[frame.src.0].transmitting = None;
 
-        let observe = self.observe;
-        if observe {
+        if self.observe {
             self.events.push(SimEvent::TxEnd {
                 src: frame.src,
                 kind: frame.kind(),
@@ -1386,24 +1269,12 @@ impl Medium {
         }
 
         let mut notes = Vec::new();
-        match &powers {
-            PowerMap::Dense(v) => {
-                for (n, &power) in v.iter().enumerate() {
-                    if n == src || power == QuantizedPower::ZERO {
-                        continue;
-                    }
-                    self.receive_end(n, power, id, frame, now, &mut notes);
-                }
-            }
-            PowerMap::Sparse(v) => {
-                for &(n, power) in v {
-                    self.receive_end(n as usize, power, id, frame, now, &mut notes);
-                }
-            }
+        for &(n, power) in &active.receivers {
+            self.receive_end(n as usize, power, &active, now, &mut notes);
         }
-        notes.push((NodeId(src), MacEvent::TxDone { frame }));
-        if observe {
-            self.emit_cs_transitions();
+        notes.push((frame.src, MacEvent::TxDone { frame }));
+        if self.observe {
+            self.emit_cs_transitions(active.receivers.iter().map(|&(n, _)| n as usize));
         }
         self.debug_check_ledger();
         notes
@@ -1819,6 +1690,35 @@ mod tests {
         assert_eq!(c.cache_recomputes, 2 * (n - 1) as u64 - 1);
         assert_eq!(c.cache_lookups, 3 * (n - 1) as u64);
         assert!(c.cache_recomputes <= c.cache_lookups);
+    }
+
+    /// Carrier-sense events track only the receivers whose power moved,
+    /// so enabling observation mid-frame reports the already-busy nodes
+    /// at once, and the frame's end then idles them.
+    #[test]
+    fn observation_enabled_mid_frame_reports_busy_nodes() {
+        let mut m = medium();
+        let (tx, _) = m.begin(data(0, 1), SimTime::ZERO, end_at(1000));
+        m.enable_observation(Dbm::new(-80.0));
+        let busy: Vec<SimEvent> = m.drain_events().collect();
+        assert_eq!(busy, vec![SimEvent::CsBusy { node: NodeId(1) }]);
+        m.end(tx, end_at(1000));
+        let events: Vec<SimEvent> = m.drain_events().collect();
+        assert!(
+            events.contains(&SimEvent::CsIdle { node: NodeId(1) }),
+            "{events:?}"
+        );
+        assert!(!events.iter().any(|e| matches!(
+            e,
+            SimEvent::CsBusy { .. } | SimEvent::CsIdle { node: NodeId(2) }
+        )));
+    }
+
+    /// The link cache is `n²` records, so the record size is the
+    /// medium's memory per node pair: a tag and a mean, nothing derived.
+    #[test]
+    fn link_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Link>(), 16);
     }
 
     /// A move recomputes nothing by itself: it bumps the mover's epoch

@@ -10,6 +10,10 @@
 //!    overflow list equals a from-scratch recomputation of its
 //!    membership predicate: moving a node out of overflow range leaves
 //!    no stale up-fade entry behind in anyone's list.
+//! 4. **One receiver list** — under either backend, the receivers a
+//!    transmission visits are exactly the brute-force relevant set, in
+//!    ascending order; the backends differ only in the candidates they
+//!    count.
 
 use comap_mac::time::{SimDuration, SimTime};
 use comap_radio::pathloss::LogNormalShadowing;
@@ -91,6 +95,49 @@ proptest! {
                 }
             }
             m.set_position(NodeId(node % n), Position::new(x, y));
+        }
+    }
+
+    /// A backend only chooses candidates: under either backend, the
+    /// receivers `begin` visits (one `Sense` each, ascending) are exactly
+    /// `relevant_receivers`, the candidates counted are exactly
+    /// `candidate_receivers`, and every visited receiver is one counted
+    /// lookup.
+    #[test]
+    fn receiver_list_is_the_relevant_set_under_both_backends(
+        seed in 0u64..10_000,
+        moves in prop::collection::vec(
+            (0usize..10, 0.0f64..2400.0, 0.0f64..2400.0), 0..10),
+    ) {
+        let n = 6 + (seed % 5) as usize;
+        let (ex, cu) = pair(seed, n, 2000.0);
+        for mut m in [ex, cu] {
+            let backend = m.backend();
+            let mut t = 0u64;
+            for (step, (node, x, y)) in moves.iter().copied().enumerate() {
+                m.set_position(NodeId(node % n), Position::new(x, y));
+                let src = step % n;
+                let relevant = m.relevant_receivers(NodeId(src));
+                let candidates = m.candidate_receivers(NodeId(src));
+                let before = m.counters();
+                let (tx, notes) = m.begin(data(src, (src + 1) % n), at(t), at(t + 50));
+                let after = m.counters();
+                let sensed: Vec<NodeId> = notes
+                    .iter()
+                    .filter(|(_, ev)| matches!(ev, comap_sim::mac::MacEvent::Sense))
+                    .map(|&(node, _)| node)
+                    .collect();
+                prop_assert_eq!(&sensed, &relevant, "{:?} step {}: receiver list", backend, step);
+                prop_assert_eq!(
+                    after.cull_candidates - before.cull_candidates,
+                    candidates.len() as u64,
+                    "{:?} step {}: candidates counted", backend, step
+                );
+                prop_assert_eq!(after.cull_relevant - before.cull_relevant, relevant.len() as u64);
+                prop_assert_eq!(after.cache_lookups - before.cache_lookups, relevant.len() as u64);
+                m.end(tx, at(t + 50));
+                t += 50;
+            }
         }
     }
 
