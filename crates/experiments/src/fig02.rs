@@ -7,7 +7,7 @@
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 
-use crate::runner::run_many;
+use crate::runner::{seed_mean, sweep};
 use crate::topology::ht_testbed;
 
 /// One sweep point.
@@ -30,6 +30,9 @@ pub struct Fig02 {
     pub points: Vec<Point>,
 }
 
+/// Hidden-terminal counts of the three curves: none, one and three.
+const HT_COUNTS: [usize; 3] = [0, 1, 3];
+
 /// Payload sizes swept.
 pub fn payloads() -> Vec<u32> {
     (1..=11).map(|i| i * 200).collect()
@@ -46,29 +49,37 @@ pub fn run(quick: bool) -> Fig02 {
     } else {
         (&[1, 2, 3, 4, 5], SimDuration::from_secs(3))
     };
+    let grid: Vec<_> = payloads()
+        .into_iter()
+        .flat_map(|payload| {
+            HT_COUNTS.map(|n_ht| {
+                (
+                    payload,
+                    n_ht,
+                    ht_testbed(payload, n_ht, MacFeatures::DCF, 0).1,
+                )
+            })
+        })
+        .collect();
+    let kept = sweep(
+        &grid,
+        seeds,
+        duration,
+        |&(payload, n_ht, _), seed| ht_testbed(payload, n_ht, MacFeatures::DCF, seed).0,
+        |(_, _, ids), r| r.link_goodput_bps(ids.c1, ids.ap1),
+    );
+    let means: Vec<f64> = kept
+        .chunks(seeds.len())
+        .map(|per_seed| seed_mean(per_seed, |&g| g))
+        .collect();
     let points = payloads()
         .into_iter()
-        .map(|payload| {
-            let mut means = [0.0f64; 3];
-            for (slot, n_ht) in [(0usize, 0usize), (1, 1), (2, 3)] {
-                let reports = run_many(
-                    |seed| ht_testbed(payload, n_ht, MacFeatures::DCF, seed).0,
-                    seeds,
-                    duration,
-                );
-                let (_, ids) = ht_testbed(payload, n_ht, MacFeatures::DCF, 0);
-                means[slot] = reports
-                    .iter()
-                    .map(|r| r.link_goodput_bps(ids.c1, ids.ap1))
-                    .sum::<f64>()
-                    / reports.len() as f64;
-            }
-            Point {
-                payload,
-                no_ht: means[0],
-                one_ht: means[1],
-                three_ht: means[2],
-            }
+        .zip(means.chunks(HT_COUNTS.len()))
+        .map(|(payload, m)| Point {
+            payload,
+            no_ht: m[0],
+            one_ht: m[1],
+            three_ht: m[2],
         })
         .collect();
     Fig02 { points }
@@ -109,10 +120,14 @@ impl Fig02 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::debug_digest;
 
     #[test]
     fn clean_channel_prefers_big_frames_and_ht_hurts() {
         let fig = run(true);
+        // Pins every f64 of the quick figure, so the sweep's fold order
+        // cannot drift unnoticed.
+        assert_eq!(debug_digest(&fig), "589ce2eea7ba2150");
         // Without a hidden terminal the biggest payload should be at or
         // near the optimum.
         assert!(fig.best_payload_without_ht() >= 1800, "{fig:?}");

@@ -11,7 +11,7 @@ use comap_core::model::{DcfModel, ModelInput};
 use comap_mac::time::SimDuration;
 use comap_radio::rates::Rate;
 
-use crate::runner::run_many;
+use crate::runner::{seed_mean, sweep};
 use crate::topology::validation_cell;
 
 /// Number of stations in the contending cell.
@@ -62,46 +62,47 @@ pub fn run(quick: bool) -> Fig07 {
         (&[1, 2, 3], SimDuration::from_secs(4))
     };
     let phy = comap_mac::timing::PhyTiming::dsss();
-    let mut points = Vec::new();
+    let mut grid = Vec::new();
     for &w in &WINDOWS {
         for &n_ht in &HT_COUNTS {
             for payload in payloads(quick) {
-                let model = DcfModel::per_node_goodput(&ModelInput {
-                    phy,
-                    rate: Rate::Mbps11,
-                    cw: w,
-                    contenders: CELL_SIZE - 1,
-                    hidden: n_ht,
-                    payload_bytes: payload,
-                    hidden_profile: None,
-                });
-                let reports = run_many(
-                    |seed| validation_cell(CELL_SIZE, n_ht, w, payload, seed).0,
-                    seeds,
-                    duration,
-                );
-                let (_, cell) = validation_cell(CELL_SIZE, n_ht, w, payload, 0);
-                let sim = reports
-                    .iter()
-                    .map(|r| {
-                        cell.clients
-                            .iter()
-                            .map(|&c| r.link_goodput_bps(c, cell.ap))
-                            .sum::<f64>()
-                            / cell.clients.len() as f64
-                    })
-                    .sum::<f64>()
-                    / reports.len() as f64;
-                points.push(Point {
-                    w,
-                    n_ht,
-                    payload,
-                    model,
-                    sim,
-                });
+                let cell = validation_cell(CELL_SIZE, n_ht, w, payload, 0).1;
+                grid.push((w, n_ht, payload, cell));
             }
         }
     }
+    let kept = sweep(
+        &grid,
+        seeds,
+        duration,
+        |&(w, n_ht, payload, _), seed| validation_cell(CELL_SIZE, n_ht, w, payload, seed).0,
+        |(_, _, _, cell), r| {
+            cell.clients
+                .iter()
+                .map(|&c| r.link_goodput_bps(c, cell.ap))
+                .sum::<f64>()
+                / cell.clients.len() as f64
+        },
+    );
+    let points = grid
+        .iter()
+        .zip(kept.chunks(seeds.len()))
+        .map(|(&(w, n_ht, payload, _), per_seed)| Point {
+            w,
+            n_ht,
+            payload,
+            model: DcfModel::per_node_goodput(&ModelInput {
+                phy,
+                rate: Rate::Mbps11,
+                cw: w,
+                contenders: CELL_SIZE - 1,
+                hidden: n_ht,
+                payload_bytes: payload,
+                hidden_profile: None,
+            }),
+            sim: seed_mean(per_seed, |&g| g),
+        })
+        .collect();
     Fig07 { points }
 }
 
@@ -138,10 +139,14 @@ impl Fig07 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::debug_digest;
 
     #[test]
     fn model_tracks_simulation_shape() {
         let fig = run(true);
+        // Pins every f64 of the quick figure, so the sweep's fold order
+        // cannot drift unnoticed.
+        assert_eq!(debug_digest(&fig), "9f919a9094f24a76");
         // Without HTs, model and sim must agree well at every window.
         for &w in &WINDOWS {
             for p in fig.panel(w, 0) {

@@ -6,7 +6,7 @@
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 
-use crate::runner::run_many;
+use crate::runner::{seed_mean, sweep};
 use crate::topology::et_testbed;
 
 /// One sweep point.
@@ -41,37 +41,37 @@ pub fn run(quick: bool) -> Fig08 {
     } else {
         (&[1, 2, 3, 4, 5], SimDuration::from_secs(3))
     };
-    let points = crate::fig01::positions()
+    let macs = [MacFeatures::DCF, MacFeatures::COMAP];
+    let positions = crate::fig01::positions();
+    let grid: Vec<_> = positions
+        .iter()
+        .flat_map(|&x| macs.map(|features| (x, features, et_testbed(x, features, 0).1)))
+        .collect();
+    let kept = sweep(
+        &grid,
+        seeds,
+        duration,
+        |&(x, features, _), seed| et_testbed(x, features, seed).0,
+        |(_, _, ids), r| {
+            (
+                r.link_goodput_bps(ids.c1, ids.ap1),
+                r.link_goodput_bps(ids.c2, ids.ap2),
+            )
+        },
+    );
+    let means: Vec<(f64, f64)> = kept
+        .chunks(seeds.len())
+        .map(|per_seed| (seed_mean(per_seed, |g| g.0), seed_mean(per_seed, |g| g.1)))
+        .collect();
+    let points = positions
         .into_iter()
-        .map(|x| {
-            let mut point = Point {
-                c2_x: x,
-                dcf: 0.0,
-                dcf_c2: 0.0,
-                comap: 0.0,
-                comap_c2: 0.0,
-            };
-            for features in [MacFeatures::DCF, MacFeatures::COMAP] {
-                let reports = run_many(|seed| et_testbed(x, features, seed).0, seeds, duration);
-                let (_, ids) = et_testbed(x, features, 0);
-                let mean = |src, dst| {
-                    reports
-                        .iter()
-                        .map(|r| r.link_goodput_bps(src, dst))
-                        .sum::<f64>()
-                        / reports.len() as f64
-                };
-                let g1 = mean(ids.c1, ids.ap1);
-                let g2 = mean(ids.c2, ids.ap2);
-                if features.et_concurrency {
-                    point.comap = g1;
-                    point.comap_c2 = g2;
-                } else {
-                    point.dcf = g1;
-                    point.dcf_c2 = g2;
-                }
-            }
-            point
+        .zip(means.chunks(macs.len()))
+        .map(|(x, m)| Point {
+            c2_x: x,
+            dcf: m[0].0,
+            dcf_c2: m[0].1,
+            comap: m[1].0,
+            comap_c2: m[1].1,
         })
         .collect();
     Fig08 { points }
@@ -109,10 +109,14 @@ impl Fig08 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::debug_digest;
 
     #[test]
     fn comap_wins_in_the_exposed_region() {
         let fig = run(true);
+        // Pins every f64 of the quick figure, so the sweep's fold order
+        // cannot drift unnoticed.
+        assert_eq!(debug_digest(&fig), "8dcab83bf912a9a9");
         // The robust claim is aggregate efficiency: the two links together
         // must clearly beat serialized DCF across the exposed region. The
         // measured link alone must at least not lose — its per-seed curve

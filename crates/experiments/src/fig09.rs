@@ -6,7 +6,7 @@
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 
-use crate::runner::{empirical_cdf, run_many, Cdf};
+use crate::runner::{empirical_cdf, seed_mean, sweep, Cdf};
 use crate::topology::fig9_topology;
 
 /// Per-topology outcome.
@@ -34,31 +34,34 @@ pub fn run(quick: bool) -> Fig09 {
     } else {
         (&[1, 2, 3], SimDuration::from_secs(3), 10)
     };
-    let points = (0..indices)
-        .map(|index| {
-            let mut dcf = 0.0;
-            let mut comap = 0.0;
-            for features in [MacFeatures::DCF, MacFeatures::COMAP] {
-                // Mix the topology index into the seed so different
-                // configurations draw independent static shadowing.
-                let reports = run_many(
-                    |seed| fig9_topology(index, features, seed * 97 + index as u64 + 1).0,
-                    seeds,
-                    duration,
-                );
-                let (_, t) = fig9_topology(index, features, 0);
-                let g = reports
-                    .iter()
-                    .map(|r| r.link_goodput_bps(t.c1, t.ap1))
-                    .sum::<f64>()
-                    / reports.len() as f64;
-                if features.ht_adaptation {
-                    comap = g;
-                } else {
-                    dcf = g;
-                }
-            }
-            Point { index, dcf, comap }
+    let macs = [MacFeatures::DCF, MacFeatures::COMAP];
+    let grid: Vec<_> = (0..indices)
+        .flat_map(|index| {
+            macs.map(|features| (index, features, fig9_topology(index, features, 0).1))
+        })
+        .collect();
+    // Mix the topology index into the seed so different configurations
+    // draw independent static shadowing.
+    let kept = sweep(
+        &grid,
+        seeds,
+        duration,
+        |&(index, features, _), seed| {
+            fig9_topology(index, features, seed * 97 + index as u64 + 1).0
+        },
+        |(_, _, t), r| r.link_goodput_bps(t.c1, t.ap1),
+    );
+    let means: Vec<f64> = kept
+        .chunks(seeds.len())
+        .map(|per_seed| seed_mean(per_seed, |&g| g))
+        .collect();
+    let points = means
+        .chunks(macs.len())
+        .enumerate()
+        .map(|(index, m)| Point {
+            index,
+            dcf: m[0],
+            comap: m[1],
         })
         .collect();
     Fig09 { points }
@@ -86,10 +89,14 @@ impl Fig09 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::debug_digest;
 
     #[test]
     fn comap_improves_ht_topologies() {
         let fig = run(true);
+        // Pins every f64 of the quick figure, so the sweep's fold order
+        // cannot drift unnoticed.
+        assert_eq!(debug_digest(&fig), "70d0e698045bc91c");
         assert!(
             fig.mean_gain() > 0.1,
             "mean gain = {:.3}, points: {:?}",

@@ -10,9 +10,13 @@
 
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
+use comap_sim::frame::NodeId;
 
-use crate::runner::{empirical_cdf, run_many, Cdf};
-use crate::topology::large_scale;
+use crate::runner::{empirical_cdf, seed_mean, sweep, Cdf};
+use crate::topology::{large_scale, LARGE_SCALE_CLIENTS};
+
+/// Directed flows of one floor: an uplink and a downlink per client.
+const FLOWS: usize = 2 * LARGE_SCALE_CLIENTS;
 
 /// The protocol variants compared.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,48 +74,73 @@ pub fn run(quick: bool) -> Fig10 {
     };
     let mut variant_list = vec![Variant::Dcf, Variant::CoMap(0.0)];
     variant_list.extend(ERROR_SWEEP.iter().map(|&e| Variant::CoMap(e)));
+    Fig10 {
+        variants: run_variants(&variant_list, topologies, seeds, duration),
+    }
+}
 
-    let variants = variant_list
-        .into_iter()
-        .map(|variant| {
+/// Runs each variant over random topologies `0..topologies`, every
+/// topology once per seed, all on one [`sweep`].
+///
+/// # Panics
+///
+/// Panics when `topologies` is zero or `seeds` is empty.
+pub fn run_variants(
+    variants: &[Variant],
+    topologies: usize,
+    seeds: &[u64],
+    duration: SimDuration,
+) -> Vec<VariantResult> {
+    // A floor's flows depend only on its topology seed, so they are
+    // resolved once per topology and shared by every variant.
+    let flows: Vec<[(NodeId, NodeId); FLOWS]> = (0..topologies as u64)
+        .map(|topo| {
+            let (cfg, _) = large_scale(topo, 0, MacFeatures::DCF, 0.0);
+            std::array::from_fn(|i| (cfg.flows[i].src, cfg.flows[i].dst))
+        })
+        .collect();
+    let grid: Vec<_> = variants
+        .iter()
+        .flat_map(|&variant| {
             let (features, error) = match variant {
                 Variant::Dcf => (MacFeatures::DCF, 0.0),
                 Variant::CoMap(e) => (MacFeatures::COMAP, e),
             };
+            (0..topologies).map(move |topo| (topo, features, error))
+        })
+        .collect();
+    let kept = sweep(
+        &grid,
+        seeds,
+        duration,
+        |&(topo, features, error), seed| large_scale(topo as u64, seed, features, error).0,
+        |&(topo, _, _), r| {
+            let per_flow: [f64; FLOWS] = std::array::from_fn(|i| {
+                let (src, dst) = flows[topo][i];
+                r.link_goodput_bps(src, dst)
+            });
+            (per_flow, r.aggregate_goodput_bps())
+        },
+    );
+    variants
+        .iter()
+        .zip(kept.chunks(topologies * seeds.len()))
+        .map(|(variant, runs)| {
             let mut link_goodputs = Vec::new();
             let mut aggregates = Vec::new();
-            for topo in 0..topologies {
-                let reports = run_many(
-                    |seed| large_scale(topo as u64, seed, features, error).0,
-                    seeds,
-                    duration,
-                );
-                let (cfg, _) = large_scale(topo as u64, 0, features, error);
+            for per_seed in runs.chunks(seeds.len()) {
                 // Average each directed flow's goodput across seeds.
-                for flow in &cfg.flows {
-                    let g = reports
-                        .iter()
-                        .map(|r| r.link_goodput_bps(flow.src, flow.dst))
-                        .sum::<f64>()
-                        / reports.len() as f64;
-                    link_goodputs.push(g);
-                }
-                let agg = reports
-                    .iter()
-                    .map(|r| r.aggregate_goodput_bps())
-                    .sum::<f64>()
-                    / reports.len() as f64;
-                aggregates.push(agg);
+                link_goodputs.extend((0..FLOWS).map(|i| seed_mean(per_seed, |k| k.0[i])));
+                aggregates.push(seed_mean(per_seed, |k| k.1));
             }
             let mean_aggregate = aggregates.iter().sum::<f64>() / aggregates.len() as f64;
             VariantResult {
-                variant,
+                variant: *variant,
                 link_goodputs,
                 mean_aggregate,
             }
         })
-        .collect();
-    Fig10 { variants }
+        .collect()
 }
 
 impl Fig10 {
@@ -136,6 +165,7 @@ impl Fig10 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::debug_digest;
 
     #[test]
     fn comap_holds_up_at_floor_scale() {
@@ -145,6 +175,9 @@ mod tests {
         // perfect positions does not lose materially to DCF, and a 10 m
         // position error does not break the protocol.
         let fig = run(true);
+        // Pins every f64 of the quick figure, so the sweep's fold order
+        // cannot drift unnoticed.
+        assert_eq!(debug_digest(&fig), "248a00866c925383");
         let perfect = fig.gain_over_dcf(Variant::CoMap(0.0));
         assert!(perfect > -0.07, "perfect-position gain = {perfect:.3}");
         let with_error = fig.gain_over_dcf(Variant::CoMap(10.0));

@@ -28,4 +28,4 @@ pub mod runner;
 pub mod table1;
 pub mod topology;
 
-pub use runner::{average_goodput, empirical_cdf, run_many, Cdf};
+pub use runner::{empirical_cdf, sweep, Cdf};

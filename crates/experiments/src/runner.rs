@@ -1,75 +1,79 @@
-//! Running simulations: seed fan-out, averaging and CDFs.
+//! Running simulations: figure sweeps and CDFs.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use comap_mac::time::SimDuration;
 use comap_sim::config::SimConfig;
-use comap_sim::frame::NodeId;
 use comap_sim::sim::Simulator;
 use comap_sim::stats::SimReport;
 
-/// Runs one configuration per seed and returns the reports in seed
-/// order.
+/// Runs every `point × seed` job of a figure on one worker pool and
+/// returns the `keep` projection of each job's report, point-major: the
+/// values of `points[i]` are `[i * seeds.len()..][..seeds.len()]`, in
+/// `seeds` order, so `chunks(seeds.len())` yields one slice per point.
 ///
-/// The work is spread over at most
-/// [`std::thread::available_parallelism`] worker threads (not one thread
-/// per seed — a 500-seed CDF sweep must not spawn 500 OS threads).
-/// Workers pull seed indices from a shared counter and write each report
-/// into its seed's slot, so the output order — and, since every
-/// simulation is deterministic in its seed, the output itself — does not
-/// depend on scheduling.
-pub fn run_many<F>(build: F, seeds: &[u64], duration: SimDuration) -> Vec<SimReport>
+/// All jobs share one pool of at most
+/// [`std::thread::available_parallelism`] workers, so a figure whose
+/// points each have only a few seeds still keeps every core busy until
+/// the last job. Workers pull job indices from a shared counter and
+/// store `keep(point, &report)` in that job's slot; the report and its
+/// config are dropped inside the worker, so only the projections outlive
+/// a job. Every simulation is deterministic in its config, so the output
+/// does not depend on scheduling. A panic in `build`, the simulation or
+/// `keep` is re-raised on the calling thread.
+pub fn sweep<P, T, B, K>(
+    points: &[P],
+    seeds: &[u64],
+    duration: SimDuration,
+    build: B,
+    keep: K,
+) -> Vec<T>
 where
-    F: Fn(u64) -> SimConfig + Sync,
+    P: Sync,
+    T: Send + Sync,
+    B: Fn(&P, u64) -> SimConfig + Sync,
+    K: Fn(&P, &SimReport) -> T + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    if seeds.is_empty() {
-        return Vec::new();
-    }
+    let jobs = points.len() * seeds.len();
+    let slots: Vec<OnceLock<T>> = (0..jobs).map(|_| OnceLock::new()).collect();
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(seeds.len());
+        .min(jobs);
+    // The counter publishes nothing but the index: each result reaches
+    // the caller through its `OnceLock` and the join.
     let next = AtomicUsize::new(0);
-    let out: Mutex<Vec<Option<SimReport>>> = Mutex::new(vec![None; seeds.len()]);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= seeds.len() {
-                    break;
-                }
-                let report = Simulator::new(build(seeds[i])).run(duration);
-                // simlint: allow(panic-policy) — lock poisoning means a worker already panicked; propagate it
-                out.lock().expect("no panics while holding the lock")[i] = Some(report);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let job = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(job) else { break };
+                    let point = &points[job / seeds.len()];
+                    let report =
+                        Simulator::new(build(point, seeds[job % seeds.len()])).run(duration);
+                    // The counter hands out each index once, so the slot is empty.
+                    let _ = slot.set(keep(point, &report));
+                })
+            })
+            .collect();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
-    out.into_inner()
-        // simlint: allow(panic-policy) — scope() has joined every worker; poisoning re-raises their panic
-        .expect("workers joined")
+    slots
         .into_iter()
-        // simlint: allow(panic-policy) — the index loop covers 0..seeds.len(), so every slot was written
-        .map(|r| r.expect("every slot filled"))
+        // simlint: allow(panic-policy) — every index below `jobs` was claimed and any worker panic was re-raised above
+        .map(|slot| slot.into_inner().expect("every job stored its value"))
         .collect()
 }
 
-/// Mean goodput of one directed link across seeds, in bits/s.
-pub fn average_goodput<F>(
-    build: F,
-    seeds: &[u64],
-    duration: SimDuration,
-    link: (NodeId, NodeId),
-) -> f64
-where
-    F: Fn(u64) -> SimConfig + Sync,
-{
-    let reports = run_many(build, seeds, duration);
-    reports
-        .iter()
-        .map(|r| r.link_goodput_bps(link.0, link.1))
-        .sum::<f64>()
-        / reports.len() as f64
+/// Mean of `value` over one point's seeds, summed in seed order.
+pub(crate) fn seed_mean<T>(per_seed: &[T], value: impl Fn(&T) -> f64) -> f64 {
+    per_seed.iter().map(value).sum::<f64>() / per_seed.len() as f64
 }
 
 /// An empirical cumulative distribution function.
@@ -139,40 +143,82 @@ pub fn empirical_cdf(mut samples: Vec<f64>) -> Cdf {
     Cdf { sorted: samples }
 }
 
+/// FNV-1a (64 bit) of a value's `Debug` text, as 16 hex digits: the
+/// figure tests pin their quick-mode output with it, so any change to a
+/// single `f64` of a figure fails them.
+#[cfg(test)]
+pub(crate) fn debug_digest(value: &impl std::fmt::Debug) -> String {
+    let hash = format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    format!("{hash:016x}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use comap_radio::Position;
     use comap_sim::config::{NodeSpec, Traffic};
+    use comap_sim::frame::NodeId;
 
-    fn tiny(seed: u64) -> SimConfig {
+    /// A saturated client `x` meters from its AP.
+    fn link_at(x: &f64, seed: u64) -> SimConfig {
         let mut cfg = SimConfig::testbed(seed);
         let a = cfg.add_node(NodeSpec::client("a", Position::new(0.0, 0.0)));
-        let b = cfg.add_node(NodeSpec::ap("b", Position::new(8.0, 0.0)));
+        let b = cfg.add_node(NodeSpec::ap("b", Position::new(*x, 0.0)));
         cfg.add_flow(a, b, Traffic::Saturated);
         cfg
     }
 
-    #[test]
-    fn run_many_preserves_seed_order_and_determinism() {
-        let d = SimDuration::from_millis(50);
-        let a = run_many(tiny, &[1, 2, 3], d);
-        let b = run_many(tiny, &[1, 2, 3], d);
-        assert_eq!(a.len(), 3);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.links, y.links);
-        }
+    fn goodput_bits(_: &f64, r: &SimReport) -> (u64, u64) {
+        (
+            r.link_goodput_bps(NodeId(0), NodeId(1)).to_bits(),
+            r.aggregate_goodput_bps().to_bits(),
+        )
     }
 
     #[test]
-    fn average_goodput_is_positive() {
-        let g = average_goodput(
-            tiny,
+    fn sweep_matches_a_sequential_loop() {
+        // 21 jobs queue past any plausible core count, and the seeds are
+        // deliberately out of order: results must follow `seeds`, not
+        // their values or the order the workers finish in.
+        let points = [4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0];
+        let seeds = [5, 1, 3];
+        let d = SimDuration::from_millis(20);
+        let swept = sweep(&points, &seeds, d, link_at, goodput_bits);
+        let sequential: Vec<_> = points
+            .iter()
+            .flat_map(|p| {
+                seeds
+                    .iter()
+                    .map(move |&s| goodput_bits(p, &Simulator::new(link_at(p, s)).run(d)))
+            })
+            .collect();
+        assert_eq!(swept, sequential);
+    }
+
+    #[test]
+    fn empty_points_or_seeds_sweep_nothing() {
+        let d = SimDuration::from_millis(5);
+        assert!(sweep(&[], &[1, 2], d, link_at, goodput_bits).is_empty());
+        assert!(sweep(&[8.0], &[], d, link_at, goodput_bits).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "no config for point 12")]
+    fn a_panicking_build_propagates() {
+        let _ = sweep(
+            &[4.0, 8.0, 12.0],
             &[1, 2],
-            SimDuration::from_millis(100),
-            (NodeId(0), NodeId(1)),
+            SimDuration::from_millis(5),
+            |&x, seed| {
+                assert!(x < 10.0, "no config for point {x}");
+                link_at(&x, seed)
+            },
+            goodput_bits,
         );
-        assert!(g > 1e6, "goodput = {g}");
     }
 
     #[test]
@@ -205,19 +251,6 @@ mod tests {
         assert_eq!(cdf.probability_at(3.0), 1.0);
         assert_eq!(cdf.probability_at(99.0), 1.0);
         assert_eq!(empirical_cdf(vec![]).probability_at(1.0), 0.0);
-    }
-
-    #[test]
-    fn run_many_queues_past_the_worker_pool() {
-        // More seeds than any plausible core count: indices must still
-        // map to their seeds after queueing through the bounded pool.
-        let seeds: Vec<u64> = (1..=40).collect();
-        let d = SimDuration::from_millis(5);
-        let reports = run_many(tiny, &seeds, d);
-        assert_eq!(reports.len(), seeds.len());
-        let direct = Simulator::new(tiny(17)).run(d);
-        assert_eq!(reports[16].links, direct.links);
-        assert!(run_many(tiny, &[], d).is_empty());
     }
 
     #[test]

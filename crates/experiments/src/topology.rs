@@ -309,6 +309,10 @@ pub fn fig9_topology(index: usize, features: MacFeatures, seed: u64) -> (SimConf
     )
 }
 
+/// Clients of one large-scale floor; each carries an uplink and a
+/// downlink flow, so a floor has twice as many flows.
+pub(crate) const LARGE_SCALE_CLIENTS: usize = 9;
+
 /// Handles of the large-scale floor.
 #[derive(Debug, Clone)]
 pub struct LargeScale {
@@ -360,7 +364,7 @@ pub fn large_scale(
 
     let mut rng = StdRng::seed_from_u64(topology_seed.wrapping_mul(0x9E37_79B9).wrapping_add(17));
     let mut associations = Vec::new();
-    for i in 0..9 {
+    for i in 0..LARGE_SCALE_CLIENTS {
         let pos = loop {
             let x = rng.gen_range(-30.0..150.0);
             let y = rng.gen_range(-30.0..30.0);

@@ -4,55 +4,39 @@
 //!
 //! Run with `cargo run --release --example large_floor`.
 
-use comap::experiments::runner::{empirical_cdf, run_many};
-use comap::experiments::topology::large_scale;
+use comap::experiments::fig10::{run_variants, Variant};
 use comap::mac::SimDuration;
-use comap::sim::config::MacFeatures;
 
 fn main() {
     let duration = SimDuration::from_secs(1);
-    let seeds = [1u64, 2];
     println!("Three co-channel APs, nine CBR clients, {duration} per run\n");
     println!(
         "{:>18} {:>12} {:>12} {:>12}",
         "variant", "p25 (Mbps)", "median", "aggregate"
     );
 
-    for (label, features, error) in [
-        ("basic DCF", MacFeatures::DCF, 0.0),
-        ("CO-MAP (exact)", MacFeatures::COMAP, 0.0),
-        ("CO-MAP (5 m err)", MacFeatures::COMAP, 5.0),
-        ("CO-MAP (10 m err)", MacFeatures::COMAP, 10.0),
-    ] {
-        let mut per_link = Vec::new();
-        let mut aggregate = 0.0;
-        for topo in 0..3u64 {
-            let reports = run_many(
-                |seed| large_scale(topo, seed, features, error).0,
-                &seeds,
-                duration,
-            );
-            let (cfg, _) = large_scale(topo, 0, features, error);
-            for flow in &cfg.flows {
-                let g = reports
-                    .iter()
-                    .map(|r| r.link_goodput_bps(flow.src, flow.dst))
-                    .sum::<f64>()
-                    / reports.len() as f64;
-                per_link.push(g);
-            }
-            aggregate += reports
-                .iter()
-                .map(|r| r.aggregate_goodput_bps())
-                .sum::<f64>()
-                / reports.len() as f64;
-        }
-        let cdf = empirical_cdf(per_link);
+    let labels = [
+        "basic DCF",
+        "CO-MAP (exact)",
+        "CO-MAP (5 m err)",
+        "CO-MAP (10 m err)",
+    ];
+    let variants = [
+        Variant::Dcf,
+        Variant::CoMap(0.0),
+        Variant::CoMap(5.0),
+        Variant::CoMap(10.0),
+    ];
+    for (label, result) in labels
+        .iter()
+        .zip(run_variants(&variants, 3, &[1, 2], duration))
+    {
+        let cdf = result.cdf();
         println!(
             "{label:>18} {:>12.2} {:>12.2} {:>12.2}",
             cdf.quantile(0.25) / 1e6,
             cdf.quantile(0.5) / 1e6,
-            aggregate / 3.0 / 1e6
+            result.mean_aggregate / 1e6
         );
     }
     println!("\nPositions only steer CO-MAP's decisions — the radio truth is unchanged,");

@@ -39,6 +39,9 @@ cargo test -q
 echo "==> simbench smoke test (its own workspace, not in tier-1)"
 cargo test -q --manifest-path simbench/Cargo.toml
 
+echo "==> every figure driver through the sweep pool (all --quick, release)"
+cargo run --release -p comap-experiments --bin all -- --quick > /dev/null
+
 echo "==> profiling smoke run (fig02 --quick --profile-json)"
 cargo run --release -p comap-experiments --bin fig02 -- --quick \
     --profile-json target/profile_smoke.json
