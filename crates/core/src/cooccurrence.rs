@@ -11,12 +11,15 @@
 //! losses), and is invalidated per-node when the neighbor table reports a
 //! significant position change.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::{Addr, Link};
 
 /// Cached concurrency knowledge: ongoing link → receivers this node can
 /// use concurrently (and the receivers known to be unusable).
+///
+/// One flat map holds every verdict, keyed by `(ongoing link, receiver)`,
+/// so a receiver is allowed or denied by construction, never both.
 ///
 /// ```rust
 /// use comap_core::CoOccurrenceMap;
@@ -28,31 +31,16 @@ use crate::{Addr, Link};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CoOccurrenceMap<A: Addr> {
-    entries: BTreeMap<Link<A>, EntryState<A>>,
+    verdicts: BTreeMap<(Link<A>, A), bool>,
     hits: u64,
     misses: u64,
-}
-
-#[derive(Debug, Clone)]
-struct EntryState<A: Addr> {
-    allowed: BTreeSet<A>,
-    denied: BTreeSet<A>,
-}
-
-impl<A: Addr> Default for EntryState<A> {
-    fn default() -> Self {
-        EntryState {
-            allowed: BTreeSet::new(),
-            denied: BTreeSet::new(),
-        }
-    }
 }
 
 impl<A: Addr> CoOccurrenceMap<A> {
     /// Creates an empty map (the paper's cold-start state).
     pub fn new() -> Self {
         CoOccurrenceMap {
-            entries: BTreeMap::new(),
+            verdicts: BTreeMap::new(),
             hits: 0,
             misses: 0,
         }
@@ -64,15 +52,7 @@ impl<A: Addr> CoOccurrenceMap<A> {
     ///
     /// [`record`]: Self::record
     pub fn lookup(&mut self, ongoing: Link<A>, receiver: A) -> Option<bool> {
-        let verdict = self.entries.get(&ongoing).and_then(|e| {
-            if e.allowed.contains(&receiver) {
-                Some(true)
-            } else if e.denied.contains(&receiver) {
-                Some(false)
-            } else {
-                None
-            }
-        });
+        let verdict = self.verdicts.get(&(ongoing, receiver)).copied();
         match verdict {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
@@ -82,51 +62,42 @@ impl<A: Addr> CoOccurrenceMap<A> {
 
     /// Caches a validation outcome for (`ongoing`, `receiver`).
     pub fn record(&mut self, ongoing: Link<A>, receiver: A, allowed: bool) {
-        let entry = self.entries.entry(ongoing).or_default();
-        if allowed {
-            entry.denied.remove(&receiver);
-            entry.allowed.insert(receiver);
-        } else {
-            entry.allowed.remove(&receiver);
-            entry.denied.insert(receiver);
-        }
+        self.verdicts.insert((ongoing, receiver), allowed);
     }
 
     /// All receivers cached as concurrent-safe with `ongoing`.
     pub fn allowed_receivers(&self, ongoing: Link<A>) -> impl Iterator<Item = A> + '_ {
-        self.entries
-            .get(&ongoing)
-            .into_iter()
-            .flat_map(|e| e.allowed.iter().copied())
+        self.verdicts
+            .iter()
+            .filter(move |&(&(link, _), &allowed)| link == ongoing && allowed)
+            .map(|(&(_, receiver), _)| receiver)
     }
 
     /// Number of ongoing links with at least one cached verdict.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        let mut prev = None;
+        self.verdicts
+            .keys()
+            .filter(|&&(link, _)| prev.replace(link) != Some(link))
+            .count()
     }
 
     /// `true` when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.verdicts.is_empty()
     }
 
     /// Drops every entry that involves `addr` — as an endpoint of the
     /// ongoing link or as a cached receiver. Called when `addr` moves
     /// beyond the mobility threshold.
     pub fn invalidate_involving(&mut self, addr: A) {
-        self.entries.retain(|link, entry| {
-            if link.0 == addr || link.1 == addr {
-                return false;
-            }
-            entry.allowed.remove(&addr);
-            entry.denied.remove(&addr);
-            !(entry.allowed.is_empty() && entry.denied.is_empty())
-        });
+        self.verdicts
+            .retain(|&((src, dst), receiver), _| src != addr && dst != addr && receiver != addr);
     }
 
     /// Clears the whole cache (e.g. when this node itself moves).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.verdicts.clear();
     }
 
     /// `(hits, misses)` of [`Self::lookup`] since construction — the
@@ -137,11 +108,17 @@ impl<A: Addr> CoOccurrenceMap<A> {
     }
 
     /// Iterates over `(ongoing link, allowed receivers)` for display, in
-    /// deterministic order.
+    /// deterministic order: one item per link with at least one verdict.
     pub fn iter(&self) -> impl Iterator<Item = (Link<A>, Vec<A>)> + '_ {
-        self.entries
-            .iter()
-            .map(|(l, e)| (*l, e.allowed.iter().copied().collect()))
+        let mut groups: Vec<(Link<A>, Vec<A>)> = Vec::new();
+        for (&(link, receiver), &allowed) in &self.verdicts {
+            let receiver = allowed.then_some(receiver);
+            match groups.last_mut() {
+                Some((last, receivers)) if *last == link => receivers.extend(receiver),
+                _ => groups.push((link, receiver.into_iter().collect())),
+            }
+        }
+        groups.into_iter()
     }
 }
 

@@ -1,5 +1,9 @@
 //! Simulation configuration: nodes, flows, MAC features and presets.
 
+use std::collections::BTreeSet;
+use std::error::Error;
+use std::fmt;
+
 use comap_core::config::ProtocolConfig;
 use comap_mac::backoff::BackoffPolicy;
 use comap_radio::units::Meters;
@@ -162,6 +166,39 @@ pub struct FlowSpec {
     pub traffic: Traffic,
 }
 
+/// Why a [`SimConfig`] does not describe a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// There are no nodes.
+    NoNodes,
+    /// A flow names a node that does not exist.
+    UnknownEndpoint(NodeId),
+    /// A flow's source is also its destination.
+    SelfFlow(NodeId),
+    /// Two flows share one `(src, dst)` pair.
+    DuplicateFlow {
+        /// Sending node.
+        src: NodeId,
+        /// Receiving node.
+        dst: NodeId,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NoNodes => write!(f, "a simulation needs at least one node"),
+            ConfigError::UnknownEndpoint(node) => write!(f, "flow endpoint {node} is not a node"),
+            ConfigError::SelfFlow(node) => write!(f, "flow from {node} to itself"),
+            ConfigError::DuplicateFlow { src, dst } => {
+                write!(f, "more than one flow from {src} to {dst}")
+            }
+        }
+    }
+}
+
+impl Error for ConfigError {}
+
 /// Full description of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -251,16 +288,33 @@ impl SimConfig {
         id
     }
 
-    /// Adds a unidirectional flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint does not exist or `src == dst`.
+    /// Adds a unidirectional flow. [`validate`](Self::validate) checks
+    /// its endpoints.
     pub fn add_flow(&mut self, src: NodeId, dst: NodeId, traffic: Traffic) {
-        assert!(src.0 < self.nodes.len(), "unknown flow source {src}");
-        assert!(dst.0 < self.nodes.len(), "unknown flow destination {dst}");
-        assert_ne!(src, dst, "flow endpoints must differ");
         self.flows.push(FlowSpec { src, dst, traffic });
+    }
+
+    /// Checks that the configuration describes a run: at least one node,
+    /// and flows between distinct existing nodes, at most one per
+    /// `(src, dst)` pair (a MAC keeps one sender record per destination).
+    /// Returns the first problem found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.nodes.is_empty() {
+            return Err(ConfigError::NoNodes);
+        }
+        let mut pairs = BTreeSet::new();
+        for &FlowSpec { src, dst, .. } in &self.flows {
+            if let Some(&node) = [src, dst].iter().find(|n| n.0 >= self.nodes.len()) {
+                return Err(ConfigError::UnknownEndpoint(node));
+            }
+            if src == dst {
+                return Err(ConfigError::SelfFlow(src));
+            }
+            if !pairs.insert((src, dst)) {
+                return Err(ConfigError::DuplicateFlow { src, dst });
+            }
+        }
+        Ok(())
     }
 
     /// The effective features of a node.
@@ -289,12 +343,54 @@ mod tests {
         assert_eq!((a, b), (NodeId(0), NodeId(1)));
     }
 
-    #[test]
-    #[should_panic(expected = "must differ")]
-    fn self_flow_panics() {
+    /// Two nodes, no flows: valid until a test adds a bad flow.
+    fn pair() -> (SimConfig, NodeId, NodeId) {
         let mut cfg = SimConfig::testbed(1);
         let a = cfg.add_node(NodeSpec::client("a", Position::ORIGIN));
+        let b = cfg.add_node(NodeSpec::ap("b", Position::new(5.0, 0.0)));
+        assert_eq!(cfg.validate(), Ok(()));
+        (cfg, a, b)
+    }
+
+    #[test]
+    fn no_nodes_is_rejected() {
+        assert_eq!(SimConfig::testbed(1).validate(), Err(ConfigError::NoNodes));
+    }
+
+    #[test]
+    fn unknown_endpoint_is_rejected() {
+        let (mut cfg, a, _) = pair();
+        cfg.add_flow(a, NodeId(7), Traffic::Saturated);
+        assert_eq!(cfg.validate(), Err(ConfigError::UnknownEndpoint(NodeId(7))));
+    }
+
+    #[test]
+    fn self_flow_is_rejected() {
+        let (mut cfg, a, _) = pair();
         cfg.add_flow(a, a, Traffic::Saturated);
+        assert_eq!(cfg.validate(), Err(ConfigError::SelfFlow(a)));
+    }
+
+    #[test]
+    fn duplicate_flow_is_rejected() {
+        let (mut cfg, a, b) = pair();
+        cfg.add_flow(a, b, Traffic::Saturated);
+        cfg.add_flow(b, a, Traffic::Saturated);
+        assert_eq!(cfg.validate(), Ok(()), "the reverse flow is a new pair");
+        cfg.add_flow(a, b, Traffic::Cbr { bps: 1e6 });
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::DuplicateFlow { src: a, dst: b })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "DuplicateFlow")]
+    fn simulator_refuses_an_invalid_config() {
+        let (mut cfg, a, b) = pair();
+        cfg.add_flow(a, b, Traffic::Saturated);
+        cfg.add_flow(a, b, Traffic::Saturated);
+        let _ = crate::Simulator::new(cfg);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod rate;
 pub mod sim;
 pub mod stats;
 
-pub use config::{MacFeatures, NodeSpec, SimConfig, Traffic};
+pub use config::{ConfigError, MacFeatures, NodeSpec, SimConfig, Traffic};
 pub use frame::{Frame, NodeId};
 pub use json::Json;
 pub use latency::{Latency, LatencyHistogram, LatencySink, NodeLatency};

@@ -25,11 +25,24 @@
 //! counts — `FrameTx`, `Delivered`, `AckTimeout`, `FrameDropped`,
 //! `ConcurrentTx`, `EtAbandon` and `HeaderHeard` — are always emitted;
 //! every other event only when [`MacCtx::observing`] is set.
+//!
+//! Sender state is per link, as in the paper: each outgoing flow is one
+//! record that owns its traffic bucket, its selective-repeat window, its
+//! consecutive-timeout count, its Minstrel state and its installed
+//! adaptation setting. The window is present exactly when the MAC runs
+//! selective repeat, so its presence *is* the ARQ mode. A MAC has at most
+//! one flow per destination ([`SimConfig::validate`] rejects duplicates),
+//! and the frame in service always belongs to the flow `current_flow`
+//! names. Receiver-side state (duplicate filter, reorder window) is keyed
+//! by source.
+//!
+//! [`SimConfig::validate`]: crate::SimConfig::validate
 
 use std::collections::BTreeMap;
 
 use comap_radio::stream::CounterRng;
 
+use comap_core::adapt::TxSetting;
 use comap_core::protocol::Protocol;
 use comap_core::scheduler::{EtAction, EtScheduler};
 use comap_mac::arq::{Ack, SelectiveRepeatReceiver, SelectiveRepeatSender};
@@ -127,9 +140,9 @@ struct PendingFrame {
     dst: NodeId,
     seq: u64,
     payload: u32,
-    retry: bool,
     /// Zero-based transmission attempt this service round corresponds
     /// to — carried so [`SimEvent::FrameTx`] can label the on-air try.
+    /// Any attempt after the first sets the frame's retry bit.
     attempt: u32,
 }
 
@@ -230,11 +243,25 @@ impl TrafficState {
     }
 }
 
+/// One outgoing flow and the sender state it owns.
 #[derive(Debug)]
 struct Flow {
     dst: NodeId,
     traffic: TrafficState,
+    /// Next stop-and-wait sequence number.
     next_seq: u64,
+    /// The selective-repeat window: `Some` exactly when the MAC runs
+    /// selective repeat, `None` under stop-and-wait.
+    arq: Option<SelectiveRepeatSender>,
+    /// Consecutive ACK timeouts (selective repeat keeps the DCF
+    /// collision-recovery escalation through this count).
+    timeouts: u32,
+    /// Minstrel state, created on the first rate selection when that
+    /// controller is selected.
+    minstrel: Option<Minstrel>,
+    /// The installed adaptation setting; `None` until the census runs
+    /// and again once a move may have changed it.
+    setting: Option<TxSetting>,
 }
 
 /// Static wiring the MAC needs from the simulation.
@@ -287,6 +314,7 @@ pub struct Mac {
     backoff: Backoff,
     retries: u32,
     pending: Option<PendingFrame>,
+    /// Index into `flows` of the pending frame's flow.
     current_flow: usize,
 
     pending_ack: Option<(NodeId, FrameBody)>,
@@ -299,14 +327,6 @@ pub struct Mac {
     rx_dedup: BTreeMap<NodeId, u64>,
     arq_rx: BTreeMap<NodeId, SelectiveRepeatReceiver>,
 
-    // Sender-side ARQ.
-    arq_tx: BTreeMap<NodeId, SelectiveRepeatSender>,
-    /// Consecutive ACK timeouts per destination (selective repeat keeps
-    /// the DCF collision-recovery escalation through this counter).
-    sr_retries: BTreeMap<NodeId, u32>,
-
-    /// Per-destination Minstrel state when that controller is selected.
-    minstrel: BTreeMap<NodeId, Minstrel>,
     /// Rate of the in-flight data frame (Minstrel feedback).
     last_data_rate: Option<Rate>,
 
@@ -318,7 +338,6 @@ pub struct Mac {
     /// Last discovered ongoing transmission: `(link, data start, data
     /// end)` — consulted when a frame is admitted mid-transmission.
     ongoing: Option<((NodeId, NodeId), SimTime, SimTime)>,
-    adapted: BTreeMap<NodeId, comap_core::adapt::TxSetting>,
 }
 
 impl Mac {
@@ -344,28 +363,25 @@ impl Mac {
             nav_until: SimTime::ZERO,
             rx_dedup: BTreeMap::new(),
             arq_rx: BTreeMap::new(),
-            arq_tx: BTreeMap::new(),
-            sr_retries: BTreeMap::new(),
-            minstrel: BTreeMap::new(),
             last_data_rate: None,
             opportunity: None,
             concurrent_sent: None,
             ongoing: None,
-            adapted: BTreeMap::new(),
         }
     }
 
     /// Registers an outgoing flow.
     pub fn add_flow(&mut self, dst: NodeId, traffic: Traffic) {
+        let sr = self.cfg.features.selective_repeat;
         self.flows.push(Flow {
             dst,
             traffic: TrafficState::new(traffic),
             next_seq: 0,
+            arq: sr.then(|| SelectiveRepeatSender::new(self.cfg.arq_window)),
+            timeouts: 0,
+            minstrel: None,
+            setting: None,
         });
-        if self.cfg.features.selective_repeat {
-            self.arq_tx
-                .insert(dst, SelectiveRepeatSender::new(self.cfg.arq_window));
-        }
     }
 
     /// Read access to the protocol instance (reports, examples).
@@ -382,7 +398,9 @@ impl Mac {
         let proto = self.proto.as_mut()?;
         let report = proto.observe_position(reported_fix)?;
         // Our geometry changed: adapted settings must be re-censused.
-        self.adapted.clear();
+        for flow in &mut self.flows {
+            flow.setting = None;
+        }
         Some(report)
     }
 
@@ -390,7 +408,9 @@ impl Mac {
     pub fn on_position_report(&mut self, from: NodeId, position: Position) {
         if let Some(proto) = &mut self.proto {
             if proto.on_position_report(from, position) {
-                self.adapted.remove(&from);
+                if let Some(flow) = self.flows.iter_mut().find(|f| f.dst == from) {
+                    flow.setting = None;
+                }
             }
         }
     }
@@ -405,25 +425,13 @@ impl Mac {
         let mut out = Vec::new();
         match event {
             MacEvent::Sense => self.on_sense(ctx, &mut out),
-            MacEvent::Rx { frame, rssi } => self.on_rx(frame, rssi, ctx, &mut out),
+            MacEvent::Rx { frame, .. } => self.on_rx(frame, ctx, &mut out),
             MacEvent::TxDone { frame } => self.on_tx_done(frame, ctx, &mut out),
             MacEvent::FlowTimer => self.on_flow_timer(ctx, &mut out),
             MacEvent::ResponderTimer => self.on_responder(ctx, &mut out),
-            MacEvent::Traffic => {
-                self.traffic_armed = false;
-            }
+            MacEvent::Traffic => self.traffic_armed = false,
             MacEvent::Announce { link, data_end } => {
-                out.push(MacAction::Emit(SimEvent::HeaderHeard {
-                    node: self.cfg.id,
-                    src: link.0,
-                    dst: link.1,
-                }));
-                if self.cfg.features.et_concurrency {
-                    // Unlike a separate header, the in-band announcement
-                    // arrives once the data frame is already on the air.
-                    self.ongoing = Some((link, ctx.now, data_end));
-                    self.try_enter_opportunity(ctx, &mut out);
-                }
+                self.header_heard(link, data_end, ctx, &mut out)
             }
         }
         self.sync(ctx, &mut out);
@@ -435,44 +443,40 @@ impl Mac {
     // ------------------------------------------------------------------
 
     fn on_sense(&mut self, ctx: MacCtx, out: &mut Vec<MacAction>) {
-        // Feed the RSSI watchdog of an armed opportunity.
-        if let Some(op) = &mut self.opportunity {
-            if ctx.now >= op.until {
-                self.opportunity = None;
-            } else {
-                match &mut op.sched {
-                    None => {
-                        // The entry instant also carries the header's
-                        // power *drop*; RSSI₁ must be the ongoing data
-                        // frame, i.e. the first clear rise over the
-                        // entry baseline.
-                        if let Some(proto) = &self.proto {
-                            if ctx.sensed.value() > op.baseline.value() * 1.5 {
-                                op.sched = Some(proto.arm_scheduler(ctx.sensed.to_dbm()));
-                            }
-                        }
-                    }
-                    Some(sched) => {
-                        if sched.on_rssi(ctx.sensed.to_dbm()) == EtAction::Abandon {
-                            self.opportunity = None;
-                            out.push(MacAction::Emit(SimEvent::EtAbandon { node: self.cfg.id }));
-                        }
+        // Feed the RSSI watchdog of an armed opportunity; sync() takes
+        // care of freeze/resume transitions.
+        let Some(op) = &mut self.opportunity else {
+            return;
+        };
+        if ctx.now >= op.until {
+            self.opportunity = None;
+            return;
+        }
+        match &mut op.sched {
+            None => {
+                // The entry instant also carries the header's power
+                // *drop*; RSSI₁ must be the ongoing data frame, i.e. the
+                // first clear rise over the entry baseline.
+                if let Some(proto) = &self.proto {
+                    if ctx.sensed.value() > op.baseline.value() * 1.5 {
+                        op.sched = Some(proto.arm_scheduler(ctx.sensed.to_dbm()));
                     }
                 }
             }
+            Some(sched) => {
+                if sched.on_rssi(ctx.sensed.to_dbm()) == EtAction::Abandon {
+                    self.opportunity = None;
+                    out.push(MacAction::Emit(SimEvent::EtAbandon { node: self.cfg.id }));
+                }
+            }
         }
-        // sync() takes care of freeze/resume transitions.
     }
 
-    fn on_rx(&mut self, frame: Frame, rssi: Dbm, ctx: MacCtx, out: &mut Vec<MacAction>) {
+    fn on_rx(&mut self, frame: Frame, ctx: MacCtx, out: &mut Vec<MacAction>) {
         match frame.body {
             FrameBody::Discovery { data_duration } => {
-                out.push(MacAction::Emit(SimEvent::HeaderHeard {
-                    node: self.cfg.id,
-                    src: frame.src,
-                    dst: frame.dst,
-                }));
-                self.consider_opportunity(frame, data_duration, rssi, ctx, out);
+                let link = (frame.src, frame.dst);
+                self.header_heard(link, ctx.now + data_duration, ctx, out);
             }
             FrameBody::Data {
                 seq,
@@ -517,11 +521,7 @@ impl Mac {
                 if frame.dst == self.cfg.id {
                     // Answer with a CTS after SIFS; its NAV covers the
                     // rest of the exchange.
-                    let cts_air = self
-                        .cfg
-                        .phy
-                        .frame_duration(comap_mac::frames::CTS_BYTES, self.cfg.phy.control_rate());
-                    let cts_nav = nav - self.cfg.phy.sifs() - cts_air;
+                    let cts_nav = nav - self.cfg.phy.sifs() - self.cts_air();
                     self.pending_ack = Some((frame.src, FrameBody::Cts { nav: cts_nav }));
                     out.push(MacAction::ArmResponderTimer(ctx.now + self.cfg.phy.sifs()));
                 } else {
@@ -533,9 +533,7 @@ impl Mac {
                     if self.state == FlowState::WaitCts {
                         if let Some(p) = self.pending {
                             out.push(MacAction::CancelFlowTimer);
-                            self.state = FlowState::TxData;
-                            let data = self.data_frame(p, out);
-                            out.push(MacAction::Transmit(data));
+                            self.send_data(p, out);
                         }
                     }
                 } else {
@@ -543,6 +541,13 @@ impl Mac {
                 }
             }
         }
+    }
+
+    /// Airtime of a CTS at the control rate.
+    fn cts_air(&self) -> SimDuration {
+        self.cfg
+            .phy
+            .frame_duration(comap_mac::frames::CTS_BYTES, self.cfg.phy.control_rate())
     }
 
     /// Extends the NAV and schedules a re-evaluation at its expiry —
@@ -565,76 +570,76 @@ impl Mac {
         ctx: MacCtx,
         out: &mut Vec<MacAction>,
     ) {
-        if self.state == FlowState::WaitAck {
-            if let (Some(rate), Some(p)) = (self.last_data_rate, self.pending) {
-                if p.dst == from {
-                    if let Some(m) = self.minstrel.get_mut(&from) {
-                        m.report(rate, true);
-                    }
-                }
+        // Only an ACK from one of our flows' destinations changes state.
+        let Some(idx) = self.flows.iter().position(|f| f.dst == from) else {
+            return;
+        };
+        let awaited =
+            self.state == FlowState::WaitAck && self.pending.is_some_and(|p| p.dst == from);
+        if awaited {
+            let flow = &mut self.flows[self.current_flow];
+            if let (Some(rate), Some(m)) = (self.last_data_rate, &mut flow.minstrel) {
+                m.report(rate, true);
             }
-        }
-        if let (Some(link), Some(p)) = (self.concurrent_sent, self.pending) {
-            if p.dst == from && self.state == FlowState::WaitAck {
+            if let Some(link) = self.concurrent_sent.take() {
                 if let Some(proto) = &mut self.proto {
                     proto.record_concurrency_outcome(link, from, true);
                 }
-                self.concurrent_sent = None;
             }
         }
-        if self.cfg.features.selective_repeat {
-            self.sr_retries.insert(from, 0);
-            let node = self.cfg.id;
-            if let (Some(window), Some(sr)) = (self.arq_tx.get_mut(&from), sr) {
+        let node = self.cfg.id;
+        let flow = &mut self.flows[idx];
+        if let Some(window) = &mut flow.arq {
+            flow.timeouts = 0;
+            if let Some(sr) = sr {
                 // Goodput is accounted at the receiver; the window only
                 // needs the ACK to slide.
-                let acked = if ctx.observing {
-                    window.on_ack_with(sr, |seq| {
+                let observing = ctx.observing;
+                let acked = window.on_ack_with(sr, |seq| {
+                    if observing {
                         out.push(MacAction::Emit(SimEvent::FrameAcked {
                             node,
                             dst: from,
                             seq,
                         }));
-                    })
-                } else {
-                    window.on_ack(sr)
-                };
-                if ctx.observing && acked > 0 {
+                    }
+                });
+                if observing && acked > 0 {
                     out.push(MacAction::Emit(SimEvent::Dequeue {
-                        node: self.cfg.id,
+                        node,
                         dst: from,
                         depth: window.outstanding() as u32,
                     }));
                 }
             }
-            if self.state == FlowState::WaitAck && self.pending.map(|p| p.dst) == Some(from) {
-                self.state = FlowState::Idle;
-                self.pending = None;
-                self.retries = 0;
+            if awaited {
+                self.finish_frame();
                 out.push(MacAction::CancelFlowTimer);
             }
-        } else if self.state == FlowState::WaitAck {
-            if let Some(p) = self.pending {
-                if p.dst == from && p.seq == seq {
-                    self.state = FlowState::Idle;
-                    self.pending = None;
-                    self.retries = 0;
-                    out.push(MacAction::CancelFlowTimer);
-                    if ctx.observing {
-                        out.push(MacAction::Emit(SimEvent::FrameAcked {
-                            node: self.cfg.id,
-                            dst: from,
-                            seq,
-                        }));
-                        out.push(MacAction::Emit(SimEvent::Dequeue {
-                            node: self.cfg.id,
-                            dst: from,
-                            depth: 0,
-                        }));
-                    }
-                }
+        } else if awaited && self.pending.is_some_and(|p| p.seq == seq) {
+            self.finish_frame();
+            out.push(MacAction::CancelFlowTimer);
+            if ctx.observing {
+                out.push(MacAction::Emit(SimEvent::FrameAcked {
+                    node,
+                    dst: from,
+                    seq,
+                }));
+                out.push(MacAction::Emit(SimEvent::Dequeue {
+                    node,
+                    dst: from,
+                    depth: 0,
+                }));
             }
         }
+    }
+
+    /// The frame in service is done (acked, dropped, or handed back to
+    /// the selective-repeat window): the flow goes idle.
+    fn finish_frame(&mut self) {
+        self.state = FlowState::Idle;
+        self.pending = None;
+        self.retries = 0;
     }
 
     fn on_tx_done(&mut self, frame: Frame, ctx: MacCtx, out: &mut Vec<MacAction>) {
@@ -642,9 +647,7 @@ impl Mac {
             FrameKind::DiscoveryHeader => {
                 // Data follows back-to-back.
                 if let Some(p) = self.pending {
-                    self.state = FlowState::TxData;
-                    let data = self.data_frame(p, out);
-                    out.push(MacAction::Transmit(data));
+                    self.send_data(p, out);
                 } else {
                     self.state = FlowState::Idle;
                 }
@@ -657,12 +660,7 @@ impl Mac {
             }
             FrameKind::Rts => {
                 self.state = FlowState::WaitCts;
-                let timeout = self.cfg.phy.sifs()
-                    + self
-                        .cfg
-                        .phy
-                        .frame_duration(comap_mac::frames::CTS_BYTES, self.cfg.phy.control_rate())
-                    + self.cfg.phy.slot();
+                let timeout = self.cfg.phy.sifs() + self.cts_air() + self.cfg.phy.slot();
                 out.push(MacAction::ArmFlowTimer(ctx.now + timeout));
             }
             FrameKind::Ack | FrameKind::Cts => {
@@ -673,8 +671,7 @@ impl Mac {
 
     fn on_flow_timer(&mut self, ctx: MacCtx, out: &mut Vec<MacAction>) {
         match self.state {
-            FlowState::WaitAck => self.on_ack_timeout(ctx, out),
-            FlowState::WaitCts => self.on_ack_timeout(ctx, out),
+            FlowState::WaitAck | FlowState::WaitCts => self.on_ack_timeout(ctx, out),
             FlowState::Contend => match self.wait {
                 WaitPhase::Difs => {
                     if self.effective_busy(ctx) {
@@ -682,14 +679,7 @@ impl Mac {
                     } else if self.backoff.is_expired() {
                         self.start_transmission(out);
                     } else {
-                        self.wait = WaitPhase::Counting(ctx.now);
-                        if ctx.observing {
-                            out.push(MacAction::Emit(SimEvent::Resume { node: self.cfg.id }));
-                        }
-                        out.push(MacAction::ArmFlowTimer(
-                            ctx.now
-                                + self.cfg.phy.slot() * u64::from(self.backoff.slots_remaining()),
-                        ));
+                        self.begin_counting(ctx, out);
                     }
                 }
                 WaitPhase::Counting(since) => {
@@ -697,10 +687,7 @@ impl Mac {
                         // The channel (possibly our own responder ACK)
                         // went busy after the timer was armed: freeze
                         // instead of transmitting blind.
-                        let elapsed = ctx.now.saturating_duration_since(since);
-                        let slots = (elapsed / self.cfg.phy.slot()) as u32;
-                        self.backoff.consume(slots);
-                        self.wait = WaitPhase::NeedIdle;
+                        self.freeze(since, ctx.now);
                     } else {
                         self.backoff.consume(self.backoff.slots_remaining());
                         self.start_transmission(out);
@@ -723,24 +710,21 @@ impl Mac {
             node: self.cfg.id,
             dst: p.dst,
         }));
-        if let Some(rate) = self.last_data_rate {
-            if let Some(m) = self.minstrel.get_mut(&p.dst) {
-                m.report(rate, false);
-            }
+        let flow = &mut self.flows[self.current_flow];
+        if let (Some(rate), Some(m)) = (self.last_data_rate, &mut flow.minstrel) {
+            m.report(rate, false);
         }
         if let Some(link) = self.concurrent_sent.take() {
             if let Some(proto) = &mut self.proto {
                 proto.record_concurrency_outcome(link, p.dst, false);
             }
         }
-        if self.cfg.features.selective_repeat {
+        if flow.arq.is_some() {
             // Selective repeat: move on; the window decides what to send
             // next, retransmitting swept losses. Keep DCF's collision
             // recovery: consecutive timeouts escalate the next backoff.
-            *self.sr_retries.entry(p.dst).or_insert(0) += 1;
-            self.state = FlowState::Idle;
-            self.pending = None;
-            self.retries = 0;
+            flow.timeouts += 1;
+            self.finish_frame();
         } else {
             self.retries += 1;
             if self.retries > self.cfg.retry_limit {
@@ -756,30 +740,20 @@ impl Mac {
                         depth: 0,
                     }));
                 }
-                self.pending = None;
-                self.retries = 0;
-                self.state = FlowState::Idle;
+                self.finish_frame();
             } else {
                 self.pending = Some(PendingFrame {
-                    retry: true,
                     attempt: self.retries,
                     ..p
                 });
-                self.backoff = self.draw_backoff(p.dst, self.retries);
                 if ctx.observing {
                     out.push(MacAction::Emit(SimEvent::Retry {
                         node: self.cfg.id,
                         dst: p.dst,
                         attempt: self.retries,
                     }));
-                    out.push(MacAction::Emit(SimEvent::BackoffDraw {
-                        node: self.cfg.id,
-                        stage: self.retries,
-                        slots: self.backoff.slots_remaining(),
-                    }));
                 }
-                self.state = FlowState::Contend;
-                self.wait = WaitPhase::NeedIdle;
+                self.contend(self.retries, ctx, out);
             }
         }
     }
@@ -808,10 +782,8 @@ impl Mac {
     /// Reconciles the flow state with the channel after any event.
     fn sync(&mut self, ctx: MacCtx, out: &mut Vec<MacAction>) {
         // Expire a stale opportunity.
-        if let Some(op) = &self.opportunity {
-            if ctx.now >= op.until {
-                self.opportunity = None;
-            }
+        if self.opportunity.is_some_and(|op| ctx.now >= op.until) {
+            self.opportunity = None;
         }
         if ctx.transmitting {
             return;
@@ -844,10 +816,7 @@ impl Mac {
             }
             WaitPhase::Counting(since) => {
                 if busy {
-                    let elapsed = ctx.now.saturating_duration_since(since);
-                    let slots = (elapsed / self.cfg.phy.slot()) as u32;
-                    self.backoff.consume(slots);
-                    self.wait = WaitPhase::NeedIdle;
+                    self.freeze(since, ctx.now);
                     out.push(MacAction::CancelFlowTimer);
                     if ctx.observing {
                         out.push(MacAction::Emit(SimEvent::Defer { node: self.cfg.id }));
@@ -855,6 +824,14 @@ impl Mac {
                 }
             }
         }
+    }
+
+    /// The channel went busy mid-countdown: bank the whole slots counted
+    /// since `since` and wait for an idle channel again.
+    fn freeze(&mut self, since: SimTime, now: SimTime) {
+        let slots = (now.saturating_duration_since(since) / self.cfg.phy.slot()) as u32;
+        self.backoff.consume(slots);
+        self.wait = WaitPhase::NeedIdle;
     }
 
     fn begin_counting(&mut self, ctx: MacCtx, out: &mut Vec<MacAction>) {
@@ -873,9 +850,6 @@ impl Mac {
 
     /// Picks the next frame to serve, if any traffic is ready.
     fn admit_frame(&mut self, ctx: MacCtx, out: &mut Vec<MacAction>) {
-        if self.flows.is_empty() {
-            return;
-        }
         let n = self.flows.len();
         for probe in 0..n {
             let idx = (self.flow_rr + probe) % n;
@@ -884,28 +858,17 @@ impl Mac {
                 self.current_flow = idx;
                 self.pending = Some(p);
                 self.retries = 0;
-                let escalation = self.sr_retries.get(&p.dst).copied().unwrap_or(0);
-                self.backoff = self.draw_backoff(p.dst, escalation);
-                if ctx.observing {
-                    out.push(MacAction::Emit(SimEvent::BackoffDraw {
-                        node: self.cfg.id,
-                        stage: escalation,
-                        slots: self.backoff.slots_remaining(),
-                    }));
-                }
-                self.state = FlowState::Contend;
-                self.wait = WaitPhase::NeedIdle;
+                self.contend(self.flows[idx].timeouts, ctx, out);
                 self.try_enter_opportunity(ctx, out);
                 return;
             }
         }
         // Nothing ready: schedule the earliest CBR wakeup.
         if !self.traffic_armed {
-            let dsts: Vec<NodeId> = self.flows.iter().map(|f| f.dst).collect();
             let mut min_eta: Option<SimDuration> = None;
-            for (i, dst) in dsts.into_iter().enumerate() {
-                let payload = self.payload_for(dst, ctx.observing, out);
-                if let Some(eta) = self.flows[i].traffic.eta(payload) {
+            for idx in 0..n {
+                let payload = self.payload_for(idx, ctx.observing, out);
+                if let Some(eta) = self.flows[idx].traffic.eta(payload) {
                     min_eta = Some(min_eta.map_or(eta, |m: SimDuration| m.min(eta)));
                 }
             }
@@ -918,24 +881,34 @@ impl Mac {
         }
     }
 
+    /// The pending frame starts contending: a fresh backoff draw at
+    /// escalation `stage`, frozen until the channel is idle.
+    fn contend(&mut self, stage: u32, ctx: MacCtx, out: &mut Vec<MacAction>) {
+        self.backoff = self.draw_backoff(stage);
+        if ctx.observing {
+            out.push(MacAction::Emit(SimEvent::BackoffDraw {
+                node: self.cfg.id,
+                stage,
+                slots: self.backoff.slots_remaining(),
+            }));
+        }
+        self.state = FlowState::Contend;
+        self.wait = WaitPhase::NeedIdle;
+    }
+
     fn try_flow(
         &mut self,
         idx: usize,
         ctx: MacCtx,
         out: &mut Vec<MacAction>,
     ) -> Option<PendingFrame> {
-        let payload = self.payload_for(self.flows[idx].dst, ctx.observing, out);
-        let dst = self.flows[idx].dst;
+        let payload = self.payload_for(idx, ctx.observing, out);
         let node = self.cfg.id;
         let flow = &mut self.flows[idx];
+        let dst = flow.dst;
         flow.traffic.refresh(ctx.now);
 
-        if self.cfg.features.selective_repeat {
-            let window = self
-                .arq_tx
-                .get_mut(&dst)
-                // simlint: allow(panic-policy) — windows are created for every flow at setup; a miss is a wiring bug
-                .expect("ARQ window exists per flow");
+        if let Some(window) = &mut flow.arq {
             // Keep the window full.
             while window.has_room() && flow.traffic.available() >= f64::from(payload) {
                 flow.traffic.take(payload);
@@ -978,51 +951,49 @@ impl Mac {
                     dst,
                     seq,
                     payload,
-                    retry: attempts > 0,
                     attempt: attempts,
                 });
             }
-        } else {
-            if flow.traffic.available() >= f64::from(payload) {
-                flow.traffic.take(payload);
-                let seq = flow.next_seq;
-                flow.next_seq += 1;
-                if ctx.observing {
-                    out.push(MacAction::Emit(SimEvent::Enqueue {
-                        node,
-                        dst,
-                        depth: 1,
-                    }));
-                    out.push(MacAction::Emit(SimEvent::FrameQueued { node, dst, seq }));
-                }
-                return Some(PendingFrame {
+        } else if flow.traffic.available() >= f64::from(payload) {
+            flow.traffic.take(payload);
+            let seq = flow.next_seq;
+            flow.next_seq += 1;
+            if ctx.observing {
+                out.push(MacAction::Emit(SimEvent::Enqueue {
+                    node,
                     dst,
-                    seq,
-                    payload,
-                    retry: false,
-                    attempt: 0,
-                });
+                    depth: 1,
+                }));
+                out.push(MacAction::Emit(SimEvent::FrameQueued { node, dst, seq }));
             }
+            Some(PendingFrame {
+                dst,
+                seq,
+                payload,
+                attempt: 0,
+            })
+        } else {
             None
         }
     }
 
-    /// Payload size for a destination: adapted when the census says so.
+    /// Payload size for flow `idx`: adapted when the census says so.
     /// A fresh census result is announced as an [`SimEvent::Adapt`].
-    fn payload_for(&mut self, dst: NodeId, observing: bool, out: &mut Vec<MacAction>) -> u32 {
+    fn payload_for(&mut self, idx: usize, observing: bool, out: &mut Vec<MacAction>) -> u32 {
         if !self.cfg.features.ht_adaptation {
             return self.cfg.payload_bytes;
         }
-        if let Some(s) = self.adapted.get(&dst) {
+        let flow = &mut self.flows[idx];
+        if let Some(s) = flow.setting {
             return s.payload_bytes;
         }
         if let Some(proto) = &self.proto {
-            if let Ok(setting) = proto.tx_setting(dst) {
-                self.adapted.insert(dst, setting);
+            if let Ok(setting) = proto.tx_setting(flow.dst) {
+                flow.setting = Some(setting);
                 if observing {
                     out.push(MacAction::Emit(SimEvent::Adapt {
                         node: self.cfg.id,
-                        dst,
+                        dst: flow.dst,
                         cw: setting.cw,
                         payload_bytes: setting.payload_bytes,
                     }));
@@ -1033,30 +1004,30 @@ impl Mac {
         self.cfg.payload_bytes
     }
 
-    /// Backoff policy for a destination: the adaptation table's constant
-    /// window when installed.
-    /// One backoff draw from this MAC's counter-keyed stream: a pure
-    /// function of `(seed, node id, draw counter)`, so the slot count
-    /// is independent of anything another node — or the medium — draws.
-    fn draw_backoff(&mut self, dst: NodeId, stage: u32) -> Backoff {
+    /// One backoff draw for the pending frame from this MAC's
+    /// counter-keyed stream: a pure function of `(seed, node id, draw
+    /// counter)`, so the slot count is independent of anything another
+    /// node — or the medium — draws.
+    fn draw_backoff(&mut self, stage: u32) -> Backoff {
         let rng = &mut CounterRng::from_key(self.seed, self.cfg.id.0 as u64, self.backoff_ctr);
         self.backoff_ctr += 1;
-        Backoff::draw(self.effective_policy(dst), stage, rng)
+        Backoff::draw(self.effective_policy(), stage, rng)
     }
 
-    fn effective_policy(&self, dst: NodeId) -> BackoffPolicy {
-        if self.cfg.features.ht_adaptation {
-            if let Some(s) = self.adapted.get(&dst) {
-                // The adaptation table's window is installed as the
-                // *initial* window; collisions still escalate it, as
-                // 802.11 requires.
-                return BackoffPolicy::Beb {
-                    cw_min: s.cw,
-                    cw_max: 1023,
-                };
-            }
+    /// Backoff policy of the pending frame's flow: the adaptation table's
+    /// window once a setting is installed (only HT adaptation installs
+    /// one).
+    fn effective_policy(&self) -> BackoffPolicy {
+        match self.flows[self.current_flow].setting {
+            // The adaptation table's window is installed as the
+            // *initial* window; collisions still escalate it, as 802.11
+            // requires.
+            Some(s) => BackoffPolicy::Beb {
+                cw_min: s.cw,
+                cw_max: 1023,
+            },
+            None => self.cfg.backoff,
         }
-        self.cfg.backoff
     }
 
     fn start_transmission(&mut self, out: &mut Vec<MacAction>) {
@@ -1072,92 +1043,85 @@ impl Mac {
                 dst: link.1,
             }));
         }
-        if self.cfg.features.selective_repeat {
-            if let Some(w) = self.arq_tx.get_mut(&p.dst) {
-                // A frame acked or abandoned between queueing and airtime
-                // has left the window; it needs no attempt bookkeeping.
-                let _ = w.mark_sent(p.seq);
-            }
+        if let Some(w) = &mut self.flows[self.current_flow].arq {
+            // A frame acked or abandoned between queueing and airtime
+            // has left the window; it needs no attempt bookkeeping.
+            let _ = w.mark_sent(p.seq);
         }
-        if self.cfg.features.rts_cts {
-            self.state = FlowState::TxRts;
-            let data_rate = self.rate_for(p.dst);
-            let data_bytes = comap_mac::frames::DATA_HEADER_BYTES + p.payload;
-            // NAV from the end of the RTS: SIFS + CTS + SIFS + data +
-            // SIFS + ACK.
-            let nav = self.cfg.phy.sifs()
-                + self
-                    .cfg
-                    .phy
-                    .frame_duration(comap_mac::frames::CTS_BYTES, self.cfg.phy.control_rate())
-                + self.cfg.phy.sifs()
-                + self.cfg.phy.frame_duration(data_bytes, data_rate)
-                + self.cfg.phy.sifs()
-                + self.cfg.phy.ack_duration();
-            let rts = Frame {
-                src: self.cfg.id,
-                dst: p.dst,
-                body: FrameBody::Rts { nav },
-                rate: self.cfg.phy.control_rate(),
-            };
-            out.push(MacAction::Transmit(rts));
+        let phy = self.cfg.phy;
+        if !self.cfg.features.rts_cts && !self.cfg.features.discovery_header {
+            self.send_data(p, out);
             return;
         }
-        if self.cfg.features.discovery_header {
-            self.state = FlowState::TxHeader;
-            let data_rate = self.rate_for(p.dst);
-            let data_bytes = comap_mac::frames::DATA_HEADER_BYTES + p.payload;
-            let data_duration = self.cfg.phy.frame_duration(data_bytes, data_rate);
-            let header = Frame {
-                src: self.cfg.id,
-                dst: p.dst,
-                body: FrameBody::Discovery { data_duration },
-                rate: self.cfg.phy.header_rate(),
-            };
-            out.push(MacAction::Transmit(header));
+        // RTS and discovery header both announce the data's airtime.
+        let data_rate = self.rate_for();
+        let data_air =
+            phy.frame_duration(comap_mac::frames::DATA_HEADER_BYTES + p.payload, data_rate);
+        let (state, body, rate) = if self.cfg.features.rts_cts {
+            // NAV from the end of the RTS: SIFS + CTS + SIFS + data +
+            // SIFS + ACK.
+            let nav = phy.sifs()
+                + self.cts_air()
+                + phy.sifs()
+                + data_air
+                + phy.sifs()
+                + phy.ack_duration();
+            (FlowState::TxRts, FrameBody::Rts { nav }, phy.control_rate())
         } else {
-            self.state = FlowState::TxData;
-            let frame = self.data_frame(p, out);
-            out.push(MacAction::Transmit(frame));
-        }
+            let body = FrameBody::Discovery {
+                data_duration: data_air,
+            };
+            (FlowState::TxHeader, body, phy.header_rate())
+        };
+        self.state = state;
+        out.push(MacAction::Transmit(Frame {
+            src: self.cfg.id,
+            dst: p.dst,
+            body,
+            rate,
+        }));
     }
 
-    fn data_frame(&mut self, p: PendingFrame, out: &mut Vec<MacAction>) -> Frame {
+    /// Puts the pending frame's data on the air.
+    fn send_data(&mut self, p: PendingFrame, out: &mut Vec<MacAction>) {
+        self.state = FlowState::TxData;
         out.push(MacAction::Emit(SimEvent::FrameTx {
             node: self.cfg.id,
             dst: p.dst,
             seq: p.seq,
             attempt: p.attempt,
         }));
-        let rate = self.rate_for(p.dst);
+        let rate = self.rate_for();
         self.last_data_rate = Some(rate);
-        Frame {
+        out.push(MacAction::Transmit(Frame {
             src: self.cfg.id,
             dst: p.dst,
             body: FrameBody::Data {
                 seq: p.seq,
                 payload_bytes: p.payload,
-                retry: p.retry,
+                retry: p.attempt > 0,
             },
             rate,
-        }
+        }));
     }
 
-    fn rate_for(&mut self, dst: NodeId) -> Rate {
+    /// Data rate for the pending frame's flow.
+    fn rate_for(&mut self) -> Rate {
+        let standard = self.cfg.phy.standard();
+        let flow = &mut self.flows[self.current_flow];
         if matches!(self.cfg.rate_ctl, RateController::Minstrel) {
-            let standard = self.cfg.phy.standard();
-            return self
+            return flow
                 .minstrel
-                .entry(dst)
-                .or_insert_with(|| Minstrel::new(standard))
+                .get_or_insert_with(|| Minstrel::new(standard))
                 .select();
         }
+        let dst = flow.dst;
         let interferer = self
             .opportunity
             .map(|op| self.cfg.true_positions[op.link.0 .0]);
         self.cfg.rate_ctl.select(
             &self.cfg.channel,
-            self.cfg.phy.standard(),
+            standard,
             self.cfg.true_positions[self.cfg.id.0],
             self.cfg.true_positions[dst.0],
             interferer,
@@ -1168,30 +1132,36 @@ impl Mac {
     // Exposed-terminal logic
     // ------------------------------------------------------------------
 
-    fn consider_opportunity(
+    /// A discovery header or an in-band announcement revealed `link`,
+    /// whose data ends at `data_end`. The data starts now: right after a
+    /// separate header, or already on the air for an in-band one.
+    fn header_heard(
         &mut self,
-        header: Frame,
-        data_duration: SimDuration,
-        _rssi: Dbm,
+        link: (NodeId, NodeId),
+        data_end: SimTime,
         ctx: MacCtx,
         out: &mut Vec<MacAction>,
     ) {
-        if !self.cfg.features.et_concurrency {
-            return;
+        out.push(MacAction::Emit(SimEvent::HeaderHeard {
+            node: self.cfg.id,
+            src: link.0,
+            dst: link.1,
+        }));
+        if self.cfg.features.et_concurrency {
+            // Remember the discovery even when we cannot act on it right
+            // now: a frame admitted mid-transmission re-checks it.
+            self.ongoing = Some((link, ctx.now, data_end));
+            self.try_enter_opportunity(ctx, out);
         }
-        // Remember the discovery even when we cannot act on it right now:
-        // a frame admitted mid-transmission re-checks it.
-        self.ongoing = Some(((header.src, header.dst), ctx.now, ctx.now + data_duration));
-        self.try_enter_opportunity(ctx, out);
     }
 
     /// Attempts to convert the last discovered ongoing transmission into
     /// an exposed-terminal opportunity for the pending frame.
     fn try_enter_opportunity(&mut self, ctx: MacCtx, out: &mut Vec<MacAction>) {
-        if !self.cfg.features.et_concurrency || self.opportunity.is_some() {
-            return;
-        }
-        if self.state != FlowState::Contend {
+        if !self.cfg.features.et_concurrency
+            || self.opportunity.is_some()
+            || self.state != FlowState::Contend
+        {
             return;
         }
         let Some(((src, dst), data_start, until)) = self.ongoing else {
@@ -1217,13 +1187,7 @@ impl Mac {
         // Joining after the data frame is already on the air: the current
         // ambient power *is* RSSI₁. Joining at discovery time: the data
         // has not started, so the watchdog arms on the first clear rise.
-        let sched = if ctx.now > data_start {
-            self.proto
-                .as_ref()
-                .map(|pr| pr.arm_scheduler(ctx.sensed.to_dbm()))
-        } else {
-            None
-        };
+        let sched = (ctx.now > data_start).then(|| proto.arm_scheduler(ctx.sensed.to_dbm()));
         self.opportunity = Some(Opportunity {
             link: (src, dst),
             until,
@@ -1245,20 +1209,12 @@ impl Mac {
         if ctx.transmitting {
             return true;
         }
-        match &self.opportunity {
-            Some(op) => match &op.sched {
-                // Armed: the watchdog alone decides (abandon is handled in
-                // on_sense; if we are still in the opportunity, the
-                // channel counts as clear).
-                Some(_) => false,
-                // Header decoded but data not yet on the air: clear.
-                None => false,
-            },
-            None => {
-                ctx.now < self.nav_until
-                    || ctx.sensed.to_dbm() >= self.cfg.t_cs
-                    || (self.cfg.preamble_cs && ctx.locked)
-            }
-        }
+        // Inside an opportunity the channel counts as clear: before the
+        // announced data is on the air trivially, and once the watchdog
+        // is armed because it alone decides (on_sense handles abandon).
+        self.opportunity.is_none()
+            && (ctx.now < self.nav_until
+                || ctx.sensed.to_dbm() >= self.cfg.t_cs
+                || (self.cfg.preamble_cs && ctx.locked))
     }
 }

@@ -58,9 +58,14 @@ impl Simulator {
     /// Builds the simulation: medium, protocols (fed with *reported*
     /// positions — true positions plus the configured error), MACs and
     /// the initial traffic kicks.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the [`ConfigError`](crate::config::ConfigError), if
+    /// `cfg` fails [`SimConfig::validate`].
     pub fn new(cfg: SimConfig) -> Self {
+        assert_eq!(cfg.validate(), Ok(()), "invalid simulation config");
         let n = cfg.nodes.len();
-        assert!(n > 0, "a simulation needs at least one node");
         let true_positions: Vec<Position> = cfg.nodes.iter().map(|s| s.position).collect();
 
         // Independent, seed-derived RNG streams.

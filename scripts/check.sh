@@ -21,11 +21,13 @@ echo "==> simlint --workspace (static invariants, hard gate)"
 # Suppression budgets: the rng-discipline migration is complete (all
 # five sequential-draw sites are on counter-keyed streams, DESIGN.md
 # §11) so its budget is 0 — any new sequential draw is a hard failure.
-# match-exhaustive keeps its two deliberate sink projections.
+# match-exhaustive keeps its two deliberate sink projections. The
+# panic-policy budget only goes down: lower it whenever an allow goes.
 cargo run -q -p comap-lint --bin simlint -- --workspace \
     --max-allows shard-safety=0 \
     --max-allows rng-discipline=0 \
     --max-allows match-exhaustive=2 \
+    --max-allows panic-policy=19 \
     --json target/simlint.json
 
 echo "==> tier-1: cargo build --release"
