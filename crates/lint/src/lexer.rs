@@ -6,8 +6,10 @@
 //! disambiguation, nested block comments, raw strings, and multi-char
 //! operators (`::`, `==`, `=>`, ...). It also extracts
 //! `// simlint: allow(<rule>) — <reason>` suppression directives from
-//! comments and computes which tokens sit inside `#[cfg(test)]`-gated
-//! items, so rules can scope themselves to non-test library code.
+//! comments and pairs every `(`/`[`/`{` with its closer in one pass.
+//! That partner table is the file's only delimiter matcher: the
+//! `#[cfg(test)]` regions computed here, the item model in
+//! [`crate::tree`] and the rules all read it.
 
 /// The coarse kind of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +73,11 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// All `simlint:` directives found in comments.
     pub directives: Vec<Directive>,
+    /// Delimiter partner table: `partner[open] == close` and
+    /// `partner[close] == open` for every matched `(`/`[`/`{` pair,
+    /// `partner[i] == i` everywhere else, including every delimiter
+    /// left unpaired by unbalanced input.
+    pub partner: Vec<usize>,
     /// `in_test[i]` is `true` when `tokens[i]` is inside a
     /// `#[cfg(test)]`-gated item.
     pub in_test: Vec<bool>,
@@ -82,7 +89,8 @@ const MULTI_PUNCT: [&str; 23] = [
     "+=", "-=", "*=", "/=", "%=", "^=", "|=", "&=",
 ];
 
-/// Scans `src` into tokens, directives and test-region marks.
+/// Scans `src` into tokens, directives, the delimiter partner table
+/// and test-region marks.
 pub fn lex(src: &str) -> Lexed {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
@@ -266,12 +274,42 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
 
-    let in_test = mark_test_regions(&tokens);
+    let partner = pair_delimiters(&tokens);
+    let in_test = mark_test_regions(&tokens, &partner);
     Lexed {
         tokens,
         directives,
+        partner,
         in_test,
     }
+}
+
+/// Pairs every `(`/`[`/`{` with its closer. Unbalanced input degrades
+/// instead of failing: a closer pairs with the innermost open group of
+/// its own family and leaves any mismatched groups above that one
+/// unpaired, a closer with no such group stays unpaired, and groups
+/// still open at end of file stay unpaired.
+fn pair_delimiters(tokens: &[Token]) -> Vec<usize> {
+    let mut partner: Vec<usize> = (0..tokens.len()).collect();
+    let mut open: Vec<usize> = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        let opener = match t.text.as_str() {
+            "(" | "[" | "{" => {
+                open.push(i);
+                continue;
+            }
+            ")" => "(",
+            "]" => "[",
+            "}" => "{",
+            _ => continue,
+        };
+        if let Some(at) = open.iter().rposition(|&o| tokens[o].text == opener) {
+            partner[open[at]] = i;
+            partner[i] = open[at];
+            open.truncate(at);
+        }
+    }
+    partner
 }
 
 fn is_ident_start(b: u8) -> bool {
@@ -434,18 +472,16 @@ fn scan_directive(comment: &str, line: u32, out: &mut Vec<Directive>) {
 ///
 /// After a `#[cfg(test)]` attribute (including `cfg(all(test, ...))`),
 /// the gated item extends through any further attributes and then either
-/// to the first top-level `;` (bodyless items such as `use`) or to the
-/// matching `}` of the first `{`.
-fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
+/// to the first `;` outside a group (bodyless items such as `use`, and
+/// statements) or to the matching `}` of the first `{`.
+fn mark_test_regions(tokens: &[Token], partner: &[usize]) -> Vec<bool> {
     let mut marked = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
-        if let Some(after_attr) = cfg_test_attr_end(tokens, i) {
-            let end = item_end(tokens, after_attr);
-            for m in marked.iter_mut().take(end.min(tokens.len())).skip(i) {
-                *m = true;
-            }
-            i = end.max(i + 1);
+        if let Some(after_attr) = cfg_test_attr_end(tokens, partner, i) {
+            let end = gated_end(tokens, partner, after_attr);
+            marked[i..end].fill(true);
+            i = end;
         } else {
             i += 1;
         }
@@ -455,7 +491,7 @@ fn mark_test_regions(tokens: &[Token]) -> Vec<bool> {
 
 /// When `tokens[i..]` starts a `#[cfg(test)]`-style attribute, returns
 /// the index just past its closing `]`.
-fn cfg_test_attr_end(tokens: &[Token], i: usize) -> Option<usize> {
+fn cfg_test_attr_end(tokens: &[Token], partner: &[usize], i: usize) -> Option<usize> {
     if !(tokens.get(i)?.is_punct("#")
         && tokens.get(i + 1)?.is_punct("[")
         && tokens.get(i + 2)?.is_ident("cfg")
@@ -463,86 +499,41 @@ fn cfg_test_attr_end(tokens: &[Token], i: usize) -> Option<usize> {
     {
         return None;
     }
-    let mut depth = 1i32;
-    let mut j = i + 4;
+    let close = partner[i + 3];
+    if close <= i + 3 || !tokens.get(close + 1)?.is_punct("]") {
+        return None;
+    }
     let mut saw_test = false;
-    while j < tokens.len() && depth > 0 {
-        let t = &tokens[j];
-        if t.is_punct("(") {
-            depth += 1;
-        } else if t.is_punct(")") {
-            depth -= 1;
-        } else if depth == 1 && t.is_ident("not") {
-            // `#[cfg(not(test))]` gates *non*-test code: skip its argument.
-            let mut k = j + 1;
-            if tokens.get(k).is_some_and(|t| t.is_punct("(")) {
-                let mut d = 1i32;
-                k += 1;
-                while k < tokens.len() && d > 0 {
-                    if tokens[k].is_punct("(") {
-                        d += 1;
-                    } else if tokens[k].is_punct(")") {
-                        d -= 1;
-                    }
-                    k += 1;
-                }
-                j = k;
-                continue;
-            }
-        } else if t.is_ident("test") {
-            saw_test = true;
+    let mut j = i + 4;
+    while j < close {
+        // `#[cfg(not(test))]` gates *non*-test code: skip its argument.
+        if tokens[j].is_ident("not") && tokens[j + 1].is_punct("(") {
+            j = partner[j + 1].max(j + 1) + 1;
+            continue;
         }
-        j += 1;
+        let last = partner[j].max(j);
+        saw_test |= tokens[j..=last].iter().any(|t| t.is_ident("test"));
+        j = last + 1;
     }
-    if saw_test && tokens.get(j).is_some_and(|t| t.is_punct("]")) {
-        Some(j + 1)
-    } else {
-        None
-    }
+    saw_test.then_some(close + 2)
 }
 
-/// Index just past the item starting at `tokens[i]` (attributes allowed).
-fn item_end(tokens: &[Token], mut i: usize) -> usize {
-    // Skip further attributes.
-    while tokens.get(i).is_some_and(|t| t.is_punct("#"))
-        && tokens.get(i + 1).is_some_and(|t| t.is_punct("["))
-    {
-        let mut depth = 0i32;
-        while i < tokens.len() {
-            if tokens[i].is_punct("[") {
-                depth += 1;
-            } else if tokens[i].is_punct("]") {
-                depth -= 1;
-                if depth == 0 {
-                    i += 1;
-                    break;
-                }
-            }
-            i += 1;
-        }
-    }
-    // Scan to the first top-level `;` or through the first brace block.
+/// Index just past the item gated by an attribute ending at `tokens[i]`:
+/// groups (further attributes included) are stepped over whole, up to
+/// the first `;` or through the first `{ .. }` block.
+fn gated_end(tokens: &[Token], partner: &[usize], mut i: usize) -> usize {
     while i < tokens.len() {
-        let t = &tokens[i];
-        if t.is_punct(";") {
+        if tokens[i].is_punct(";") {
             return i + 1;
         }
-        if t.is_punct("{") {
-            let mut depth = 0i32;
-            while i < tokens.len() {
-                if tokens[i].is_punct("{") {
-                    depth += 1;
-                } else if tokens[i].is_punct("}") {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                i += 1;
-            }
-            return i;
+        if tokens[i].is_punct("{") {
+            return if partner[i] > i {
+                partner[i] + 1
+            } else {
+                tokens.len()
+            };
         }
-        i += 1;
+        i = partner[i].max(i) + 1;
     }
     i
 }
@@ -636,6 +627,69 @@ mod tests {
             .position(|t| t.is_ident("unwrap"))
             .expect("unwrap token");
         assert!(!lexed.in_test[unwrap_idx]);
+    }
+
+    /// `in_test` of every occurrence of the identifier `name`, in order.
+    fn marks_of(src: &str, name: &str) -> Vec<bool> {
+        let lexed = lex(src);
+        lexed
+            .tokens
+            .iter()
+            .zip(&lexed.in_test)
+            .filter(|(t, _)| t.is_ident(name))
+            .map(|(_, &m)| m)
+            .collect()
+    }
+
+    #[test]
+    fn cfg_all_test_feature_gates_the_item() {
+        let src = "#[cfg(all(test, feature = \"x\"))]\nfn gated() { x.unwrap(); }\n\
+                   fn live() { y.unwrap(); }";
+        assert_eq!(marks_of(src, "unwrap"), vec![true, false]);
+        assert_eq!(marks_of(src, "live"), vec![false]);
+    }
+
+    #[test]
+    fn attribute_stack_after_cfg_test_stays_in_the_region() {
+        let src = "#[cfg(test)]\n#[allow(dead_code)]\nmod t { fn f() { x.unwrap(); } }\n\
+                   fn live() { y.unwrap(); }";
+        assert_eq!(marks_of(src, "unwrap"), vec![true, false]);
+        assert_eq!(marks_of(src, "t"), vec![true]);
+        assert_eq!(marks_of(src, "live"), vec![false]);
+    }
+
+    #[test]
+    fn cfg_test_fn_inside_impl_is_marked_alone() {
+        let src = "impl S {\n    #[cfg(test)]\n    fn helper(&self) { x.unwrap(); }\n\
+                   \x20   fn live(&self) { y.unwrap(); }\n}";
+        assert_eq!(marks_of(src, "unwrap"), vec![true, false]);
+        assert_eq!(marks_of(src, "helper"), vec![true]);
+        assert_eq!(marks_of(src, "live"), vec![false]);
+        assert_eq!(marks_of(src, "S"), vec![false]);
+    }
+
+    #[test]
+    fn cfg_test_statement_ends_at_its_semicolon() {
+        let src = "fn f() {\n    #[cfg(test)]\n    let a = x.unwrap();\n    let b = y.unwrap();\n}";
+        assert_eq!(marks_of(src, "unwrap"), vec![true, false]);
+        assert_eq!(marks_of(src, "a"), vec![true]);
+        assert_eq!(marks_of(src, "b"), vec![false]);
+        assert_eq!(marks_of(src, "f"), vec![false]);
+    }
+
+    #[test]
+    fn cfg_test_item_steps_over_groups_to_its_body() {
+        // The `;` inside `[u8; 4]` does not end the gated item.
+        let src = "#[cfg(test)]\nfn f(a: [u8; 4]) { x.unwrap(); }\nfn live() { y.unwrap(); }";
+        assert_eq!(marks_of(src, "unwrap"), vec![true, false]);
+    }
+
+    #[test]
+    fn partner_table_tolerates_unbalanced_input() {
+        let lexed = lex("( [ ) ] } {");
+        // `)` closes `(` and leaves the mismatched `[` unpaired; the
+        // stray `]` and `}` and the unclosed `{` stay unpaired too.
+        assert_eq!(lexed.partner, vec![2, 1, 0, 3, 4, 5]);
     }
 
     #[test]

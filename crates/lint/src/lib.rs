@@ -2,12 +2,14 @@
 //!
 //! A self-contained, offline static-analysis pass enforcing the project
 //! invariants the Rust compiler cannot see. The vendor tree has no
-//! `syn`, so analysis runs on a hand-rolled token scanner ([`lexer`])
-//! plus a brace-matched token-tree and item model ([`tree`]) — fn
-//! signatures, struct fields, enum variants, `use` paths and parsed
-//! `match` arms — precise enough for the rules below, and
-//! dependency-free so the linter builds even when its lint subjects do
-//! not.
+//! `syn`, so analysis runs on one hand-rolled syntax model per file.
+//! The token scanner ([`lexer`]) pairs every `(`/`[`/`{` with its
+//! closer in a single pass, and that one partner table feeds
+//! everything structural: the `#[cfg(test)]` regions, the item model
+//! ([`tree`]) of fn signatures, struct fields and enum variants, the
+//! parsed `match` arms, and the event-construction scan. It is precise
+//! enough for the rules below, and dependency-free so the linter builds
+//! even when its lint subjects do not.
 //!
 //! ## Rules
 //!

@@ -870,23 +870,16 @@ fn collect_event_constructions(lexed: &Lexed, out: &mut Vec<String>) {
             .get(j)
             .is_some_and(|t| t.is_punct("{") || t.is_punct("("))
         {
+            // An unclosed body runs to end of file.
             let open = j;
-            let mut depth = 0i32;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct("{") || t.is_punct("(") {
-                    depth += 1;
-                } else if t.is_punct("}") || t.is_punct(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
+            let close = match lexed.partner[open] {
+                close if close > open => close,
+                _ => toks.len(),
+            };
             // `Variant { .. }` is always a pattern.
-            wildcard_body = j == open + 2 && toks.get(open + 1).is_some_and(|t| t.is_punct(".."));
-            j += 1;
+            wildcard_body =
+                close == open + 2 && toks.get(open + 1).is_some_and(|t| t.is_punct(".."));
+            j = close + 1;
         }
         let next = toks.get(j);
         let is_pattern = wildcard_body

@@ -1,136 +1,22 @@
-//! Brace-matched token trees and the item-level source model.
+//! The item-level source model.
 //!
-//! The PR-4 rules ran directly on the flat token stream, which is
-//! precise enough for "this identifier is banned" but not for anything
-//! structural: match arms, function signatures, struct fields. This
-//! module adds the missing layer without pulling in `syn` (the vendor
-//! tree has none): [`build`] pairs every `(`/`[`/`{` with its closing
-//! delimiter, and [`FileModel::parse`] resolves the item skeleton on
-//! top — `fn` signatures (name, visibility, parsed parameter list,
-//! body range), `impl` and `mod` nesting, `struct` fields, `enum`
-//! variants, `use` paths, every `match` expression with its parsed
-//! arms, and an on-demand per-function `let`-binding scan.
+//! Flat token scans are precise enough for "this identifier is
+//! banned" but not for anything structural: match arms, function
+//! signatures, struct fields. This module adds that layer without
+//! pulling in `syn` (the vendor tree has none). [`FileModel::parse`]
+//! reads the lexer's delimiter partner table ([`Lexed::partner`]) to
+//! step over groups and resolves the item skeleton on top: `fn`
+//! signatures (name, visibility, parsed parameter list, body range),
+//! `impl` and `mod` nesting, `struct` fields, `enum` variants, every
+//! `match` expression with its parsed arms, and an on-demand
+//! per-function `let`-binding scan.
 //!
 //! The model is deliberately shallow: it resolves exactly as much
 //! structure as the rules in [`crate::rules`] consume, and it is
-//! tolerant — unbalanced delimiters close at end-of-file instead of
-//! failing, so a half-edited file still lints.
+//! tolerant — an unpaired delimiter is stepped over as a plain token,
+//! so a half-edited file still lints.
 
 use crate::lexer::{Lexed, TokKind, Token};
-
-/// One delimiter family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delim {
-    /// `(` … `)`
-    Paren,
-    /// `[` … `]`
-    Bracket,
-    /// `{` … `}`
-    Brace,
-}
-
-impl Delim {
-    fn of_open(text: &str) -> Option<Delim> {
-        Some(match text {
-            "(" => Delim::Paren,
-            "[" => Delim::Bracket,
-            "{" => Delim::Brace,
-            _ => return None,
-        })
-    }
-
-    fn of_close(text: &str) -> Option<Delim> {
-        Some(match text {
-            ")" => Delim::Paren,
-            "]" => Delim::Bracket,
-            "}" => Delim::Brace,
-            _ => return None,
-        })
-    }
-}
-
-/// One node of the token tree: a plain token or a delimited group.
-#[derive(Debug)]
-pub enum Tree {
-    /// Index of a non-delimiter token.
-    Leaf(usize),
-    /// A delimited group; `open`/`close` are the delimiter token
-    /// indices (`close == open` when the group never closed).
-    Group {
-        /// Which delimiter family opened the group.
-        delim: Delim,
-        /// Token index of the opening delimiter.
-        open: usize,
-        /// Token index of the closing delimiter.
-        close: usize,
-        /// Children, in source order.
-        children: Vec<Tree>,
-    },
-}
-
-/// Builds the token forest and the partner table for `tokens`:
-/// `partner[open] == close` and `partner[close] == open` for every
-/// matched delimiter pair, `partner[i] == i` everywhere else.
-pub fn build(tokens: &[Token]) -> (Vec<Tree>, Vec<usize>) {
-    let mut partner: Vec<usize> = (0..tokens.len()).collect();
-    let mut stack: Vec<(Delim, usize, Vec<Tree>)> = Vec::new();
-    let mut top: Vec<Tree> = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Punct {
-            current(&mut stack, &mut top).push(Tree::Leaf(i));
-            continue;
-        }
-        if let Some(d) = Delim::of_open(&t.text) {
-            stack.push((d, i, Vec::new()));
-        } else if let Some(d) = Delim::of_close(&t.text) {
-            // Close the innermost frame of the same family; tolerate
-            // stray closers and mismatches by closing what is open.
-            if stack.iter().any(|(fd, _, _)| *fd == d) {
-                while let Some((fd, open, children)) = stack.pop() {
-                    let close = if fd == d { i } else { open };
-                    if fd == d {
-                        partner[open] = i;
-                        partner[i] = open;
-                    }
-                    let group = Tree::Group {
-                        delim: fd,
-                        open,
-                        close,
-                        children,
-                    };
-                    current(&mut stack, &mut top).push(group);
-                    if fd == d {
-                        break;
-                    }
-                }
-            }
-            // A closer with no matching opener is dropped.
-        } else {
-            current(&mut stack, &mut top).push(Tree::Leaf(i));
-        }
-    }
-    // Unclosed groups at EOF collapse upward.
-    while let Some((delim, open, children)) = stack.pop() {
-        let group = Tree::Group {
-            delim,
-            open,
-            close: open,
-            children,
-        };
-        current(&mut stack, &mut top).push(group);
-    }
-    (top, partner)
-}
-
-fn current<'a>(
-    stack: &'a mut [(Delim, usize, Vec<Tree>)],
-    top: &'a mut Vec<Tree>,
-) -> &'a mut Vec<Tree> {
-    match stack.last_mut() {
-        Some((_, _, children)) => children,
-        None => top,
-    }
-}
 
 /// A half-open token index range `[start, end)`.
 pub type Range = (usize, usize);
@@ -209,13 +95,6 @@ pub enum Item {
     Impl(Vec<Item>),
     /// A `mod name { … }` block; children are its items.
     Mod(Vec<Item>),
-    /// A `use` declaration, path joined without whitespace.
-    Use {
-        /// The joined path text (`std::rc::Rc`, braces flattened out).
-        path: String,
-        /// 1-based line of the `use` keyword.
-        line: u32,
-    },
 }
 
 /// One parsed match arm.
@@ -223,8 +102,6 @@ pub enum Item {
 pub struct Arm {
     /// Token range of the pattern, guard excluded.
     pub pat: Range,
-    /// Whether an `if` guard follows the pattern.
-    pub has_guard: bool,
     /// 1-based line the pattern starts on.
     pub line: u32,
 }
@@ -245,8 +122,8 @@ pub struct MatchExpr {
 pub struct FileModel<'a> {
     /// The underlying token stream.
     pub tokens: &'a [Token],
-    /// Delimiter partner table (see [`build`]).
-    pub partner: Vec<usize>,
+    /// The lexer's delimiter partner table ([`Lexed::partner`]).
+    pub partner: &'a [usize],
     /// The item skeleton (top level; `impl`/`mod` nest inside).
     pub items: Vec<Item>,
     /// Every `match` expression in the file, in source order.
@@ -257,9 +134,9 @@ impl<'a> FileModel<'a> {
     /// Parses the item skeleton and all match expressions of `lexed`.
     pub fn parse(lexed: &'a Lexed) -> FileModel<'a> {
         let tokens = &lexed.tokens;
-        let (_, partner) = build(tokens);
-        let items = parse_items(tokens, &partner, 0, tokens.len());
-        let matches = parse_matches(tokens, &partner);
+        let partner = &lexed.partner;
+        let items = parse_items(tokens, partner, 0, tokens.len());
+        let matches = parse_matches(tokens, partner);
         FileModel {
             tokens,
             partner,
@@ -286,13 +163,6 @@ impl<'a> FileModel<'a> {
     pub fn enums(&self) -> Vec<&EnumItem> {
         let mut out = Vec::new();
         collect_enums(&self.items, &mut out);
-        out
-    }
-
-    /// Every `use` path in the file, nesting flattened.
-    pub fn use_paths(&self) -> Vec<(&str, u32)> {
-        let mut out = Vec::new();
-        collect_uses(&self.items, &mut out);
         out
     }
 
@@ -458,16 +328,6 @@ fn collect_enums<'a>(items: &'a [Item], out: &mut Vec<&'a EnumItem>) {
     }
 }
 
-fn collect_uses<'a>(items: &'a [Item], out: &mut Vec<(&'a str, u32)>) {
-    for item in items {
-        match item {
-            Item::Use { path, line } => out.push((path, *line)),
-            Item::Impl(children) | Item::Mod(children) => collect_uses(children, out),
-            _ => {}
-        }
-    }
-}
-
 /// Parses one item level: the token range `[start, end)` must sit at a
 /// single nesting depth (the whole file, a `mod` body, an `impl`
 /// body). Function bodies are *not* descended into — statements are
@@ -477,9 +337,8 @@ fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
     let mut i = start;
     while i < end.min(tokens.len()) {
         let t = &tokens[i];
-        // Skip attributes wholesale.
-        if t.is_punct("#") && tokens.get(i + 1).is_some_and(|n| n.is_punct("[")) {
-            i = partner[i + 1].max(i + 1) + 1;
+        if let Some(next) = attr_end(tokens, partner, i) {
+            i = next;
             continue;
         }
         if t.kind != TokKind::Ident {
@@ -490,14 +349,9 @@ fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
             continue;
         }
         match t.text.as_str() {
-            "use" => {
-                let (path, next) = join_use_path(tokens, partner, i + 1, end);
-                items.push(Item::Use { path, line: t.line });
-                i = next;
-            }
+            "use" => i = skip_to_semi(tokens, partner, i, end),
             "mod" => {
-                if let Some((name_idx, open)) = named_block(tokens, partner, i, end) {
-                    let _ = name_idx;
+                if let Some(open) = named_block(tokens, partner, i, end) {
                     let close = partner[open];
                     items.push(Item::Mod(parse_items(tokens, partner, open + 1, close)));
                     i = close + 1;
@@ -541,23 +395,14 @@ fn parse_items(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
     items
 }
 
-/// `mod name {`: returns `(name index, brace index)`.
-fn named_block(
-    tokens: &[Token],
-    partner: &[usize],
-    kw: usize,
-    end: usize,
-) -> Option<(usize, usize)> {
-    let name = kw + 1;
-    if tokens.get(name)?.kind != TokKind::Ident {
+/// `mod name {`: returns the brace index.
+fn named_block(tokens: &[Token], partner: &[usize], kw: usize, end: usize) -> Option<usize> {
+    if tokens.get(kw + 1)?.kind != TokKind::Ident {
         return None;
     }
-    let open = name + 1;
-    if open < end && tokens.get(open).is_some_and(|t| t.is_punct("{")) && partner[open] > open {
-        Some((name, open))
-    } else {
-        None
-    }
+    let open = kw + 2;
+    (open < end && tokens.get(open).is_some_and(|t| t.is_punct("{")) && partner[open] > open)
+        .then_some(open)
 }
 
 fn skip_to_semi(tokens: &[Token], partner: &[usize], mut i: usize, end: usize) -> usize {
@@ -590,27 +435,33 @@ fn next_brace(tokens: &[Token], partner: &[usize], mut i: usize, end: usize) -> 
     None
 }
 
-/// Joins the `use` path tokens into one string and returns the index
-/// past the terminating `;`.
-fn join_use_path(tokens: &[Token], partner: &[usize], mut i: usize, end: usize) -> (String, usize) {
-    let mut path = String::new();
-    while i < end.min(tokens.len()) {
-        let t = &tokens[i];
-        if t.is_punct(";") {
-            return (path, i + 1);
-        }
-        if t.is_punct("{") && partner[i] > i {
-            // Flatten grouped imports: keep the inner text verbatim.
-            for inner in &tokens[i + 1..partner[i]] {
-                path.push_str(&inner.text);
-            }
-            i = partner[i] + 1;
-            continue;
-        }
-        path.push_str(&t.text);
-        i += 1;
+/// When `tokens[i..]` starts an attribute `#[ … ]`, the index past it.
+fn attr_end(tokens: &[Token], partner: &[usize], i: usize) -> Option<usize> {
+    (tokens.get(i)?.is_punct("#") && tokens.get(i + 1)?.is_punct("["))
+        .then(|| partner[i + 1].max(i + 1) + 1)
+}
+
+/// Index past the generic parameter list starting at `tokens[j]`, or
+/// `j` when there is none. An angle-depth walk; groups inside, e.g.
+/// `Fn(u32) -> u64` bounds, are stepped over via the partner table.
+fn skip_generics(tokens: &[Token], partner: &[usize], mut j: usize, end: usize) -> usize {
+    if !tokens.get(j).is_some_and(|t| t.is_punct("<")) {
+        return j;
     }
-    (path, i)
+    let mut depth = 0i32;
+    while j < end.min(tokens.len()) {
+        match tokens[j].text.as_str() {
+            "<" => depth += 1,
+            ">" => depth -= 1,
+            ">>" => depth -= 2,
+            _ => j = partner[j].max(j),
+        }
+        j += 1;
+        if depth <= 0 {
+            break;
+        }
+    }
+    j
 }
 
 /// Parses `fn name <generics?> (params) -> ret? { body }?` starting at
@@ -620,28 +471,7 @@ fn parse_fn(tokens: &[Token], partner: &[usize], kw: usize, end: usize) -> (Opti
         return (None, kw + 1);
     };
     let is_pub = fn_is_pub(tokens, partner, kw);
-    let mut j = kw + 2;
-    // Skip generic parameters (angle-depth walk; `(` groups inside,
-    // e.g. `Fn(u32) -> u64` bounds, are skipped via the partner table).
-    if tokens.get(j).is_some_and(|t| t.is_punct("<")) {
-        let mut depth = 0i32;
-        while j < end.min(tokens.len()) {
-            match tokens[j].text.as_str() {
-                "<" => depth += 1,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {
-                    if partner[j] > j {
-                        j = partner[j];
-                    }
-                }
-            }
-            j += 1;
-            if depth <= 0 {
-                break;
-            }
-        }
-    }
+    let j = skip_generics(tokens, partner, kw + 2, end);
     if !tokens.get(j).is_some_and(|t| t.is_punct("(")) || partner[j] <= j {
         return (None, kw + 2);
     }
@@ -776,23 +606,7 @@ fn parse_struct(
     let Some(name_tok) = tokens.get(kw + 1).filter(|t| t.kind == TokKind::Ident) else {
         return (None, kw + 1);
     };
-    let mut j = kw + 2;
-    // Skip generics.
-    if tokens.get(j).is_some_and(|t| t.is_punct("<")) {
-        let mut depth = 0i32;
-        while j < end.min(tokens.len()) {
-            match tokens[j].text.as_str() {
-                "<" => depth += 1,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            j += 1;
-            if depth <= 0 {
-                break;
-            }
-        }
-    }
+    let j = skip_generics(tokens, partner, kw + 2, end);
     let mut fields = Vec::new();
     let resume;
     if tokens.get(j).is_some_and(|t| t.is_punct("(")) && partner[j] > j {
@@ -849,8 +663,8 @@ fn parse_field(tokens: &[Token], partner: &[usize], start: usize, end: usize) ->
     // Skip attributes and visibility.
     while i < end {
         let t = &tokens[i];
-        if t.is_punct("#") && tokens.get(i + 1).is_some_and(|n| n.is_punct("[")) {
-            i = partner[i + 1].max(i + 1) + 1;
+        if let Some(next) = attr_end(tokens, partner, i) {
+            i = next;
         } else if t.is_ident("pub") {
             i += 1;
             if tokens.get(i).is_some_and(|t| t.is_punct("(")) && partner[i] > i {
@@ -890,8 +704,8 @@ fn parse_enum(
     let mut expect_variant = true;
     while i < close {
         let t = &tokens[i];
-        if t.is_punct("#") && tokens.get(i + 1).is_some_and(|n| n.is_punct("[")) {
-            i = partner[i + 1].max(i + 1) + 1;
+        if let Some(next) = attr_end(tokens, partner, i) {
+            i = next;
             continue;
         }
         if t.is_punct(",") {
@@ -958,11 +772,11 @@ fn parse_arms(tokens: &[Token], partner: &[usize], start: usize, end: usize) -> 
     let mut i = start;
     while i < end.min(tokens.len()) {
         // Skip arm attributes.
-        while i < end
-            && tokens[i].is_punct("#")
-            && tokens.get(i + 1).is_some_and(|n| n.is_punct("["))
-        {
-            i = partner[i + 1].max(i + 1) + 1;
+        while i < end {
+            let Some(next) = attr_end(tokens, partner, i) else {
+                break;
+            };
+            i = next;
         }
         if i >= end {
             break;
@@ -989,7 +803,6 @@ fn parse_arms(tokens: &[Token], partner: &[usize], start: usize, end: usize) -> 
         let pat_end = guard.unwrap_or(arrow);
         arms.push(Arm {
             pat: (pat_start, pat_end),
-            has_guard: guard.is_some(),
             line: tokens[pat_start].line,
         });
         // Arm body: a brace group, or tokens up to the top-level comma.
@@ -1024,7 +837,7 @@ mod tests {
     #[test]
     fn partner_table_pairs_delimiters() {
         let lexed = lex("fn f(a: u32) { g([1, 2]); }");
-        let (_, partner) = build(&lexed.tokens);
+        let partner = &lexed.partner;
         for (i, t) in lexed.tokens.iter().enumerate() {
             if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
                 assert!(partner[i] > i, "opener {i} unpaired");
@@ -1037,8 +850,7 @@ mod tests {
     fn unbalanced_input_does_not_panic() {
         for src in ["fn f( {", "}}}", "fn f) { ]"] {
             let lexed = lex(src);
-            let (_, partner) = build(&lexed.tokens);
-            assert_eq!(partner.len(), lexed.tokens.len());
+            assert_eq!(lexed.partner.len(), lexed.tokens.len());
             let _ = FileModel::parse(&lexed);
         }
     }
@@ -1091,7 +903,11 @@ mod tests {
             model.arm_is_wildcard(&m.arms[2]),
             "guarded `_` is a wildcard arm"
         );
-        assert!(m.arms[2].has_guard);
+        assert_eq!(
+            m.arms[2].pat.1 - m.arms[2].pat.0,
+            1,
+            "the guard is not part of the pattern"
+        );
     }
 
     #[test]
@@ -1113,14 +929,6 @@ mod tests {
         assert_eq!(lets[0].name, "rng");
         assert!(model.range_mentions_path(lets[0].init, "StdRng"));
         assert_eq!(lets[1].name, "t");
-    }
-
-    #[test]
-    fn use_paths_join() {
-        let lexed = lex("use std::rc::Rc;\nmod m { use std::cell::{Cell, RefCell}; }");
-        let model = FileModel::parse(&lexed);
-        let paths: Vec<&str> = model.use_paths().iter().map(|(p, _)| *p).collect();
-        assert_eq!(paths, vec!["std::rc::Rc", "std::cell::Cell,RefCell"]);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! the binary runs, so `cargo test` alone catches a regression even if
 //! CI's dedicated simlint step is skipped.
 
-use std::path::PathBuf;
+use std::fs;
+use std::path::{Path, PathBuf};
 
-use comap_lint::report::{check_budgets, parse_budget, tally_allows};
+use comap_lint::report::{parse_budget, tally_allows, Budget};
 use comap_lint::{collect_sources, lint_files};
 
 fn workspace_root() -> PathBuf {
@@ -40,21 +41,61 @@ fn workspace_is_clean_with_empty_baseline() {
     );
 }
 
-/// The rng-discipline migration is complete: the allowlist is empty,
-/// and every budget the CI gate enforces (`--max-allows` in
-/// scripts/check.sh and ci.yml) holds at HEAD. A new sequential draw —
-/// or a new wildcard `SimEvent` arm — must be *fixed*, not suppressed;
-/// suppressing it trips this test the same way it would trip CI.
+/// Every `--max-allows <rule>=<n>` budget passed on a non-comment line
+/// of `text` (a shell script or workflow file), sorted by rule.
+fn max_allows(text: &str) -> Vec<Budget> {
+    let mut budgets = Vec::new();
+    for line in text.lines().filter(|l| !l.trim_start().starts_with('#')) {
+        let mut words = line.split_whitespace();
+        while let Some(word) = words.next() {
+            if word == "--max-allows" {
+                let spec = words.next().expect("--max-allows takes a value");
+                budgets.push(parse_budget(spec).unwrap_or_else(|| panic!("bad budget {spec}")));
+            }
+        }
+    }
+    budgets.sort_by(|a, b| a.rule.cmp(&b.rule));
+    budgets
+}
+
+/// The budgets of the simlint gate in scripts/check.sh, the one list.
+fn check_sh_budgets(root: &Path) -> Vec<Budget> {
+    let script = fs::read_to_string(root.join("scripts/check.sh")).expect("scripts/check.sh");
+    let budgets = max_allows(&script);
+    assert!(
+        !budgets.is_empty(),
+        "scripts/check.sh passes no --max-allows"
+    );
+    budgets
+}
+
+#[test]
+fn ci_passes_the_check_sh_budgets() {
+    let root = workspace_root();
+    let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    assert_eq!(
+        max_allows(&ci),
+        check_sh_budgets(&root),
+        "ci.yml and scripts/check.sh must pass the identical --max-allows set"
+    );
+}
+
+/// The rng-discipline migration is complete: the allowlist is empty.
+/// Every budget in scripts/check.sh (and so in CI) equals the live
+/// tally, and every rule with a live allow has a budget: a new
+/// suppression trips the gate, and removing one without lowering its
+/// budget fails here. A new sequential draw — or a new wildcard
+/// `SimEvent` arm — must be *fixed*, not suppressed.
 #[test]
 fn suppression_budgets_hold_and_allowlist_is_exact() {
     let root = workspace_root();
     let files = collect_sources(&root).expect("workspace sources readable");
     let outcome = lint_files(&files);
     let tally = tally_allows(&outcome, &[]);
+    let count = |rule: &str| tally.get(rule).copied().unwrap_or_default().total();
 
-    let rng = tally.get("rng-discipline").copied().unwrap_or_default();
     assert_eq!(
-        rng.total(),
+        count("rng-discipline"),
         0,
         "rng-discipline budget is 0: the 5 migration-debt sites (medium \
          fast-fade, medium hazard-survival, mac retry backoff, mac fresh \
@@ -62,39 +103,35 @@ fn suppression_budgets_hold_and_allowlist_is_exact() {
          streams now — fix new sequential draws, never suppress them"
     );
     assert_eq!(
-        tally
-            .get("match-exhaustive")
-            .copied()
-            .unwrap_or_default()
-            .total(),
+        count("match-exhaustive"),
         2,
         "match-exhaustive projections are the two observer sinks only"
     );
     assert_eq!(
-        tally
-            .get("shard-safety")
-            .copied()
-            .unwrap_or_default()
-            .total(),
+        count("shard-safety"),
         0,
         "shard-safety has a zero budget: fix non-Send state, never suppress it"
     );
 
-    // The exact budgets CI passes via --max-allows.
-    let budgets: Vec<_> = ["shard-safety=0", "rng-discipline=0", "match-exhaustive=2"]
-        .iter()
-        .map(|s| parse_budget(s).expect("budget spec parses"))
-        .collect();
-    let violations = check_budgets(&tally, &budgets);
-    assert!(
-        violations.is_empty(),
-        "suppression budgets exceeded:\n{}",
-        violations
-            .iter()
-            .map(|f| f.message.as_str())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    let budgets = check_sh_budgets(&root);
+    for b in &budgets {
+        assert_eq!(
+            count(&b.rule),
+            b.max,
+            "scripts/check.sh budgets `{}` at {} but {} allow(s) remain — \
+             a budget must equal its tally",
+            b.rule,
+            b.max,
+            count(&b.rule)
+        );
+    }
+    for (rule, used) in &tally {
+        assert!(
+            used.total() == 0 || budgets.iter().any(|b| &b.rule == rule),
+            "`{rule}` has {} live allow(s) but no --max-allows budget in scripts/check.sh",
+            used.total()
+        );
+    }
 }
 
 #[test]

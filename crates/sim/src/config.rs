@@ -220,8 +220,9 @@ pub struct SimConfig {
     /// position (the true position still governs the physics).
     pub position_error: Meters,
     /// Preamble capture: allow a stronger late frame to steal the
-    /// receiver lock. On by default (commodity behaviour); off for the
-    /// ablation bench.
+    /// receiver lock. On by default (commodity behaviour), and every
+    /// driver, including the ablation bench, leaves it on; only the
+    /// medium's own unit tests build a medium without capture.
     pub capture: bool,
     /// Preamble-based carrier sense: the channel also counts as busy
     /// while the receiver is locked onto a decodable frame, mirroring
