@@ -5,18 +5,20 @@
 //! module compares a freshly measured candidate profile against a
 //! pinned baseline and decides whether the difference is a regression.
 //!
-//! Two families of metrics get two very different tolerances:
+//! Two families of metrics get two very different bounds, both fixed
+//! here as constants:
 //!
-//! * **Deterministic counters** — `events`, `sim_nanos`, `queue_peak`,
-//!   per-type event counts and the link-cache recompute/lookup ratio
-//!   are bit-reproducible for a fixed binary and seed. The gate holds
-//!   them (near-)exactly: any drift means the simulation itself
-//!   changed, which must be an explicit, reviewed decision
-//!   (regenerate the envelope and say why in its `rationale`).
+//! * **Deterministic counters** — `events`, `sim_nanos`, `queue_peak`
+//!   and per-type event counts are bit-reproducible for a fixed binary
+//!   and seed, so they must equal the baseline's exactly: any drift
+//!   means the simulation itself changed, which must be an explicit,
+//!   reviewed decision (regenerate the envelope and say why in its
+//!   `rationale`). The link-cache recompute/lookup ratio may rise by at
+//!   most 0.05.
 //! * **Wall-clock metrics** — `events_per_sec` and per-type dispatch
 //!   cost vary with machine load, so they get loose multiplicative
-//!   envelopes, wide enough for CI-runner jitter yet tight enough that
-//!   a genuine 2× slowdown fails.
+//!   bounds, wide enough for CI-runner jitter yet tight enough that a
+//!   genuine 2× slowdown fails.
 //!
 //! Before any diff, both profiles must pass [`health_violation`]: a
 //! profile with no events, no simulated time, an empty queue, per-type
@@ -24,7 +26,7 @@
 //! than lookups is rejected outright.
 //!
 //! The pinned baseline lives in `results/BENCH_envelope.json` next to
-//! the raw artifacts: a [`RunProfile`] plus [`Tolerances`] plus a
+//! the raw artifacts: an [`Envelope`], which is a [`RunProfile`] plus a
 //! human-readable rationale for the last regeneration. The
 //! `bench_diff` binary applies it; see `scripts/check.sh` and the CI
 //! workflow for the wiring.
@@ -32,81 +34,21 @@
 use comap_sim::json::{check_schema_version, Json, SchemaError, SCHEMA_VERSION};
 use comap_sim::RunProfile;
 
-/// Per-metric tolerance envelopes applied by [`diff`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tolerances {
-    /// Maximum allowed `events_per_sec` slowdown factor
-    /// (baseline / candidate). Wall-clock: loose, but below 2.0 so a
-    /// doubled runtime always fails.
-    pub max_slowdown: f64,
-    /// Maximum allowed per-event-type dispatch-cost growth factor
-    /// (candidate ns/event over baseline ns/event). Wall-clock.
-    pub max_per_type_slowdown: f64,
-    /// Event types with fewer baseline events than this are exempt
-    /// from the per-type cost check — their timings are noise.
-    pub min_type_count: u64,
-    /// Maximum allowed relative drift of deterministic counters
-    /// (`events`, `sim_nanos`, `queue_peak`, per-type counts).
-    /// 0.0 demands exact equality.
-    pub max_count_drift: f64,
-    /// Maximum allowed absolute increase of the link-cache
-    /// recompute/lookup ratio over the baseline's.
-    pub max_recompute_ratio_increase: f64,
-}
+/// Largest allowed `events_per_sec` slowdown (baseline / candidate):
+/// loose, but below 2 so a doubled runtime always fails.
+const MAX_SLOWDOWN: f64 = 1.75;
+/// Largest allowed per-event-type dispatch-cost growth (candidate
+/// ns/event over baseline ns/event).
+const MAX_PER_TYPE_SLOWDOWN: f64 = 2.5;
+/// Event types with fewer baseline events than this are exempt from
+/// the per-type cost check — their timings are noise.
+const MIN_TYPE_COUNT: u64 = 200;
+/// Largest allowed absolute increase of the link-cache recompute/lookup
+/// ratio over the baseline's.
+const MAX_RECOMPUTE_RATIO_INCREASE: f64 = 0.05;
 
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            max_slowdown: 1.75,
-            max_per_type_slowdown: 2.5,
-            min_type_count: 200,
-            max_count_drift: 0.0,
-            max_recompute_ratio_increase: 0.05,
-        }
-    }
-}
-
-impl Tolerances {
-    /// Serializes the tolerances as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("max_slowdown", Json::Num(self.max_slowdown)),
-            (
-                "max_per_type_slowdown",
-                Json::Num(self.max_per_type_slowdown),
-            ),
-            ("min_type_count", Json::Uint(self.min_type_count)),
-            ("max_count_drift", Json::Num(self.max_count_drift)),
-            (
-                "max_recompute_ratio_increase",
-                Json::Num(self.max_recompute_ratio_increase),
-            ),
-        ])
-    }
-
-    /// Parses tolerances from their [`Tolerances::to_json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] when a field is absent or malformed.
-    pub fn from_json(v: &Json) -> Result<Tolerances, SchemaError> {
-        let malformed = || SchemaError::new("tolerances: missing or malformed field");
-        let num = |key: &str| v.get(key).and_then(Json::as_f64).ok_or_else(malformed);
-        Ok(Tolerances {
-            max_slowdown: num("max_slowdown")?,
-            max_per_type_slowdown: num("max_per_type_slowdown")?,
-            min_type_count: v
-                .get("min_type_count")
-                .and_then(Json::as_u64)
-                .ok_or_else(malformed)?,
-            max_count_drift: num("max_count_drift")?,
-            max_recompute_ratio_increase: num("max_recompute_ratio_increase")?,
-        })
-    }
-}
-
-/// A pinned baseline: profile, tolerances, and the reason it was last
-/// regenerated. Stored as `results/BENCH_envelope.json`.
+/// A pinned baseline and the reason it was last regenerated. Stored as
+/// `results/BENCH_envelope.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Which experiment/profile this envelope pins (e.g. `fig_scale`).
@@ -115,8 +57,6 @@ pub struct Envelope {
     pub rationale: String,
     /// The pinned baseline profile.
     pub baseline: RunProfile,
-    /// Tolerances applied when diffing against the baseline.
-    pub tolerances: Tolerances,
 }
 
 impl Envelope {
@@ -126,7 +66,6 @@ impl Envelope {
             ("schema_version", Json::Uint(SCHEMA_VERSION)),
             ("name", Json::str(self.name.clone())),
             ("rationale", Json::str(self.rationale.clone())),
-            ("tolerances", self.tolerances.to_json()),
             ("baseline", self.baseline.to_json()),
         ])
     }
@@ -136,22 +75,28 @@ impl Envelope {
     /// # Errors
     ///
     /// Returns a [`SchemaError`] when the `schema_version` stamp is
-    /// missing or mismatched, or when a field is absent or malformed.
+    /// missing or mismatched, when a field is absent or malformed, or
+    /// when the envelope still carries a `tolerances` object: the
+    /// bounds are constants of the gate, so a custom bound there would
+    /// otherwise be ignored silently.
     pub fn from_json(v: &Json) -> Result<Envelope, SchemaError> {
         check_schema_version(v, "bench envelope")?;
+        if v.get("tolerances").is_some() {
+            return Err(SchemaError::new(
+                "bench envelope: `tolerances` is not read (the bounds are fixed in \
+                 bench_diff); delete the object",
+            ));
+        }
         let malformed = || SchemaError::new("bench envelope: missing or malformed field");
+        let text = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(malformed)
+        };
         Ok(Envelope {
-            name: v
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(malformed)?
-                .to_string(),
-            rationale: v
-                .get("rationale")
-                .and_then(Json::as_str)
-                .ok_or_else(malformed)?
-                .to_string(),
-            tolerances: Tolerances::from_json(v.get("tolerances").ok_or_else(malformed)?)?,
+            name: text("name")?,
+            rationale: text("rationale")?,
             baseline: RunProfile::from_json(v.get("baseline").ok_or_else(malformed)?)?,
         })
     }
@@ -172,18 +117,6 @@ pub struct Delta {
     pub ok: bool,
 }
 
-impl Delta {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("metric", Json::str(self.metric.clone())),
-            ("baseline", Json::Num(self.baseline)),
-            ("candidate", Json::Num(self.candidate)),
-            ("bound", Json::str(self.bound.clone())),
-            ("ok", Json::Bool(self.ok)),
-        ])
-    }
-}
-
 /// Outcome of one envelope comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
@@ -200,18 +133,6 @@ impl DiffReport {
     /// The subset of deltas that broke their bound.
     pub fn violations(&self) -> Vec<&Delta> {
         self.deltas.iter().filter(|d| !d.ok).collect()
-    }
-
-    /// Serializes the report (verdict plus every delta) as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::Uint(SCHEMA_VERSION)),
-            ("passed", Json::Bool(self.passed())),
-            (
-                "deltas",
-                Json::Arr(self.deltas.iter().map(Delta::to_json).collect()),
-            ),
-        ])
     }
 
     /// Multi-line human-readable report: one line per metric, verdict
@@ -263,79 +184,50 @@ pub fn health_violation(p: &RunProfile) -> Option<&'static str> {
     .find_map(|(holds, invariant)| (!holds).then_some(invariant))
 }
 
-fn within_drift(baseline: f64, candidate: f64, drift: f64) -> bool {
-    // simlint: allow(float-eq) — both sides come from integer counters; 0 is exact
-    if baseline == 0.0 {
-        // simlint: allow(float-eq) — relative drift from zero is undefined; demand exact zero
-        return candidate == 0.0;
-    }
-    ((candidate - baseline) / baseline).abs() <= drift
-}
-
-fn count_delta(metric: &str, baseline: u64, candidate: u64, drift: f64) -> Delta {
-    Delta {
-        metric: metric.to_string(),
-        baseline: baseline as f64,
-        candidate: candidate as f64,
-        bound: if drift > 0.0 {
-            format!("deterministic, drift <= {:.1}%", drift * 100.0)
-        } else {
-            "deterministic, exact".to_string()
-        },
-        ok: within_drift(baseline as f64, candidate as f64, drift),
-    }
-}
-
-/// Compares a candidate profile against an envelope's baseline,
-/// applying its tolerances metric by metric.
+/// Compares a candidate profile against an envelope's baseline: the
+/// deterministic counters first, then the wall-clock metrics.
 pub fn diff(envelope: &Envelope, candidate: &RunProfile) -> DiffReport {
     let base = &envelope.baseline;
-    let tol = &envelope.tolerances;
-    let mut deltas = Vec::new();
+    let mut deltas = counter_deltas(base, candidate);
+    deltas.extend(wall_clock_deltas(base, candidate));
+    DiffReport { deltas }
+}
 
-    // Deterministic counters: exact (or near-exact) by construction.
-    deltas.push(count_delta(
-        "events",
-        base.events,
-        candidate.events,
-        tol.max_count_drift,
-    ));
-    deltas.push(count_delta(
-        "sim_nanos",
-        base.sim_nanos,
-        candidate.sim_nanos,
-        tol.max_count_drift,
-    ));
-    deltas.push(count_delta(
-        "queue_peak",
-        base.queue_peak,
-        candidate.queue_peak,
-        tol.max_count_drift,
-    ));
+fn count_delta(metric: String, baseline: u64, candidate: u64) -> Delta {
+    Delta {
+        metric,
+        baseline: baseline as f64,
+        candidate: candidate as f64,
+        bound: "deterministic, exact".to_string(),
+        ok: candidate == baseline,
+    }
+}
+
+/// The deterministic half of [`diff`]: counters that hold for a fixed
+/// binary and seed on any host and in any build profile.
+fn counter_deltas(base: &RunProfile, candidate: &RunProfile) -> Vec<Delta> {
+    let mut deltas = vec![
+        count_delta("events".to_string(), base.events, candidate.events),
+        count_delta("sim_nanos".to_string(), base.sim_nanos, candidate.sim_nanos),
+        count_delta(
+            "queue_peak".to_string(),
+            base.queue_peak,
+            candidate.queue_peak,
+        ),
+    ];
     for bt in &base.by_type {
         let cand = candidate
             .by_type
             .iter()
             .find(|ct| ct.name == bt.name)
-            .map(|ct| ct.count)
-            .unwrap_or(0);
-        deltas.push(count_delta(
-            &format!("count[{}]", bt.name),
-            bt.count,
-            cand,
-            tol.max_count_drift,
-        ));
+            .map_or(0, |ct| ct.count);
+        deltas.push(count_delta(format!("count[{}]", bt.name), bt.count, cand));
     }
     for ct in &candidate.by_type {
         if ct.count > 0 && !base.by_type.iter().any(|bt| bt.name == ct.name) {
             // A type the baseline has never seen: the simulation
             // changed shape — regenerate the envelope deliberately.
-            deltas.push(count_delta(
-                &format!("count[{}]", ct.name),
-                0,
-                ct.count,
-                0.0,
-            ));
+            deltas.push(count_delta(format!("count[{}]", ct.name), 0, ct.count));
         }
     }
 
@@ -354,25 +246,28 @@ pub fn diff(envelope: &Envelope, candidate: &RunProfile) -> DiffReport {
         metric: "recompute_per_lookup".to_string(),
         baseline: base_ratio,
         candidate: cand_ratio,
-        bound: format!("<= baseline + {:.3}", tol.max_recompute_ratio_increase),
-        ok: cand_ratio <= base_ratio + tol.max_recompute_ratio_increase,
+        bound: format!("<= baseline + {MAX_RECOMPUTE_RATIO_INCREASE:.3}"),
+        ok: cand_ratio <= base_ratio + MAX_RECOMPUTE_RATIO_INCREASE,
     });
+    deltas
+}
 
-    // Wall-clock throughput: loose envelope, slowdown-only. A faster
-    // candidate always passes.
+/// The wall-clock half of [`diff`]: slowdown-only bounds, so a faster
+/// candidate always passes.
+fn wall_clock_deltas(base: &RunProfile, candidate: &RunProfile) -> Vec<Delta> {
     let base_eps = base.events_per_sec();
     let cand_eps = candidate.events_per_sec();
-    deltas.push(Delta {
+    let mut deltas = vec![Delta {
         metric: "events_per_sec".to_string(),
         baseline: base_eps,
         candidate: cand_eps,
-        bound: format!("slowdown < {:.2}x", tol.max_slowdown),
-        ok: cand_eps * tol.max_slowdown > base_eps,
-    });
+        bound: format!("slowdown < {MAX_SLOWDOWN:.2}x"),
+        ok: cand_eps * MAX_SLOWDOWN > base_eps,
+    }];
 
     // Per-type dispatch cost, for types busy enough to time reliably.
     for bt in &base.by_type {
-        if bt.count < tol.min_type_count || bt.nanos == 0 {
+        if bt.count < MIN_TYPE_COUNT || bt.nanos == 0 {
             continue;
         }
         let Some(ct) = candidate
@@ -380,7 +275,7 @@ pub fn diff(envelope: &Envelope, candidate: &RunProfile) -> DiffReport {
             .iter()
             .find(|ct| ct.name == bt.name && ct.count > 0)
         else {
-            continue; // the count check above already flagged it
+            continue; // the counter half already flagged it
         };
         let base_cost = bt.nanos as f64 / bt.count as f64;
         let cand_cost = ct.nanos as f64 / ct.count as f64;
@@ -388,12 +283,11 @@ pub fn diff(envelope: &Envelope, candidate: &RunProfile) -> DiffReport {
             metric: format!("ns_per_event[{}]", bt.name),
             baseline: base_cost,
             candidate: cand_cost,
-            bound: format!("growth < {:.2}x", tol.max_per_type_slowdown),
-            ok: cand_cost < base_cost * tol.max_per_type_slowdown,
+            bound: format!("growth < {MAX_PER_TYPE_SLOWDOWN:.2}x"),
+            ok: cand_cost < base_cost * MAX_PER_TYPE_SLOWDOWN,
         });
     }
-
-    DiffReport { deltas }
+    deltas
 }
 
 #[cfg(test)]
@@ -442,7 +336,6 @@ mod tests {
             name: "fig_scale".to_string(),
             rationale: "test fixture".to_string(),
             baseline: baseline_profile(),
-            tolerances: Tolerances::default(),
         }
     }
 
@@ -576,11 +469,14 @@ mod tests {
     }
 
     #[test]
-    fn diff_report_json_carries_the_verdict() {
-        let report = diff(&envelope(), &baseline_profile());
-        let j = report.to_json();
-        assert_eq!(j.get("passed").and_then(Json::as_bool), Some(true));
-        assert!(j.get("deltas").and_then(Json::as_arr).is_some());
+    fn envelope_with_tolerances_is_rejected() {
+        // An envelope from before the bounds became constants: its
+        // custom bounds would be ignored, so the whole file is refused.
+        let text = envelope().to_json().to_string_compact();
+        let stale = text.replacen("\"baseline\"", "\"tolerances\":{},\"baseline\"", 1);
+        let err = Envelope::from_json(&Json::parse(&stale).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("bench envelope"), "{err}");
+        assert!(err.to_string().contains("tolerances"), "{err}");
     }
 
     #[test]
@@ -602,15 +498,9 @@ mod tests {
         assert_eq!(health_violation(&fresh), None);
         // Wall clock depends on the build and the host; the CI
         // bench_diff step gates it on a release build.
-        let counters_only = Envelope {
-            tolerances: Tolerances {
-                max_slowdown: f64::INFINITY,
-                max_per_type_slowdown: f64::INFINITY,
-                ..envelope.tolerances.clone()
-            },
-            ..envelope
+        let report = DiffReport {
+            deltas: counter_deltas(&envelope.baseline, &fresh),
         };
-        let report = diff(&counters_only, &fresh);
         assert!(report.passed(), "{}", report.summary());
     }
 }

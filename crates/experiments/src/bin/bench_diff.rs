@@ -4,68 +4,39 @@
 //! Usage:
 //!
 //! ```text
-//! bench_diff [--json] <candidate.json> [<envelope-or-baseline.json>]
+//! bench_diff <candidate.json> <envelope.json>
 //! ```
 //!
 //! The candidate is a [`RunProfile`] artifact as written by
-//! `--profile-json`. The second argument is either an envelope
-//! (`results/BENCH_envelope.json`, the default when omitted) or a bare
-//! `RunProfile` baseline, which is compared under default tolerances.
-//! `--json` emits the machine-readable delta report on stdout instead
-//! of the human table. Both profiles must pass the health invariants of
-//! [`health_violation`] before they are diffed.
+//! `--profile-json`. The second argument is an [`Envelope`] such as
+//! `results/BENCH_envelope.json`; any other file is a schema error.
+//! Both the candidate and the envelope's baseline must pass the health
+//! invariants of [`health_violation`] before they are diffed under the
+//! gate's fixed bounds.
 //!
 //! Exit codes: `0` pass, `1` unhealthy profile or regression detected,
 //! `2` usage / IO / schema error.
 
-use comap_experiments::bench_diff::{diff, health_violation, Envelope, Tolerances};
+use comap_experiments::bench_diff::{diff, health_violation, Envelope};
 use comap_sim::{Json, RunProfile};
 
-const DEFAULT_ENVELOPE: &str = "results/BENCH_envelope.json";
-
 fn main() {
-    let mut json_out = false;
-    let mut paths = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--json" {
-            json_out = true;
-        } else if arg.starts_with("--") {
-            usage(&format!("unknown flag {arg}"));
-        } else {
-            paths.push(arg);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        usage(&format!("unknown flag {flag}"));
     }
-    let (candidate_path, baseline_path) = match paths.as_slice() {
-        [c] => (c.clone(), DEFAULT_ENVELOPE.to_string()),
-        [c, b] => (c.clone(), b.clone()),
-        _ => usage("expected <candidate.json> [<envelope-or-baseline.json>]"),
+    let [candidate_path, envelope_path] = args.as_slice() else {
+        usage("expected <candidate.json> <envelope.json>");
     };
 
-    let candidate = match RunProfile::from_json(&load(&candidate_path)) {
-        Ok(p) => p,
-        Err(e) => fail(&format!("{candidate_path}: {e}")),
-    };
-    let baseline_json = load(&baseline_path);
-    // An envelope carries its own tolerances; a bare profile baseline
-    // gets the defaults.
-    let envelope = match Envelope::from_json(&baseline_json) {
-        Ok(envelope) => envelope,
-        Err(_) => match RunProfile::from_json(&baseline_json) {
-            Ok(profile) => Envelope {
-                name: baseline_path.clone(),
-                rationale: "ad-hoc baseline (default tolerances)".to_string(),
-                baseline: profile,
-                tolerances: Tolerances::default(),
-            },
-            Err(e) => fail(&format!(
-                "{baseline_path}: neither an envelope nor a run profile: {e}"
-            )),
-        },
-    };
+    let candidate = RunProfile::from_json(&load(candidate_path))
+        .unwrap_or_else(|e| fail(&format!("{candidate_path}: {e}")));
+    let envelope = Envelope::from_json(&load(envelope_path))
+        .unwrap_or_else(|e| fail(&format!("{envelope_path}: {e}")));
 
     for (path, profile) in [
-        (&candidate_path, &candidate),
-        (&baseline_path, &envelope.baseline),
+        (candidate_path, &candidate),
+        (envelope_path, &envelope.baseline),
     ] {
         if let Some(invariant) = health_violation(profile) {
             eprintln!("bench_diff: {path}: unhealthy profile, invariant violated: {invariant}");
@@ -74,15 +45,11 @@ fn main() {
     }
 
     let report = diff(&envelope, &candidate);
-    if json_out {
-        println!("{}", report.to_json().to_string_compact());
-    } else {
-        println!(
-            "bench_diff: {candidate_path} vs {} ({})",
-            baseline_path, envelope.name
-        );
-        print!("{}", report.summary());
-    }
+    println!(
+        "bench_diff: {candidate_path} vs {envelope_path} ({})",
+        envelope.name
+    );
+    print!("{}", report.summary());
     if !report.passed() {
         std::process::exit(1);
     }
@@ -96,7 +63,7 @@ fn load(path: &str) -> Json {
 
 fn usage(msg: &str) -> ! {
     eprintln!("bench_diff: {msg}");
-    eprintln!("usage: bench_diff [--json] <candidate.json> [<envelope-or-baseline.json>]");
+    eprintln!("usage: bench_diff <candidate.json> <envelope.json>");
     std::process::exit(2);
 }
 

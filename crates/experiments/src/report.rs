@@ -32,13 +32,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: a row of formatted floats after a label.
-    pub fn row_fmt(&mut self, label: impl Into<String>, values: &[f64]) {
-        let mut cells = vec![label.into()];
-        cells.extend(values.iter().map(|v| format!("{v:.3}")));
-        self.row(&cells);
-    }
-
     /// Renders the aligned table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();

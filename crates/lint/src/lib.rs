@@ -18,7 +18,7 @@
 //! | `unit-hygiene` | `comap-radio`, `comap-sim` | paper eqs. (1)–(4) are only meaningful with consistent units: public `fn` parameters named like powers/ratios/distances must use the `Dbm`/`Db`/`MilliWatts`/`Meters` newtypes, never raw `f64` |
 //! | `determinism` | `comap-sim`, `comap-mac`, `comap-core` | the bit-determinism guarantee of the power ledger (PR 1) and the non-perturbation guarantee of the observer layer (PR 3): no `HashMap`/`HashSet`, no `Instant::now`/`SystemTime::now`, no `thread_rng` |
 //! | `panic-policy` | all library code | library crates must not abort mid-run: no `.unwrap()`, `.expect(..)`, `panic!`, `todo!` outside `#[cfg(test)]`, tests, benches and binaries (`assert!` and `debug_assert!` remain legal — they state invariants) |
-//! | `event-completeness` | `comap-sim` | every `SimEvent` variant must have ≥ 1 emission (construction) site in the simulator, so the observability schema never silently rots |
+//! | `event-completeness` | `comap-sim` | every `SimEvent` variant must have ≥ 1 emission (construction) site in the simulator outside the file that declares (and decodes) it, so the observability schema never silently rots |
 //! | `float-eq` | all library code | `==`/`!=` against float literals is almost always a latent bug in Bianchi-derived math; exact comparisons must be justified |
 //! | `backend-exhaustive` | `comap-sim`, `comap-experiments` | the culled and exhaustive medium backends are contractually bit-identical (PR 5); every `match` on a `MediumBackend` must name each backend, so adding one forces a reviewed decision at every dispatch site instead of falling into a `_` arm |
 //! | `shard-safety` | `comap-sim`, `comap-mac`, `comap-core`, `comap-radio` | the sharded parallel engine (ROADMAP item 1) requires `Send` state by construction: no `Rc`, `RefCell`, `Cell`, `UnsafeCell`, `static mut`, `thread_local!`, or raw-pointer struct fields |

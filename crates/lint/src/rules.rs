@@ -257,10 +257,12 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
             }
         }
         if file.crate_name == EVENT_CRATE {
-            if let Some(d) = find_event_decl(file, lexed, &model) {
-                decl = Some(d);
+            match find_event_decl(file, lexed, &model) {
+                // The declaring file defines and decodes the vocabulary
+                // (`from_json` builds every variant); it emits nothing.
+                Some(d) => decl = Some(d),
+                None => collect_event_constructions(lexed, &mut constructed),
             }
-            collect_event_constructions(lexed, &mut constructed);
         }
     }
 
@@ -966,6 +968,28 @@ mod tests {
             .map(|f| f.message.split('`').nth(1).unwrap_or(""))
             .collect();
         assert_eq!(names, vec!["SimEvent::Orphan", "SimEvent::BareOrphan"]);
+    }
+
+    #[test]
+    fn event_completeness_ignores_the_declaring_files_decoder() {
+        let decl = "pub enum SimEvent {\n    Sent { n: u32 },\n    Missed,\n}\n\
+                    impl SimEvent {\n\
+                    \x20   fn decode(k: u32) -> SimEvent {\n\
+                    \x20       if k == 0 { SimEvent::Sent { n: 0 } } else { SimEvent::Missed }\n\
+                    \x20   }\n\
+                    }\n";
+        let emit = "fn e() -> SimEvent { SimEvent::Sent { n: 1 } }\n";
+        let out = lint_files(&[
+            file("sim", "crates/sim/src/observe.rs", decl),
+            file("sim", "crates/sim/src/mac.rs", emit),
+        ]);
+        let findings: Vec<(&str, u32)> = out
+            .findings
+            .iter()
+            .filter(|f| f.rule == Rule::EventCompleteness)
+            .map(|f| (f.message.split('`').nth(1).unwrap_or(""), f.line))
+            .collect();
+        assert_eq!(findings, vec![("SimEvent::Missed", 3)]);
     }
 
     #[test]

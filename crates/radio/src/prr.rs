@@ -87,15 +87,6 @@ impl ReceptionModel {
         1.0 - std_normal_cdf(arg / (std::f64::consts::SQRT_2 * sigma))
     }
 
-    /// Eq. (3) with an explicit SIR threshold, for rate-dependent checks.
-    pub fn prr_with_threshold(&self, d: Meters, r: Meters, t_sir: Db) -> f64 {
-        ReceptionModel {
-            channel: self.channel,
-            t_sir,
-        }
-        .prr(d, r)
-    }
-
     /// Eq. (4): probability that a node `r` meters from a sender receives
     /// its signal below the carrier-sense threshold `t_cs` — i.e. *fails*
     /// to detect the transmission.

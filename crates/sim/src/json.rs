@@ -142,14 +142,6 @@ impl Json {
         }
     }
 
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

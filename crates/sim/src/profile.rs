@@ -125,14 +125,17 @@ impl RunProfile {
     /// # Errors
     ///
     /// Returns a [`SchemaError`] when the `schema_version` stamp is
-    /// missing or mismatched, or when a required field is absent or
-    /// malformed.
+    /// missing or mismatched, or when a field is absent or malformed —
+    /// `medium_counters` and all six of its fields included, so a
+    /// profile that predates a counter is rejected rather than read as
+    /// zeros.
     pub fn from_json(v: &Json) -> Result<RunProfile, SchemaError> {
         check_schema_version(v, "bench profile")?;
         let malformed = || SchemaError::new("bench profile: missing or malformed field");
         let field = |obj: &Json, key: &str| -> Result<u64, SchemaError> {
             obj.get(key).and_then(Json::as_u64).ok_or_else(malformed)
         };
+        let counters = v.get("medium_counters").ok_or_else(malformed)?;
         let mut by_type = Vec::new();
         for entry in v
             .get("by_type")
@@ -157,22 +160,14 @@ impl RunProfile {
             by_type,
             ledger_checks: field(v, "ledger_checks")?,
             ledger_check_nanos: field(v, "ledger_check_nanos")?,
-            // Absent in profiles from before the culling layer: default
-            // to zeros so older artifacts still parse.
-            medium_counters: v
-                .get("medium_counters")
-                .map(|c| MediumCounters {
-                    cache_recomputes: c
-                        .get("cache_recomputes")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                    cache_lookups: c.get("cache_lookups").and_then(Json::as_u64).unwrap_or(0),
-                    cull_candidates: c.get("cull_candidates").and_then(Json::as_u64).unwrap_or(0),
-                    cull_relevant: c.get("cull_relevant").and_then(Json::as_u64).unwrap_or(0),
-                    moves_applied: c.get("moves_applied").and_then(Json::as_u64).unwrap_or(0),
-                    moves_coalesced: c.get("moves_coalesced").and_then(Json::as_u64).unwrap_or(0),
-                })
-                .unwrap_or_default(),
+            medium_counters: MediumCounters {
+                cache_recomputes: field(counters, "cache_recomputes")?,
+                cache_lookups: field(counters, "cache_lookups")?,
+                cull_candidates: field(counters, "cull_candidates")?,
+                cull_relevant: field(counters, "cull_relevant")?,
+                moves_applied: field(counters, "moves_applied")?,
+                moves_coalesced: field(counters, "moves_coalesced")?,
+            },
         })
     }
 
@@ -355,16 +350,15 @@ mod tests {
     }
 
     #[test]
-    fn profiles_without_medium_counters_still_parse() {
-        let mut p = sample();
-        p.medium_counters = MediumCounters::default();
-        let text = p.to_json().to_string_compact();
+    fn profiles_without_medium_counters_are_rejected() {
         // A profile written before the culling layer existed has no
-        // medium_counters object; it must parse with zeroed counters.
+        // medium_counters object: zero-filling it would pass the
+        // cache-thrash check vacuously, so it must not parse.
+        let text = sample().to_json().to_string_compact();
         let idx = text.find(",\"medium_counters\"").expect("field present");
         let legacy = format!("{}}}", &text[..idx]);
-        let back = RunProfile::from_json(&Json::parse(&legacy).unwrap()).unwrap();
-        assert_eq!(back, p);
+        let err = RunProfile::from_json(&Json::parse(&legacy).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("bench profile"), "{err}");
     }
 
     #[test]
@@ -395,19 +389,16 @@ mod tests {
     }
 
     #[test]
-    fn profiles_without_move_counters_parse_with_zeros() {
+    fn profiles_without_move_counters_are_rejected() {
         // A medium_counters object from before the mobility rework has
-        // no move counters: they default to zero, everything else holds.
+        // no move counters: a missing counter is an error, not a zero.
         let legacy = r#"{"schema_version":2,"events":10,"wall_nanos":5,"sim_nanos":9,
             "queue_peak":1,"by_type":[],
             "ledger_checks":0,"ledger_check_nanos":0,
             "medium_counters":{"cache_recomputes":2,"cache_lookups":8,
             "cull_candidates":9,"cull_relevant":8}}"#;
-        let back = RunProfile::from_json(&Json::parse(legacy).unwrap()).unwrap();
-        assert_eq!(back.medium_counters.cache_recomputes, 2);
-        assert_eq!(back.medium_counters.cache_lookups, 8);
-        assert_eq!(back.medium_counters.moves_applied, 0);
-        assert_eq!(back.medium_counters.moves_coalesced, 0);
+        let err = RunProfile::from_json(&Json::parse(legacy).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("bench profile"), "{err}");
     }
 
     #[test]

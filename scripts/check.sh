@@ -29,7 +29,7 @@ echo "==> simlint --workspace (static invariants, hard gate)"
 # down: lower it whenever an allow goes.
 cargo run -q -p comap-lint --bin simlint -- --workspace \
     --max-allows determinism=4 \
-    --max-allows float-eq=3 \
+    --max-allows float-eq=1 \
     --max-allows shard-safety=0 \
     --max-allows rng-discipline=0 \
     --max-allows match-exhaustive=2 \
