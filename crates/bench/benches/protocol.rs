@@ -27,8 +27,9 @@ fn protocol_with_neighbors() -> Protocol<u32> {
 }
 
 /// Client C0 of the 1000-node §VI campus with all 999 other nodes in
-/// its table, as every node has in a `campus_mobile` run. Its AP, AP0,
-/// is node 0.
+/// its private table: the same neighbourhood the shared position
+/// directory gives every node of a `campus_mobile` run. Its AP, AP0, is
+/// node 0.
 fn campus_protocol() -> Protocol<usize> {
     let (cfg, _) = scale_campus(1000, 1, MacFeatures::COMAP, 1);
     let me = cfg.nodes.len() / 10;

@@ -7,8 +7,10 @@
 //!
 //! The crate mirrors the paper's Section IV design:
 //!
-//! * [`neighbor`] — per-node neighbor tables of 2-hop positions, with the
-//!   movement-threshold update rule of Section V (mobility management),
+//! * [`neighbor`] — the neighbor table of 2-hop positions, with the
+//!   movement-threshold update rule of Section V (mobility management);
+//!   a standalone [`Protocol`] owns one, a simulator shares one between
+//!   all nodes (see [`protocol`]),
 //! * [`validate`] — concurrency validation of an exposed transmission
 //!   against an ongoing one via eq. (3), in both directions (Fig. 4),
 //! * [`cooccurrence`] — the co-occurrence map itself: per-link caches of

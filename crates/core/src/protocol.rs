@@ -1,10 +1,21 @@
 //! The CO-MAP protocol façade.
 //!
 //! [`Protocol`] is the per-node object tying the pipeline of paper Fig. 5
-//! together: position reports flow into the [`NeighborTable`], concurrency
+//! together: position reports flow into a [`NeighborTable`], concurrency
 //! queries flow through the [`CoOccurrenceMap`] cache backed by eq.-(3)
 //! validation, and transmission parameters come from the hidden-terminal
 //! census plus the precomputed [`AdaptationTable`].
+//!
+//! The neighbor table can live in two places. A standalone protocol owns
+//! a private one, fed by [`Protocol::on_position_report`] and read by
+//! [`Protocol::tx_setting`] and its siblings. Since the APs disseminate
+//! every accepted report to every node (paper Section V), all nodes of a
+//! network hold the same table, so a simulator keeps one shared position
+//! directory instead: it applies each report once, tells every protocol
+//! to [`Protocol::forget_neighbor`] the mover when the report was
+//! accepted, and passes the directory to the `_in` queries
+//! ([`Protocol::tx_setting_in`] and its siblings). Each query has one
+//! implementation, over whichever table it is given.
 
 use std::sync::Arc;
 
@@ -115,9 +126,17 @@ impl<A: Addr> Protocol<A> {
         }
         let changed = self.neighbors.update(addr, position);
         if changed {
-            self.map.invalidate_involving(addr);
+            self.forget_neighbor(addr);
         }
         changed
+    }
+
+    /// Drops every cached verdict that involves `addr`. A holder of a
+    /// shared position directory calls this on every protocol but the
+    /// mover's whenever the directory accepts a report from `addr`, as
+    /// [`Self::on_position_report`] does for the private table.
+    pub fn forget_neighbor(&mut self, addr: A) {
+        self.map.invalidate_involving(addr);
     }
 
     /// Full eq.-(3) validation of "may I transmit to `receiver` while
@@ -132,14 +151,29 @@ impl<A: Addr> Protocol<A> {
         ongoing: Link<A>,
         receiver: A,
     ) -> Result<ConcurrencyDecision, CoMapError<A>> {
+        self.concurrency_decision_in(&self.neighbors, ongoing, receiver)
+    }
+
+    /// [`Self::concurrency_decision`] over the shared position directory
+    /// `table` instead of the private neighbor table.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::concurrency_decision`].
+    pub fn concurrency_decision_in(
+        &self,
+        table: &NeighborTable<A>,
+        ongoing: Link<A>,
+        receiver: A,
+    ) -> Result<ConcurrencyDecision, CoMapError<A>> {
         let me = self.own_position.ok_or(CoMapError::OwnPositionUnknown)?;
         let (src, dst) = ongoing;
         if src == self.addr || dst == self.addr {
             return Err(CoMapError::SelfReference(self.addr));
         }
-        let rx = self.neighbor_position(receiver)?;
-        let src_pos = self.neighbor_position(src)?;
-        let dst_pos = self.neighbor_position(dst)?;
+        let rx = self.neighbor_position(table, receiver)?;
+        let src_pos = self.neighbor_position(table, src)?;
+        let dst_pos = self.neighbor_position(table, dst)?;
         Ok(self.validator.validate(me, rx, src_pos, dst_pos))
     }
 
@@ -155,12 +189,22 @@ impl<A: Addr> Protocol<A> {
         ongoing: Link<A>,
         receiver: A,
     ) -> Result<bool, CoMapError<A>> {
-        if let Some(cached) = self.map.lookup(ongoing, receiver) {
-            return Ok(cached);
-        }
-        let allowed = self.concurrency_decision(ongoing, receiver)?.allowed();
-        self.map.record(ongoing, receiver, allowed);
-        Ok(allowed)
+        self.cached_verdict(None, ongoing, receiver)
+    }
+
+    /// [`Self::concurrency_allowed`] over the shared position directory
+    /// `table` instead of the private neighbor table.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::concurrency_decision`].
+    pub fn concurrency_allowed_in(
+        &mut self,
+        table: &NeighborTable<A>,
+        ongoing: Link<A>,
+        receiver: A,
+    ) -> Result<bool, CoMapError<A>> {
+        self.cached_verdict(Some(table), ongoing, receiver)
     }
 
     /// Hidden-terminal census for the link `self → receiver`.
@@ -169,7 +213,7 @@ impl<A: Addr> Protocol<A> {
     ///
     /// Fails when positions are missing.
     pub fn ht_census(&self, receiver: A) -> Result<HtCensus<A>, CoMapError<A>> {
-        let (me, rx) = self.link_ends(receiver)?;
+        let (me, rx) = self.link_ends(&self.neighbors, receiver)?;
         Ok(self
             .census
             .census(&self.neighbors, self.addr, me, receiver, rx))
@@ -183,10 +227,23 @@ impl<A: Addr> Protocol<A> {
     ///
     /// Fails when positions are missing.
     pub fn tx_setting(&self, receiver: A) -> Result<TxSetting, CoMapError<A>> {
-        let (me, rx) = self.link_ends(receiver)?;
-        let (n_ht, c) = self
-            .census
-            .counts(&self.neighbors, self.addr, me, receiver, rx);
+        self.tx_setting_in(&self.neighbors, receiver)
+    }
+
+    /// [`Self::tx_setting`] censused over the shared position directory
+    /// `table` instead of the private neighbor table. An entry for this
+    /// node itself in `table` is ignored, like the link's other end.
+    ///
+    /// # Errors
+    ///
+    /// Fails when positions are missing.
+    pub fn tx_setting_in(
+        &self,
+        table: &NeighborTable<A>,
+        receiver: A,
+    ) -> Result<TxSetting, CoMapError<A>> {
+        let (me, rx) = self.link_ends(table, receiver)?;
+        let (n_ht, c) = self.census.counts(table, self.addr, me, receiver, rx);
         Ok(self.adaptation.setting(n_ht, c))
     }
 
@@ -206,7 +263,10 @@ impl<A: Addr> Protocol<A> {
         EtScheduler::arm(rssi1, self.config.t_cs_delta)
     }
 
-    /// Read access to the neighbor table.
+    /// Read access to the private neighbor table of a standalone
+    /// protocol. A protocol queried through a shared position directory
+    /// (the `_in` methods) is never fed reports, so its table stays
+    /// empty.
     pub fn neighbors(&self) -> &NeighborTable<A> {
         &self.neighbors
     }
@@ -226,18 +286,47 @@ impl<A: Addr> Protocol<A> {
         self.location.stats()
     }
 
-    /// Positions of this node and `receiver`, the ends of the link
-    /// `self → receiver`.
-    fn link_ends(&self, receiver: A) -> Result<(Position, Position), CoMapError<A>> {
-        let me = self.own_position.ok_or(CoMapError::OwnPositionUnknown)?;
-        Ok((me, self.neighbor_position(receiver)?))
+    /// The co-occurrence lookup behind both `concurrency_allowed` forms,
+    /// validating over `shared`, or over the private table when `None`.
+    fn cached_verdict(
+        &mut self,
+        shared: Option<&NeighborTable<A>>,
+        ongoing: Link<A>,
+        receiver: A,
+    ) -> Result<bool, CoMapError<A>> {
+        if let Some(cached) = self.map.lookup(ongoing, receiver) {
+            return Ok(cached);
+        }
+        let table = shared.unwrap_or(&self.neighbors);
+        let allowed = self
+            .concurrency_decision_in(table, ongoing, receiver)?
+            .allowed();
+        self.map.record(ongoing, receiver, allowed);
+        Ok(allowed)
     }
 
-    fn neighbor_position(&self, addr: A) -> Result<Position, CoMapError<A>> {
+    /// Positions of this node and `receiver`, the ends of the link
+    /// `self → receiver`.
+    fn link_ends(
+        &self,
+        table: &NeighborTable<A>,
+        receiver: A,
+    ) -> Result<(Position, Position), CoMapError<A>> {
+        let me = self.own_position.ok_or(CoMapError::OwnPositionUnknown)?;
+        Ok((me, self.neighbor_position(table, receiver)?))
+    }
+
+    /// `addr`'s position in `table`; this node's own position always
+    /// comes from the protocol, never from the table.
+    fn neighbor_position(
+        &self,
+        table: &NeighborTable<A>,
+        addr: A,
+    ) -> Result<Position, CoMapError<A>> {
         if addr == self.addr {
             return self.own_position.ok_or(CoMapError::OwnPositionUnknown);
         }
-        self.neighbors
+        table
             .position(addr)
             .ok_or(CoMapError::UnknownNeighbor(addr))
     }

@@ -235,4 +235,76 @@ proptest! {
         );
         prop_assert_eq!(proto.ht_census(1).unwrap(), brute);
     }
+
+    /// A protocol queried through a shared position directory answers
+    /// exactly like one fed the same reports into its private table, as
+    /// long as the directory's holder calls `forget_neighbor` whenever it
+    /// accepts a report. Reports land both above and below the mobility
+    /// threshold, the node's own fixes go through the location service,
+    /// and queries name unknown nodes and the node itself too.
+    #[test]
+    fn shared_directory_answers_like_a_private_table(
+        channel in 0u8..3,
+        start in prop::collection::vec(arb_pos(), 5..6),
+        ops in prop::collection::vec(
+            (0u8..6, 0u32..7, 0u32..7, 0u32..7, any::<bool>(), arb_pos()),
+            0..150,
+        ),
+    ) {
+        let cfg = census_config(channel);
+        let mut private = Protocol::new(0u32, cfg);
+        let mut shared = Protocol::new(0u32, cfg);
+        let mut directory = NeighborTable::new(cfg.mobility);
+        // Nodes 0..5 report at start-up; 5 and 6 never do.
+        for (addr, &pos) in (0u32..).zip(&start) {
+            directory.insert(addr, pos);
+            if addr == 0 {
+                private.set_own_position(pos);
+                shared.set_own_position(pos);
+            } else {
+                private.on_position_report(addr, pos);
+            }
+        }
+        for (op, a, b, r, flag, pos) in ops {
+            match op {
+                // A neighbor's report: a jump to `pos`, or a step of at
+                // most ~7 m from its last accepted position.
+                0 => {
+                    let report = match directory.position(a) {
+                        Some(at) if !flag => at.offset(pos.x / 20.0, pos.y / 20.0),
+                        _ => pos,
+                    };
+                    if a == 0 {
+                        let own = private.observe_position(report);
+                        prop_assert_eq!(own, shared.observe_position(report));
+                        if let Some(own) = own {
+                            directory.update(0, own);
+                        }
+                    } else {
+                        let accepted = directory.update(a, report);
+                        prop_assert_eq!(private.on_position_report(a, report), accepted);
+                        if accepted {
+                            shared.forget_neighbor(a);
+                        }
+                    }
+                }
+                1 => prop_assert_eq!(private.tx_setting(r), shared.tx_setting_in(&directory, r)),
+                2 => prop_assert_eq!(
+                    private.concurrency_decision((a, b), r),
+                    shared.concurrency_decision_in(&directory, (a, b), r)
+                ),
+                3 | 4 => prop_assert_eq!(
+                    private.concurrency_allowed((a, b), r),
+                    shared.concurrency_allowed_in(&directory, (a, b), r)
+                ),
+                _ => {
+                    private.record_concurrency_outcome((a, b), r, flag);
+                    shared.record_concurrency_outcome((a, b), r, flag);
+                }
+            }
+            prop_assert_eq!(private.cooccurrence().stats(), shared.cooccurrence().stats());
+            prop_assert!(private.cooccurrence().iter().eq(shared.cooccurrence().iter()));
+        }
+        prop_assert!(shared.neighbors().is_empty());
+    }
 }

@@ -395,6 +395,22 @@ mod tests {
     }
 
     #[test]
+    fn try_new_returns_the_typed_error() {
+        let (mut cfg, a, b) = pair();
+        cfg.add_flow(a, b, Traffic::Saturated);
+        assert!(crate::Simulator::try_new(cfg.clone()).is_ok());
+        cfg.add_flow(a, b, Traffic::Saturated);
+        assert_eq!(
+            crate::Simulator::try_new(cfg).err(),
+            Some(ConfigError::DuplicateFlow { src: a, dst: b })
+        );
+        assert_eq!(
+            crate::Simulator::try_new(SimConfig::testbed(1)).err(),
+            Some(ConfigError::NoNodes)
+        );
+    }
+
+    #[test]
     fn feature_override_wins() {
         let mut cfg = SimConfig::testbed(1);
         cfg.default_features = MacFeatures::COMAP;

@@ -17,8 +17,9 @@
 //!
 //! The MAC is a pure state machine: the simulator feeds it [`MacEvent`]s
 //! (timers and traffic from the event queue; `Sense`, `Rx`, `TxDone` and
-//! `Announce` straight from the medium) plus a context snapshot, and
-//! applies the returned [`MacAction`]s.
+//! `Announce` straight from the medium) plus a context snapshot that
+//! also lends it the simulator's position directory, and applies the
+//! returned [`MacAction`]s.
 //!
 //! Everything the MAC reports leaves as a [`MacAction::Emit`] of a
 //! [`SimEvent`]. The seven events the [`SimReport`](crate::SimReport)
@@ -43,6 +44,7 @@ use std::collections::BTreeMap;
 use comap_radio::stream::CounterRng;
 
 use comap_core::adapt::TxSetting;
+use comap_core::neighbor::NeighborTable;
 use comap_core::protocol::Protocol;
 use comap_core::scheduler::{EtAction, EtScheduler};
 use comap_mac::arq::{Ack, SelectiveRepeatReceiver, SelectiveRepeatSender};
@@ -59,9 +61,10 @@ use crate::frame::{Frame, FrameBody, NodeId};
 use crate::observe::SimEvent;
 use crate::rate::{Minstrel, RateController};
 
-/// Snapshot of the node's radio environment, passed with every event.
+/// Snapshot of the node's radio environment, passed with every event,
+/// plus the network's shared position directory.
 #[derive(Debug, Clone, Copy)]
-pub struct MacCtx {
+pub struct MacCtx<'a> {
     /// Current simulation time.
     pub now: SimTime,
     /// Total ambient power (noise floor + active transmissions).
@@ -75,6 +78,9 @@ pub struct MacCtx {
     /// except the seven report-counted ones, so an unobserved run builds
     /// only the events the report needs.
     pub observing: bool,
+    /// Every node's last accepted position report: the one table the
+    /// protocol's census and concurrency checks read.
+    pub directory: &'a NeighborTable<NodeId>,
 }
 
 /// Events delivered to the MAC. The medium hands `Sense`, `Rx`, `TxDone`
@@ -278,7 +284,7 @@ pub struct MacConfig {
     /// Propagation channel (for the rate genie's mean estimates).
     pub channel: comap_radio::pathloss::LogNormalShadowing,
     /// True node positions (rate genie only; CO-MAP decisions use the
-    /// *reported* positions inside the protocol instance).
+    /// *reported* positions of [`MacCtx::directory`]).
     pub true_positions: Vec<Position>,
     /// CCA threshold.
     pub t_cs: Dbm,
@@ -404,14 +410,30 @@ impl Mac {
         Some(report)
     }
 
-    /// A neighbor's position report arrived (disseminated by the APs).
+    /// A neighbor's position report arrived (disseminated by the APs)
+    /// at a standalone MAC, whose protocol keeps a private neighbor
+    /// table. A simulator applies each report to its shared directory
+    /// once and calls [`Self::forget_neighbor`] instead.
     pub fn on_position_report(&mut self, from: NodeId, position: Position) {
-        if let Some(proto) = &mut self.proto {
-            if proto.on_position_report(from, position) {
-                if let Some(flow) = self.flows.iter_mut().find(|f| f.dst == from) {
-                    flow.setting = None;
-                }
-            }
+        let Some(proto) = &mut self.proto else { return };
+        if proto.on_position_report(from, position) {
+            self.drop_setting_toward(from);
+        }
+    }
+
+    /// `node`'s accepted report moved it in the shared directory: drops
+    /// the cached verdicts involving it and the setting of the flow
+    /// toward it, so both are worked out afresh from the new position.
+    pub fn forget_neighbor(&mut self, node: NodeId) {
+        let Some(proto) = &mut self.proto else { return };
+        proto.forget_neighbor(node);
+        self.drop_setting_toward(node);
+    }
+
+    /// Drops the adapted setting of the flow toward `node`, if any.
+    fn drop_setting_toward(&mut self, node: NodeId) {
+        if let Some(flow) = self.flows.iter_mut().find(|f| f.dst == node) {
+            flow.setting = None;
         }
     }
 
@@ -867,7 +889,7 @@ impl Mac {
         if !self.traffic_armed {
             let mut min_eta: Option<SimDuration> = None;
             for idx in 0..n {
-                let payload = self.payload_for(idx, ctx.observing, out);
+                let payload = self.payload_for(idx, ctx, out);
                 if let Some(eta) = self.flows[idx].traffic.eta(payload) {
                     min_eta = Some(min_eta.map_or(eta, |m: SimDuration| m.min(eta)));
                 }
@@ -902,7 +924,7 @@ impl Mac {
         ctx: MacCtx,
         out: &mut Vec<MacAction>,
     ) -> Option<PendingFrame> {
-        let payload = self.payload_for(idx, ctx.observing, out);
+        let payload = self.payload_for(idx, ctx, out);
         let node = self.cfg.id;
         let flow = &mut self.flows[idx];
         let dst = flow.dst;
@@ -979,7 +1001,7 @@ impl Mac {
 
     /// Payload size for flow `idx`: adapted when the census says so.
     /// A fresh census result is announced as an [`SimEvent::Adapt`].
-    fn payload_for(&mut self, idx: usize, observing: bool, out: &mut Vec<MacAction>) -> u32 {
+    fn payload_for(&mut self, idx: usize, ctx: MacCtx, out: &mut Vec<MacAction>) -> u32 {
         if !self.cfg.features.ht_adaptation {
             return self.cfg.payload_bytes;
         }
@@ -988,9 +1010,9 @@ impl Mac {
             return s.payload_bytes;
         }
         if let Some(proto) = &self.proto {
-            if let Ok(setting) = proto.tx_setting(flow.dst) {
+            if let Ok(setting) = proto.tx_setting_in(ctx.directory, flow.dst) {
                 flow.setting = Some(setting);
-                if observing {
+                if ctx.observing {
                     out.push(MacAction::Emit(SimEvent::Adapt {
                         node: self.cfg.id,
                         dst: flow.dst,
@@ -1179,7 +1201,7 @@ impl Mac {
         }
         let Some(proto) = &mut self.proto else { return };
         let allowed = proto
-            .concurrency_allowed((src, dst), p.dst)
+            .concurrency_allowed_in(ctx.directory, (src, dst), p.dst)
             .unwrap_or(false);
         if !allowed {
             return;

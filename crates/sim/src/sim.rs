@@ -8,12 +8,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use comap_core::protocol::Protocol;
-use comap_core::AdaptationTable;
+use comap_core::{AdaptationTable, NeighborTable};
 use comap_mac::time::{SimDuration, SimTime};
 use comap_radio::stream::CounterRng;
 use comap_radio::Position;
 
-use crate::config::SimConfig;
+use crate::config::{ConfigError, SimConfig};
 use crate::event::{Event, EventQueue};
 use crate::frame::NodeId;
 use crate::mac::{Mac, MacAction, MacConfig, MacCtx, MacEvent};
@@ -29,6 +29,11 @@ pub struct Simulator {
     queue: EventQueue,
     now: SimTime,
     macs: Vec<Mac>,
+    /// The position directory: every node's last accepted position
+    /// report. The APs disseminate each report to every node, so all
+    /// nodes' neighbor tables would be this one table; the protocols
+    /// read it through [`MacCtx::directory`].
+    directory: NeighborTable<NodeId>,
     flow_gen: Vec<u64>,
     resp_gen: Vec<u64>,
     report: SimReport,
@@ -55,16 +60,33 @@ impl fmt::Debug for Simulator {
 }
 
 impl Simulator {
-    /// Builds the simulation: medium, protocols (fed with *reported*
-    /// positions — true positions plus the configured error), MACs and
-    /// the initial traffic kicks.
+    /// Builds the simulation: medium, position directory (filled with
+    /// *reported* positions — true positions plus the configured error),
+    /// protocols, MACs and the initial traffic kicks.
     ///
     /// # Panics
     ///
-    /// Panics, naming the [`ConfigError`](crate::config::ConfigError), if
-    /// `cfg` fails [`SimConfig::validate`].
+    /// Panics, naming the [`ConfigError`], if `cfg` fails
+    /// [`SimConfig::validate`]. [`Self::try_new`] returns the error
+    /// instead.
     pub fn new(cfg: SimConfig) -> Self {
         assert_eq!(cfg.validate(), Ok(()), "invalid simulation config");
+        Self::with_valid_config(cfg)
+    }
+
+    /// Builds the simulation as [`Self::new`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] of [`SimConfig::validate`] when `cfg`
+    /// is invalid.
+    pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        Ok(Self::with_valid_config(cfg))
+    }
+
+    /// Builds a simulation from a validated config.
+    fn with_valid_config(cfg: SimConfig) -> Self {
         let n = cfg.nodes.len();
         let true_positions: Vec<Position> = cfg.nodes.iter().map(|s| s.position).collect();
 
@@ -76,6 +98,10 @@ impl Simulator {
             .iter()
             .map(|p| p.with_error(cfg.position_error, &mut error_rng))
             .collect();
+        let mut directory = NeighborTable::new(cfg.protocol.mobility);
+        for (i, &pos) in reported.iter().enumerate() {
+            directory.insert(NodeId(i), pos);
+        }
 
         let mut medium = Medium::with_quantization(
             cfg.protocol.channel,
@@ -91,19 +117,14 @@ impl Simulator {
         // alone: built on first use and shared by every node.
         let mut adaptation: Option<Arc<AdaptationTable>> = None;
         let mut macs = Vec::with_capacity(n);
-        for i in 0..n {
+        for (i, &own_report) in reported.iter().enumerate() {
             let id = NodeId(i);
             let features = cfg.features_of(id);
             let proto = if features.any() {
                 let table =
                     adaptation.get_or_insert_with(|| Arc::new(cfg.protocol.adaptation_table()));
                 let mut p = Protocol::with_adaptation(id, cfg.protocol, Arc::clone(table));
-                p.set_own_position(reported[i]);
-                for (j, &pos) in reported.iter().enumerate() {
-                    if j != i {
-                        p.on_position_report(NodeId(j), pos);
-                    }
-                }
+                p.set_own_position(own_report);
                 Some(p)
             } else {
                 None
@@ -153,6 +174,7 @@ impl Simulator {
             queue,
             now: SimTime::ZERO,
             macs,
+            directory,
             flow_gen: vec![0; n],
             resp_gen: vec![0; n],
             report: SimReport::default(),
@@ -280,8 +302,10 @@ impl Simulator {
     }
 
     /// Executes a scheduled movement: physics first, then the location
-    /// service decides whether to broadcast; accepted reports reach every
-    /// protocol instance (the APs disseminate them, as in the paper).
+    /// service decides whether to broadcast. The APs disseminate a report
+    /// to every node, as in the paper, so it is applied once, to the
+    /// position directory; when the directory accepts it, every other
+    /// MAC forgets what it derived from the mover's old position.
     fn apply_move(&mut self, node: NodeId, step: usize) {
         let mv = self.cfg.nodes[node.0].moves[step];
         self.medium.set_position(node, mv.to);
@@ -293,17 +317,14 @@ impl Simulator {
         let mut noise =
             CounterRng::from_key(self.move_seed, node.0 as u64, self.move_epoch[node.0]);
         let fix = truth.with_error(self.cfg.position_error, &mut noise);
-        let n = self.macs.len();
-        for i in 0..n {
+        let report = self.macs[node.0].on_moved(mv.to, fix);
+        self.report.position_reports += u64::from(report.is_some());
+        let accepted = report.is_some_and(|pos| self.directory.update(node, pos));
+        for (i, mac) in self.macs.iter_mut().enumerate() {
             if i != node.0 {
-                self.macs[i].on_neighbor_moved(node, mv.to);
-            }
-        }
-        if let Some(report) = self.macs[node.0].on_moved(mv.to, fix) {
-            self.report.position_reports += 1;
-            for i in 0..n {
-                if i != node.0 {
-                    self.macs[i].on_position_report(node, report);
+                mac.on_neighbor_moved(node, mv.to);
+                if accepted {
+                    mac.forget_neighbor(node);
                 }
             }
         }
@@ -326,6 +347,7 @@ impl Simulator {
                 transmitting: self.medium.is_transmitting(node),
                 locked: self.medium.is_locked(node),
                 observing: self.observing,
+                directory: &self.directory,
             };
             let actions = self.macs[node.0].handle(event, ctx);
             for action in actions {
@@ -606,6 +628,33 @@ mod tests {
             tables[0],
             Protocol::new(NodeId(0), sim.cfg.protocol).adaptation()
         );
+    }
+
+    #[test]
+    fn the_simulator_holds_the_only_position_table() {
+        let mut cfg = SimConfig::testbed(1);
+        cfg.default_features = MacFeatures::COMAP;
+        for i in 0..6 {
+            cfg.add_node(NodeSpec::client(
+                format!("C{i}"),
+                Position::new(4.0 * i as f64, 0.0),
+            ));
+        }
+        let sim = Simulator::new(cfg);
+        assert_eq!(
+            sim.directory.len(),
+            6,
+            "every node's report, its own included"
+        );
+        for mac in &sim.macs {
+            let proto = mac.protocol().expect("CO-MAP node");
+            assert!(proto.neighbors().is_empty(), "no protocol keeps a replica");
+            assert_eq!(
+                proto.own_position(),
+                sim.directory.position(proto.addr()),
+                "each node knows its own report"
+            );
+        }
     }
 
     #[test]

@@ -62,6 +62,50 @@ fn a_position_report_re_adapts_only_the_movers_flow() {
     );
 }
 
+/// The times of the AP's `Adapt` events for its flow to `client`.
+fn adapts_toward(events: &[(SimTime, SimEvent)], ap: NodeId, client: NodeId) -> Vec<SimTime> {
+    events
+        .iter()
+        .filter(
+            |(_, e)| matches!(*e, SimEvent::Adapt { node, dst, .. } if node == ap && dst == client),
+        )
+        .map(|&(t, _)| t)
+        .collect()
+}
+
+#[test]
+fn a_client_walking_past_the_threshold_re_adapts_its_downlink() {
+    let moved_at = SimDuration::from_millis(100);
+    let moved = SimTime::ZERO + moved_at;
+    let run = |to: Position| {
+        let mut cfg = SimConfig::testbed(5);
+        cfg.default_features = MacFeatures::COMAP;
+        let ap = cfg.add_node(NodeSpec::ap("AP", Position::ORIGIN));
+        let client =
+            cfg.add_node(NodeSpec::client("C", Position::new(8.0, 0.0)).with_move(moved_at, to));
+        cfg.add_flow(ap, client, Traffic::Saturated);
+        let (report, events) = observed_run(cfg);
+        (report.position_reports, adapts_toward(&events, ap, client))
+    };
+
+    // 6 m is past the 5 m mobility threshold: the report is accepted
+    // and the AP censuses the link afresh.
+    let (reports, adapts) = run(Position::new(14.0, 0.0));
+    assert_eq!(reports, 1, "the walk is reported");
+    assert_eq!(
+        adapts.len(),
+        2,
+        "adapted at start-up and after the move: {adapts:?}"
+    );
+    assert!(adapts[0] < moved && adapts[1] >= moved, "{adapts:?}");
+
+    // A 2 m step stays under the threshold: nothing is reported, and the
+    // installed setting stands.
+    let (reports, adapts) = run(Position::new(10.0, 0.0));
+    assert_eq!(reports, 0, "the step is absorbed");
+    assert_eq!(adapts.len(), 1, "adapted once, at start-up: {adapts:?}");
+}
+
 #[test]
 fn ack_timeouts_escalate_only_the_unanswered_flow() {
     let (cfg, [ap, near, far]) = downlink(

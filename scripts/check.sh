@@ -50,6 +50,10 @@ cargo test -q --manifest-path simbench/Cargo.toml
 echo "==> every figure driver through the sweep pool (all --quick, release)"
 cargo run --release -p comap-experiments --bin all -- --quick > /dev/null
 
+echo "==> examples: a standalone protocol (quickstart) and a mobile simulation (mobility)"
+cargo run --release --example quickstart > /dev/null
+cargo run --release --example mobility > /dev/null
+
 echo "==> profiling smoke run (fig02 --quick --profile-json)"
 cargo run --release -p comap-experiments --bin fig02 -- --quick \
     --profile-json target/profile_smoke.json
