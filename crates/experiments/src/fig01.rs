@@ -108,9 +108,7 @@ mod tests {
         // shape instead: as C2 leaves the contention region the two
         // links run concurrently, so the *aggregate* goodput at the far
         // end beats the near end, and C2's own link recovers strongly.
-        // simlint: allow(panic-policy) — the sweep constructor emits one point per C2 position
         let near = fig.points.first().expect("non-empty sweep");
-        // simlint: allow(panic-policy) — the sweep constructor emits one point per C2 position
         let far = fig.points.last().expect("non-empty sweep");
         assert!(
             far.c1_goodput + far.c2_goodput > near.c1_goodput + near.c2_goodput,

@@ -70,7 +70,6 @@ fn timed_run(
     let (mut cfg, _) = scale_campus(n, 1, MacFeatures::COMAP, seed);
     cfg.backend = backend;
     let sim = Simulator::new(cfg);
-    // simlint: allow(determinism) — wall clock only times the run; results never feed sim state
     let started = Instant::now();
     let report = sim.run(duration);
     (report, started.elapsed().as_secs_f64() * 1e3)

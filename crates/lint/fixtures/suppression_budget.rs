@@ -1,20 +1,11 @@
 //! Seeded input for the `suppression-budget` gate. This file is a lint
-//! *fixture* (never compiled): it carries three justified
-//! `panic-policy` suppressions, so a `--max-allows panic-policy=2`
-//! budget must fail on it while `=3` passes. The directives themselves
-//! are well-formed — the finding belongs to the budget, not the sites.
+//! *fixture* (never compiled): one justified `panic-policy` allow over a
+//! new `.unwrap()` in library code. The directive is well-formed and
+//! silences its site, so linted beside the workspace it pushes
+//! panic-policy one allow over its fixed budget — the finding belongs to
+//! the budget, not the site.
 
 pub fn first(xs: &[u32]) -> u32 {
     // simlint: allow(panic-policy) — caller guarantees a non-empty slice
-    *xs.first().expect("non-empty")
-}
-
-pub fn second(xs: &[u32]) -> u32 {
-    // simlint: allow(panic-policy) — index checked by the caller's loop bound
-    *xs.get(1).expect("two elements")
-}
-
-pub fn third(xs: &[u32]) -> u32 {
-    // simlint: allow(panic-policy) — invariant: table rows always have three columns
-    *xs.get(2).expect("three elements")
+    *xs.first().unwrap()
 }

@@ -22,9 +22,9 @@
 //! | `float-eq` | all library code | `==`/`!=` against float literals is almost always a latent bug in Bianchi-derived math; exact comparisons must be justified |
 //! | `backend-exhaustive` | `comap-sim`, `comap-experiments` | the culled and exhaustive medium backends are contractually bit-identical (PR 5); every `match` on a `MediumBackend` must name each backend, so adding one forces a reviewed decision at every dispatch site instead of falling into a `_` arm |
 //! | `shard-safety` | `comap-sim`, `comap-mac`, `comap-core`, `comap-radio` | the sharded parallel engine (ROADMAP item 1) requires `Send` state by construction: no `Rc`, `RefCell`, `Cell`, `UnsafeCell`, `static mut`, `thread_local!`, or raw-pointer struct fields |
-//! | `rng-discipline` | `comap-sim`, `comap-mac`, `comap-core` | region shards cannot share a sequential RNG stream without changing results: hot-path `StdRng` draws (outside constructors and tests) must migrate to the counter-based keyed streams of PR 7; pre-existing sites are a shrinking allowlist gated by `--max-allows` |
+//! | `rng-discipline` | `comap-sim`, `comap-mac`, `comap-core` | region shards cannot share a sequential RNG stream without changing results: hot-path `StdRng` draws (outside constructors and tests) must migrate to the counter-based keyed streams of PR 7; the migration is complete, so its budget is 0 |
 //! | `match-exhaustive` | `comap-sim`, `comap-experiments` | observers and dispatchers must decide when the event taxonomy grows: no `_` wildcard arm in a `match` whose arms dispatch on `SimEvent` variants |
-//! | `suppression-budget` | per `--max-allows` flag | suppressions ratchet down, never up: the per-rule count of `simlint: allow` directives plus baseline entries must not exceed the budget |
+//! | `suppression-budget` | whole workspace | suppressions ratchet down, never up: each rule's count of `simlint: allow` directives must equal its fixed [`Rule::budget`] — above it, fix the site; below it, lower the constant |
 //!
 //! ## Suppressions
 //!
@@ -34,25 +34,24 @@
 //! // simlint: allow(<rule>) — <reason>
 //! ```
 //!
-//! on the same line or within the two lines above. The reason is
-//! mandatory; bare or malformed directives are reported as
-//! `bad-suppression`. Whole findings can also be grandfathered in the
-//! checked-in `simlint.baseline` at the workspace root (stamped with
-//! `schema_version` and empty of entries at HEAD — the tree is clean).
-//! Unstamped baselines are rejected with a typed error.
+//! on the same line or within the two lines above. This is the only
+//! exemption mechanism. The reason is mandatory; bare or malformed
+//! directives, and directives that silence no finding, are reported as
+//! `bad-suppression`. Every rule's directives are counted against its
+//! fixed [`Rule::budget`], and the gate is exact.
 //!
 //! ## CLI
 //!
 //! ```text
-//! simlint --workspace [--json <path>] [--baseline <path>] [--write-baseline]
-//!         [--max-allows <rule>=<n>]...
+//! simlint [--json <path>] [--quiet]
 //! ```
 //!
-//! Exit code 0 when no unsuppressed, non-baselined finding remains and
-//! every `--max-allows` budget holds; 1 otherwise; 2 on usage or I/O
-//! errors (including an unstamped baseline). The `--json` report is
-//! stamped with `schema_version` and carries per-rule suppression
-//! counts. See `scripts/check.sh` and CI for the gating invocation.
+//! Lints every library source of the workspace around the current
+//! directory ([`lint_workspace`]). Exit code 0 when no unsuppressed
+//! finding remains and every rule's allow count equals its budget; 1
+//! otherwise; 2 on usage or I/O errors. The `--json` report is stamped
+//! with `schema_version` and lists every rule's budget, used count and
+//! verdict. `scripts/check.sh` and CI run the identical invocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,4 +64,4 @@ pub mod tree;
 pub mod workspace;
 
 pub use rules::{lint_files, Finding, LintOutcome, Rule, SourceFile};
-pub use workspace::{collect_sources, discover_workspace, load_source};
+pub use workspace::{collect_sources, discover_workspace, lint_workspace, load_source};

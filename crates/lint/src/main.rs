@@ -1,87 +1,53 @@
 //! `simlint` — the CO-MAP workspace linter CLI.
 //!
 //! See the `comap_lint` crate docs for the rule set. This binary is the
-//! CI gate: it exits non-zero whenever an unsuppressed, non-baselined
-//! finding exists anywhere in the workspace's library code, or when a
-//! `--max-allows` suppression budget is exceeded.
+//! CI gate: it lints every library source of the workspace around the
+//! current directory and exits non-zero whenever an unsuppressed finding
+//! remains, including a rule whose allow count is not exactly its fixed
+//! `Rule::budget`.
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use comap_lint::report::{
-    apply_baseline, check_budgets, load_baseline, parse_budget, render_baseline, render_human,
-    render_json, tally_allows, Budget,
-};
-use comap_lint::workspace::{collect_sources, crate_of, discover_workspace, load_source};
-use comap_lint::{lint_files, SourceFile};
+use comap_lint::report::{render_human, render_json};
+use comap_lint::workspace::{discover_workspace, lint_workspace};
 
 const USAGE: &str = "\
-usage: simlint [options] [paths...]
+usage: simlint [--json <path>] [--quiet]
+
+Lints every library source of the workspace around the current
+directory and holds each rule's allow count to its fixed budget.
 
 options:
-  --workspace            lint every library source in the workspace
-  --json <path>          also write a schema-stamped JSON report to <path>
-  --baseline <path>      baseline file (default: <root>/simlint.baseline)
-  --write-baseline       rewrite the baseline from current findings and exit 0
-  --max-allows <r>=<n>   fail when rule <r> has more than <n> suppressions
-                         (allow directives + baseline entries); repeatable
-  --quiet                print only the summary and allows lines
-  -h, --help             show this help
+  --json <path>   also write a schema-stamped JSON report to <path>
+  --quiet         print only the summary and allows lines
+  -h, --help      show this help
 
-exit status: 0 clean, 1 findings or budget exceeded, 2 usage or I/O error
-(including an unstamped or wrong-version baseline)";
+exit status: 0 clean, 1 findings (a budget mismatch included), 2 usage or I/O error";
 
 struct Options {
-    workspace: bool,
     json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
-    max_allows: Vec<Budget>,
     quiet: bool,
-    paths: Vec<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
-        workspace: false,
         json: None,
-        baseline: None,
-        write_baseline: false,
-        max_allows: Vec::new(),
         quiet: false,
-        paths: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--workspace" => opts.workspace = true,
             "--json" => {
                 let path = it.next().ok_or("--json requires a path")?;
                 opts.json = Some(PathBuf::from(path));
             }
-            "--baseline" => {
-                let path = it.next().ok_or("--baseline requires a path")?;
-                opts.baseline = Some(PathBuf::from(path));
-            }
-            "--write-baseline" => opts.write_baseline = true,
-            "--max-allows" => {
-                let spec = it.next().ok_or("--max-allows requires <rule>=<n>")?;
-                let budget = parse_budget(spec)
-                    .ok_or_else(|| format!("--max-allows: `{spec}` is not <known-rule>=<count>"))?;
-                opts.max_allows.push(budget);
-            }
             "--quiet" => opts.quiet = true,
             "-h" | "--help" => return Err(String::new()),
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag: {flag}"));
-            }
-            path => opts.paths.push(PathBuf::from(path)),
+            other => return Err(format!("unexpected argument `{other}`")),
         }
-    }
-    if !opts.workspace && opts.paths.is_empty() {
-        return Err("nothing to lint: pass --workspace or explicit paths".to_string());
     }
     Ok(opts)
 }
@@ -90,60 +56,7 @@ fn run(opts: &Options) -> Result<bool, String> {
     let cwd = env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
     let root = discover_workspace(&cwd)
         .ok_or("no workspace root (Cargo.toml with [workspace]) above the current directory")?;
-
-    let mut files: Vec<SourceFile> = Vec::new();
-    if opts.workspace {
-        files = collect_sources(&root).map_err(|e| format!("walking workspace: {e}"))?;
-    }
-    for path in &opts.paths {
-        let abs = if path.is_absolute() {
-            path.clone()
-        } else {
-            cwd.join(path)
-        };
-        let rel_guess = abs
-            .strip_prefix(&root)
-            .map(|p| p.to_string_lossy().replace('\\', "/"))
-            .unwrap_or_else(|_| abs.to_string_lossy().to_string());
-        let file = load_source(&root, &abs, &crate_of(&rel_guess))
-            .map_err(|e| format!("reading {}: {e}", abs.display()))?;
-        files.push(file);
-    }
-
-    let mut outcome = lint_files(&files);
-
-    if opts.write_baseline {
-        let path = opts
-            .baseline
-            .clone()
-            .unwrap_or_else(|| root.join("simlint.baseline"));
-        fs::write(&path, render_baseline(&outcome.findings))
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
-            "simlint: wrote {} finding(s) to {}",
-            outcome.findings.len(),
-            path.display()
-        );
-        return Ok(true);
-    }
-
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("simlint.baseline"));
-    let baseline = if baseline_path.is_file() {
-        load_baseline(&baseline_path).map_err(|e| format!("{}: {e}", baseline_path.display()))?
-    } else {
-        Vec::new()
-    };
-    let baselined = apply_baseline(&mut outcome, &baseline);
-
-    // Budget findings land after baseline application: a grown
-    // allowlist cannot be grandfathered away.
-    let tally = tally_allows(&outcome, &baseline);
-    outcome
-        .findings
-        .extend(check_budgets(&tally, &opts.max_allows));
+    let outcome = lint_workspace(&root).map_err(|e| format!("walking workspace: {e}"))?;
 
     if let Some(json_path) = &opts.json {
         if let Some(parent) = json_path.parent() {
@@ -151,14 +64,11 @@ fn run(opts: &Options) -> Result<bool, String> {
                 let _ = fs::create_dir_all(parent);
             }
         }
-        fs::write(
-            json_path,
-            render_json(&outcome, baselined, &tally, &opts.max_allows),
-        )
-        .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
+        fs::write(json_path, render_json(&outcome))
+            .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
     }
 
-    let text = render_human(&outcome, baselined, &tally);
+    let text = render_human(&outcome);
     if opts.quiet {
         // The last two lines are the summary and the allows census.
         for line in text.lines().rev().take(2).collect::<Vec<_>>().iter().rev() {

@@ -1,124 +1,23 @@
-//! Finding output: human-readable text, a machine-readable JSON report
-//! (following the hand-rolled conventions of `crates/sim/src/json.rs` —
-//! ordered keys, exact unsigned integers, escaped strings), the
-//! checked-in baseline of grandfathered findings, and the per-rule
-//! suppression-budget gate behind `--max-allows`.
-//!
-//! Both machine artifacts — the JSON report and the baseline file — are
-//! stamped with [`SCHEMA_VERSION`], consistent with the PR-8 artifact
-//! convention; unstamped baselines are rejected with a typed
-//! [`BaselineError`] rather than silently accepted.
+//! Finding output: human-readable text and a machine-readable JSON
+//! report (following the hand-rolled conventions of
+//! `crates/sim/src/json.rs` — ordered keys, exact unsigned integers,
+//! escaped strings). The report is stamped with [`SCHEMA_VERSION`],
+//! consistent with the PR-8 artifact convention, and lists every rule's
+//! suppression budget, its used count and the gate's verdict.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::cmp::Ordering;
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
-use crate::rules::{Finding, LintOutcome, Rule};
+use crate::rules::{LintOutcome, Rule};
 
-/// Schema version stamped into the JSON report and the baseline file.
-pub const SCHEMA_VERSION: u32 = 2;
-
-/// Per-rule suppression tally: in-source `simlint: allow` directives
-/// plus grandfathered baseline entries.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct AllowTally {
-    /// Well-formed, justified `simlint: allow(<rule>)` directives.
-    pub directives: usize,
-    /// Baseline entries for the rule.
-    pub baseline: usize,
-}
-
-impl AllowTally {
-    /// Total suppressions counted against the rule's budget.
-    pub fn total(self) -> usize {
-        self.directives + self.baseline
-    }
-}
-
-/// Counts per-rule suppressions from the outcome's directive census and
-/// the loaded baseline keys (whose first tab field is the rule name).
-pub fn tally_allows(
-    outcome: &LintOutcome,
-    baseline_keys: &[String],
-) -> BTreeMap<String, AllowTally> {
-    let mut tally: BTreeMap<String, AllowTally> = BTreeMap::new();
-    for (rule, n) in &outcome.allow_directives {
-        tally.entry(rule.clone()).or_default().directives += n;
-    }
-    for key in baseline_keys {
-        if let Some(rule) = key.split('\t').next() {
-            if Rule::from_name(rule).is_some() {
-                tally.entry(rule.to_string()).or_default().baseline += 1;
-            }
-        }
-    }
-    tally
-}
-
-/// One `--max-allows <rule>=<n>` budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Budget {
-    /// The budgeted rule name.
-    pub rule: String,
-    /// Maximum allowed suppressions (directives + baseline entries).
-    pub max: usize,
-}
-
-/// Parses a `<rule>=<n>` budget argument. The rule must be a known
-/// rule name and `<n>` a base-10 count.
-pub fn parse_budget(arg: &str) -> Option<Budget> {
-    let (rule, n) = arg.split_once('=')?;
-    Rule::from_name(rule)?;
-    let max: usize = n.parse().ok()?;
-    Some(Budget {
-        rule: rule.to_string(),
-        max,
-    })
-}
-
-/// Checks every budget against the tally, returning one
-/// `suppression-budget` finding per exceeded rule. These findings are
-/// appended *after* baseline application, so a budget violation can
-/// never itself be grandfathered.
-pub fn check_budgets(tally: &BTreeMap<String, AllowTally>, budgets: &[Budget]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for b in budgets {
-        let used = tally.get(&b.rule).copied().unwrap_or_default();
-        if used.total() > b.max {
-            out.push(Finding {
-                rule: Rule::SuppressionBudget,
-                file: "(workspace)".to_string(),
-                line: 0,
-                message: format!(
-                    "suppression budget exceeded for `{}`: {} allow(s) \
-                     ({} directive(s) + {} baseline entr(ies)) > max {} — \
-                     the allowlist must shrink, never grow; fix the new site \
-                     instead of suppressing it",
-                    b.rule,
-                    used.total(),
-                    used.directives,
-                    used.baseline,
-                    b.max
-                ),
-                snippet: String::new(),
-            });
-        }
-    }
-    out
-}
+/// Schema version stamped into the JSON report.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Renders findings for terminals: `path:line: [rule] message` plus the
 /// offending source line, then a summary line and a per-rule allows
 /// line (the determinism-matrix CI job reads the latter as its
 /// suppression-count trend).
-pub fn render_human(
-    outcome: &LintOutcome,
-    baselined: usize,
-    tally: &BTreeMap<String, AllowTally>,
-) -> String {
+pub fn render_human(outcome: &LintOutcome) -> String {
     let mut out = String::new();
     for f in &outcome.findings {
         let _ = writeln!(
@@ -135,17 +34,14 @@ pub fn render_human(
     }
     let _ = writeln!(
         out,
-        "simlint: {} finding(s), {} suppressed, {} baselined, {} file(s) scanned",
+        "simlint: {} finding(s), {} suppressed, {} file(s) scanned",
         outcome.findings.len(),
         outcome.suppressed,
-        baselined,
         outcome.files_scanned
     );
     let mut allows = String::new();
-    for (rule, t) in tally {
-        if t.total() > 0 {
-            let _ = write!(allows, " {}={}", rule, t.total());
-        }
+    for (rule, n) in &outcome.allow_directives {
+        let _ = write!(allows, " {rule}={n}");
     }
     let _ = writeln!(
         out,
@@ -176,44 +72,28 @@ fn escape_json(s: &str) -> String {
 }
 
 /// Serializes the outcome as a schema-stamped JSON report object with
-/// per-rule suppression counts and budget verdicts.
-pub fn render_json(
-    outcome: &LintOutcome,
-    baselined: usize,
-    tally: &BTreeMap<String, AllowTally>,
-    budgets: &[Budget],
-) -> String {
+/// one budget entry per rule: its constant, its used count and the
+/// gate's verdict (`ok`, `over` or `under`).
+pub fn render_json(outcome: &LintOutcome) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"schema_version\":{SCHEMA_VERSION},");
     let _ = write!(out, "\"files_scanned\":{},", outcome.files_scanned);
     let _ = write!(out, "\"suppressed\":{},", outcome.suppressed);
-    let _ = write!(out, "\"baselined\":{baselined},");
-    out.push_str("\"allows\":{");
-    for (i, (rule, t)) in tally.iter().enumerate() {
+    out.push_str("\"budgets\":[");
+    for (i, rule) in Rule::ALL.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        let (used, budget) = (outcome.allows(*rule), rule.budget());
+        let verdict = match used.cmp(&budget) {
+            Ordering::Less => "under",
+            Ordering::Equal => "ok",
+            Ordering::Greater => "over",
+        };
         let _ = write!(
             out,
-            "\"{}\":{{\"directives\":{},\"baseline\":{}}}",
-            escape_json(rule),
-            t.directives,
-            t.baseline
-        );
-    }
-    out.push_str("},\"budgets\":[");
-    for (i, b) in budgets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let used = tally.get(&b.rule).copied().unwrap_or_default().total();
-        let _ = write!(
-            out,
-            "{{\"rule\":\"{}\",\"max\":{},\"used\":{},\"ok\":{}}}",
-            escape_json(&b.rule),
-            b.max,
-            used,
-            used <= b.max
+            "{{\"rule\":\"{}\",\"budget\":{budget},\"used\":{used},\"verdict\":\"{verdict}\"}}",
+            rule.name()
         );
     }
     out.push_str("],\"findings\":[");
@@ -235,99 +115,16 @@ pub fn render_json(
     out
 }
 
-/// Why a baseline file could not be used.
-#[derive(Debug)]
-pub enum BaselineError {
-    /// The file exists but could not be read.
-    Io(io::Error),
-    /// The file carries no `schema_version` stamp line.
-    Unstamped,
-    /// The file is stamped with a version this binary does not speak.
-    WrongVersion(String),
-}
-
-impl fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BaselineError::Io(e) => write!(f, "cannot read baseline: {e}"),
-            BaselineError::Unstamped => write!(
-                f,
-                "baseline is not stamped with `schema_version\t{SCHEMA_VERSION}` — \
-                 regenerate it with `simlint --workspace --write-baseline`"
-            ),
-            BaselineError::WrongVersion(found) => write!(
-                f,
-                "baseline schema_version `{found}` is not `{SCHEMA_VERSION}` — \
-                 regenerate it with `simlint --workspace --write-baseline`"
-            ),
-        }
-    }
-}
-
-/// Loads the baseline file: a `schema_version` stamp line followed by
-/// one grandfathered finding key per line (see
-/// [`Finding::baseline_key`]); `#` lines and blanks are ignored. A
-/// missing file is NOT handled here — callers decide whether absence
-/// means "empty baseline".
-pub fn load_baseline(path: &Path) -> Result<Vec<String>, BaselineError> {
-    let text = fs::read_to_string(path).map_err(BaselineError::Io)?;
-    parse_baseline(&text)
-}
-
-/// Parses baseline content (see [`load_baseline`] for the format).
-pub fn parse_baseline(text: &str) -> Result<Vec<String>, BaselineError> {
-    let mut lines = text
-        .lines()
-        .map(str::trim_end)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'));
-    let Some(stamp) = lines.next() else {
-        return Err(BaselineError::Unstamped);
-    };
-    match stamp.split_once('\t') {
-        Some(("schema_version", v)) if v == SCHEMA_VERSION.to_string() => {}
-        Some(("schema_version", v)) => return Err(BaselineError::WrongVersion(v.to_string())),
-        _ => return Err(BaselineError::Unstamped),
-    }
-    Ok(lines.map(str::to_string).collect())
-}
-
-/// Serializes findings as baseline content: stamped, sorted and
-/// de-duplicated, so regeneration is deterministic regardless of
-/// finding order or repeated keys.
-pub fn render_baseline(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "# simlint baseline — grandfathered findings, one per line:\n\
-         # <rule>\\t<file>\\t<normalized source line>\n\
-         # Regenerate with `simlint --workspace --write-baseline`.\n",
-    );
-    let _ = writeln!(out, "schema_version\t{SCHEMA_VERSION}");
-    let mut keys: Vec<String> = findings.iter().map(Finding::baseline_key).collect();
-    keys.sort();
-    keys.dedup();
-    for k in keys {
-        let _ = writeln!(out, "{k}");
-    }
-    out
-}
-
-/// Splits an outcome's findings into (kept, baselined-count) against a
-/// loaded baseline.
-pub fn apply_baseline(outcome: &mut LintOutcome, baseline: &[String]) -> usize {
-    let before = outcome.findings.len();
-    outcome
-        .findings
-        .retain(|f| !baseline.iter().any(|k| *k == f.baseline_key()));
-    before - outcome.findings.len()
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::rules::Rule;
+    use crate::rules::Finding;
 
     fn sample() -> LintOutcome {
         let mut allow_directives = BTreeMap::new();
-        allow_directives.insert("rng-discipline".to_string(), 5);
+        allow_directives.insert("panic-policy".to_string(), 5);
         LintOutcome {
             findings: vec![Finding {
                 rule: Rule::FloatEq,
@@ -344,128 +141,25 @@ mod tests {
 
     #[test]
     fn json_report_is_schema_stamped() {
-        let outcome = sample();
-        let tally = tally_allows(&outcome, &[]);
-        let budgets = vec![Budget {
-            rule: "rng-discipline".to_string(),
-            max: 5,
-        }];
-        let json = render_json(&outcome, 1, &tally, &budgets);
-        assert!(json.starts_with("{\"schema_version\":2,"));
-        assert!(json.contains("\"rule\":\"float-eq\""));
+        let json = render_json(&sample());
+        assert!(json.starts_with("{\"schema_version\":3,"), "{json}");
+        assert!(json.contains("\"rule\":\"float-eq\",\"file\""));
         assert!(json.contains("\"line\":7"));
-        assert!(json.contains("\"baselined\":1"));
-        assert!(json.contains("\"allows\":{\"rng-discipline\":{\"directives\":5,\"baseline\":0}}"));
-        assert!(json.contains(
-            "\"budgets\":[{\"rule\":\"rng-discipline\",\"max\":5,\"used\":5,\"ok\":true}]"
-        ));
-    }
-
-    #[test]
-    fn baseline_round_trip_suppresses() {
-        let mut outcome = sample();
-        let content = render_baseline(&outcome.findings);
-        let keys = parse_baseline(&content).expect("stamped baseline loads");
-        assert_eq!(keys.len(), 1);
-        let baselined = apply_baseline(&mut outcome, &keys);
-        assert_eq!(baselined, 1);
-        assert!(outcome.findings.is_empty());
-        let tally = tally_allows(&outcome, &keys);
-        assert_eq!(
-            tally.get("float-eq").copied().unwrap_or_default().baseline,
-            1
-        );
-    }
-
-    #[test]
-    fn baseline_output_is_sorted_and_deduped() {
-        let mk = |file: &str, snippet: &str| Finding {
-            rule: Rule::PanicPolicy,
-            file: file.to_string(),
-            line: 1,
-            message: String::new(),
-            snippet: snippet.to_string(),
-        };
-        let findings = vec![
-            mk("crates/z.rs", "b.unwrap();"),
-            mk("crates/a.rs", "a.unwrap();"),
-            mk("crates/z.rs", "b.unwrap();"),
-        ];
-        let content = render_baseline(&findings);
-        let keys: Vec<&str> = content
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.starts_with("schema_version") && !l.is_empty())
-            .collect();
-        assert_eq!(keys.len(), 2, "{content}");
-        assert!(keys[0] < keys[1]);
-    }
-
-    #[test]
-    fn unstamped_baseline_is_a_typed_error() {
-        assert!(matches!(
-            parse_baseline("# comment only\npanic-policy\tx.rs\ty.unwrap();\n"),
-            Err(BaselineError::Unstamped)
-        ));
-        assert!(matches!(
-            parse_baseline("schema_version\t1\n"),
-            Err(BaselineError::WrongVersion(v)) if v == "1"
-        ));
-    }
-
-    #[test]
-    fn budgets_gate_totals_not_directives_alone() {
-        let outcome = sample(); // 5 rng-discipline directives
-        let keys = vec!["rng-discipline\tcrates/sim/src/medium.rs\tx".to_string()];
-        let tally = tally_allows(&outcome, &keys);
-        assert_eq!(
-            tally
-                .get("rng-discipline")
-                .copied()
-                .unwrap_or_default()
-                .total(),
-            6
-        );
-        let ok = check_budgets(
-            &tally,
-            &[Budget {
-                rule: "rng-discipline".to_string(),
-                max: 6,
-            }],
-        );
-        assert!(ok.is_empty());
-        let bad = check_budgets(
-            &tally,
-            &[Budget {
-                rule: "rng-discipline".to_string(),
-                max: 5,
-            }],
-        );
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].rule, Rule::SuppressionBudget);
-        assert!(bad[0].message.contains("> max 5"));
-    }
-
-    #[test]
-    fn budget_args_parse_and_validate() {
-        assert_eq!(
-            parse_budget("rng-discipline=5"),
-            Some(Budget {
-                rule: "rng-discipline".to_string(),
-                max: 5
-            })
-        );
-        assert_eq!(parse_budget("no-such-rule=5"), None);
-        assert_eq!(parse_budget("rng-discipline=x"), None);
-        assert_eq!(parse_budget("rng-discipline"), None);
+        assert!(!json.contains("baseline"), "{json}");
+        assert_eq!(json.matches("\"budget\":").count(), Rule::ALL.len());
+        assert!(json.contains(&format!(
+            "{{\"rule\":\"panic-policy\",\"budget\":{},\"used\":5,\"verdict\":\"under\"}}",
+            Rule::PanicPolicy.budget()
+        )));
+        assert!(json
+            .contains("{\"rule\":\"rng-discipline\",\"budget\":0,\"used\":0,\"verdict\":\"ok\"}"));
     }
 
     #[test]
     fn human_rendering_mentions_rule_line_and_allows() {
-        let outcome = sample();
-        let tally = tally_allows(&outcome, &[]);
-        let text = render_human(&outcome, 0, &tally);
+        let text = render_human(&sample());
         assert!(text.contains("crates/sim/src/x.rs:7: [float-eq]"));
-        assert!(text.contains("1 finding(s), 2 suppressed"));
-        assert!(text.contains("simlint allows: rng-discipline=5"));
+        assert!(text.contains("1 finding(s), 2 suppressed, 3 file(s) scanned"));
+        assert!(text.contains("simlint allows: panic-policy=5"));
     }
 }

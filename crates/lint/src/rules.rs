@@ -5,9 +5,11 @@
 //! crate (see the scoping constants below) and every finding can be
 //! suppressed with a `// simlint: allow(<rule>) — <reason>` comment on
 //! the same line or within the two lines above it. The suppression
-//! *requires* a reason — a bare `allow` is itself reported via
-//! [`Rule::BadSuppression`].
+//! *requires* a reason and must silence a finding — a bare or stale
+//! `allow` is itself reported via [`Rule::BadSuppression`]. Each rule's
+//! allows are counted against its fixed [`Rule::budget`].
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use crate::lexer::{lex, Lexed, TokKind};
@@ -44,17 +46,17 @@ pub enum Rule {
     /// on — no wildcard arms, so a new event forces a decision at each
     /// observer/dispatch site.
     MatchExhaustive,
-    /// A per-rule suppression count exceeded its `--max-allows`
-    /// budget — the allowlist must ratchet down, never grow.
+    /// A rule's allow count differs from its [`Rule::budget`] — the
+    /// allowlist must ratchet down, never grow.
     SuppressionBudget,
     /// A `simlint:` directive that is malformed, names an unknown rule,
-    /// or omits its justification.
+    /// omits its justification or suppresses nothing.
     BadSuppression,
 }
 
 impl Rule {
     /// The stable kebab-case rule name used in findings, suppression
-    /// comments and the baseline file.
+    /// comments and the JSON report.
     pub fn name(self) -> &'static str {
         match self {
             Rule::UnitHygiene => "unit-hygiene",
@@ -89,6 +91,26 @@ impl Rule {
         })
     }
 
+    /// How many `simlint: allow` directives this rule may carry: the one
+    /// table of suppression budgets. [`check_budgets`] holds every rule
+    /// to exactly this number, so fixing an allowed site means lowering
+    /// its constant here, and a new rule cannot land without one.
+    pub const fn budget(self) -> usize {
+        match self {
+            Rule::Determinism => 3,
+            Rule::FloatEq => 1,
+            Rule::MatchExhaustive => 2,
+            Rule::PanicPolicy => 17,
+            Rule::UnitHygiene
+            | Rule::EventCompleteness
+            | Rule::BackendExhaustive
+            | Rule::ShardSafety
+            | Rule::RngDiscipline
+            | Rule::SuppressionBudget
+            | Rule::BadSuppression => 0,
+        }
+    }
+
     /// Every rule, in reporting order.
     pub const ALL: [Rule; 11] = [
         Rule::UnitHygiene,
@@ -108,8 +130,7 @@ impl Rule {
 /// One source file to lint.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
-    /// Workspace-relative path with forward slashes (used in findings
-    /// and the baseline).
+    /// Workspace-relative path with forward slashes (used in findings).
     pub rel_path: String,
     /// Short crate name (`radio`, `mac`, `core`, `sim`, `experiments`,
     /// `lint`, `comap`) controlling which rules apply.
@@ -129,23 +150,8 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-    /// The trimmed source line, for context and baseline keying.
+    /// The trimmed source line, for context.
     pub snippet: String,
-}
-
-impl Finding {
-    /// The baseline key: rule, file and whitespace-normalized snippet.
-    /// Line numbers are deliberately excluded so unrelated edits above a
-    /// grandfathered finding do not invalidate the baseline.
-    pub fn baseline_key(&self) -> String {
-        let normalized: Vec<&str> = self.snippet.split_whitespace().collect();
-        format!(
-            "{}\t{}\t{}",
-            self.rule.name(),
-            self.file,
-            normalized.join(" ")
-        )
-    }
 }
 
 /// Aggregate result of linting a file set.
@@ -157,11 +163,16 @@ pub struct LintOutcome {
     pub suppressed: usize,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Per-rule counts of well-formed, justified `simlint: allow`
-    /// directives present in the scanned sources (whether or not each
-    /// silenced a finding this run) — the in-source half of the
-    /// suppression budget.
+    /// Per-rule counts of the `simlint: allow` directives that silenced
+    /// a finding, keyed by rule name — what [`check_budgets`] counts.
     pub allow_directives: BTreeMap<String, usize>,
+}
+
+impl LintOutcome {
+    /// The number of allows counted for `rule`.
+    pub fn allows(&self, rule: Rule) -> usize {
+        self.allow_directives.get(rule.name()).copied().unwrap_or(0)
+    }
 }
 
 /// Crates whose public functions the unit-hygiene rule covers.
@@ -224,13 +235,9 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
     let mut decl: Option<EventDecl> = None;
     let mut constructed: Vec<String> = Vec::new();
 
-    let mut lexed_files: Vec<(usize, Lexed)> = Vec::new();
-    for (idx, file) in files.iter().enumerate() {
-        lexed_files.push((idx, lex(&file.text)));
-    }
+    let lexed_files: Vec<Lexed> = files.iter().map(|f| lex(&f.text)).collect();
 
-    for (idx, lexed) in &lexed_files {
-        let file = &files[*idx];
+    for (file, lexed) in files.iter().zip(&lexed_files) {
         let model = FileModel::parse(lexed);
         check_panic_policy(file, lexed, &mut raw);
         if DETERMINISM_CRATES.contains(&file.crate_name.as_str()) {
@@ -249,12 +256,6 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
         }
         if RNG_DISCIPLINE_CRATES.contains(&file.crate_name.as_str()) {
             check_rng_discipline(file, lexed, &model, &mut raw);
-        }
-        check_directives(file, lexed, &mut raw);
-        for d in &lexed.directives {
-            if d.well_formed && d.has_reason && Rule::from_name(&d.rule).is_some() {
-                *outcome.allow_directives.entry(d.rule.clone()).or_insert(0) += 1;
-            }
         }
         if file.crate_name == EVENT_CRATE {
             match find_event_decl(file, lexed, &model) {
@@ -282,28 +283,42 @@ pub fn lint_files(files: &[SourceFile]) -> LintOutcome {
         }
     }
 
-    // Apply suppressions: a well-formed, justified directive for the
-    // finding's rule on the finding's line or up to two lines above.
+    // Apply suppressions: the nearest well-formed, justified directive
+    // for the finding's rule on the finding's line or up to two lines
+    // above. `used` marks each directive that silenced something.
+    let mut used: Vec<Vec<bool>> = lexed_files
+        .iter()
+        .map(|l| vec![false; l.directives.len()])
+        .collect();
     for finding in raw {
-        let lexed = lexed_files
+        let site = files
             .iter()
-            .find(|(idx, _)| files[*idx].rel_path == finding.file)
-            .map(|(_, l)| l);
-        let suppressed = finding.rule != Rule::BadSuppression
-            && lexed.is_some_and(|l| {
-                l.directives.iter().any(|d| {
-                    d.well_formed
-                        && d.has_reason
-                        && d.rule == finding.rule.name()
-                        && d.line <= finding.line
-                        && finding.line - d.line <= 2
-                })
+            .position(|f| f.rel_path == finding.file)
+            .and_then(|fi| {
+                let (di, _) = lexed_files[fi]
+                    .directives
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, d)| {
+                        d.well_formed
+                            && d.has_reason
+                            && d.rule == finding.rule.name()
+                            && d.line <= finding.line
+                            && finding.line - d.line <= 2
+                    })
+                    .max_by_key(|(_, d)| d.line)?;
+                Some((fi, di))
             });
-        if suppressed {
-            outcome.suppressed += 1;
-        } else {
-            outcome.findings.push(finding);
+        match site {
+            Some((fi, di)) => {
+                used[fi][di] = true;
+                outcome.suppressed += 1;
+            }
+            None => outcome.findings.push(finding),
         }
+    }
+    for ((file, lexed), used) in files.iter().zip(&lexed_files).zip(&used) {
+        check_directives(file, lexed, used, &mut outcome);
     }
     outcome
         .findings
@@ -652,8 +667,8 @@ fn is_constructor(name: &str) -> bool {
 /// results. Outside constructors and tests, hot-path code must use the
 /// counter-based keyed streams (`comap_radio::stream`'s
 /// `(seed, ident, counter)` pattern, DESIGN.md §11). The migration is
-/// complete: the suppression budget is 0, so any new sequential draw
-/// is a hard failure (see `--max-allows`).
+/// complete: its [`Rule::budget`] is 0, so any new sequential draw is a
+/// hard failure.
 fn check_rng_discipline(
     file: &SourceFile,
     lexed: &Lexed,
@@ -798,9 +813,11 @@ fn push_rng_finding(file: &SourceFile, line: u32, binding: &str, out: &mut Vec<F
 }
 
 /// bad-suppression: every `simlint:` comment must be a well-formed
-/// `allow(<known-rule>)` with a justification.
-fn check_directives(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Finding>) {
-    for d in &lexed.directives {
+/// `allow(<known-rule>)` with a justification, and must silence a
+/// finding (`used`). Every directive that does is counted toward its
+/// rule's budget.
+fn check_directives(file: &SourceFile, lexed: &Lexed, used: &[bool], outcome: &mut LintOutcome) {
+    for (d, &used) in lexed.directives.iter().zip(used) {
         let message = if !d.well_formed {
             Some(
                 "malformed `simlint:` directive — expected `simlint: allow(<rule>) — <reason>`"
@@ -816,13 +833,61 @@ fn check_directives(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Finding>) {
                 "`simlint: allow({})` without a justification — state the invariant that makes this safe",
                 d.rule
             ))
+        } else if !used {
+            Some(format!(
+                "`allow({})` suppresses nothing here — delete it",
+                d.rule
+            ))
         } else {
+            *outcome.allow_directives.entry(d.rule.clone()).or_insert(0) += 1;
             None
         };
         if let Some(message) = message {
-            push(file, Rule::BadSuppression, d.line, message, out);
+            push(
+                file,
+                Rule::BadSuppression,
+                d.line,
+                message,
+                &mut outcome.findings,
+            );
         }
     }
+}
+
+/// suppression-budget: holds every rule's allow count to exactly its
+/// [`Rule::budget`]. Over budget means a new site was suppressed
+/// instead of fixed; under budget means a site was fixed and its
+/// constant must come down with it. [`lint_files`] leaves this gate
+/// out, because it only holds over the whole workspace
+/// ([`crate::workspace::lint_workspace`]).
+pub fn check_budgets(outcome: &LintOutcome) -> Vec<Finding> {
+    Rule::ALL
+        .iter()
+        .filter_map(|&rule| {
+            let (used, budget) = (outcome.allows(rule), rule.budget());
+            let message = match used.cmp(&budget) {
+                Ordering::Equal => return None,
+                Ordering::Greater => format!(
+                    "suppression budget exceeded for `{}`: {used} allow(s) > budget {budget} — \
+                     the allowlist must shrink, never grow; fix the new site instead of \
+                     suppressing it",
+                    rule.name()
+                ),
+                Ordering::Less => format!(
+                    "suppression budget for `{}` is stale: {used} allow(s) < budget {budget} — \
+                     lower the constant in `Rule::budget` to {used}",
+                    rule.name()
+                ),
+            };
+            Some(Finding {
+                rule: Rule::SuppressionBudget,
+                file: "(workspace)".to_string(),
+                line: 0,
+                message,
+                snippet: String::new(),
+            })
+        })
+        .collect()
 }
 
 /// The parsed `SimEvent` declaration.
@@ -1101,6 +1166,109 @@ mod tests {
         );
         // None of the bad directives count toward the allow budget.
         assert!(out.allow_directives.is_empty());
+    }
+
+    #[test]
+    fn stale_allows_are_bad_suppressions() {
+        let clean_line = "fn a(x: &[u8]) -> usize {\n\
+                          \x20   // simlint: allow(panic-policy) — invariant: x is never empty\n\
+                          \x20   x.len()\n\
+                          }\n";
+        let out = lint_files(&[file("core", "crates/core/src/x.rs", clean_line)]);
+        assert_eq!(rules_of(&out), vec![(Rule::BadSuppression, 2)]);
+        assert!(
+            out.findings[0]
+                .message
+                .contains("`allow(panic-policy)` suppresses nothing here"),
+            "{}",
+            out.findings[0].message
+        );
+        assert!(
+            out.allow_directives.is_empty(),
+            "a stale allow is not counted"
+        );
+
+        // An allow is stale wherever its rule does not run: panic-policy
+        // skips test regions, determinism skips the experiments crate.
+        let test_region = "#[cfg(test)]\n\
+                           mod tests {\n\
+                           \x20   // simlint: allow(panic-policy) — the test fixture is non-empty\n\
+                           \x20   fn t() { x.unwrap(); }\n\
+                           }\n";
+        let out = lint_files(&[file("core", "crates/core/src/x.rs", test_region)]);
+        assert_eq!(rules_of(&out), vec![(Rule::BadSuppression, 3)]);
+        let out_of_scope = "// simlint: allow(determinism) — the wall clock only times the run\n\
+                            fn t() { let s = Instant::now(); }\n";
+        let out = lint_files(&[file(
+            "experiments",
+            "crates/experiments/src/x.rs",
+            out_of_scope,
+        )]);
+        assert_eq!(rules_of(&out), vec![(Rule::BadSuppression, 1)]);
+    }
+
+    #[test]
+    fn the_nearest_allow_takes_the_finding() {
+        // Line 3's finding is in reach of both allows; the same-line one
+        // takes it, so neither allow is left stale.
+        let src = "// simlint: allow(panic-policy) — invariant: x is always present\n\
+                   fn a() { x.unwrap(); }\n\
+                   fn b() { y.unwrap(); } // simlint: allow(panic-policy) — invariant: y is always present\n";
+        let out = lint_files(&[file("core", "crates/core/src/x.rs", src)]);
+        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert_eq!(out.suppressed, 2);
+        assert_eq!(out.allows(Rule::PanicPolicy), 2);
+    }
+
+    /// An outcome whose allow counts equal every budget, except that
+    /// `rule`'s is shifted by `delta`.
+    fn counted(rule: Rule, delta: isize) -> LintOutcome {
+        let mut outcome = LintOutcome::default();
+        for r in Rule::ALL {
+            let n = r.budget() as isize + if r == rule { delta } else { 0 };
+            if n > 0 {
+                outcome
+                    .allow_directives
+                    .insert(r.name().to_string(), n as usize);
+            }
+        }
+        outcome
+    }
+
+    #[test]
+    fn budget_gate_is_exact() {
+        assert!(check_budgets(&counted(Rule::PanicPolicy, 0)).is_empty());
+
+        let budget = Rule::PanicPolicy.budget();
+        let over = check_budgets(&counted(Rule::PanicPolicy, 1));
+        assert_eq!(over.len(), 1, "{over:?}");
+        assert_eq!(over[0].rule, Rule::SuppressionBudget);
+        assert!(
+            over[0].message.contains(&format!(
+                "`panic-policy`: {} allow(s) > budget {budget}",
+                budget + 1
+            )) && over[0].message.contains("fix the new site"),
+            "{}",
+            over[0].message
+        );
+
+        let under = check_budgets(&counted(Rule::PanicPolicy, -1));
+        assert_eq!(under.len(), 1, "{under:?}");
+        assert!(
+            under[0].message.contains(&format!(
+                "`panic-policy` is stale: {} allow(s) < budget {budget}",
+                budget - 1
+            )) && under[0].message.contains("lower the constant"),
+            "{}",
+            under[0].message
+        );
+
+        // A zero budget admits no allow at all.
+        let zero = check_budgets(&counted(Rule::RngDiscipline, 1));
+        assert_eq!(zero.len(), 1, "{zero:?}");
+        assert!(zero[0]
+            .message
+            .contains("`rng-discipline`: 1 allow(s) > budget 0"));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::SourceFile;
+use crate::rules::{check_budgets, lint_files, LintOutcome, SourceFile};
 
 /// Walks upward from `start` to the nearest directory whose
 /// `Cargo.toml` declares `[workspace]`.
@@ -27,6 +27,16 @@ pub fn discover_workspace(start: &Path) -> Option<PathBuf> {
         dir = d.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// Lints every library source under `root` and gates each rule's allow
+/// count against its fixed budget: the one check `simlint` runs, and
+/// the one its workspace test runs.
+pub fn lint_workspace(root: &Path) -> io::Result<LintOutcome> {
+    let mut outcome = lint_files(&collect_sources(root)?);
+    let budget_findings = check_budgets(&outcome);
+    outcome.findings.extend(budget_findings);
+    Ok(outcome)
 }
 
 /// Collects every in-scope library source file under `root`, sorted by
@@ -76,7 +86,7 @@ fn walk_src(
         if path.is_dir() {
             // `bin/` holds executables; `fixtures/` holds
             // intentionally-violating lint-fixture code that must never
-            // reach workspace mode (defense in depth — the walker only
+            // reach the lint (defense in depth — the walker only
             // descends `src/` directories, but a fixture tree nested
             // under one would otherwise be scanned).
             if name == "bin" || name == "fixtures" {
@@ -104,16 +114,4 @@ pub fn load_source(root: &Path, path: &Path, crate_name: &str) -> io::Result<Sou
         crate_name: crate_name.to_string(),
         text,
     })
-}
-
-/// Infers the short crate name from a workspace-relative path
-/// (`crates/<name>/...` → `<name>`, anything else → `comap`).
-pub fn crate_of(rel_path: &str) -> String {
-    let mut parts = rel_path.split('/');
-    if parts.next() == Some("crates") {
-        if let Some(name) = parts.next() {
-            return name.to_string();
-        }
-    }
-    "comap".to_string()
 }

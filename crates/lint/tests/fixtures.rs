@@ -3,7 +3,10 @@
 //! pairs each fixture produces, so a lexer or rule regression that
 //! silently stops detecting a class of violation fails loudly.
 
-use comap_lint::{lint_files, Rule, SourceFile};
+use std::path::PathBuf;
+
+use comap_lint::rules::check_budgets;
+use comap_lint::{collect_sources, lint_files, Finding, Rule, SourceFile};
 
 fn fixture(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
     SourceFile {
@@ -52,13 +55,19 @@ fn unit_hygiene_fixture_is_fully_detected() {
     assert!(findings(&files)
         .iter()
         .all(|(r, _)| *r == Rule::UnitHygiene));
-    // The same file outside the physics crates is clean.
-    assert!(findings(&[fixture(
-        "experiments",
-        "crates/experiments/src/unit_hygiene.rs",
-        text
-    )])
-    .is_empty());
+    // The same file outside the physics crates raises no unit-hygiene
+    // finding, so its one allow silences nothing and is stale.
+    assert_eq!(
+        findings(&[fixture(
+            "experiments",
+            "crates/experiments/src/unit_hygiene.rs",
+            text
+        )]),
+        vec![(
+            Rule::BadSuppression,
+            line_of(text, "simlint: allow(unit-hygiene)")
+        )]
+    );
 }
 
 #[test]
@@ -195,13 +204,19 @@ fn backend_exhaustive_fixture_is_fully_detected() {
         .len(),
         3
     );
-    // ...but the physics crates, which never see a backend, are not.
-    assert!(findings(&[fixture(
-        "radio",
-        "crates/radio/src/backend_exhaustive.rs",
-        text
-    )])
-    .is_empty());
+    // ...but the physics crates, which never see a backend, are not:
+    // there the fixture's one allow silences nothing and is stale.
+    assert_eq!(
+        findings(&[fixture(
+            "radio",
+            "crates/radio/src/backend_exhaustive.rs",
+            text
+        )]),
+        vec![(
+            Rule::BadSuppression,
+            line_of(text, "simlint: allow(backend-exhaustive)")
+        )]
+    );
 }
 
 #[test]
@@ -356,50 +371,54 @@ fn match_exhaustive_fixture_is_fully_detected() {
     .is_empty());
 }
 
+/// The workspace's own library sources plus one fixture file linted as
+/// `crates/core/src/<name>`, gated like `simlint` gates the workspace.
+fn workspace_with(name: &str, text: &str) -> Vec<Finding> {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root");
+    let mut files = collect_sources(&root).expect("workspace sources readable");
+    files.push(fixture("core", &format!("crates/core/src/{name}"), text));
+    let mut outcome = lint_files(&files);
+    let budget_findings = check_budgets(&outcome);
+    outcome.findings.extend(budget_findings);
+    outcome.findings
+}
+
 #[test]
 fn suppression_budget_fixture_trips_and_respects_budgets() {
-    use comap_lint::report::{check_budgets, parse_budget, tally_allows};
-
+    // One more justified allow than the workspace's panic-policy budget:
+    // the gate fails on the count and asks for the site to be fixed.
     let text = include_str!("../fixtures/suppression_budget.rs");
-    let files = [fixture(
-        "core",
-        "crates/core/src/suppression_budget.rs",
-        text,
-    )];
-    let outcome = lint_files(&files);
-    // All three panic-policy sites are suppressed by their directives…
-    assert!(outcome.findings.is_empty());
-    assert_eq!(outcome.suppressed, 3);
-    // …and the directive census sees exactly three allows.
-    let tally = tally_allows(&outcome, &[]);
-    assert_eq!(
-        tally
-            .get("panic-policy")
-            .copied()
-            .unwrap_or_default()
-            .total(),
-        3
+    let got = workspace_with("suppression_budget.rs", text);
+    assert_eq!(got.len(), 1, "{got:?}");
+    let budget = Rule::PanicPolicy.budget();
+    assert_eq!(got[0].rule, Rule::SuppressionBudget);
+    assert!(
+        got[0].message.contains(&format!(
+            "`panic-policy`: {} allow(s) > budget {budget}",
+            budget + 1
+        )) && got[0].message.contains("fix the new site"),
+        "{}",
+        got[0].message
     );
-    let over = check_budgets(&tally, &[parse_budget("panic-policy=2").expect("spec")]);
-    assert_eq!(over.len(), 1);
-    assert_eq!(over[0].rule, Rule::SuppressionBudget);
-    let within = check_budgets(&tally, &[parse_budget("panic-policy=3").expect("spec")]);
-    assert!(within.is_empty());
 
-    let clean = include_str!("../fixtures/suppression_budget_clean.rs");
-    let clean_files = [fixture(
-        "core",
-        "crates/core/src/suppression_budget_clean.rs",
-        clean,
-    )];
-    let clean_outcome = lint_files(&clean_files);
-    assert!(clean_outcome.findings.is_empty());
-    let clean_tally = tally_allows(&clean_outcome, &[]);
-    assert!(check_budgets(
-        &clean_tally,
-        &[parse_budget("panic-policy=1").expect("spec")]
-    )
-    .is_empty());
+    // The site fixed but its allow left behind: the stale allow is
+    // reported where it sits and is not counted, so the budget holds.
+    let stale = include_str!("../fixtures/stale_allow.rs");
+    let got = workspace_with("stale_allow.rs", stale);
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert_eq!(got[0].rule, Rule::BadSuppression);
+    assert_eq!(got[0].file, "crates/core/src/stale_allow.rs");
+    assert_eq!(got[0].line, line_of(stale, "simlint: allow(panic-policy)"));
+    assert!(
+        got[0]
+            .message
+            .contains("`allow(panic-policy)` suppresses nothing here"),
+        "{}",
+        got[0].message
+    );
 }
 
 #[test]
@@ -409,25 +428,4 @@ fn suppression_without_reason_is_itself_a_finding() {
     let got = findings(&files);
     // The bare allow does NOT silence the finding, and is reported.
     assert_eq!(got, vec![(Rule::BadSuppression, 1), (Rule::PanicPolicy, 2)]);
-}
-
-#[test]
-fn baseline_key_is_line_number_independent() {
-    let a = fixture("core", "crates/core/src/x.rs", "fn f() { x.unwrap(); }\n");
-    let b = fixture(
-        "core",
-        "crates/core/src/x.rs",
-        "// moved down by an edit\n\nfn f() { x.unwrap(); }\n",
-    );
-    let ka: Vec<String> = lint_files(&[a])
-        .findings
-        .iter()
-        .map(|f| f.baseline_key())
-        .collect();
-    let kb: Vec<String> = lint_files(&[b])
-        .findings
-        .iter()
-        .map(|f| f.baseline_key())
-        .collect();
-    assert_eq!(ka, kb);
 }

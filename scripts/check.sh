@@ -17,24 +17,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> simlint --workspace (static invariants, hard gate)"
-# Suppression budgets. This list is the one source: CI passes the
-# identical set, and crates/lint/tests/workspace_clean.rs parses it and
-# checks that every rule with a live allow has a budget equal to its
-# current tally, so removing an allow without lowering its budget fails.
-# The rng-discipline migration is complete (all five sequential-draw
-# sites are on counter-keyed streams, DESIGN.md §11), so its budget is
-# 0 and any new sequential draw is a hard failure. match-exhaustive
-# keeps its two deliberate sink projections. Every budget only goes
-# down: lower it whenever an allow goes.
-cargo run -q -p comap-lint --bin simlint -- --workspace \
-    --max-allows determinism=4 \
-    --max-allows float-eq=1 \
-    --max-allows shard-safety=0 \
-    --max-allows rng-discipline=0 \
-    --max-allows match-exhaustive=2 \
-    --max-allows panic-policy=19 \
-    --json target/simlint.json
+echo "==> simlint (static invariants, hard gate)"
+# Every rule's allow count must equal its fixed budget, a constant in
+# `Rule::budget` (crates/lint/src/rules.rs). CI runs the identical command.
+cargo run -q -p comap-lint --bin simlint -- --json target/simlint.json
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
