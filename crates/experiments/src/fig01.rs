@@ -78,14 +78,20 @@ impl Fig01 {
     }
 
     /// Goodput at the far end of the sweep (C2 out of carrier sense).
+    #[expect(
+        clippy::expect_used,
+        reason = "the sweep constructor emits one point per C2 position"
+    )]
     pub fn far_end(&self) -> f64 {
-        // simlint: allow(panic-policy) — the sweep constructor emits one point per C2 position
         self.points.last().expect("non-empty sweep").c1_goodput
     }
 
     /// Goodput at the near end (C2 a genuine contender).
+    #[expect(
+        clippy::expect_used,
+        reason = "the sweep constructor emits one point per C2 position"
+    )]
     pub fn near_end(&self) -> f64 {
-        // simlint: allow(panic-policy) — the sweep constructor emits one point per C2 position
         self.points.first().expect("non-empty sweep").c1_goodput
     }
 }

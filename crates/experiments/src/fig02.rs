@@ -87,31 +87,40 @@ pub fn run(quick: bool) -> Fig02 {
 
 impl Fig02 {
     /// The payload size maximizing goodput with one HT.
+    #[expect(
+        clippy::expect_used,
+        reason = "the sweep emits one point per payload size"
+    )]
     pub fn best_payload_with_ht(&self) -> u32 {
         self.points
             .iter()
             .max_by(|a, b| a.one_ht.total_cmp(&b.one_ht))
-            // simlint: allow(panic-policy) — the sweep emits one point per payload size
             .expect("non-empty")
             .payload
     }
 
     /// The payload size maximizing goodput with three HTs.
+    #[expect(
+        clippy::expect_used,
+        reason = "the sweep emits one point per payload size"
+    )]
     pub fn best_payload_with_three_hts(&self) -> u32 {
         self.points
             .iter()
             .max_by(|a, b| a.three_ht.total_cmp(&b.three_ht))
-            // simlint: allow(panic-policy) — the sweep emits one point per payload size
             .expect("non-empty")
             .payload
     }
 
     /// The payload size maximizing goodput without HTs.
+    #[expect(
+        clippy::expect_used,
+        reason = "the sweep emits one point per payload size"
+    )]
     pub fn best_payload_without_ht(&self) -> u32 {
         self.points
             .iter()
             .max_by(|a, b| a.no_ht.total_cmp(&b.no_ht))
-            // simlint: allow(panic-policy) — the sweep emits one point per payload size
             .expect("non-empty")
             .payload
     }

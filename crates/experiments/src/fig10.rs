@@ -151,12 +151,18 @@ impl Fig10 {
 
     /// Mean aggregated-goodput gain of a variant over DCF.
     pub fn gain_over_dcf(&self, v: Variant) -> f64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "run() always evaluates the DCF baseline variant"
+        )]
         let dcf = self
             .variant(Variant::Dcf)
-            // simlint: allow(panic-policy) — run() always evaluates the DCF baseline variant
             .expect("DCF present")
             .mean_aggregate;
-        // simlint: allow(panic-policy) — run() evaluates every Variant in the enum
+        #[expect(
+            clippy::expect_used,
+            reason = "run() evaluates every Variant in the enum"
+        )]
         let it = self.variant(v).expect("variant present").mean_aggregate;
         it / dcf - 1.0
     }

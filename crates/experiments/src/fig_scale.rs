@@ -70,6 +70,10 @@ fn timed_run(
     let (mut cfg, _) = scale_campus(n, 1, MacFeatures::COMAP, seed);
     cfg.backend = backend;
     let sim = Simulator::new(cfg);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fig_scale reports wall time per run; the clock never feeds sim state"
+    )]
     let started = Instant::now();
     let report = sim.run(duration);
     (report, started.elapsed().as_secs_f64() * 1e3)

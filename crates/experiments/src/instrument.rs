@@ -188,11 +188,14 @@ impl Instrumentation {
             println!("event trace written to {}", path.display());
         }
         if let Some(path) = &self.latency_json {
+            #[expect(
+                clippy::expect_used,
+                reason = "the run above attached a LatencySink whenever latency_json is set"
+            )]
             let latency = report
                 .metrics
                 .as_ref()
                 .and_then(|m| m.latency.as_ref())
-                // simlint: allow(panic-policy) — the run above attached a LatencySink whenever latency_json is set
                 .expect("LatencySink was attached");
             for (node, l) in &latency.nodes {
                 print_latency_line(&format!("node {node}"), &l.e2e, l.delivered, l.dropped);
@@ -211,7 +214,10 @@ impl Instrumentation {
             println!("latency section written to {}", path.display());
         }
         if self.metrics {
-            // simlint: allow(panic-policy) — the run above attached a MetricsSink whenever self.metrics is set
+            #[expect(
+                clippy::expect_used,
+                reason = "the run above attached a MetricsSink whenever self.metrics is set"
+            )]
             let metrics = report.metrics.as_ref().expect("MetricsSink was attached");
             let total_ns = duration.as_nanos() as f64;
             for (node, m) in &metrics.nodes {

@@ -7,12 +7,25 @@
 //! results against the paper's numbers live in `EXPERIMENTS.md`.
 //!
 //! All experiments accept a `quick` flag that shrinks durations and seed
-//! counts so the whole suite stays runnable in CI and in Criterion
-//! benches.
+//! counts so the whole suite stays runnable in CI and in the benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::float_cmp,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 pub mod bench_diff;
 pub mod fig01;

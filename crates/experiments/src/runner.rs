@@ -22,6 +22,10 @@ use comap_sim::stats::SimReport;
 /// a job. Every simulation is deterministic in its config, so the output
 /// does not depend on scheduling. A panic in `build`, the simulation or
 /// `keep` is re-raised on the calling thread.
+#[expect(
+    clippy::expect_used,
+    reason = "every index below `jobs` was claimed and any worker panic was re-raised above"
+)]
 pub fn sweep<P, T, B, K>(
     points: &[P],
     seeds: &[u64],
@@ -66,7 +70,6 @@ where
     });
     slots
         .into_iter()
-        // simlint: allow(panic-policy) — every index below `jobs` was claimed and any worker panic was re-raised above
         .map(|slot| slot.into_inner().expect("every job stored its value"))
         .collect()
 }

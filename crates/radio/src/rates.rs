@@ -23,19 +23,30 @@ pub enum PhyStandard {
 
 /// An 802.11 b/g bit rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
 pub enum Rate {
+    /// DSSS 1 Mbps (DBPSK).
     Mbps1,
+    /// DSSS 2 Mbps (DQPSK).
     Mbps2,
+    /// HR-DSSS 5.5 Mbps (CCK).
     Mbps5_5,
+    /// HR-DSSS 11 Mbps (CCK).
     Mbps11,
+    /// ERP-OFDM 6 Mbps (BPSK 1/2).
     Mbps6,
+    /// ERP-OFDM 9 Mbps (BPSK 3/4).
     Mbps9,
+    /// ERP-OFDM 12 Mbps (QPSK 1/2).
     Mbps12,
+    /// ERP-OFDM 18 Mbps (QPSK 3/4).
     Mbps18,
+    /// ERP-OFDM 24 Mbps (16-QAM 1/2).
     Mbps24,
+    /// ERP-OFDM 36 Mbps (16-QAM 3/4).
     Mbps36,
+    /// ERP-OFDM 48 Mbps (64-QAM 2/3).
     Mbps48,
+    /// ERP-OFDM 54 Mbps (64-QAM 3/4).
     Mbps54,
 }
 

@@ -20,7 +20,7 @@
 //! The slow-fade streams introduced with the mobility rework (DESIGN.md
 //! §8) pioneered this pattern; the fast-fade, hazard-survival, backoff
 //! and localization draws follow it (DESIGN.md §11), which is what the
-//! `rng-discipline` lint's zero budget enforces.
+//! StdRng scan in `tests/source_rules/` enforces.
 
 use rand::RngCore;
 

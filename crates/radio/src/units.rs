@@ -183,8 +183,11 @@ impl QuantizedPower {
 
 impl Add for QuantizedPower {
     type Output = QuantizedPower;
+    #[expect(
+        clippy::expect_used,
+        reason = "u128 grains cannot overflow from physical powers; aborting beats a corrupt ledger"
+    )]
     fn add(self, rhs: QuantizedPower) -> QuantizedPower {
-        // simlint: allow(panic-policy) — u128 grains cannot overflow from physical powers; aborting beats a corrupt ledger
         QuantizedPower(self.0.checked_add(rhs.0).expect("power ledger overflow"))
     }
 }
@@ -203,8 +206,11 @@ impl Sub for QuantizedPower {
     /// # Panics
     ///
     /// Panics on underflow.
+    #[expect(
+        clippy::expect_used,
+        reason = "underflow means the exact ledger is corrupt; aborting beats silent drift"
+    )]
     fn sub(self, rhs: QuantizedPower) -> QuantizedPower {
-        // simlint: allow(panic-policy) — underflow means the exact ledger is corrupt; aborting beats silent drift
         QuantizedPower(self.0.checked_sub(rhs.0).expect("power ledger underflow"))
     }
 }

@@ -109,19 +109,29 @@ impl Json {
 
     /// Looks up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        let Json::Obj(fields) = self else {
+            return None;
+        };
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// The value as a `u64`, accepting only exact integers.
+    #[expect(
+        clippy::float_cmp,
+        reason = "for finite f, f == f.trunc() is the exact \"is an integer\" test"
+    )]
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Json::Uint(u) => Some(u),
-            // simlint: allow(float-eq) — fract() == 0.0 is the exact "is an integer" test
-            Json::Num(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Some(f as u64),
-            _ => None,
+            // `u64::MAX as f64` rounds up to 2^64, which `as` would
+            // saturate to a different number, so the bound is strict.
+            Json::Num(f) if f >= 0.0 && f == f.trunc() && f < u64::MAX as f64 => Some(f as u64),
+            Json::Null
+            | Json::Bool(_)
+            | Json::Num(_)
+            | Json::Str(_)
+            | Json::Arr(_)
+            | Json::Obj(_) => None,
         }
     }
 
@@ -130,23 +140,25 @@ impl Json {
         match *self {
             Json::Uint(u) => Some(u as f64),
             Json::Num(f) => Some(f),
-            _ => None,
+            Json::Null | Json::Bool(_) | Json::Str(_) | Json::Arr(_) | Json::Obj(_) => None,
         }
     }
 
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
+        if let Json::Str(s) = self {
+            Some(s)
+        } else {
+            None
         }
     }
 
     /// The value as an array slice.
     pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
+        if let Json::Arr(items) = self {
+            Some(items)
+        } else {
+            None
         }
     }
 
@@ -479,6 +491,18 @@ mod tests {
         assert_eq!(Json::parse("-7").unwrap(), Json::Num(-7.0));
         assert_eq!(Json::parse("1e3").unwrap(), Json::Num(1000.0));
         assert_eq!(Json::parse("42").unwrap(), Json::Uint(42));
+    }
+
+    #[test]
+    fn as_u64_accepts_only_representable_integers() {
+        // 2^64 overflows `u64`, so it parses as a float; a saturating
+        // cast would turn it into u64::MAX, a different number.
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(Json::Num(3.0).as_u64(), Some(3));
+        assert_eq!(Json::Num(3.5).as_u64(), None);
+        assert_eq!(Json::Num(-1.0).as_u64(), None);
+        assert_eq!(Json::Num(f64::NAN).as_u64(), None);
+        assert_eq!(Json::Num(f64::INFINITY).as_u64(), None);
     }
 
     #[test]

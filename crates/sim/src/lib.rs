@@ -63,6 +63,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::float_cmp,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 pub mod config;
 pub mod event;
@@ -89,3 +103,15 @@ pub use profile::RunProfile;
 pub use rate::RateController;
 pub use sim::Simulator;
 pub use stats::SimReport;
+
+// Compile-time shard safety: everything a sharded engine would hand to
+// a worker thread must be `Send`. A non-`Send` field anywhere inside
+// these types (an `Rc`, a raw pointer) fails the build here.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<medium::Medium>();
+    assert_send::<mac::Mac>();
+    assert_send::<event::EventQueue>();
+    assert_send::<comap_core::NeighborTable<NodeId>>();
+    assert_send::<SimReport>();
+};

@@ -719,7 +719,8 @@ impl Mac {
                     // Stale timer that raced a freeze; ignore.
                 }
             },
-            _ => {}
+            // No flow timer is armed while idle or on the air.
+            FlowState::Idle | FlowState::TxRts | FlowState::TxHeader | FlowState::TxData => {}
         }
     }
 

@@ -947,7 +947,10 @@ impl Medium {
     /// wall-clock cost is accumulated for the run profiler.
     fn debug_check_ledger(&mut self) {
         if cfg!(debug_assertions) {
-            // simlint: allow(determinism) — wall clock only times the audit, never feeds sim state
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall clock only times the audit, never feeds sim state"
+            )]
             let started = std::time::Instant::now();
             self.stats.ledger_checks += 1;
             let divergence = self.ledger_divergence_grains();
@@ -977,12 +980,15 @@ impl Medium {
     /// # Panics
     ///
     /// Panics if `tx` is not on the air.
+    #[expect(
+        clippy::panic,
+        reason = "documented invariant: ending a tx that is not on the air corrupts hazard integrals, so refuse loudly"
+    )]
     fn active(&self, tx: TxId) -> &ActiveTx {
         self.slots
             .get(tx.slot())
             .and_then(Option::as_ref)
             .filter(|a| a.id == tx)
-            // simlint: allow(panic-policy) — documented invariant: ending a tx that is not on the air corrupts hazard integrals, so refuse loudly
             .unwrap_or_else(|| panic!("transmission {tx:?} not on the air"))
     }
 
@@ -1253,7 +1259,10 @@ impl Medium {
             "Medium::end({tx:?}) at {now}, but the transmission is scheduled to end at {scheduled}"
         );
         let slot = tx.slot();
-        // simlint: allow(panic-policy) — active(tx) above already proved the slot is occupied
+        #[expect(
+            clippy::expect_used,
+            reason = "active(tx) above already proved the slot is occupied"
+        )]
         let active = self.slots[slot].take().expect("checked by active()");
         self.free_slots.push(slot as u32);
         self.live -= 1;

@@ -798,8 +798,8 @@ pub fn parse_jsonl_line(line: &str) -> Option<(SimTime, SimEvent)> {
 }
 
 // `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`: the sink must stay
-// `Send` so the sharded engine (ROADMAP item 1) can hand observers to
-// worker shards — the shard-safety lint forbids the single-thread pair.
+// `Send` so a sharded engine can hand observers to worker shards, and
+// the workspace `clippy.toml` bans the single-thread pair.
 type SharedEvents = Arc<Mutex<Vec<(SimTime, SimEvent)>>>;
 
 /// Locks a shared-event buffer, recovering the data from a poisoned

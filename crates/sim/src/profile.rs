@@ -238,9 +238,12 @@ pub(crate) struct Profiler {
 }
 
 impl Profiler {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "profiling measures wall time; results never feed sim state"
+    )]
     pub(crate) fn new() -> Self {
         Profiler {
-            // simlint: allow(determinism) — profiling measures wall time; results never feed sim state
             start: Instant::now(),
             counts: [0; Event::KIND_COUNT],
             nanos: [0; Event::KIND_COUNT],
@@ -254,8 +257,11 @@ impl Profiler {
     }
 
     /// Starts timing one event dispatch.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "profiling measures wall time; results never feed sim state"
+    )]
     pub(crate) fn dispatch_start(&self) -> Instant {
-        // simlint: allow(determinism) — profiling measures wall time; results never feed sim state
         Instant::now()
     }
 

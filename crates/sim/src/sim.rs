@@ -217,8 +217,12 @@ impl Simulator {
     /// loop, so the report is identical to an unprofiled run.
     pub fn run_profiled(self, duration: SimDuration) -> (SimReport, RunProfile) {
         let (report, profile) = self.run_core(duration, true);
-        // simlint: allow(panic-policy) — run_core(.., true) always builds a profile; a None is a wiring bug
-        (report, profile.expect("profiling was enabled"))
+        #[expect(
+            clippy::expect_used,
+            reason = "run_core(.., true) always builds a profile; a None is a wiring bug"
+        )]
+        let profile = profile.expect("profiling was enabled");
+        (report, profile)
     }
 
     fn run_core(mut self, duration: SimDuration, profile: bool) -> (SimReport, Option<RunProfile>) {

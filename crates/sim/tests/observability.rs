@@ -11,10 +11,11 @@
 //! 3. **Projection** — the report's per-link and per-node counters are
 //!    exactly the counts of their events in the recorded stream.
 
-use std::cell::RefCell;
+mod event_coverage;
+
 use std::collections::BTreeMap;
 use std::io;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use comap_mac::time::{SimDuration, SimTime};
 use comap_radio::Position;
@@ -25,6 +26,7 @@ use comap_sim::{
     Json, JsonlSink, LatencySink, MetricsSink, NodeId, NoopSink, SimEvent, SimReport, Simulator,
     TimelineSink,
 };
+use event_coverage::unemitted;
 
 /// A CO-MAP four-node topology that exercises every event source:
 /// captures, hazard drops, discovery headers, ET opportunities,
@@ -73,11 +75,17 @@ const DURATION: SimDuration = SimDuration::from_millis(120);
 /// An `io::Write` that appends into a shared buffer, so a test can read
 /// back what a consumed [`JsonlSink`] wrote.
 #[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    fn bytes(&self) -> Vec<u8> {
+        self.0.lock().unwrap().clone()
+    }
+}
 
 impl io::Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
+        self.0.lock().unwrap().extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -105,7 +113,7 @@ fn sinks_do_not_perturb_the_report() {
     assert!(observed.metrics.is_some(), "MetricsSink fills the section");
     observed.metrics = None;
     assert_eq!(observed, bare, "sinks changed the simulation");
-    assert!(!buf.0.borrow().is_empty(), "the run produced events");
+    assert!(!buf.bytes().is_empty(), "the run produced events");
 }
 
 #[test]
@@ -138,7 +146,7 @@ fn jsonl_stream_matches_the_timeline() {
     sim.attach_sink(Box::new(timeline));
     sim.run(DURATION);
 
-    let text = String::from_utf8(buf.0.borrow().clone()).expect("UTF-8 JSONL");
+    let text = String::from_utf8(buf.bytes()).expect("UTF-8 JSONL");
     let parsed: Vec<_> = text
         .lines()
         .map(|line| parse_jsonl_line(line).expect("every line parses"))
@@ -179,8 +187,8 @@ fn latency_sink_perturbs_neither_report_nor_event_stream() {
     observed.metrics = None;
     assert_eq!(observed, bare, "the latency sink changed the simulation");
     assert_eq!(
-        *buf.0.borrow(),
-        *ref_buf.0.borrow(),
+        buf.bytes(),
+        ref_buf.bytes(),
         "the latency sink changed the event stream"
     );
 }
@@ -385,4 +393,20 @@ fn report_counters_are_a_projection_of_the_event_stream() {
     ] {
         assert!(total > 0, "{counter} is zero across the whole corpus");
     }
+}
+
+#[test]
+fn every_event_variant_is_emitted() {
+    let mut events = Vec::new();
+    for seed in 1..=3 {
+        for cfg in [busy_cfg(seed), lossy_cfg(seed), crowded_cfg(seed)] {
+            let (sink, handle) = TimelineSink::new();
+            let mut sim = Simulator::new(cfg);
+            sim.attach_sink(Box::new(sink));
+            sim.run(DURATION);
+            events.extend(handle.events().into_iter().map(|(_, event)| event));
+        }
+    }
+    let missing = unemitted(&events);
+    assert!(missing.is_empty(), "no run emits {missing:?}");
 }

@@ -33,6 +33,19 @@
 //! PRR table → co-occurrence map) and the `comap-experiments` binaries for
 //! the paper's evaluation scenarios.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::float_cmp,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub use comap_core as core;
 pub use comap_experiments as experiments;
 pub use comap_mac as mac;

@@ -12,10 +12,9 @@
 //! `scripts/regen_golden.sh` (it sets `REGEN_GOLDEN=1` and re-runs this
 //! test binary, which then rewrites the files instead of comparing).
 
-use std::cell::RefCell;
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use comap::experiments::instrument::representative;
 use comap::mac::SimDuration;
@@ -48,11 +47,11 @@ fn regen_requested() -> bool {
 /// A writer handing every byte to a shared buffer, so the trace survives
 /// `Simulator::run` consuming the boxed sink.
 #[derive(Clone)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
 impl Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
+        self.0.lock().unwrap().extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -65,11 +64,11 @@ impl Write for SharedBuf {
 /// [`GOLDEN_MILLIS`] with a [`JsonlSink`] attached and returns the trace.
 fn trace(name: &str) -> String {
     let (cfg, _) = representative(name);
-    let buf = Rc::new(RefCell::new(Vec::new()));
+    let buf = Arc::new(Mutex::new(Vec::new()));
     let mut sim = Simulator::new(cfg);
-    sim.attach_sink(Box::new(JsonlSink::new(SharedBuf(buf.clone()))));
+    sim.attach_sink(Box::new(JsonlSink::new(SharedBuf(Arc::clone(&buf)))));
     sim.run(SimDuration::from_millis(GOLDEN_MILLIS));
-    let bytes = buf.borrow().clone();
+    let bytes = buf.lock().unwrap().clone();
     String::from_utf8(bytes).expect("JSONL traces are UTF-8")
 }
 
