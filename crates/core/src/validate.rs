@@ -96,20 +96,6 @@ impl ConcurrencyValidator {
             threshold: self.t_prr,
         }
     }
-
-    /// The pairwise PRR row of the paper's Fig. 5: for me transmitting to
-    /// `rx` while a neighbor transmits to `their_rx`, the PRR of *their*
-    /// link and of *mine*.
-    pub fn pairwise(
-        &self,
-        me: Position,
-        rx: Position,
-        neighbor: Position,
-        their_rx: Position,
-    ) -> (f64, f64) {
-        let d = self.validate(me, rx, neighbor, their_rx);
-        (d.prr_ongoing, d.prr_mine)
-    }
 }
 
 #[cfg(test)]
@@ -192,24 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_matches_validate() {
-        let v = validator();
-        let (a, b) = v.pairwise(
-            Position::new(6.0, 0.0),
-            Position::new(10.0, 0.0),
-            Position::new(-30.0, 0.0),
-            Position::new(-34.0, 0.0),
-        );
-        let d = v.validate(
-            Position::new(6.0, 0.0),
-            Position::new(10.0, 0.0),
-            Position::new(-30.0, 0.0),
-            Position::new(-34.0, 0.0),
-        );
-        assert_eq!((d.prr_ongoing, d.prr_mine), (a, b));
-    }
-
-    #[test]
     #[should_panic(expected = "must be in (0, 1)")]
     fn threshold_is_validated() {
         let _ = ConcurrencyValidator::new(
@@ -232,18 +200,19 @@ mod tests {
     fn pairwise_is_symmetric_in_geometry() {
         // Swapping the two links swaps the PRR pair.
         let v = validator();
-        let (a1, b1) = v.pairwise(
+        let d1 = v.validate(
             Position::new(0.0, 0.0),
             Position::new(5.0, 0.0),
             Position::new(40.0, 0.0),
             Position::new(45.0, 0.0),
         );
-        let (a2, b2) = v.pairwise(
+        let d2 = v.validate(
             Position::new(40.0, 0.0),
             Position::new(45.0, 0.0),
             Position::new(0.0, 0.0),
             Position::new(5.0, 0.0),
         );
-        assert!((a1 - b2).abs() < 1e-12 && (b1 - a2).abs() < 1e-12);
+        assert!((d1.prr_ongoing - d2.prr_mine).abs() < 1e-12);
+        assert!((d1.prr_mine - d2.prr_ongoing).abs() < 1e-12);
     }
 }

@@ -68,8 +68,9 @@ proptest! {
     ) {
         let cfg = ProtocolConfig::testbed();
         let v = ConcurrencyValidator::new(cfg.reception(), cfg.t_prr);
-        let (p1, p2) = v.pairwise(a, b, c, d);
-        let (q1, q2) = v.pairwise(c, d, a, b);
+        let p = v.validate(a, b, c, d);
+        let q = v.validate(c, d, a, b);
+        let (p1, p2, q1, q2) = (p.prr_ongoing, p.prr_mine, q.prr_ongoing, q.prr_mine);
         prop_assert!((p1 - q2).abs() < 1e-9 && (p2 - q1).abs() < 1e-9);
         prop_assert!((0.0..=1.0).contains(&p1) && (0.0..=1.0).contains(&p2));
     }

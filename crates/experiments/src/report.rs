@@ -1,5 +1,5 @@
 //! Plain-text rendering of experiment results: aligned tables for the
-//! terminal and CSV for plotting.
+//! terminal.
 
 use std::fmt::Write as _;
 
@@ -62,35 +62,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as CSV (headers + rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-
     /// Prints the table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
@@ -123,15 +94,6 @@ mod tests {
         assert!(s.contains("== demo =="));
         assert!(s.contains("goodput"));
         assert!(s.lines().count() >= 5);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.row(&["x,y".into(), "z\"w".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"z\"\"w\""));
     }
 
     #[test]

@@ -594,6 +594,46 @@ mod tests {
         }
     }
 
+    /// `IdealSinr` reads the MAC's unsnapped positions while the medium
+    /// snaps them onto the position quantum, so the two agree only when
+    /// every position the genie sees already lies on that grid.
+    #[test]
+    fn ideal_sinr_topologies_sit_on_the_position_quantum() {
+        let mut configs: Vec<SimConfig> = crate::fig01::positions()
+            .into_iter()
+            .map(|x| et_testbed(x, MacFeatures::COMAP, 1).0)
+            .collect();
+        configs.extend((0..10).map(|i| fig9_topology(i, MacFeatures::COMAP, 1).0));
+        configs.extend((0..=3).map(|n| ht_testbed(900, n, MacFeatures::COMAP, 1).0));
+        configs.push(validation_cell(5, 5, 63, 1000, 1).0);
+        configs.push(large_scale(3, 1, MacFeatures::COMAP, 10.0).0);
+        configs.push(scale_campus(20, 1, MacFeatures::COMAP, 1).0);
+        let mut checked = 0;
+        for cfg in configs
+            .iter()
+            .filter(|c| matches!(c.rate_controller, RateController::IdealSinr { .. }))
+        {
+            assert_eq!(
+                cfg.position_quantum.value(),
+                1.0,
+                "the grid check assumes the 1 m quantum"
+            );
+            for node in &cfg.nodes {
+                let targets = node.moves.iter().map(|m| m.to);
+                for p in std::iter::once(node.position).chain(targets) {
+                    assert_eq!(
+                        (p.x.round(), p.y.round()),
+                        (p.x, p.y),
+                        "{} at {p:?} is off the 1 m grid",
+                        node.name
+                    );
+                }
+            }
+            checked += 1;
+        }
+        assert_eq!(checked, crate::fig01::positions().len() + 10);
+    }
+
     #[test]
     fn large_scale_topologies_vary_with_seed() {
         let (a, _) = large_scale(1, 1, MacFeatures::DCF, 0.0);

@@ -3,7 +3,8 @@
 //! `bench_diff` refuses an unhealthy profile with exit code 1, naming
 //! the invariant it breaks — whichever side of the diff it is on. The
 //! gate reads one shape per side: a complete profile, then an envelope.
-//! Anything else exits 2 with the schema error of the side it broke.
+//! Anything else exits 2 with the schema error of the side it broke, and
+//! input that is not JSON at all exits 2 with the parse error.
 
 use std::process::{Command, Output};
 
@@ -143,4 +144,14 @@ fn bench_diff_reports_a_malformed_envelope_as_an_envelope_error() {
     let (code, stderr) = bench_diff(&[&healthy, &malformed]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("bench envelope"), "{stderr}");
+}
+
+#[test]
+fn bench_diff_reports_deeply_nested_input_as_invalid_json() {
+    // Past the parser's depth bound: a JSON error, not a stack overflow.
+    let deep = scratch_file("deep_profile.json", &"[".repeat(1_000_000));
+    let (code, stderr) = bench_diff(&[&deep, &pinned_envelope()]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("invalid JSON"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
 }

@@ -11,7 +11,6 @@
 //! `α` is the path-loss exponent and `X_σ` a zero-mean Gaussian with
 //! standard deviation `σ` capturing shadowing by environmental artifacts.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::units::{Db, Dbm, Meters};
@@ -151,12 +150,6 @@ impl LogNormalShadowing {
         self.mean_power(distance.max(Meters::new(1.0)))
     }
 
-    /// A random received-power sample at `distance`: eq. (1) with a fresh
-    /// shadowing draw `X_σ ~ N(0, σ²)`.
-    pub fn sample_power<R: Rng + ?Sized>(&self, distance: Meters, rng: &mut R) -> Dbm {
-        self.mean_power(distance) + Db::new(self.sigma.value() * sample_standard_normal(rng))
-    }
-
     /// Mean received power at the reference distance.
     pub fn reference_power(&self) -> Dbm {
         self.p_d0
@@ -189,31 +182,9 @@ impl LogNormalShadowing {
     }
 }
 
-/// Minimal inline standard-normal sampler (Marsaglia polar method), local so
-/// that the crate does not need `rand_distr`.
-mod rand_distr_normal {
-    use rand::Rng;
-
-    /// Draws one `N(0, 1)` sample.
-    pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-        loop {
-            let u = 2.0 * rng.gen::<f64>() - 1.0;
-            let v = 2.0 * rng.gen::<f64>() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
-    }
-}
-
-pub use rand_distr_normal::sample_standard_normal;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn friis_loss_at_one_meter_2_4ghz() {
@@ -279,46 +250,8 @@ mod tests {
     }
 
     #[test]
-    fn shadowing_samples_have_requested_spread() {
-        let chan = LogNormalShadowing::from_friis(Dbm::new(0.0), 3.0, Db::new(5.0));
-        let mut rng = StdRng::seed_from_u64(1);
-        let d = Meters::new(20.0);
-        let mean = chan.mean_power(d).value();
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| chan.sample_power(d, &mut rng).value())
-            .collect();
-        let avg = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|s| (s - avg).powi(2)).sum::<f64>() / n as f64;
-        assert!(
-            (avg - mean).abs() < 0.2,
-            "sample mean {avg} vs model {mean}"
-        );
-        assert!((var.sqrt() - 5.0).abs() < 0.2, "sample σ = {}", var.sqrt());
-    }
-
-    #[test]
-    fn zero_sigma_is_deterministic() {
-        let chan = LogNormalShadowing::from_friis(Dbm::new(0.0), 3.0, Db::ZERO);
-        let mut rng = StdRng::seed_from_u64(2);
-        let d = Meters::new(15.0);
-        assert_eq!(chan.sample_power(d, &mut rng), chan.mean_power(d));
-    }
-
-    #[test]
     #[should_panic(expected = "exponent must be positive")]
     fn invalid_alpha_panics() {
         let _ = LogNormalShadowing::from_friis(Dbm::new(0.0), 0.0, Db::ZERO);
-    }
-
-    #[test]
-    fn standard_normal_sampler_moments() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| sample_standard_normal(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean = {mean}");
-        assert!((var - 1.0).abs() < 0.03, "var = {var}");
     }
 }

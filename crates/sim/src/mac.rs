@@ -29,13 +29,14 @@
 //!
 //! Sender state is per link, as in the paper: each outgoing flow is one
 //! record that owns its traffic bucket, its selective-repeat window, its
-//! consecutive-timeout count, its Minstrel state and its installed
-//! adaptation setting. The window is present exactly when the MAC runs
-//! selective repeat, so its presence *is* the ARQ mode. A MAC has at most
-//! one flow per destination ([`SimConfig::validate`] rejects duplicates),
-//! and the frame in service always belongs to the flow `current_flow`
-//! names. Receiver-side state (duplicate filter, reorder window) is keyed
-//! by source.
+//! consecutive-timeout count and its installed adaptation setting. The
+//! window is present exactly when the MAC runs selective repeat, so its
+//! presence *is* the ARQ mode. A MAC has at most one flow per destination
+//! ([`SimConfig::validate`] rejects duplicates), and the frame in service
+//! always belongs to the flow `current_flow` names. No flow carries rate
+//! state: the [`RateController`] is stateless, so a frame's rate is a
+//! pure function of geometry. Receiver-side state (duplicate filter,
+//! reorder window) is keyed by source.
 //!
 //! [`SimConfig::validate`]: crate::SimConfig::validate
 
@@ -59,7 +60,7 @@ use comap_radio::Position;
 use crate::config::{MacFeatures, Traffic};
 use crate::frame::{Frame, FrameBody, NodeId};
 use crate::observe::SimEvent;
-use crate::rate::{Minstrel, RateController};
+use crate::rate::RateController;
 
 /// Snapshot of the node's radio environment, passed with every event,
 /// plus the network's shared position directory.
@@ -262,9 +263,6 @@ struct Flow {
     /// Consecutive ACK timeouts (selective repeat keeps the DCF
     /// collision-recovery escalation through this count).
     timeouts: u32,
-    /// Minstrel state, created on the first rate selection when that
-    /// controller is selected.
-    minstrel: Option<Minstrel>,
     /// The installed adaptation setting; `None` until the census runs
     /// and again once a move may have changed it.
     setting: Option<TxSetting>,
@@ -333,9 +331,6 @@ pub struct Mac {
     rx_dedup: BTreeMap<NodeId, u64>,
     arq_rx: BTreeMap<NodeId, SelectiveRepeatReceiver>,
 
-    /// Rate of the in-flight data frame (Minstrel feedback).
-    last_data_rate: Option<Rate>,
-
     // CO-MAP runtime.
     opportunity: Option<Opportunity>,
     /// The ongoing link the in-flight data frame rode alongside, if it
@@ -369,7 +364,6 @@ impl Mac {
             nav_until: SimTime::ZERO,
             rx_dedup: BTreeMap::new(),
             arq_rx: BTreeMap::new(),
-            last_data_rate: None,
             opportunity: None,
             concurrent_sent: None,
             ongoing: None,
@@ -385,7 +379,6 @@ impl Mac {
             next_seq: 0,
             arq: sr.then(|| SelectiveRepeatSender::new(self.cfg.arq_window)),
             timeouts: 0,
-            minstrel: None,
             setting: None,
         });
     }
@@ -599,10 +592,6 @@ impl Mac {
         let awaited =
             self.state == FlowState::WaitAck && self.pending.is_some_and(|p| p.dst == from);
         if awaited {
-            let flow = &mut self.flows[self.current_flow];
-            if let (Some(rate), Some(m)) = (self.last_data_rate, &mut flow.minstrel) {
-                m.report(rate, true);
-            }
             if let Some(link) = self.concurrent_sent.take() {
                 if let Some(proto) = &mut self.proto {
                     proto.record_concurrency_outcome(link, from, true);
@@ -733,15 +722,12 @@ impl Mac {
             node: self.cfg.id,
             dst: p.dst,
         }));
-        let flow = &mut self.flows[self.current_flow];
-        if let (Some(rate), Some(m)) = (self.last_data_rate, &mut flow.minstrel) {
-            m.report(rate, false);
-        }
         if let Some(link) = self.concurrent_sent.take() {
             if let Some(proto) = &mut self.proto {
                 proto.record_concurrency_outcome(link, p.dst, false);
             }
         }
+        let flow = &mut self.flows[self.current_flow];
         if flow.arq.is_some() {
             // Selective repeat: move on; the window decides what to send
             // next, retransmitting swept losses. Keep DCF's collision
@@ -1115,7 +1101,6 @@ impl Mac {
             attempt: p.attempt,
         }));
         let rate = self.rate_for();
-        self.last_data_rate = Some(rate);
         out.push(MacAction::Transmit(Frame {
             src: self.cfg.id,
             dst: p.dst,
@@ -1129,22 +1114,14 @@ impl Mac {
     }
 
     /// Data rate for the pending frame's flow.
-    fn rate_for(&mut self) -> Rate {
-        let standard = self.cfg.phy.standard();
-        let flow = &mut self.flows[self.current_flow];
-        if matches!(self.cfg.rate_ctl, RateController::Minstrel) {
-            return flow
-                .minstrel
-                .get_or_insert_with(|| Minstrel::new(standard))
-                .select();
-        }
-        let dst = flow.dst;
+    fn rate_for(&self) -> Rate {
+        let dst = self.flows[self.current_flow].dst;
         let interferer = self
             .opportunity
             .map(|op| self.cfg.true_positions[op.link.0 .0]);
         self.cfg.rate_ctl.select(
             &self.cfg.channel,
-            standard,
+            self.cfg.phy.standard(),
             self.cfg.true_positions[self.cfg.id.0],
             self.cfg.true_positions[dst.0],
             interferer,

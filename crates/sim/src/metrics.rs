@@ -9,7 +9,6 @@
 //! round-trips through JSON losslessly and compares with `==`.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::mem;
 
 use comap_mac::time::SimTime;
@@ -23,19 +22,6 @@ use crate::stats::SimReport;
 /// Highest backoff escalation stage tracked individually; draws beyond
 /// it are folded into the last bin.
 pub const MAX_BACKOFF_STAGE: usize = 15;
-
-/// Error returned by [`Histogram::merge`] when the two histograms do
-/// not share the same binning (`lo`, `bin_width`, bin count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BinningMismatch;
-
-impl fmt::Display for BinningMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "histograms have different binnings and cannot merge")
-    }
-}
-
-impl std::error::Error for BinningMismatch {}
 
 /// A fixed-bin histogram over `f64` samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,65 +83,6 @@ impl Histogram {
     /// Mean of all recorded samples, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// The `p`-quantile (`p` clamped into `[0, 1]`) by exact sample
-    /// rank. Ranks landing in the underflow mass report the exact
-    /// `min`, ranks in the overflow mass the exact `max`, and in-range
-    /// ranks their bin's midpoint clamped into `[min, max]`. `None`
-    /// when empty.
-    pub fn quantile(&self, p: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let (min, max) = (self.min?, self.max?);
-        let p = p.clamp(0.0, 1.0);
-        let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count) - 1;
-        if rank < self.underflow {
-            return Some(min);
-        }
-        let mut cum = self.underflow;
-        for (bin, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum > rank {
-                let mid = self.lo + (bin as f64 + 0.5) * self.bin_width;
-                return Some(mid.clamp(min, max));
-            }
-        }
-        Some(max)
-    }
-
-    /// Adds every sample of `other` into `self` — exact bin-wise
-    /// addition, equivalent to having recorded the concatenated
-    /// streams.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BinningMismatch`] (leaving `self` untouched) unless
-    /// both histograms share `lo`, `bin_width` and bin count exactly.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), BinningMismatch> {
-        if self.lo.to_bits() != other.lo.to_bits()
-            || self.bin_width.to_bits() != other.bin_width.to_bits()
-            || self.counts.len() != other.counts.len()
-        {
-            return Err(BinningMismatch);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        Ok(())
     }
 
     fn to_json(&self) -> Json {
@@ -239,14 +166,6 @@ impl NodeMetrics {
     pub fn mean_queue_depth(&self) -> Option<f64> {
         (self.queue_depth_samples > 0)
             .then(|| self.queue_depth_sum as f64 / self.queue_depth_samples as f64)
-    }
-
-    /// Fraction of each bucket this node spent transmitting.
-    pub fn airtime_utilization(&self, bucket_ns: u64) -> Vec<f64> {
-        self.airtime_busy_ns
-            .iter()
-            .map(|&busy| busy as f64 / bucket_ns as f64)
-            .collect()
     }
 
     fn to_json(&self) -> Json {
@@ -391,15 +310,9 @@ impl MetricsSink {
 
     /// Creates a sink with the default bucket width.
     pub fn new() -> Self {
-        MetricsSink::with_bucket_ns(Self::DEFAULT_BUCKET_NS)
-    }
-
-    /// Creates a sink with a custom airtime bucket width.
-    pub fn with_bucket_ns(bucket_ns: u64) -> Self {
-        assert!(bucket_ns > 0, "bucket width must be positive");
         MetricsSink {
             metrics: Metrics {
-                bucket_ns,
+                bucket_ns: Self::DEFAULT_BUCKET_NS,
                 nodes: BTreeMap::new(),
                 latency: None,
             },
@@ -495,18 +408,17 @@ mod tests {
 
     #[test]
     fn busy_spans_split_across_buckets() {
-        let mut sink = MetricsSink::with_bucket_ns(1_000);
-        sink.on_event(SimTime::from_nanos(500), &tx(0));
+        let mut sink = MetricsSink::new();
+        sink.on_event(SimTime::from_nanos(5_000_000), &tx(0));
         sink.on_event(
-            SimTime::from_nanos(2_200),
+            SimTime::from_nanos(22_000_000),
             &SimEvent::TxEnd {
                 src: NodeId(0),
                 kind: FrameKind::Data,
             },
         );
         let m = &sink.metrics.nodes[&NodeId(0)];
-        assert_eq!(m.airtime_busy_ns, vec![500, 1_000, 200]);
-        assert_eq!(m.airtime_utilization(1_000), vec![0.5, 1.0, 0.2]);
+        assert_eq!(m.airtime_busy_ns, vec![5_000_000, 10_000_000, 2_000_000]);
     }
 
     #[test]
@@ -556,73 +468,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_match_a_sorted_vec_oracle() {
-        // Samples spanning underflow (< 0), the bins, and overflow
-        // (>= 10): the quantile walk must cross all three regions.
-        let samples = [-5.0, -1.2, 0.4, 1.1, 2.6, 3.3, 3.9, 7.2, 12.0, 55.0];
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        for s in samples {
-            h.record(s);
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        for (i, p) in (1..=samples.len()).map(|i| (i, i as f64 / samples.len() as f64)) {
-            let exact = sorted[i - 1];
-            let q = h.quantile(p).unwrap();
-            // Underflow/overflow ranks report the exact extremes; bin
-            // ranks are off by at most half a bin width.
-            let tol = if exact < h.lo || exact >= h.lo + h.bin_width * h.counts.len() as f64 {
-                // The extreme underflow/overflow ranks are exact, but
-                // interior out-of-range ranks collapse onto min/max.
-                (exact - sorted[0]).abs().max((exact - sorted[9]).abs())
-            } else {
-                h.bin_width / 2.0
-            };
-            assert!((q - exact).abs() <= tol, "p={p}: q={q} exact={exact}");
-        }
-        assert_eq!(h.quantile(0.0), Some(-5.0));
-        assert_eq!(h.quantile(0.1), Some(-5.0));
-        assert_eq!(h.quantile(1.0), Some(55.0));
-        assert_eq!(h.min, Some(-5.0));
-        assert_eq!(h.max, Some(55.0));
-        assert_eq!(Histogram::new(0.0, 1.0, 4).quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_merge_equals_concatenated_recording() {
-        let mut a = Histogram::new(-10.0, 1.0, 50);
-        let mut b = Histogram::new(-10.0, 1.0, 50);
-        let mut both = Histogram::new(-10.0, 1.0, 50);
-        for s in [-20.0, 3.5, 17.25] {
-            a.record(s);
-            both.record(s);
-        }
-        for s in [99.0, -0.5] {
-            b.record(s);
-            both.record(s);
-        }
-        a.merge(&b).unwrap();
-        assert_eq!(a, both);
-        // Different binnings refuse to merge and leave self untouched.
-        let before = a.clone();
-        assert_eq!(a.merge(&Histogram::new(0.0, 1.0, 50)), Err(BinningMismatch));
-        assert_eq!(
-            a.merge(&Histogram::new(-10.0, 2.0, 50)),
-            Err(BinningMismatch)
-        );
-        assert_eq!(
-            a.merge(&Histogram::new(-10.0, 1.0, 9)),
-            Err(BinningMismatch)
-        );
-        assert_eq!(a, before);
-    }
-
-    #[test]
     fn metrics_round_trip_through_json() {
-        let mut sink = MetricsSink::with_bucket_ns(1_000);
-        sink.on_event(SimTime::from_nanos(100), &tx(0));
+        let mut sink = MetricsSink::new();
+        sink.on_event(SimTime::from_nanos(4_000_000), &tx(0));
         sink.on_event(
-            SimTime::from_nanos(900),
+            SimTime::from_nanos(13_000_000),
             &SimEvent::TxEnd {
                 src: NodeId(0),
                 kind: FrameKind::Data,

@@ -22,7 +22,7 @@
 //!
 //! Three sinks ship with the crate: [`JsonlSink`] (one JSON object per
 //! event, for offline analysis), [`TimelineSink`] (human-readable
-//! timeline, replacing the old ad-hoc `TraceLog`), and
+//! timeline), and
 //! [`MetricsSink`](crate::metrics::MetricsSink) (per-node time series
 //! and histograms surfaced through the report).
 

@@ -12,14 +12,8 @@
 //! * and, on a sparse scenario, the profiler must show the culled
 //!   backend actually skipping receivers — so the corpus cannot
 //!   silently degenerate into one where the equivalence is vacuous.
-//!
-//! Per-scenario wall-clock timings are written as JSON to the path in
-//! `DIFFERENTIAL_TIMING_JSON` (set by CI, uploaded as a BENCH
-//! artifact).
 
 mod common;
-
-use std::time::Instant;
 
 use comap_mac::time::{SimDuration, SimTime};
 use comap_sim::config::SimConfig;
@@ -27,26 +21,20 @@ use comap_sim::{MediumBackend, MetricsSink, SimEvent, Simulator, TimelineSink};
 
 use common::{all_scenarios, scenario, ScenarioClass};
 
-/// Runs one scenario under `backend`; returns the report JSON, the
-/// event stream and the wall-clock nanoseconds of the run.
+/// Runs one scenario under `backend`; returns the report JSON and the
+/// event stream.
 fn run(
     mut cfg: SimConfig,
     duration: SimDuration,
     backend: MediumBackend,
-) -> (String, Vec<(SimTime, SimEvent)>, u64) {
+) -> (String, Vec<(SimTime, SimEvent)>) {
     cfg.backend = backend;
     let mut sim = Simulator::new(cfg);
     let (sink, handle) = TimelineSink::new();
     sim.attach_sink(Box::new(sink));
     sim.attach_sink(Box::new(MetricsSink::new()));
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "wall clock only times the run for the BENCH artifact"
-    )]
-    let started = Instant::now();
     let report = sim.run(duration);
-    let nanos = started.elapsed().as_nanos() as u64;
-    (report.to_json().to_string_compact(), handle.events(), nanos)
+    (report.to_json().to_string_compact(), handle.events())
 }
 
 /// Compares two event streams, pointing at the first divergence instead
@@ -75,33 +63,15 @@ fn culled_and_exhaustive_are_bit_identical_on_the_corpus() {
         scenarios.len() >= 20,
         "the corpus must cover at least 20 scenarios"
     );
-    let mut timings = Vec::new();
     for s in scenarios {
-        let (report_ex, events_ex, nanos_ex) =
-            run(s.cfg.clone(), s.duration, MediumBackend::Exhaustive);
-        let (report_cu, events_cu, nanos_cu) = run(s.cfg, s.duration, MediumBackend::Culled);
+        let (report_ex, events_ex) = run(s.cfg.clone(), s.duration, MediumBackend::Exhaustive);
+        let (report_cu, events_cu) = run(s.cfg, s.duration, MediumBackend::Culled);
         assert!(
             report_ex == report_cu,
             "{}: SimReport JSON diverged\nexhaustive: {report_ex}\nculled:     {report_cu}",
             s.name
         );
         assert_streams_equal(&s.name, &events_ex, &events_cu);
-        timings.push((s.name, nanos_ex, nanos_cu));
-    }
-
-    // CI uploads the timing table as a BENCH artifact; locally the env
-    // var is unset and nothing is written.
-    if let Ok(path) = std::env::var("DIFFERENTIAL_TIMING_JSON") {
-        let rows: Vec<String> = timings
-            .iter()
-            .map(|(name, ex, cu)| {
-                format!(
-                    "{{\"scenario\":\"{name}\",\"exhaustive_nanos\":{ex},\"culled_nanos\":{cu}}}"
-                )
-            })
-            .collect();
-        let body = format!("{{\"differential_timing\":[{}]}}\n", rows.join(","));
-        std::fs::write(&path, body).expect("write differential timing artifact");
     }
 }
 
@@ -247,8 +217,8 @@ fn stream_discipline_holds_across_backend_fill_order_and_duration() {
 fn mobile_scenarios_stay_identical_through_movement() {
     for seed in [11, 12] {
         let s = scenario(ScenarioClass::Mobile, seed);
-        let (report_ex, events_ex, _) = run(s.cfg.clone(), s.duration, MediumBackend::Exhaustive);
-        let (report_cu, events_cu, _) = run(s.cfg, s.duration, MediumBackend::Culled);
+        let (report_ex, events_ex) = run(s.cfg.clone(), s.duration, MediumBackend::Exhaustive);
+        let (report_cu, events_cu) = run(s.cfg, s.duration, MediumBackend::Culled);
         assert!(report_ex == report_cu, "{}: report diverged", s.name);
         assert_streams_equal(&s.name, &events_ex, &events_cu);
     }
