@@ -9,7 +9,8 @@
 //!
 //! * `--trace=<path>` — run one representative simulation of the
 //!   experiment's topology with a [`JsonlSink`] attached and write the
-//!   full event stream to `<path>` as JSON Lines.
+//!   full event stream to `<path>` as JSON Lines. A trace that cannot be
+//!   written in full exits 1, naming the path.
 //! * `--metrics` — attach a [`MetricsSink`] to the same run and print a
 //!   per-node summary (airtime utilization, queue depths, backoff
 //!   stages, SINR) after the experiment's own output.
@@ -24,8 +25,11 @@
 //! stay untouched, while the flags give a deep view into one
 //! representative seed of the same topology.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::exit;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use comap_mac::time::SimDuration;
 use comap_sim::config::{MacFeatures, SimConfig};
@@ -146,13 +150,17 @@ impl Instrumentation {
     }
 
     /// Runs one instrumented simulation of `cfg` for `duration`,
-    /// honouring every requested flag. Exits with a message when an
-    /// output file cannot be created.
+    /// honouring every requested flag. Exits 1 with a message naming the
+    /// path when an output file cannot be created or written.
     pub fn run(&self, name: &str, cfg: SimConfig, duration: SimDuration) {
         let mut sim = Simulator::new(cfg);
+        let trace_error = TraceError::default();
         if let Some(path) = &self.trace {
-            match JsonlSink::create(path) {
-                Ok(sink) => sim.attach_sink(Box::new(sink)),
+            match File::create(path) {
+                Ok(file) => sim.attach_sink(Box::new(JsonlSink::new(TraceFile {
+                    file: BufWriter::new(file),
+                    error: Arc::clone(&trace_error),
+                }))),
                 Err(e) => {
                     eprintln!("error: cannot create trace file {}: {e}", path.display());
                     exit(1);
@@ -185,6 +193,14 @@ impl Instrumentation {
         };
 
         if let Some(path) = &self.trace {
+            let failed = trace_error
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            if let Some(e) = failed {
+                eprintln!("error: cannot write trace file {}: {e}", path.display());
+                exit(1);
+            }
             println!("event trace written to {}", path.display());
         }
         if let Some(path) = &self.latency_json {
@@ -238,6 +254,43 @@ impl Instrumentation {
                 );
             }
         }
+    }
+}
+
+/// The first I/O error of the trace file, shared with its writer.
+type TraceError = Arc<Mutex<Option<io::Error>>>;
+
+/// The trace file's writer: a buffered file that keeps its first write
+/// or flush error, because the [`JsonlSink`] that records the error is
+/// consumed by the run.
+struct TraceFile {
+    file: BufWriter<File>,
+    error: TraceError,
+}
+
+impl TraceFile {
+    /// Passes `result` through, keeping a copy of its error if it is the
+    /// first.
+    fn record<T>(&self, result: io::Result<T>) -> io::Result<T> {
+        if let Err(e) = &result {
+            self.error
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert_with(|| io::Error::new(e.kind(), e.to_string()));
+        }
+        result
+    }
+}
+
+impl Write for TraceFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let result = self.file.write(buf);
+        self.record(result)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let result = self.file.flush();
+        self.record(result)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The experiment binaries' command-line contracts, run as processes: a
-//! typo'd flag exits with code 2 before any simulation starts, and
+//! typo'd flag exits with code 2 before any simulation starts, a trace
+//! that cannot be written exits with code 1 naming its path, and
 //! `bench_diff` refuses an unhealthy profile with exit code 1, naming
 //! the invariant it breaks — whichever side of the diff it is on. The
 //! gate reads one shape per side: a complete profile, then an envelope.
@@ -67,6 +68,23 @@ fn a_typoed_flag_prints_usage_and_exits_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown argument --quik"), "{stderr}");
     assert!(stderr.contains("usage: fig02 [--quick]"), "{stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_trace_that_cannot_be_written_exits_1_naming_the_path() {
+    // Every write to /dev/full fails with "no space left on device".
+    let out = run(
+        env!("CARGO_BIN_EXE_fig02"),
+        &["--quick", "--trace=/dev/full"],
+    );
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("/dev/full"), "{stderr}");
+    assert!(!stdout.contains("written"), "{stdout}");
 }
 
 #[test]

@@ -173,23 +173,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Uint(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Json::Num(f) => {
-                if f.is_finite() {
-                    // `{}` prints the shortest representation that parses
-                    // back to the same f64; force a decimal point so the
-                    // reader can tell floats from integers.
-                    let s = format!("{f}");
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Uint(u) => write_u64(out, *u),
+            Json::Num(f) => write_f64(out, *f),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -230,6 +215,29 @@ impl Json {
             return Err(JsonError::at("trailing characters", pos));
         }
         Ok(value)
+    }
+}
+
+/// Appends `u` in decimal. With [`write_f64`] this is the one number
+/// renderer of every JSON artifact: the [`Json`] writer and the JSONL
+/// event sink both call it.
+pub(crate) fn write_u64(out: &mut String, u: u64) {
+    let _ = write!(out, "{u}");
+}
+
+/// Appends `f` in the shortest `{}` form that parses back to the same
+/// `f64`, with `.0` added when that form has no `.`, `e` or `E` so the
+/// reader can tell floats from integers; a non-finite `f` writes `null`.
+/// Formats in place: no temporary string.
+pub(crate) fn write_f64(out: &mut String, f: f64) {
+    if !f.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
     }
 }
 

@@ -27,9 +27,7 @@
 //! and histograms surfaced through the report).
 
 use std::fmt;
-use std::fs::File;
 use std::io;
-use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use comap_mac::frames::FrameKind;
@@ -37,7 +35,7 @@ use comap_mac::time::SimTime;
 use comap_radio::rates::Rate;
 
 use crate::frame::NodeId;
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::stats::SimReport;
 
 /// One typed, timestamped instrumentation event.
@@ -349,134 +347,9 @@ impl SimEvent {
         }
     }
 
-    /// Serializes the event as a JSON object (`type` plus fields).
-    pub fn to_json(&self) -> Json {
-        let node = |n: NodeId| Json::Uint(n.0 as u64);
-        let mut fields: Vec<(&str, Json)> = vec![("type", Json::str(self.type_name()))];
-        match *self {
-            SimEvent::TxBegin {
-                src,
-                dst,
-                kind,
-                rate,
-            } => {
-                fields.push(("src", node(src)));
-                fields.push(("dst", node(dst)));
-                fields.push(("kind", Json::str(kind_label(kind))));
-                fields.push(("rate", Json::str(rate_label(rate))));
-            }
-            SimEvent::TxEnd { src, kind } => {
-                fields.push(("src", node(src)));
-                fields.push(("kind", Json::str(kind_label(kind))));
-            }
-            SimEvent::Capture { node: n, src } | SimEvent::HazardDrop { node: n, src } => {
-                fields.push(("node", node(n)));
-                fields.push(("src", node(src)));
-            }
-            SimEvent::RxResolved {
-                node: n,
-                src,
-                rssi_dbm,
-                sinr_db,
-            } => {
-                fields.push(("node", node(n)));
-                fields.push(("src", node(src)));
-                fields.push(("rssi_dbm", Json::Num(rssi_dbm)));
-                fields.push(("sinr_db", Json::Num(sinr_db)));
-            }
-            SimEvent::CsBusy { node: n }
-            | SimEvent::CsIdle { node: n }
-            | SimEvent::Defer { node: n }
-            | SimEvent::Resume { node: n }
-            | SimEvent::EtAbandon { node: n } => {
-                fields.push(("node", node(n)));
-            }
-            SimEvent::Enqueue {
-                node: n,
-                dst,
-                depth,
-            }
-            | SimEvent::Dequeue {
-                node: n,
-                dst,
-                depth,
-            } => {
-                fields.push(("node", node(n)));
-                fields.push(("dst", node(dst)));
-                fields.push(("depth", Json::Uint(u64::from(depth))));
-            }
-            SimEvent::BackoffDraw {
-                node: n,
-                stage,
-                slots,
-            } => {
-                fields.push(("node", node(n)));
-                fields.push(("stage", Json::Uint(u64::from(stage))));
-                fields.push(("slots", Json::Uint(u64::from(slots))));
-            }
-            SimEvent::AckTimeout { node: n, dst } => {
-                fields.push(("node", node(n)));
-                fields.push(("dst", node(dst)));
-            }
-            SimEvent::Retry {
-                node: n,
-                dst,
-                attempt,
-            } => {
-                fields.push(("node", node(n)));
-                fields.push(("dst", node(dst)));
-                fields.push(("attempt", Json::Uint(u64::from(attempt))));
-            }
-            SimEvent::Delivered {
-                node: n,
-                from,
-                bytes,
-            } => {
-                fields.push(("node", node(n)));
-                fields.push(("from", node(from)));
-                fields.push(("bytes", Json::Uint(u64::from(bytes))));
-            }
-            SimEvent::FrameQueued { node: n, dst, seq }
-            | SimEvent::FrameAcked { node: n, dst, seq }
-            | SimEvent::FrameDropped { node: n, dst, seq } => {
-                fields.push(("node", node(n)));
-                fields.push(("dst", node(dst)));
-                fields.push(("seq", Json::Uint(seq)));
-            }
-            SimEvent::FrameTx {
-                node: n,
-                dst,
-                seq,
-                attempt,
-            } => {
-                fields.push(("node", node(n)));
-                fields.push(("dst", node(dst)));
-                fields.push(("seq", Json::Uint(seq)));
-                fields.push(("attempt", Json::Uint(u64::from(attempt))));
-            }
-            SimEvent::HeaderHeard { node: n, src, dst }
-            | SimEvent::EtOpportunity { node: n, src, dst }
-            | SimEvent::ConcurrentTx { node: n, src, dst } => {
-                fields.push(("node", node(n)));
-                fields.push(("src", node(src)));
-                fields.push(("dst", node(dst)));
-            }
-            SimEvent::Adapt {
-                node: n,
-                dst,
-                cw,
-                payload_bytes,
-            } => {
-                fields.push(("node", node(n)));
-                fields.push(("dst", node(dst)));
-                fields.push(("cw", Json::Uint(u64::from(cw))));
-                fields.push(("payload_bytes", Json::Uint(u64::from(payload_bytes))));
-            }
-        }
-        Json::obj(fields)
-    }
-
-    /// Parses an event from its [`SimEvent::to_json`] object form.
+    /// Parses an event from the object of one [`JsonlSink`] line. That
+    /// sink is the one encoder of events; this, behind
+    /// [`parse_jsonl_line`], is the one decoder.
     ///
     /// Returns `None` when the `type` is unknown or a field is missing —
     /// the schema guard the round-trip test leans on.
@@ -726,24 +599,21 @@ impl Observer for NoopSink {
 /// Writes one JSON object per event (JSON Lines) to any writer.
 ///
 /// Schema per line: `{"t_ns": <u64>, "type": "<variant>", ...fields}`.
-/// I/O errors are recorded, writing stops, and the simulation continues
-/// — observability must never abort a run.
+/// Each line is formatted straight into one buffer the sink owns and
+/// reuses — `&'static str` keys and labels, numbers rendered in place —
+/// and goes to the writer in one `write_all`, so a run's events cost no
+/// allocation once the buffer has grown to the longest line.
+///
+/// I/O errors (a failed write, or the flush in [`Observer::finish`]) are
+/// recorded, writing stops, and the simulation continues —
+/// observability must never abort a run. Whoever owns the writer decides
+/// what a recorded error means; the experiment binaries exit 1.
 #[derive(Debug)]
 pub struct JsonlSink<W: io::Write> {
     out: W,
+    line: String,
     written: u64,
     error: Option<io::Error>,
-}
-
-impl JsonlSink<io::BufWriter<File>> {
-    /// Creates a sink writing to a buffered file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of [`File::create`].
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink::new(io::BufWriter::new(File::create(path)?)))
-    }
 }
 
 impl<W: io::Write> JsonlSink<W> {
@@ -751,6 +621,7 @@ impl<W: io::Write> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         JsonlSink {
             out,
+            line: String::new(),
             written: 0,
             error: None,
         }
@@ -772,20 +643,141 @@ impl<W: io::Write> Observer for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let mut fields = vec![("t_ns".to_string(), Json::Uint(now.as_nanos()))];
-        if let Json::Obj(event_fields) = event.to_json() {
-            fields.extend(event_fields);
-        }
-        let line = Json::Obj(fields).to_string_compact();
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-        } else {
-            self.written += 1;
+        encode_line(&mut self.line, now, event);
+        match self.out.write_all(self.line.as_bytes()) {
+            Ok(()) => self.written += 1,
+            Err(e) => self.error = Some(e),
         }
     }
 
     fn finish(&mut self, _report: &mut SimReport) {
-        let _ = self.out.flush();
+        if let Err(e) = self.out.flush() {
+            self.error.get_or_insert(e);
+        }
+    }
+}
+
+/// Replaces `line` with the JSONL line of `event` at `now`, newline
+/// included.
+fn encode_line(line: &mut String, now: SimTime, event: &SimEvent) {
+    line.clear();
+    line.push_str("{\"t_ns\":");
+    json::write_u64(line, now.as_nanos());
+    let mut fields = Fields(line);
+    fields.label("type", event.type_name());
+    match *event {
+        SimEvent::TxBegin {
+            src,
+            dst,
+            kind,
+            rate,
+        } => fields
+            .node("src", src)
+            .node("dst", dst)
+            .label("kind", kind_label(kind))
+            .label("rate", rate_label(rate)),
+        SimEvent::TxEnd { src, kind } => fields.node("src", src).label("kind", kind_label(kind)),
+        SimEvent::Capture { node, src } | SimEvent::HazardDrop { node, src } => {
+            fields.node("node", node).node("src", src)
+        }
+        SimEvent::RxResolved {
+            node,
+            src,
+            rssi_dbm,
+            sinr_db,
+        } => fields
+            .node("node", node)
+            .node("src", src)
+            .num("rssi_dbm", rssi_dbm)
+            .num("sinr_db", sinr_db),
+        SimEvent::CsBusy { node }
+        | SimEvent::CsIdle { node }
+        | SimEvent::Defer { node }
+        | SimEvent::Resume { node }
+        | SimEvent::EtAbandon { node } => fields.node("node", node),
+        SimEvent::Enqueue { node, dst, depth } | SimEvent::Dequeue { node, dst, depth } => fields
+            .node("node", node)
+            .node("dst", dst)
+            .uint("depth", u64::from(depth)),
+        SimEvent::BackoffDraw { node, stage, slots } => fields
+            .node("node", node)
+            .uint("stage", u64::from(stage))
+            .uint("slots", u64::from(slots)),
+        SimEvent::AckTimeout { node, dst } => fields.node("node", node).node("dst", dst),
+        SimEvent::Retry { node, dst, attempt } => fields
+            .node("node", node)
+            .node("dst", dst)
+            .uint("attempt", u64::from(attempt)),
+        SimEvent::Delivered { node, from, bytes } => fields
+            .node("node", node)
+            .node("from", from)
+            .uint("bytes", u64::from(bytes)),
+        SimEvent::FrameQueued { node, dst, seq }
+        | SimEvent::FrameAcked { node, dst, seq }
+        | SimEvent::FrameDropped { node, dst, seq } => {
+            fields.node("node", node).node("dst", dst).uint("seq", seq)
+        }
+        SimEvent::FrameTx {
+            node,
+            dst,
+            seq,
+            attempt,
+        } => fields
+            .node("node", node)
+            .node("dst", dst)
+            .uint("seq", seq)
+            .uint("attempt", u64::from(attempt)),
+        SimEvent::HeaderHeard { node, src, dst }
+        | SimEvent::EtOpportunity { node, src, dst }
+        | SimEvent::ConcurrentTx { node, src, dst } => {
+            fields.node("node", node).node("src", src).node("dst", dst)
+        }
+        SimEvent::Adapt {
+            node,
+            dst,
+            cw,
+            payload_bytes,
+        } => fields
+            .node("node", node)
+            .node("dst", dst)
+            .uint("cw", u64::from(cw))
+            .uint("payload_bytes", u64::from(payload_bytes)),
+    };
+    line.push_str("}\n");
+}
+
+/// Appends `,"key":value` fields to a JSONL line. Keys and labels are
+/// `&'static str`s of the schema, none of which needs escaping.
+struct Fields<'a>(&'a mut String);
+
+impl Fields<'_> {
+    fn key(&mut self, key: &'static str) -> &mut String {
+        self.0.push_str(",\"");
+        self.0.push_str(key);
+        self.0.push_str("\":");
+        self.0
+    }
+
+    fn uint(&mut self, key: &'static str, value: u64) -> &mut Self {
+        json::write_u64(self.key(key), value);
+        self
+    }
+
+    fn node(&mut self, key: &'static str, node: NodeId) -> &mut Self {
+        self.uint(key, node.0 as u64)
+    }
+
+    fn num(&mut self, key: &'static str, value: f64) -> &mut Self {
+        json::write_f64(self.key(key), value);
+        self
+    }
+
+    fn label(&mut self, key: &'static str, label: &'static str) -> &mut Self {
+        let out = self.key(key);
+        out.push('"');
+        out.push_str(label);
+        out.push('"');
+        self
     }
 }
 
@@ -868,117 +860,330 @@ impl TimelineHandle {
 mod tests {
     use super::*;
 
-    fn samples() -> Vec<SimEvent> {
+    /// The time every pinned line is written at.
+    const T: SimTime = SimTime::from_nanos(1_234_567);
+
+    /// One sample of every variant, each with the exact line the sink
+    /// writes for it at [`T`]. The lines were captured from the
+    /// `Json`-tree encoder this streaming one replaced. `RxResolved`
+    /// comes three times for the float rule (non-integral, integral and
+    /// non-finite), `FrameDropped` twice for `seq = u64::MAX`.
+    fn pinned() -> Vec<(SimEvent, &'static str)> {
         vec![
-            SimEvent::TxBegin {
-                src: NodeId(0),
-                dst: NodeId(1),
-                kind: FrameKind::Data,
-                rate: Rate::Mbps5_5,
-            },
-            SimEvent::TxEnd {
-                src: NodeId(0),
-                kind: FrameKind::Ack,
-            },
-            SimEvent::Capture {
-                node: NodeId(1),
-                src: NodeId(2),
-            },
-            SimEvent::HazardDrop {
-                node: NodeId(1),
-                src: NodeId(2),
-            },
-            SimEvent::RxResolved {
-                node: NodeId(1),
-                src: NodeId(0),
-                rssi_dbm: -63.25,
-                sinr_db: 31.5,
-            },
-            SimEvent::CsBusy { node: NodeId(3) },
-            SimEvent::CsIdle { node: NodeId(3) },
-            SimEvent::Enqueue {
-                node: NodeId(0),
-                dst: NodeId(1),
-                depth: 4,
-            },
-            SimEvent::Dequeue {
-                node: NodeId(0),
-                dst: NodeId(1),
-                depth: 3,
-            },
-            SimEvent::BackoffDraw {
-                node: NodeId(0),
-                stage: 2,
-                slots: 17,
-            },
-            SimEvent::Defer { node: NodeId(0) },
-            SimEvent::Resume { node: NodeId(0) },
-            SimEvent::AckTimeout {
-                node: NodeId(0),
-                dst: NodeId(1),
-            },
-            SimEvent::Retry {
-                node: NodeId(0),
-                dst: NodeId(1),
-                attempt: 3,
-            },
-            SimEvent::Delivered {
-                node: NodeId(1),
-                from: NodeId(0),
-                bytes: 1000,
-            },
-            SimEvent::FrameQueued {
-                node: NodeId(0),
-                dst: NodeId(1),
-                seq: 42,
-            },
-            SimEvent::FrameTx {
-                node: NodeId(0),
-                dst: NodeId(1),
-                seq: 42,
-                attempt: 2,
-            },
-            SimEvent::FrameAcked {
-                node: NodeId(0),
-                dst: NodeId(1),
-                seq: 42,
-            },
-            SimEvent::FrameDropped {
-                node: NodeId(0),
-                dst: NodeId(1),
-                seq: 43,
-            },
-            SimEvent::HeaderHeard {
-                node: NodeId(3),
-                src: NodeId(0),
-                dst: NodeId(1),
-            },
-            SimEvent::EtOpportunity {
-                node: NodeId(3),
-                src: NodeId(0),
-                dst: NodeId(1),
-            },
-            SimEvent::EtAbandon { node: NodeId(3) },
-            SimEvent::ConcurrentTx {
-                node: NodeId(3),
-                src: NodeId(0),
-                dst: NodeId(1),
-            },
-            SimEvent::Adapt {
-                node: NodeId(0),
-                dst: NodeId(1),
-                cw: 255,
-                payload_bytes: 700,
-            },
+            (
+                SimEvent::TxBegin {
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                    kind: FrameKind::Data,
+                    rate: Rate::Mbps5_5,
+                },
+                r#"{"t_ns":1234567,"type":"tx_begin","src":0,"dst":1,"kind":"DATA","rate":"5.5"}"#,
+            ),
+            (
+                SimEvent::TxEnd {
+                    src: NodeId(0),
+                    kind: FrameKind::Ack,
+                },
+                r#"{"t_ns":1234567,"type":"tx_end","src":0,"kind":"ACK"}"#,
+            ),
+            (
+                SimEvent::Capture {
+                    node: NodeId(1),
+                    src: NodeId(2),
+                },
+                r#"{"t_ns":1234567,"type":"capture","node":1,"src":2}"#,
+            ),
+            (
+                SimEvent::HazardDrop {
+                    node: NodeId(1),
+                    src: NodeId(2),
+                },
+                r#"{"t_ns":1234567,"type":"hazard_drop","node":1,"src":2}"#,
+            ),
+            (
+                SimEvent::RxResolved {
+                    node: NodeId(1),
+                    src: NodeId(0),
+                    rssi_dbm: -63.25,
+                    sinr_db: 31.5,
+                },
+                r#"{"t_ns":1234567,"type":"rx_resolved","node":1,"src":0,"rssi_dbm":-63.25,"sinr_db":31.5}"#,
+            ),
+            (
+                SimEvent::CsBusy { node: NodeId(3) },
+                r#"{"t_ns":1234567,"type":"cs_busy","node":3}"#,
+            ),
+            (
+                SimEvent::CsIdle { node: NodeId(3) },
+                r#"{"t_ns":1234567,"type":"cs_idle","node":3}"#,
+            ),
+            (
+                SimEvent::Enqueue {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    depth: 4,
+                },
+                r#"{"t_ns":1234567,"type":"enqueue","node":0,"dst":1,"depth":4}"#,
+            ),
+            (
+                SimEvent::Dequeue {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    depth: 3,
+                },
+                r#"{"t_ns":1234567,"type":"dequeue","node":0,"dst":1,"depth":3}"#,
+            ),
+            (
+                SimEvent::BackoffDraw {
+                    node: NodeId(0),
+                    stage: 2,
+                    slots: 17,
+                },
+                r#"{"t_ns":1234567,"type":"backoff_draw","node":0,"stage":2,"slots":17}"#,
+            ),
+            (
+                SimEvent::Defer { node: NodeId(0) },
+                r#"{"t_ns":1234567,"type":"defer","node":0}"#,
+            ),
+            (
+                SimEvent::Resume { node: NodeId(0) },
+                r#"{"t_ns":1234567,"type":"resume","node":0}"#,
+            ),
+            (
+                SimEvent::AckTimeout {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                },
+                r#"{"t_ns":1234567,"type":"ack_timeout","node":0,"dst":1}"#,
+            ),
+            (
+                SimEvent::Retry {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    attempt: 3,
+                },
+                r#"{"t_ns":1234567,"type":"retry","node":0,"dst":1,"attempt":3}"#,
+            ),
+            (
+                SimEvent::Delivered {
+                    node: NodeId(1),
+                    from: NodeId(0),
+                    bytes: 1000,
+                },
+                r#"{"t_ns":1234567,"type":"delivered","node":1,"from":0,"bytes":1000}"#,
+            ),
+            (
+                SimEvent::FrameQueued {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    seq: 42,
+                },
+                r#"{"t_ns":1234567,"type":"frame_queued","node":0,"dst":1,"seq":42}"#,
+            ),
+            (
+                SimEvent::FrameTx {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    seq: 42,
+                    attempt: 2,
+                },
+                r#"{"t_ns":1234567,"type":"frame_tx","node":0,"dst":1,"seq":42,"attempt":2}"#,
+            ),
+            (
+                SimEvent::FrameAcked {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    seq: 42,
+                },
+                r#"{"t_ns":1234567,"type":"frame_acked","node":0,"dst":1,"seq":42}"#,
+            ),
+            (
+                SimEvent::FrameDropped {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    seq: 43,
+                },
+                r#"{"t_ns":1234567,"type":"frame_dropped","node":0,"dst":1,"seq":43}"#,
+            ),
+            (
+                SimEvent::HeaderHeard {
+                    node: NodeId(3),
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                },
+                r#"{"t_ns":1234567,"type":"header_heard","node":3,"src":0,"dst":1}"#,
+            ),
+            (
+                SimEvent::EtOpportunity {
+                    node: NodeId(3),
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                },
+                r#"{"t_ns":1234567,"type":"et_opportunity","node":3,"src":0,"dst":1}"#,
+            ),
+            (
+                SimEvent::EtAbandon { node: NodeId(3) },
+                r#"{"t_ns":1234567,"type":"et_abandon","node":3}"#,
+            ),
+            (
+                SimEvent::ConcurrentTx {
+                    node: NodeId(3),
+                    src: NodeId(0),
+                    dst: NodeId(1),
+                },
+                r#"{"t_ns":1234567,"type":"concurrent_tx","node":3,"src":0,"dst":1}"#,
+            ),
+            (
+                SimEvent::Adapt {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    cw: 255,
+                    payload_bytes: 700,
+                },
+                r#"{"t_ns":1234567,"type":"adapt","node":0,"dst":1,"cw":255,"payload_bytes":700}"#,
+            ),
+            (
+                SimEvent::RxResolved {
+                    node: NodeId(7),
+                    src: NodeId(999),
+                    rssi_dbm: -63.0,
+                    sinr_db: 0.1,
+                },
+                r#"{"t_ns":1234567,"type":"rx_resolved","node":7,"src":999,"rssi_dbm":-63.0,"sinr_db":0.1}"#,
+            ),
+            (
+                SimEvent::RxResolved {
+                    node: NodeId(7),
+                    src: NodeId(999),
+                    rssi_dbm: f64::NAN,
+                    sinr_db: f64::NEG_INFINITY,
+                },
+                r#"{"t_ns":1234567,"type":"rx_resolved","node":7,"src":999,"rssi_dbm":null,"sinr_db":null}"#,
+            ),
+            (
+                SimEvent::FrameDropped {
+                    node: NodeId(0),
+                    dst: NodeId(1),
+                    seq: u64::MAX,
+                },
+                r#"{"t_ns":1234567,"type":"frame_dropped","node":0,"dst":1,"seq":18446744073709551615}"#,
+            ),
         ]
     }
 
-    #[test]
-    fn every_variant_round_trips_through_json() {
-        for e in samples() {
-            let back = SimEvent::from_json(&e.to_json());
-            assert_eq!(back, Some(e), "round trip of {}", e.type_name());
+    /// How many `SimEvent` variants there are.
+    const VARIANTS: usize = 24;
+
+    /// The index of `event`'s variant. The match is exhaustive, so a new
+    /// variant does not compile until it is listed here, and then
+    /// [`every_variant_has_a_pinned_line`] asks for a sample of it.
+    fn variant_slot(event: &SimEvent) -> usize {
+        match event {
+            SimEvent::TxBegin { .. } => 0,
+            SimEvent::TxEnd { .. } => 1,
+            SimEvent::Capture { .. } => 2,
+            SimEvent::HazardDrop { .. } => 3,
+            SimEvent::RxResolved { .. } => 4,
+            SimEvent::CsBusy { .. } => 5,
+            SimEvent::CsIdle { .. } => 6,
+            SimEvent::Enqueue { .. } => 7,
+            SimEvent::Dequeue { .. } => 8,
+            SimEvent::BackoffDraw { .. } => 9,
+            SimEvent::Defer { .. } => 10,
+            SimEvent::Resume { .. } => 11,
+            SimEvent::AckTimeout { .. } => 12,
+            SimEvent::Retry { .. } => 13,
+            SimEvent::Delivered { .. } => 14,
+            SimEvent::FrameQueued { .. } => 15,
+            SimEvent::FrameTx { .. } => 16,
+            SimEvent::FrameAcked { .. } => 17,
+            SimEvent::FrameDropped { .. } => 18,
+            SimEvent::HeaderHeard { .. } => 19,
+            SimEvent::EtOpportunity { .. } => 20,
+            SimEvent::EtAbandon { .. } => 21,
+            SimEvent::ConcurrentTx { .. } => 22,
+            SimEvent::Adapt { .. } => 23,
         }
+    }
+
+    fn samples() -> Vec<SimEvent> {
+        pinned().into_iter().map(|(e, _)| e).collect()
+    }
+
+    #[test]
+    fn every_variant_has_a_pinned_line() {
+        let mut seen = [false; VARIANTS];
+        for (e, _) in pinned() {
+            seen[variant_slot(&e)] = true;
+        }
+        for (slot, seen) in seen.iter().enumerate() {
+            assert!(seen, "variant #{slot} has no pinned sample");
+        }
+    }
+
+    #[test]
+    fn the_sink_writes_each_pinned_line() {
+        for (e, line) in pinned() {
+            let mut sink = JsonlSink::new(Vec::new());
+            sink.on_event(T, &e);
+            assert_eq!(String::from_utf8(sink.out).unwrap(), format!("{line}\n"));
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_writes_parseable_lines() {
+        let mut sink = JsonlSink::new(Vec::new());
+        let timed: Vec<_> = samples()
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| (SimTime::from_nanos(i as u64 * 10), e))
+            .collect();
+        for (t, e) in &timed {
+            sink.on_event(*t, e);
+        }
+        assert_eq!(sink.written(), timed.len() as u64);
+        assert!(sink.error().is_none());
+        let text = String::from_utf8(sink.out).unwrap();
+        assert_eq!(text.lines().count(), timed.len());
+        for (line, (t, e)) in text.lines().zip(&timed) {
+            let finite = if let SimEvent::RxResolved {
+                rssi_dbm, sinr_db, ..
+            } = *e
+            {
+                rssi_dbm.is_finite() && sinr_db.is_finite()
+            } else {
+                true
+            };
+            // A non-finite float writes `null`, which the decoder refuses.
+            let expected = finite.then_some((*t, *e));
+            assert_eq!(parse_jsonl_line(line), expected, "{line}");
+        }
+    }
+
+    /// A writer that takes every byte but cannot flush.
+    struct FailingFlush;
+
+    impl io::Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("flush failed"))
+        }
+    }
+
+    #[test]
+    fn a_failed_flush_is_recorded() {
+        let mut sink = JsonlSink::new(FailingFlush);
+        sink.on_event(T, &SimEvent::Defer { node: NodeId(0) });
+        assert!(sink.error().is_none());
+        sink.finish(&mut SimReport::default());
+        assert_eq!(sink.written(), 1);
+        assert_eq!(
+            sink.error().map(io::Error::to_string).as_deref(),
+            Some("flush failed")
+        );
     }
 
     #[test]
@@ -988,31 +1193,6 @@ mod tests {
             assert!(!s.contains('{'), "no debug formatting leaks: {s}");
             assert!(s.starts_with('n'), "starts with a node name: {s}");
         }
-    }
-
-    #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        for (i, e) in samples().into_iter().enumerate() {
-            sink.on_event(SimTime::from_nanos(i as u64 * 10), &e);
-        }
-        assert_eq!(sink.written(), 24);
-        assert!(sink.error().is_none());
-        let text = String::from_utf8(sink.out.clone()).unwrap();
-        let parsed: Vec<_> = text
-            .lines()
-            .map(|l| parse_jsonl_line(l).expect("line parses"))
-            .collect();
-        assert_eq!(parsed.len(), 24);
-        assert_eq!(parsed[0].0, SimTime::ZERO);
-        assert_eq!(parsed[5].0, SimTime::from_nanos(50));
-        assert_eq!(parsed, {
-            let evs = samples();
-            evs.into_iter()
-                .enumerate()
-                .map(|(i, e)| (SimTime::from_nanos(i as u64 * 10), e))
-                .collect::<Vec<_>>()
-        });
     }
 
     #[test]

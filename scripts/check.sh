@@ -50,6 +50,11 @@ if [ "$status" != 2 ]; then
     exit 1
 fi
 
+echo "==> an unwritable trace exits 1 (fig02 --quick --trace=/dev/full)"
+status=0
+cargo run -q --release -p comap-experiments --bin fig02 -- --quick --trace=/dev/full > /dev/null || status=$?
+test "$status" = "1"
+
 echo "==> perf-regression gate (fig_scale --quick vs pinned envelope, health invariants first)"
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \
     --profile-json target/profile_fig_scale.json > /dev/null
