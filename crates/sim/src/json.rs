@@ -6,17 +6,29 @@
 //! [`crate::profile::RunProfile`] artifacts — serialize through this
 //! hand-rolled module instead. It supports exactly the JSON subset those
 //! schemas need: objects with ordered keys, arrays, strings, booleans,
-//! `null`, exact unsigned integers and finite floats. The parser exists
-//! so round-trip tests and CI smoke checks can read the artifacts back
-//! without any external dependency.
+//! `null`, exact unsigned integers and finite floats.
+//!
+//! Reports and their metrics and latency sections are write-only: no
+//! program reads one back, and tests pin their exact bytes. The parser
+//! serves the three artifacts that are read back — a [`RunProfile`]
+//! and the bench envelope wrapping one (which `bench_diff` reads from
+//! files it is given), and the JSONL event stream
+//! ([`crate::observe::parse_jsonl_line`]). It takes RFC 8259 JSON
+//! only: a number outside the JSON grammar, or one that overflows
+//! `f64`, is a [`JsonError`].
+//!
+//! [`RunProfile`]: crate::profile::RunProfile
 
 use std::fmt::Write as _;
 
-/// Version stamped into every JSON artifact this crate emits
-/// ([`crate::stats::SimReport`], [`crate::metrics::Metrics`],
-/// [`crate::profile::RunProfile`] and the `results/BENCH_*.json` files
-/// built from them). Bump it whenever a schema changes shape so stale
-/// artifacts are rejected with a clear error instead of misparsed.
+/// Version stamped into the JSON objects this crate emits
+/// ([`crate::stats::SimReport`], its nested [`crate::metrics::Metrics`]
+/// section, [`crate::profile::RunProfile`] and the `results/BENCH_*.json`
+/// files built from them). Bump it whenever a schema changes shape.
+/// Readers check it ([`check_schema_version`]) only where something is
+/// read back — the profile and the bench envelope — so a stale artifact
+/// there is rejected with a clear error instead of misparsed; in a
+/// write-only report it tells a human reader which shape they hold.
 ///
 /// History: v1 = unstamped pre-latency artifacts (through the mobility
 /// rewrite); v2 = `schema_version` stamps + the latency section.
@@ -431,35 +443,63 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
+/// Parses one number by RFC 8259's grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, into a
+/// `Uint` when it is a non-negative integer that fits, else a finite
+/// `Num`. A value out of `f64` range (`1e999`) is an error, never
+/// `inf`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    let negative = bytes.get(*pos) == Some(&b'-');
+    if negative {
         *pos += 1;
     }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+    let int_start = *pos;
+    match digits(pos) {
+        0 if !negative => return Err(JsonError::at("expected value", start)),
+        0 => return Err(JsonError::at("invalid number", start)),
+        n if n > 1 && bytes[int_start] == b'0' => {
+            return Err(JsonError::at("leading zero in number", int_start))
         }
+        _ => {}
     }
+    let mut is_float = negative;
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(JsonError::at("expected digit after `.`", *pos));
+        }
+        is_float = true;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(JsonError::at("expected digit in exponent", *pos));
+        }
+        is_float = true;
+    }
+    // The grammar above admits only ASCII.
     let text = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| JsonError::at("invalid number", start))?;
-    if *pos == start {
-        return Err(JsonError::at("expected value", start));
-    }
-    if !is_float && !text.starts_with('-') {
+    if !is_float {
         if let Ok(u) = text.parse::<u64>() {
             return Ok(Json::Uint(u));
         }
     }
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| JsonError::at("invalid number", start))
+    match text.parse::<f64>() {
+        Ok(f) if f.is_finite() => Ok(Json::Num(f)),
+        _ => Err(JsonError::at("number out of range", start)),
+    }
 }
 
 #[cfg(test)]
@@ -518,6 +558,22 @@ mod tests {
         assert_eq!(Json::parse("-7").unwrap(), Json::Num(-7.0));
         assert_eq!(Json::parse("1e3").unwrap(), Json::Num(1000.0));
         assert_eq!(Json::parse("42").unwrap(), Json::Uint(42));
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "+1", ".5", "01", "00", "1.", "-01", "-", "1e", "1e+", "1.e3", "-.5", "1e999", "-1e999",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} is not a JSON number");
+        }
+        assert_eq!(Json::parse("0").unwrap(), Json::Uint(0));
+        assert_eq!(Json::parse("-0").unwrap(), Json::Num(-0.0));
+        assert_eq!(Json::parse("0.5").unwrap(), Json::Num(0.5));
+        assert_eq!(Json::parse("10").unwrap(), Json::Uint(10));
+        assert_eq!(Json::parse("2.5E-1").unwrap(), Json::Num(0.25));
+        assert_eq!(Json::parse("1e+2").unwrap(), Json::Num(100.0));
+        assert!(Json::parse("[0,-0.0,1e0]").is_ok());
     }
 
     #[test]

@@ -213,27 +213,6 @@ impl LatencyHistogram {
         }
         Json::obj(fields)
     }
-
-    /// Parses the [`Self::to_json`] form.
-    pub fn from_json(v: &Json) -> Option<LatencyHistogram> {
-        let mut h = LatencyHistogram::default();
-        for pair in v.get("buckets")?.as_arr()? {
-            let pair = pair.as_arr()?;
-            let [idx, c] = pair else { return None };
-            let idx = usize::try_from(idx.as_u64()?).ok()?;
-            if h.counts.len() <= idx {
-                h.counts.resize(idx + 1, 0);
-            }
-            h.counts[idx] = c.as_u64()?;
-        }
-        h.count = v.get("count")?.as_u64()?;
-        h.sum_ns = v.get("sum_ns")?.as_u64()?;
-        if h.count > 0 {
-            h.min_ns = v.get("min_ns")?.as_u64()?;
-            h.max_ns = v.get("max_ns")?.as_u64()?;
-        }
-        Some(h)
-    }
 }
 
 /// Per-node latency aggregates over finalized frame spans.
@@ -283,19 +262,6 @@ impl NodeLatency {
             ("incomplete", Json::Uint(self.incomplete)),
         ])
     }
-
-    fn from_json(v: &Json) -> Option<NodeLatency> {
-        Some(NodeLatency {
-            e2e: LatencyHistogram::from_json(v.get("e2e")?)?,
-            queueing: LatencyHistogram::from_json(v.get("queueing")?)?,
-            access: LatencyHistogram::from_json(v.get("access")?)?,
-            service: LatencyHistogram::from_json(v.get("service")?)?,
-            delivered: v.get("delivered")?.as_u64()?,
-            dropped: v.get("dropped")?.as_u64()?,
-            tx_attempts: v.get("tx_attempts")?.as_u64()?,
-            incomplete: v.get("incomplete")?.as_u64()?,
-        })
-    }
 }
 
 /// The latency section of [`Metrics`], produced by [`LatencySink`].
@@ -334,16 +300,6 @@ impl Latency {
                     .collect(),
             ),
         )])
-    }
-
-    /// Parses the section from its [`Latency::to_json`] form.
-    pub fn from_json(v: &Json) -> Option<Latency> {
-        let mut nodes = BTreeMap::new();
-        for entry in v.get("nodes")?.as_arr()? {
-            let node = NodeId(entry.get("node")?.as_u64()? as usize);
-            nodes.insert(node, NodeLatency::from_json(entry)?);
-        }
-        Some(Latency { nodes })
     }
 }
 
@@ -530,19 +486,43 @@ mod tests {
         assert_eq!(a, both);
     }
 
+    /// Writes `v` as compact text and parses it back; the text must be
+    /// a lossless image of the tree.
+    fn reparse(v: &Json) -> Json {
+        let back = Json::parse(&v.to_string_compact()).unwrap();
+        assert_eq!(&back, v);
+        back
+    }
+
+    fn uint(v: &Json, key: &str) -> Option<u64> {
+        v.get(key).and_then(Json::as_u64)
+    }
+
     #[test]
     fn histogram_round_trips_through_json() {
         let mut h = LatencyHistogram::new();
         for v in [0u64, 42, 9_999, 60_000_000_000] {
             h.record(v);
         }
-        let text = h.to_json().to_string_compact();
-        let back = LatencyHistogram::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, h);
-        let empty = LatencyHistogram::new();
-        let text = empty.to_json().to_string_compact();
-        let back = LatencyHistogram::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, empty);
+        let back = reparse(&h.to_json());
+        assert_eq!(uint(&back, "count"), Some(4));
+        assert_eq!(uint(&back, "sum_ns"), Some(60_000_010_041));
+        assert_eq!(uint(&back, "min_ns"), Some(0));
+        assert_eq!(uint(&back, "max_ns"), Some(60_000_000_000));
+        // The sparse `[index, count]` pairs rebuild every bucket.
+        let mut counts = vec![0; h.counts.len()];
+        for pair in back.get("buckets").and_then(Json::as_arr).unwrap() {
+            let [idx, c] = pair.as_arr().unwrap() else {
+                panic!("bucket is not a pair: {pair:?}")
+            };
+            counts[idx.as_u64().unwrap() as usize] = c.as_u64().unwrap();
+        }
+        assert_eq!(counts, h.counts);
+
+        let back = reparse(&LatencyHistogram::new().to_json());
+        assert_eq!(uint(&back, "count"), Some(0));
+        assert_eq!(back.get("buckets").and_then(Json::as_arr), Some(&[][..]));
+        assert!(back.get("min_ns").is_none() && back.get("max_ns").is_none());
     }
 
     fn queued(node: usize, seq: u64) -> SimEvent {
@@ -650,8 +630,29 @@ mod tests {
         let mut report = SimReport::default();
         sink.finish(&mut report);
         let latency = report.metrics.unwrap().latency.unwrap();
-        let text = latency.to_json().to_string_compact();
-        let back = Latency::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, latency);
+        let back = reparse(&latency.to_json());
+        let nodes = back.get("nodes").and_then(Json::as_arr).unwrap();
+        let [node] = nodes else {
+            panic!("expected one node, got {nodes:?}")
+        };
+        assert_eq!(uint(node, "node"), Some(1));
+        for (key, value) in [
+            ("delivered", 1),
+            ("dropped", 0),
+            ("tx_attempts", 1),
+            ("incomplete", 0),
+        ] {
+            assert_eq!(uint(node, key), Some(value), "{key}");
+        }
+        for (span, sum_ns) in [
+            ("e2e", 85),
+            ("queueing", 45),
+            ("access", 0),
+            ("service", 40),
+        ] {
+            let h = node.get(span).unwrap();
+            assert_eq!(uint(h, "count"), Some(1), "{span}");
+            assert_eq!(uint(h, "sum_ns"), Some(sum_ns), "{span}");
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! [`Metrics`] section that it installs into
 //! [`SimReport::metrics`](crate::stats::SimReport) when the run
 //! finishes. Everything is stored in exact integer grains (nanoseconds
-//! of busy airtime per bucket, histogram counts) so the section
-//! round-trips through JSON losslessly and compares with `==`.
+//! of busy airtime per bucket, histogram counts), so sections compare
+//! with `==`. The section is write-only: [`Metrics::to_json`] is its one
+//! codec, and `stats.rs` pins the bytes it writes.
 
 use std::collections::BTreeMap;
 use std::mem;
@@ -14,7 +15,7 @@ use std::mem;
 use comap_mac::time::SimTime;
 
 use crate::frame::NodeId;
-use crate::json::{check_schema_version, Json, SchemaError, SCHEMA_VERSION};
+use crate::json::{Json, SCHEMA_VERSION};
 use crate::latency::Latency;
 use crate::observe::{Observer, SimEvent};
 use crate::stats::SimReport;
@@ -106,25 +107,6 @@ impl Histogram {
         }
         Json::obj(fields)
     }
-
-    fn from_json(v: &Json) -> Option<Histogram> {
-        Some(Histogram {
-            lo: v.get("lo")?.as_f64()?,
-            bin_width: v.get("bin_width")?.as_f64()?,
-            counts: v
-                .get("counts")?
-                .as_arr()?
-                .iter()
-                .map(|c| c.as_u64())
-                .collect::<Option<Vec<_>>>()?,
-            underflow: v.get("underflow")?.as_u64()?,
-            overflow: v.get("overflow")?.as_u64()?,
-            count: v.get("count")?.as_u64()?,
-            sum: v.get("sum")?.as_f64()?,
-            min: v.get("min").and_then(Json::as_f64),
-            max: v.get("max").and_then(Json::as_f64),
-        })
-    }
 }
 
 /// Per-node aggregates built from the event stream.
@@ -192,20 +174,6 @@ impl NodeMetrics {
             ("sinr", self.sinr.to_json()),
         ])
     }
-
-    fn from_json(v: &Json) -> Option<NodeMetrics> {
-        let uints = |key: &str| -> Option<Vec<u64>> {
-            v.get(key)?.as_arr()?.iter().map(|c| c.as_u64()).collect()
-        };
-        Some(NodeMetrics {
-            airtime_busy_ns: uints("airtime_busy_ns")?,
-            queue_depth_peak: u32::try_from(v.get("queue_depth_peak")?.as_u64()?).ok()?,
-            queue_depth_sum: v.get("queue_depth_sum")?.as_u64()?,
-            queue_depth_samples: v.get("queue_depth_samples")?.as_u64()?,
-            backoff_stage: uints("backoff_stage")?,
-            sinr: Histogram::from_json(v.get("sinr")?)?,
-        })
-    }
 }
 
 /// The metrics section of a [`SimReport`], produced by [`MetricsSink`]
@@ -249,44 +217,6 @@ impl Metrics {
             fields.push(("latency", latency.to_json()));
         }
         Json::obj(fields)
-    }
-
-    /// Parses the section from its [`Metrics::to_json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] when the `schema_version` stamp is
-    /// missing or mismatched, or when a required field is absent or
-    /// malformed.
-    pub fn from_json(v: &Json) -> Result<Metrics, SchemaError> {
-        check_schema_version(v, "metrics section")?;
-        let malformed = || SchemaError::new("metrics section: missing or malformed field");
-        let mut nodes = BTreeMap::new();
-        for entry in v
-            .get("nodes")
-            .and_then(Json::as_arr)
-            .ok_or_else(malformed)?
-        {
-            let node = NodeId(
-                entry
-                    .get("node")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(malformed)? as usize,
-            );
-            nodes.insert(node, NodeMetrics::from_json(entry).ok_or_else(malformed)?);
-        }
-        let latency = match v.get("latency") {
-            Some(section) => Some(Latency::from_json(section).ok_or_else(malformed)?),
-            None => None,
-        };
-        Ok(Metrics {
-            bucket_ns: v
-                .get("bucket_ns")
-                .and_then(Json::as_u64)
-                .ok_or_else(malformed)?,
-            nodes,
-            latency,
-        })
     }
 }
 
@@ -487,10 +417,40 @@ mod tests {
                 sinr_db: 25.5,
             },
         );
-        let metrics = sink.metrics.clone();
-        let text = metrics.to_json().to_string_compact();
-        let back = Metrics::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, metrics);
+        let json = sink.metrics.to_json();
+        // The compact text is a lossless image of the tree.
+        let back = Json::parse(&json.to_string_compact()).unwrap();
+        assert_eq!(back, json);
+        let uint = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64);
+        let uints = |v: &Json, key: &str| -> Vec<u64> {
+            v.get(key)
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|c| c.as_u64().unwrap())
+                .collect()
+        };
+        assert_eq!(uint(&back, "schema_version"), Some(SCHEMA_VERSION));
+        assert_eq!(uint(&back, "bucket_ns"), Some(10_000_000));
+        assert!(back.get("latency").is_none());
+        let nodes = back.get("nodes").and_then(Json::as_arr).unwrap();
+        let [sender, receiver] = nodes else {
+            panic!("expected two nodes, got {nodes:?}")
+        };
+        assert_eq!(uint(sender, "node"), Some(0));
+        assert_eq!(uints(sender, "airtime_busy_ns"), vec![6_000_000, 3_000_000]);
+        assert_eq!(uint(receiver, "node"), Some(1));
+        let sinr = receiver.get("sinr").unwrap();
+        assert_eq!(uint(sinr, "count"), Some(1));
+        for key in ["sum", "min", "max"] {
+            assert_eq!(sinr.get(key).and_then(Json::as_f64), Some(25.5), "{key}");
+        }
+        assert_eq!(sinr.get("lo").and_then(Json::as_f64), Some(-10.0));
+        assert_eq!(sinr.get("bin_width").and_then(Json::as_f64), Some(1.0));
+        let counts = uints(sinr, "counts");
+        assert_eq!(counts.len(), 50);
+        assert_eq!(counts[35], 1);
+        assert_eq!(counts.iter().sum::<u64>(), 1);
     }
 
     #[test]

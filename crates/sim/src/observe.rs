@@ -20,13 +20,14 @@
 //! RNG stream. A run with every sink attached is therefore bit-identical
 //! to the same seed with none (enforced by `tests/observability.rs`).
 //!
-//! Three sinks ship with the crate: [`JsonlSink`] (one JSON object per
-//! event, for offline analysis), [`TimelineSink`] (human-readable
-//! timeline), and
-//! [`MetricsSink`](crate::metrics::MetricsSink) (per-node time series
-//! and histograms surfaced through the report).
+//! Four sinks ship with the crate: [`JsonlSink`] (one JSON object per
+//! event, for offline analysis), [`TimelineSink`] (the typed events in
+//! memory), [`MetricsSink`](crate::metrics::MetricsSink) (per-node time
+//! series and histograms surfaced through the report) and
+//! [`LatencySink`](crate::latency::LatencySink) (frame-lifecycle
+//! spans). An event has one text form, its JSONL line; [`JsonlSink`]
+//! writes it and [`parse_jsonl_line`] reads it back.
 
-use std::fmt;
 use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -476,100 +477,6 @@ impl SimEvent {
     }
 }
 
-impl fmt::Display for SimEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            SimEvent::TxBegin {
-                src,
-                dst,
-                kind,
-                rate,
-            } => write!(
-                f,
-                "{src} ── {} ──▶ {dst} @ {} Mbps",
-                kind_label(kind),
-                rate_label(rate)
-            ),
-            SimEvent::TxEnd { src, kind } => write!(f, "{src} {} tx end", kind_label(kind)),
-            SimEvent::Capture { node, src } => {
-                write!(f, "{node} captures onto {src}'s stronger frame")
-            }
-            SimEvent::HazardDrop { node, src } => {
-                write!(f, "{node} loses {src}'s frame to interference")
-            }
-            SimEvent::RxResolved {
-                node,
-                src,
-                rssi_dbm,
-                sinr_db,
-            } => write!(
-                f,
-                "{node} decodes {src}'s frame ({rssi_dbm:.1} dBm, SINR {sinr_db:.1} dB)"
-            ),
-            SimEvent::CsBusy { node } => write!(f, "{node} channel busy"),
-            SimEvent::CsIdle { node } => write!(f, "{node} channel idle"),
-            SimEvent::Enqueue { node, dst, depth } => {
-                write!(f, "{node} enqueues toward {dst} (depth {depth})")
-            }
-            SimEvent::Dequeue { node, dst, depth } => {
-                write!(f, "{node} dequeues toward {dst} (depth {depth})")
-            }
-            SimEvent::BackoffDraw { node, stage, slots } => {
-                write!(f, "{node} draws backoff of {slots} slots (stage {stage})")
-            }
-            SimEvent::Defer { node } => write!(f, "{node} defers (channel busy)"),
-            SimEvent::Resume { node } => write!(f, "{node} resumes backoff"),
-            SimEvent::AckTimeout { node, dst } => write!(f, "{node} ACK timeout toward {dst}"),
-            SimEvent::Retry { node, dst, attempt } => {
-                write!(f, "{node} retry #{attempt} toward {dst}")
-            }
-            SimEvent::Delivered { node, from, bytes } => {
-                write!(f, "{node} delivered {bytes} B from {from}")
-            }
-            SimEvent::FrameQueued { node, dst, seq } => {
-                write!(f, "{node} queues frame #{seq} toward {dst}")
-            }
-            SimEvent::FrameTx {
-                node,
-                dst,
-                seq,
-                attempt,
-            } => write!(
-                f,
-                "{node} sends frame #{seq} toward {dst} (attempt {attempt})"
-            ),
-            SimEvent::FrameAcked { node, dst, seq } => {
-                write!(f, "{node} frame #{seq} toward {dst} ACKed")
-            }
-            SimEvent::FrameDropped { node, dst, seq } => {
-                write!(f, "{node} frame #{seq} toward {dst} dropped (retry limit)")
-            }
-            SimEvent::HeaderHeard { node, src, dst } => {
-                write!(f, "{node} hears header announcing {src} → {dst}")
-            }
-            SimEvent::EtOpportunity { node, src, dst } => write!(
-                f,
-                "{node} ENTERS exposed-terminal opportunity beside {src} → {dst}"
-            ),
-            SimEvent::EtAbandon { node } => {
-                write!(f, "{node} abandons opportunity (RSSI watchdog)")
-            }
-            SimEvent::ConcurrentTx { node, src, dst } => {
-                write!(f, "{node} transmits concurrently beside {src} → {dst}")
-            }
-            SimEvent::Adapt {
-                node,
-                dst,
-                cw,
-                payload_bytes,
-            } => write!(
-                f,
-                "{node} adapts toward {dst}: CW {cw}, payload {payload_bytes} B"
-            ),
-        }
-    }
-}
-
 /// A sink for instrumentation events.
 ///
 /// The contract: `on_event` is called for every event in simulation
@@ -802,7 +709,8 @@ fn lock_events(events: &SharedEvents) -> MutexGuard<'_, Vec<(SimTime, SimEvent)>
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Records events in memory for human-readable timelines.
+/// Records the typed events in memory, for a caller that formats its
+/// own timeline (`examples/timeline.rs`) or compares streams in tests.
 ///
 /// Because [`crate::Simulator::run`] consumes the simulator (and the
 /// boxed sinks with it), construction returns a [`TimelineHandle`]
@@ -842,17 +750,6 @@ impl TimelineHandle {
     /// All recorded events in simulation order.
     pub fn events(&self) -> Vec<(SimTime, SimEvent)> {
         lock_events(&self.events).clone()
-    }
-
-    /// Renders the timeline, one `"<ms>  <event>"` line per event using
-    /// each variant's [`Display`](fmt::Display) form.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (t, e) in lock_events(&self.events).iter() {
-            let _ = writeln!(out, "{:>10.3} ms  {e}", t.as_secs_f64() * 1e3);
-        }
-        out
     }
 }
 
@@ -1187,15 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_has_a_readable_display() {
-        for e in samples() {
-            let s = e.to_string();
-            assert!(!s.contains('{'), "no debug formatting leaks: {s}");
-            assert!(s.starts_with('n'), "starts with a node name: {s}");
-        }
-    }
-
-    #[test]
     fn timeline_handle_outlives_the_sink() {
         let (mut sink, handle) = TimelineSink::new();
         sink.on_event(
@@ -1203,10 +1091,13 @@ mod tests {
             &SimEvent::Defer { node: NodeId(2) },
         );
         drop(sink);
-        let events = handle.events();
-        assert_eq!(events.len(), 1);
-        assert!(handle.render().contains("n2 defers"));
-        assert!(handle.render().contains("1.500 ms"));
+        assert_eq!(
+            handle.events(),
+            vec![(
+                SimTime::from_nanos(1_500_000),
+                SimEvent::Defer { node: NodeId(2) }
+            )]
+        );
     }
 
     #[test]

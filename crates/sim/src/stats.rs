@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use comap_mac::time::SimDuration;
 
 use crate::frame::NodeId;
-use crate::json::{check_schema_version, Json, SchemaError, SCHEMA_VERSION};
+use crate::json::{Json, SCHEMA_VERSION};
 use crate::metrics::Metrics;
 
 /// Counters of one directed link.
@@ -103,23 +103,6 @@ impl SimReport {
             / secs
     }
 
-    /// Goodput of every link, ordered by `(src, dst)`.
-    pub fn per_link_goodputs(&self) -> Vec<((NodeId, NodeId), f64)> {
-        self.links
-            .keys()
-            .map(|&(s, d)| ((s, d), self.link_goodput_bps(s, d)))
-            .collect()
-    }
-
-    /// Frame delivery ratio of one link (`delivered / attempted`, counting
-    /// retransmissions as attempts).
-    pub fn link_delivery_ratio(&self, src: NodeId, dst: NodeId) -> f64 {
-        match self.links.get(&(src, dst)) {
-            Some(l) if l.data_tx > 0 => l.delivered_frames as f64 / l.data_tx as f64,
-            _ => 0.0,
-        }
-    }
-
     /// Mutable access to a link's counters, creating them if absent.
     pub fn link_mut(&mut self, src: NodeId, dst: NodeId) -> &mut LinkStats {
         self.links.entry((src, dst)).or_default()
@@ -185,71 +168,6 @@ impl SimReport {
             ),
         ])
     }
-
-    /// Parses a report from its [`SimReport::to_json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] when the `schema_version` stamp is
-    /// missing or mismatched, or when a required field is absent or
-    /// malformed.
-    pub fn from_json(v: &Json) -> Result<SimReport, SchemaError> {
-        check_schema_version(v, "sim report")?;
-        let malformed = || SchemaError::new("sim report: missing or malformed field");
-        let arr = |key: &str| v.get(key).and_then(Json::as_arr).ok_or_else(malformed);
-        let field = |obj: &Json, key: &str| -> Result<u64, SchemaError> {
-            obj.get(key).and_then(Json::as_u64).ok_or_else(malformed)
-        };
-        let mut links = BTreeMap::new();
-        for l in arr("links")? {
-            let key = (
-                NodeId(field(l, "src")? as usize),
-                NodeId(field(l, "dst")? as usize),
-            );
-            links.insert(
-                key,
-                LinkStats {
-                    delivered_bytes: field(l, "delivered_bytes")?,
-                    delivered_frames: field(l, "delivered_frames")?,
-                    data_tx: field(l, "data_tx")?,
-                    ack_timeouts: field(l, "ack_timeouts")?,
-                    drops: field(l, "drops")?,
-                },
-            );
-        }
-        let mut nodes = BTreeMap::new();
-        for n in arr("nodes")? {
-            nodes.insert(
-                NodeId(field(n, "node")? as usize),
-                NodeStats {
-                    airtime: SimDuration::from_nanos(field(n, "airtime_ns")?),
-                    concurrent_tx: field(n, "concurrent_tx")?,
-                    et_abandons: field(n, "et_abandons")?,
-                    headers_heard: field(n, "headers_heard")?,
-                },
-            );
-        }
-        let medium = v.get("medium").ok_or_else(malformed)?;
-        let metrics = v.get("metrics").ok_or_else(malformed)?;
-        let metrics = if let Json::Null = metrics {
-            None
-        } else {
-            Some(Metrics::from_json(metrics)?)
-        };
-        Ok(SimReport {
-            duration: SimDuration::from_nanos(field(v, "duration_ns")?),
-            links,
-            nodes,
-            events: field(v, "events")?,
-            position_reports: field(v, "position_reports")?,
-            medium: MediumStats {
-                captures: field(medium, "captures")?,
-                hazard_drops: field(medium, "hazard_drops")?,
-                ledger_checks: field(medium, "ledger_checks")?,
-            },
-            metrics,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -275,28 +193,96 @@ mod tests {
         assert_eq!(r.link_goodput_bps(NodeId(0), NodeId(1)), 0.0);
     }
 
+    /// Reports are write-only, so their bytes are the contract: every
+    /// field of every section, the nested `schema_version` stamp, an
+    /// integral float (`12.0`) and the `min_ns`/`max_ns` an empty
+    /// latency histogram leaves out.
     #[test]
-    fn delivery_ratio() {
-        let mut r = SimReport {
-            duration: SimDuration::from_secs(1),
-            ..Default::default()
-        };
-        let l = r.link_mut(NodeId(0), NodeId(1));
-        l.data_tx = 10;
-        l.delivered_frames = 7;
-        assert_eq!(r.link_delivery_ratio(NodeId(0), NodeId(1)), 0.7);
-        assert_eq!(r.link_delivery_ratio(NodeId(2), NodeId(3)), 0.0);
-    }
+    fn report_json_is_pinned_byte_for_byte() {
+        use crate::latency::{Latency, LatencyHistogram, NodeLatency};
+        use crate::metrics::{Histogram, NodeMetrics};
 
-    #[test]
-    fn per_link_listing_is_ordered() {
         let mut r = SimReport {
-            duration: SimDuration::from_secs(1),
+            duration: SimDuration::from_millis(20),
+            events: 9,
+            position_reports: 2,
+            medium: MediumStats {
+                captures: 1,
+                hazard_drops: 3,
+                ledger_checks: 0,
+            },
             ..Default::default()
         };
-        r.link_mut(NodeId(2), NodeId(0)).delivered_bytes = 1;
-        r.link_mut(NodeId(0), NodeId(1)).delivered_bytes = 1;
-        let keys: Vec<_> = r.per_link_goodputs().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![(NodeId(0), NodeId(1)), (NodeId(2), NodeId(0))]);
+        *r.link_mut(NodeId(0), NodeId(1)) = LinkStats {
+            delivered_bytes: 1500,
+            delivered_frames: 1,
+            data_tx: 2,
+            ack_timeouts: 1,
+            drops: 0,
+        };
+        *r.node_mut(NodeId(0)) = NodeStats {
+            airtime: SimDuration::from_nanos(250_000),
+            concurrent_tx: 1,
+            et_abandons: 0,
+            headers_heard: 4,
+        };
+        let bare = concat!(
+            r#"{"schema_version":2,"duration_ns":20000000,"events":9,"position_reports":2,"#,
+            r#""links":[{"src":0,"dst":1,"delivered_bytes":1500,"delivered_frames":1,"#,
+            r#""data_tx":2,"ack_timeouts":1,"drops":0}],"#,
+            r#""nodes":[{"node":0,"airtime_ns":250000,"concurrent_tx":1,"et_abandons":0,"#,
+            r#""headers_heard":4}],"#,
+            r#""medium":{"captures":1,"hazard_drops":3,"ledger_checks":0},"#,
+        );
+        assert_eq!(
+            r.to_json().to_string_compact(),
+            format!(r#"{bare}"metrics":null}}"#)
+        );
+
+        let mut sinr = Histogram::new(-10.0, 10.0, 3);
+        sinr.record(12.0);
+        sinr.record(-12.5);
+        let mut e2e = LatencyHistogram::new();
+        e2e.record(100);
+        e2e.record(40_000);
+        let node = NodeMetrics {
+            airtime_busy_ns: vec![5_000_000, 250],
+            queue_depth_peak: 3,
+            queue_depth_sum: 4,
+            queue_depth_samples: 2,
+            backoff_stage: vec![1, 0, 2],
+            sinr,
+        };
+        let spans = NodeLatency {
+            e2e,
+            delivered: 1,
+            dropped: 1,
+            tx_attempts: 3,
+            ..NodeLatency::default()
+        };
+        r.metrics = Some(Metrics {
+            bucket_ns: 10_000_000,
+            nodes: BTreeMap::from([(NodeId(0), node)]),
+            latency: Some(Latency {
+                nodes: BTreeMap::from([(NodeId(0), spans)]),
+            }),
+        });
+        let empty = r#"{"buckets":[],"count":0,"sum_ns":0}"#;
+        let metrics = concat!(
+            r#""metrics":{"schema_version":2,"bucket_ns":10000000,"#,
+            r#""nodes":[{"node":0,"airtime_busy_ns":[5000000,250],"queue_depth_peak":3,"#,
+            r#""queue_depth_sum":4,"queue_depth_samples":2,"backoff_stage":[1,0,2],"#,
+            r#""sinr":{"lo":-10.0,"bin_width":10.0,"counts":[0,0,1],"underflow":1,"#,
+            r#""overflow":0,"count":2,"sum":-0.5,"min":-12.5,"max":12.0}}],"#,
+            r#""latency":{"nodes":[{"node":0,"#,
+            r#""e2e":{"buckets":[[82,1],[359,1]],"count":2,"sum_ns":40100,"#,
+            r#""min_ns":100,"max_ns":40000},"#,
+        );
+        assert_eq!(
+            r.to_json().to_string_compact(),
+            format!(
+                r#"{bare}{metrics}"queueing":{empty},"access":{empty},"service":{empty},"delivered":1,"dropped":1,"tx_attempts":3,"incomplete":0}}]}}}}}}"#
+            )
+        );
     }
 }

@@ -34,9 +34,10 @@ cargo test -q --manifest-path simbench/Cargo.toml
 echo "==> every figure driver through the sweep pool (all --quick, release)"
 cargo run --release -p comap-experiments --bin all -- --quick > /dev/null
 
-echo "==> examples: a standalone protocol (quickstart) and a mobile simulation (mobility)"
+echo "==> examples: a standalone protocol (quickstart), a mobile simulation (mobility), a timeline (timeline)"
 cargo run --release --example quickstart > /dev/null
 cargo run --release --example mobility > /dev/null
+cargo run --release --example timeline > /dev/null
 
 echo "==> profiling smoke run (fig02 --quick --profile-json)"
 cargo run --release -p comap-experiments --bin fig02 -- --quick \
@@ -54,6 +55,13 @@ echo "==> an unwritable trace exits 1 (fig02 --quick --trace=/dev/full)"
 status=0
 cargo run -q --release -p comap-experiments --bin fig02 -- --quick --trace=/dev/full > /dev/null || status=$?
 test "$status" = "1"
+
+echo "==> two fig_scale runs write byte-identical reports (CI's determinism job)"
+cargo run --release -p comap-experiments --bin fig_scale -- --quick \
+    --report-json target/fig_scale_report_a.json > /dev/null
+cargo run --release -p comap-experiments --bin fig_scale -- --quick \
+    --report-json target/fig_scale_report_b.json > /dev/null
+cmp target/fig_scale_report_a.json target/fig_scale_report_b.json
 
 echo "==> perf-regression gate (fig_scale --quick vs pinned envelope, health invariants first)"
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \
