@@ -65,14 +65,6 @@ impl<A: Addr> CoOccurrenceMap<A> {
         self.verdicts.insert((ongoing, receiver), allowed);
     }
 
-    /// All receivers cached as concurrent-safe with `ongoing`.
-    pub fn allowed_receivers(&self, ongoing: Link<A>) -> impl Iterator<Item = A> + '_ {
-        self.verdicts
-            .iter()
-            .filter(move |&(&(link, _), &allowed)| link == ongoing && allowed)
-            .map(|(&(_, receiver), _)| receiver)
-    }
-
     /// Number of ongoing links with at least one cached verdict.
     pub fn len(&self) -> usize {
         let mut prev = None;
@@ -142,7 +134,7 @@ mod tests {
         assert_eq!(m.lookup((1, 2), 3), Some(true));
         assert_eq!(m.lookup((1, 2), 4), Some(false));
         assert_eq!(m.stats(), (2, 0));
-        assert_eq!(m.allowed_receivers((1, 2)).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![((1, 2), vec![3])]);
     }
 
     #[test]
@@ -161,7 +153,7 @@ mod tests {
         m.record((10, 20), 1, true);
         m.record((10, 20), 2, true);
         m.record((10, 20), 3, false);
-        assert_eq!(m.allowed_receivers((10, 20)).count(), 2);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![((10, 20), vec![1, 2])]);
         assert_eq!(m.len(), 1);
     }
 

@@ -130,11 +130,6 @@ impl<A: Addr> NeighborTable<A> {
         self.entries.iter().map(|(a, e)| (*a, e))
     }
 
-    /// Addresses of all known neighbors, in order.
-    pub fn addrs(&self) -> impl Iterator<Item = A> + '_ {
-        self.entries.keys().copied()
-    }
-
     /// The mobility policy in force.
     pub fn mobility(&self) -> MobilityConfig {
         self.mobility
@@ -217,7 +212,7 @@ mod tests {
         t.insert("C", Position::ORIGIN);
         t.insert("A", Position::ORIGIN);
         t.insert("B", Position::ORIGIN);
-        let order: Vec<_> = t.addrs().collect();
+        let order: Vec<_> = t.iter().map(|(a, _)| a).collect();
         assert_eq!(order, vec!["A", "B", "C"]);
     }
 }

@@ -281,11 +281,6 @@ impl<A: Addr> Protocol<A> {
         &self.adaptation
     }
 
-    /// `(reports, suppressed)` counters of the location service.
-    pub fn location_stats(&self) -> (u64, u64) {
-        self.location.stats()
-    }
-
     /// The co-occurrence lookup behind both `concurrency_allowed` forms,
     /// validating over `shared`, or over the private table when `None`.
     fn cached_verdict(
@@ -449,6 +444,5 @@ mod tests {
         assert!(p.observe_position(Position::new(1.0, 0.0)).is_none());
         assert_eq!(p.own_position(), Some(Position::ORIGIN));
         assert!(p.observe_position(Position::new(9.0, 0.0)).is_some());
-        assert_eq!(p.location_stats().0, 2);
     }
 }

@@ -73,14 +73,6 @@ pub fn mbps(bps: f64) -> String {
     format!("{:.2}", bps / 1e6)
 }
 
-/// Formats a ratio as a percentage gain, e.g. `+77.5%`.
-pub fn gain_pct(new: f64, base: f64) -> String {
-    if base <= 0.0 {
-        return "n/a".to_string();
-    }
-    format!("{:+.1}%", (new / base - 1.0) * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +98,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(mbps(5.5e6), "5.50");
-        assert_eq!(gain_pct(1.775e6, 1.0e6), "+77.5%");
-        assert_eq!(gain_pct(1.0, 0.0), "n/a");
+        assert_eq!(mbps(0.0), "0.00");
     }
 }

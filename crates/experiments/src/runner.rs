@@ -109,15 +109,6 @@ impl Cdf {
         self.sorted[rank - 1]
     }
 
-    /// `P(X ≤ x)`, by binary search over the sorted samples.
-    pub fn probability_at(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let below = self.sorted.partition_point(|&v| v <= x);
-        below as f64 / self.sorted.len() as f64
-    }
-
     /// `(value, cumulative probability)` points for plotting.
     pub fn points(&self) -> Vec<(f64, f64)> {
         let n = self.sorted.len();
@@ -231,7 +222,6 @@ mod tests {
         assert_eq!(cdf.mean(), 2.5);
         assert_eq!(cdf.quantile(0.5), 2.0);
         assert_eq!(cdf.quantile(1.0), 4.0);
-        assert_eq!(cdf.probability_at(2.5), 0.5);
         assert_eq!(cdf.points().last().unwrap().1, 1.0);
     }
 
@@ -244,16 +234,6 @@ mod tests {
         let one = empirical_cdf(vec![7.0]);
         assert_eq!(one.quantile(0.0), 7.0);
         assert_eq!(one.quantile(1.0), 7.0);
-    }
-
-    #[test]
-    fn probability_at_counts_ties_and_boundaries() {
-        let cdf = empirical_cdf(vec![1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(cdf.probability_at(0.5), 0.0);
-        assert_eq!(cdf.probability_at(2.0), 0.75);
-        assert_eq!(cdf.probability_at(3.0), 1.0);
-        assert_eq!(cdf.probability_at(99.0), 1.0);
-        assert_eq!(empirical_cdf(vec![]).probability_at(1.0), 0.0);
     }
 
     #[test]

@@ -217,12 +217,6 @@ impl SelectiveRepeatSender {
         self.window.iter().filter(|e| !e.acked).count()
     }
 
-    /// `true` once every in-window frame has been sent at least once — the
-    /// point at which the paper's discipline switches to retransmissions.
-    pub fn window_swept(&self) -> bool {
-        self.window.iter().all(|e| e.attempts > 0)
-    }
-
     /// Total frames confirmed delivered over the lifetime of the sender.
     pub fn delivered(&self) -> u64 {
         self.delivered
@@ -320,7 +314,7 @@ mod tests {
         assert!(ack.acknowledges(s[1]) && ack.acknowledges(s[2]));
         assert!(!ack.acknowledges(s[0]));
         tx.on_ack(ack);
-        assert!(tx.window_swept());
+        // The window is swept, so the next frame is a retransmission.
         assert_eq!(tx.next_to_send(), Some(s[0]));
         // Retransmission succeeds.
         tx.mark_sent(s[0]).unwrap();

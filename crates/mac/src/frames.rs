@@ -42,13 +42,6 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
-    /// Whether this kind is a control frame sent at the base rate without
-    /// contending for the channel (it follows SIFS after the frame it
-    /// answers).
-    pub fn is_control_response(self) -> bool {
-        matches!(self, FrameKind::Ack | FrameKind::Cts)
-    }
-
     /// On-air MPDU size in bytes for a frame of this kind carrying
     /// `payload` payload bytes (payload is only meaningful for
     /// [`FrameKind::Data`]).
@@ -82,14 +75,5 @@ mod tests {
         );
         assert_eq!(FrameKind::Rts.on_air_bytes(0), RTS_BYTES);
         assert_eq!(FrameKind::Cts.on_air_bytes(0), CTS_BYTES);
-    }
-
-    #[test]
-    fn response_classification() {
-        assert!(FrameKind::Ack.is_control_response());
-        assert!(FrameKind::Cts.is_control_response());
-        assert!(!FrameKind::Data.is_control_response());
-        assert!(!FrameKind::Rts.is_control_response());
-        assert!(!FrameKind::DiscoveryHeader.is_control_response());
     }
 }

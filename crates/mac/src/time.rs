@@ -43,20 +43,8 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// The time elapsed since `earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is in the future.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        assert!(
-            earlier.0 <= self.0,
-            "duration_since: {earlier} is after {self}"
-        );
-        SimDuration(self.0 - earlier.0)
-    }
-
-    /// Saturating version of [`Self::duration_since`]; clamps at zero.
+    /// The time elapsed since `earlier`, clamped at zero when `earlier`
+    /// is in the future.
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -225,20 +213,13 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_micros(50);
         assert_eq!(t.as_nanos(), 50_000);
         assert_eq!(
-            t.duration_since(SimTime::ZERO),
+            t.saturating_duration_since(SimTime::ZERO),
             SimDuration::from_micros(50)
         );
         assert_eq!(
             SimTime::ZERO.saturating_duration_since(t),
             SimDuration::ZERO
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "is after")]
-    fn negative_elapsed_panics() {
-        let t = SimTime::from_nanos(10);
-        let _ = SimTime::ZERO.duration_since(t);
     }
 
     #[test]

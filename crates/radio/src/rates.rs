@@ -138,15 +138,6 @@ impl Rate {
         }
     }
 
-    /// The slowest (most robust) rate of this rate's PHY family, used for
-    /// control frames and broadcast discovery headers.
-    pub fn base_rate(self) -> Rate {
-        match self.standard() {
-            PhyStandard::Dsss => Rate::Mbps1,
-            PhyStandard::ErpOfdm => Rate::Mbps6,
-        }
-    }
-
     /// The highest rate of the family whose minimum SINR is at most `sinr`,
     /// or `None` if even the base rate cannot be decoded. This is the
     /// "ideal" rate-selection rule used by the simulator's auto-rate.
@@ -156,20 +147,6 @@ impl Rate {
             .rev()
             .find(|r| r.min_sinr() <= sinr)
             .copied()
-    }
-
-    /// The next rate down in the family, or `None` at the base rate.
-    pub fn step_down(self) -> Option<Rate> {
-        let set = Rate::all(self.standard());
-        let idx = set.iter().position(|&r| r == self)?;
-        idx.checked_sub(1).map(|i| set[i])
-    }
-
-    /// The next rate up in the family, or `None` at the top rate.
-    pub fn step_up(self) -> Option<Rate> {
-        let set = Rate::all(self.standard());
-        let idx = set.iter().position(|&r| r == self)?;
-        set.get(idx + 1).copied()
     }
 }
 
@@ -231,15 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn stepping_walks_the_family() {
-        assert_eq!(Rate::Mbps1.step_down(), None);
-        assert_eq!(Rate::Mbps11.step_up(), None);
-        assert_eq!(Rate::Mbps2.step_down(), Some(Rate::Mbps1));
-        assert_eq!(Rate::Mbps2.step_up(), Some(Rate::Mbps5_5));
-        assert_eq!(Rate::Mbps54.step_down(), Some(Rate::Mbps48));
-    }
-
-    #[test]
     fn ofdm_symbol_bits_match_rate() {
         // N_DBPS * 250k symbols/s == bit rate
         for r in Rate::OFDM_ALL {
@@ -247,11 +215,5 @@ mod tests {
             assert_eq!(ndbps as f64 * 250_000.0, r.bits_per_second(), "{r}");
         }
         assert_eq!(Rate::Mbps11.bits_per_ofdm_symbol(), None);
-    }
-
-    #[test]
-    fn base_rates() {
-        assert_eq!(Rate::Mbps11.base_rate(), Rate::Mbps1);
-        assert_eq!(Rate::Mbps54.base_rate(), Rate::Mbps6);
     }
 }

@@ -91,8 +91,6 @@ pub struct NodeSpec {
     /// Whether this node is an access point (affects nothing physical;
     /// used by reports and the quickstart example).
     pub ap: bool,
-    /// Per-node feature override; `None` inherits the simulation default.
-    pub features: Option<MacFeatures>,
     /// Per-node payload-size override; `None` inherits
     /// [`SimConfig::payload_bytes`].
     pub payload: Option<u32>,
@@ -118,7 +116,6 @@ impl NodeSpec {
             name: name.into(),
             position,
             ap: false,
-            features: None,
             payload: None,
             moves: Vec::new(),
         }
@@ -130,16 +127,9 @@ impl NodeSpec {
             name: name.into(),
             position,
             ap: true,
-            features: None,
             payload: None,
             moves: Vec::new(),
         }
-    }
-
-    /// Overrides the MAC features of this node.
-    pub fn with_features(mut self, features: MacFeatures) -> Self {
-        self.features = Some(features);
-        self
     }
 
     /// Overrides the payload size of this node's frames.
@@ -206,7 +196,7 @@ pub struct SimConfig {
     pub seed: u64,
     /// Protocol/channel parameters (shared by physics and CO-MAP logic).
     pub protocol: ProtocolConfig,
-    /// Default MAC features for nodes without an override.
+    /// MAC features of every node.
     pub default_features: MacFeatures,
     /// Data-rate selection policy.
     pub rate_controller: RateController,
@@ -318,9 +308,10 @@ impl SimConfig {
         Ok(())
     }
 
-    /// The effective features of a node.
-    pub fn features_of(&self, node: NodeId) -> MacFeatures {
-        self.nodes[node.0].features.unwrap_or(self.default_features)
+    /// The MAC features of `node`: every node runs
+    /// [`SimConfig::default_features`].
+    pub fn features_of(&self, _node: NodeId) -> MacFeatures {
+        self.default_features
     }
 
     /// Flows originating at `node`.
@@ -408,17 +399,6 @@ mod tests {
             crate::Simulator::try_new(SimConfig::testbed(1)).err(),
             Some(ConfigError::NoNodes)
         );
-    }
-
-    #[test]
-    fn feature_override_wins() {
-        let mut cfg = SimConfig::testbed(1);
-        cfg.default_features = MacFeatures::COMAP;
-        let a =
-            cfg.add_node(NodeSpec::client("a", Position::ORIGIN).with_features(MacFeatures::DCF));
-        let b = cfg.add_node(NodeSpec::client("b", Position::ORIGIN));
-        assert_eq!(cfg.features_of(a), MacFeatures::DCF);
-        assert_eq!(cfg.features_of(b), MacFeatures::COMAP);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! schemas need: objects with ordered keys, arrays, strings, booleans,
 //! `null`, exact unsigned integers and finite floats.
 //!
-//! Reports and their metrics and latency sections are write-only: no
-//! program reads one back, and tests pin their exact bytes. The parser
-//! serves the three artifacts that are read back — a [`RunProfile`]
-//! and the bench envelope wrapping one (which `bench_diff` reads from
-//! files it is given), and the JSONL event stream
-//! ([`crate::observe::parse_jsonl_line`]). It takes RFC 8259 JSON
-//! only: a number outside the JSON grammar, or one that overflows
-//! `f64`, is a [`JsonError`].
+//! Reports, their metrics and latency sections and the JSONL event
+//! stream are write-only: no program reads one back, and tests pin
+//! their exact bytes. The parser serves the two artifacts that are read
+//! back — a [`RunProfile`] and the bench envelope wrapping one (which
+//! `bench_diff` reads from files it is given) — and the tests that check
+//! written text is JSON. It takes RFC 8259 JSON only: a number outside
+//! the JSON grammar or one that overflows `f64`, a `\u` escape without
+//! four hex digits, a raw control character in a string and a lone
+//! surrogate are each a [`JsonError`]; a surrogate pair decodes to its
+//! one character.
 //!
 //! [`RunProfile`]: crate::profile::RunProfile
 
@@ -411,21 +413,31 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'b') => out.push('\u{0008}'),
                     Some(b'f') => out.push('\u{000c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError::at("truncated \\u escape", *pos))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError::at("bad \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::at("bad \\u escape", *pos))?;
-                        // Surrogate pairs are not needed by our schemas;
-                        // map unpaired surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let at = *pos;
+                        let mut code = hex4(bytes, at + 1)?;
                         *pos += 4;
+                        // A high surrogate joins the low one escaped right
+                        // after it into one character; any other surrogate
+                        // is lone, and RFC 8259 text cannot hold one.
+                        if (0xD800..0xDC00).contains(&code)
+                            && bytes.get(*pos + 1..*pos + 3) == Some(&b"\\u"[..])
+                        {
+                            let low = hex4(bytes, *pos + 3)?;
+                            if (0xDC00..0xE000).contains(&low) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
+                        let c = char::from_u32(code)
+                            .ok_or_else(|| JsonError::at("lone surrogate in \\u escape", at))?;
+                        out.push(c);
                     }
                     _ => return Err(JsonError::at("bad escape", *pos)),
                 }
                 *pos += 1;
+            }
+            Some(&b) if b < 0x20 => {
+                return Err(JsonError::at("unescaped control character", *pos));
             }
             Some(_) => {
                 // Consume one UTF-8 scalar.
@@ -441,6 +453,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
         }
     }
+}
+
+/// The code unit of the four hex digits of a `\u` escape at `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, JsonError> {
+    let digits = bytes
+        .get(at..at + 4)
+        .ok_or_else(|| JsonError::at("truncated \\u escape", at))?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| JsonError::at("bad \\u escape", at))?;
+        Ok(code * 16 + digit)
+    })
 }
 
 /// Parses one number by RFC 8259's grammar,
@@ -574,6 +599,38 @@ mod tests {
         assert_eq!(Json::parse("2.5E-1").unwrap(), Json::Num(0.25));
         assert_eq!(Json::parse("1e+2").unwrap(), Json::Num(100.0));
         assert!(Json::parse("[0,-0.0,1e0]").is_ok());
+    }
+
+    #[test]
+    fn strings_follow_the_json_grammar() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            "\"a\u{0}b\"",
+            "\"a\u{1f}b\"",
+            "\"line\nbreak\"",
+            "\"tab\there\"",
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} is not a JSON string");
+        }
+        let parsed = |text: &str| Json::parse(text).unwrap().as_str().map(str::to_owned);
+        assert_eq!(parsed(r#""\ud83d\ude00""#).as_deref(), Some("\u{1F600}"));
+        assert_eq!(parsed(r#""\uD83D\uDE00!""#).as_deref(), Some("\u{1F600}!"));
+        assert_eq!(
+            parsed(r#""\u0041\u00e9\u007F""#).as_deref(),
+            Some("A\u{e9}\u{7f}")
+        );
+        assert_eq!(
+            parsed("\"\u{7f}\u{1F600}\"").as_deref(),
+            Some("\u{7f}\u{1F600}")
+        );
     }
 
     #[test]

@@ -478,36 +478,6 @@ pub struct Medium {
 }
 
 impl Medium {
-    /// Creates a medium with the [`MediumBackend::Culled`] backend — see
-    /// [`Medium::with_backend`].
-    pub fn new(
-        channel: LogNormalShadowing,
-        positions: Vec<Position>,
-        capture: bool,
-        rng: StdRng,
-    ) -> Self {
-        Self::with_backend(channel, positions, capture, rng, MediumBackend::Culled)
-    }
-
-    /// Creates a medium with the default position quantum — see
-    /// [`Medium::with_quantization`].
-    pub fn with_backend(
-        channel: LogNormalShadowing,
-        positions: Vec<Position>,
-        capture: bool,
-        rng: StdRng,
-        backend: MediumBackend,
-    ) -> Self {
-        Self::with_quantization(
-            channel,
-            positions,
-            capture,
-            rng,
-            backend,
-            Meters::new(DEFAULT_POSITION_QUANTUM_M),
-        )
-    }
-
     /// Creates a medium for nodes at `positions` over `channel`. The
     /// channel\'s shadowing deviation is split into a static per-link
     /// component (reciprocal, drawn lazily from the counter-based
@@ -655,11 +625,6 @@ impl Medium {
     /// by design; never part of a report.
     pub fn counters(&self) -> MediumCounters {
         self.counters
-    }
-
-    /// Mean received power below which a link contributes exactly zero.
-    pub fn relevance_floor(&self) -> Dbm {
-        self.relevance_floor
     }
 
     /// Distance at which the channel's mean power reaches the relevance
@@ -1323,7 +1288,7 @@ mod tests {
     /// A deterministic (σ = 0) medium: A at 0, B at 10 m, C at 200 m.
     fn medium() -> Medium {
         let chan = LogNormalShadowing::from_friis(Dbm::new(0.0), 2.9, Db::ZERO);
-        Medium::new(
+        Medium::with_quantization(
             chan,
             vec![
                 Position::new(0.0, 0.0),
@@ -1332,6 +1297,8 @@ mod tests {
             ],
             true,
             StdRng::seed_from_u64(1),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
         )
     }
 
@@ -1434,7 +1401,7 @@ mod tests {
     #[test]
     fn without_capture_the_first_lock_sticks_and_dies() {
         let chan = LogNormalShadowing::from_friis(Dbm::new(0.0), 2.9, Db::ZERO);
-        let mut m = Medium::new(
+        let mut m = Medium::with_quantization(
             chan,
             vec![
                 Position::new(0.0, 0.0),
@@ -1443,6 +1410,8 @@ mod tests {
             ],
             false,
             StdRng::seed_from_u64(1),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
         );
         // C at 30 m from B(10 m): decodable alone. Then A's much stronger
         // frame arrives: no capture, so the lock stays with C and is
@@ -1471,7 +1440,7 @@ mod tests {
         // frame must still be judged by the worst-case overlap. Capture
         // is off so the lock provably stays with the first frame.
         let chan = LogNormalShadowing::from_friis(Dbm::new(0.0), 2.9, Db::ZERO);
-        let mut m = Medium::new(
+        let mut m = Medium::with_quantization(
             chan,
             vec![
                 Position::new(0.0, 0.0),  // A: sender
@@ -1480,6 +1449,8 @@ mod tests {
             ],
             false,
             StdRng::seed_from_u64(1),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
         );
         let (tx_a, _) = m.begin(data(0, 1), SimTime::ZERO, end_at(2000));
         let (tx_c, _) = m.begin(data(2, 0), SimTime::ZERO, end_at(500));
@@ -1542,7 +1513,7 @@ mod tests {
         // the floor) but weak enough that A's frame (−69 dBm from 10 m)
         // clears the 11 Mbps threshold over it and steals the lock.
         let chan = LogNormalShadowing::from_friis(Dbm::new(0.0), 2.9, Db::ZERO);
-        let mut m = Medium::new(
+        let mut m = Medium::with_quantization(
             chan,
             vec![
                 Position::new(0.0, 0.0),
@@ -1551,6 +1522,8 @@ mod tests {
             ],
             true,
             StdRng::seed_from_u64(1),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
         );
         let (_tx_c, _) = m.begin(data(2, 1), SimTime::ZERO, end_at(2000));
         assert_eq!(m.stats().captures, 0);
@@ -1564,7 +1537,14 @@ mod tests {
         let positions: Vec<Position> = (0..6)
             .map(|i| Position::new(10.0 * i as f64, 3.0 * i as f64))
             .collect();
-        let mut m = Medium::new(chan, positions, true, StdRng::seed_from_u64(3));
+        let mut m = Medium::with_quantization(
+            chan,
+            positions,
+            true,
+            StdRng::seed_from_u64(3),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
+        );
         let mut t = 0u64;
         for round in 0..200 {
             let src = round % 6;
@@ -1583,7 +1563,7 @@ mod tests {
     fn sub_floor_link_contributes_exactly_nothing() {
         let chan = LogNormalShadowing::from_friis(Dbm::new(0.0), 2.9, Db::ZERO);
         for backend in [MediumBackend::Exhaustive, MediumBackend::Culled] {
-            let mut m = Medium::with_backend(
+            let mut m = Medium::with_quantization(
                 chan,
                 vec![
                     Position::new(0.0, 0.0),
@@ -1593,6 +1573,7 @@ mod tests {
                 true,
                 StdRng::seed_from_u64(1),
                 backend,
+                Meters::new(DEFAULT_POSITION_QUANTUM_M),
             );
             let idle = m.sensed(NodeId(2));
             let (tx, notes) = m.begin(data(0, 1), SimTime::ZERO, end_at(1000));
@@ -1619,7 +1600,14 @@ mod tests {
         let positions: Vec<Position> = (0..12)
             .map(|i| Position::new(450.0 * (i % 4) as f64, 600.0 * (i / 4) as f64))
             .collect();
-        let mut m = Medium::new(chan, positions, true, StdRng::seed_from_u64(9));
+        let mut m = Medium::with_quantization(
+            chan,
+            positions,
+            true,
+            StdRng::seed_from_u64(9),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
+        );
         for step in 0..8 {
             for node in 0..12 {
                 let cand = m.candidate_receivers(NodeId(node));
@@ -1673,7 +1661,14 @@ mod tests {
         let positions: Vec<Position> = (0..n)
             .map(|i| Position::new(9.0 * i as f64, 2.0 * i as f64))
             .collect();
-        let mut m = Medium::new(chan, positions, true, StdRng::seed_from_u64(5));
+        let mut m = Medium::with_quantization(
+            chan,
+            positions,
+            true,
+            StdRng::seed_from_u64(5),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
+        );
         assert_eq!(m.counters().cache_recomputes, 0, "construction is lazy");
         assert_eq!(m.counters().cache_lookups, 0);
 
@@ -1740,7 +1735,14 @@ mod tests {
         let positions: Vec<Position> = (0..n)
             .map(|i| Position::new(9.0 * i as f64, 2.0 * i as f64))
             .collect();
-        let mut m = Medium::new(chan, positions, true, StdRng::seed_from_u64(5));
+        let mut m = Medium::with_quantization(
+            chan,
+            positions,
+            true,
+            StdRng::seed_from_u64(5),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
+        );
         // Warm the transmitter's row.
         let (tx, _) = m.begin(data(0, 1), SimTime::ZERO, end_at(1000));
         m.end(tx, end_at(1000));
@@ -1783,7 +1785,14 @@ mod tests {
         let positions: Vec<Position> = (0..n)
             .map(|i| Position::new(260.0 * i as f64, 35.0 * (i % 3) as f64))
             .collect();
-        let mut m = Medium::new(chan, positions, true, StdRng::seed_from_u64(23));
+        let mut m = Medium::with_quantization(
+            chan,
+            positions,
+            true,
+            StdRng::seed_from_u64(23),
+            MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
+        );
         let check = |m: &Medium, when: &str| {
             for a in 0..n {
                 let expected: Vec<NodeId> = (0..n)
@@ -1827,19 +1836,21 @@ mod tests {
         let positions: Vec<Position> = (0..10)
             .map(|i| Position::new(120.0 * (i % 5) as f64, 260.0 * (i / 5) as f64))
             .collect();
-        let mut ex = Medium::with_backend(
+        let mut ex = Medium::with_quantization(
             chan,
             positions.clone(),
             true,
             StdRng::seed_from_u64(11),
             MediumBackend::Exhaustive,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
         );
-        let mut cu = Medium::with_backend(
+        let mut cu = Medium::with_quantization(
             chan,
             positions,
             true,
             StdRng::seed_from_u64(11),
             MediumBackend::Culled,
+            Meters::new(DEFAULT_POSITION_QUANTUM_M),
         );
         let mut t = 0u64;
         for round in 0..120usize {

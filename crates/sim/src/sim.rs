@@ -300,11 +300,6 @@ impl Simulator {
         }
     }
 
-    /// Human-readable node name.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.cfg.nodes[node.0].name
-    }
-
     /// Executes a scheduled movement: physics first, then the location
     /// service decides whether to broadcast. The APs disseminate a report
     /// to every node, as in the paper, so it is applied once, to the
@@ -659,12 +654,5 @@ mod tests {
                 "each node knows its own report"
             );
         }
-    }
-
-    #[test]
-    fn node_names_are_preserved() {
-        let sim = Simulator::new(two_node_cfg(1));
-        assert_eq!(sim.node_name(NodeId(0)), "C1");
-        assert_eq!(sim.node_name(NodeId(1)), "AP1");
     }
 }

@@ -17,10 +17,10 @@
 
 use comap_mac::time::{SimDuration, SimTime};
 use comap_radio::pathloss::LogNormalShadowing;
-use comap_radio::units::Dbm;
+use comap_radio::units::{Dbm, Meters};
 use comap_radio::Position;
 use comap_sim::frame::{Frame, FrameBody, NodeId};
-use comap_sim::medium::{Medium, MediumBackend};
+use comap_sim::medium::{Medium, MediumBackend, DEFAULT_POSITION_QUANTUM_M};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,19 +54,21 @@ fn positions(seed: u64, n: usize, side: f64) -> Vec<Position> {
 fn pair(seed: u64, n: usize, side: f64) -> (Medium, Medium) {
     let chan = LogNormalShadowing::testbed(Dbm::new(0.0));
     let pos = positions(seed, n, side);
-    let ex = Medium::with_backend(
+    let ex = Medium::with_quantization(
         chan,
         pos.clone(),
         true,
         StdRng::seed_from_u64(seed),
         MediumBackend::Exhaustive,
+        Meters::new(DEFAULT_POSITION_QUANTUM_M),
     );
-    let cu = Medium::with_backend(
+    let cu = Medium::with_quantization(
         chan,
         pos,
         true,
         StdRng::seed_from_u64(seed),
         MediumBackend::Culled,
+        Meters::new(DEFAULT_POSITION_QUANTUM_M),
     );
     (ex, cu)
 }

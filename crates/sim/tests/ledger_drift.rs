@@ -10,10 +10,10 @@
 use comap_mac::time::{SimDuration, SimTime};
 use comap_radio::pathloss::LogNormalShadowing;
 use comap_radio::rates::Rate;
-use comap_radio::units::Dbm;
+use comap_radio::units::{Dbm, Meters};
 use comap_radio::Position;
 use comap_sim::frame::{Frame, FrameBody, NodeId};
-use comap_sim::medium::Medium;
+use comap_sim::medium::{Medium, MediumBackend, DEFAULT_POSITION_QUANTUM_M};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,7 +52,14 @@ fn a_million_begin_end_cycles_leave_zero_ledger_drift() {
     let positions: Vec<Position> = (0..10)
         .map(|i| Position::new(7.5 * i as f64, 11.0 * ((i * i) % 7) as f64))
         .collect();
-    let mut m = Medium::new(chan, positions, true, StdRng::seed_from_u64(42));
+    let mut m = Medium::with_quantization(
+        chan,
+        positions,
+        true,
+        StdRng::seed_from_u64(42),
+        MediumBackend::Culled,
+        Meters::new(DEFAULT_POSITION_QUANTUM_M),
+    );
 
     let mut pending = std::collections::VecDeque::new();
     for round in 0..CYCLES {

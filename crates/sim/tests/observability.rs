@@ -4,8 +4,9 @@
 //!    run must leave the `SimReport` bit-identical to a run without
 //!    sinks (and to a profiled run): emission never touches an RNG
 //!    stream and sinks have no channel back into the simulation.
-//! 2. **Fidelity** — the JSONL event stream parses back to the exact
-//!    events the in-memory timeline saw, and a report's compact JSON
+//! 2. **Fidelity** — the JSONL event stream is byte for byte the
+//!    events the in-memory timeline saw, written through a second sink
+//!    (the trace is write-only), and a report's compact JSON
 //!    parses back to the same JSON tree, carrying the report's values.
 //!    (Reports are write-only: no program decodes one into a
 //!    `SimReport`, and `stats.rs` pins their exact bytes.)
@@ -21,12 +22,12 @@ use std::sync::{Arc, Mutex};
 use comap_mac::time::{SimDuration, SimTime};
 use comap_radio::Position;
 use comap_sim::config::{MacFeatures, NodeSpec, SimConfig, Traffic};
-use comap_sim::observe::parse_jsonl_line;
 use comap_sim::stats::{LinkStats, NodeStats};
 use comap_sim::{
-    Json, JsonlSink, LatencySink, MetricsSink, NodeId, NoopSink, SimEvent, Simulator, TimelineSink,
+    Json, JsonlSink, LatencySink, MetricsSink, NodeId, NoopSink, Observer, SimEvent, Simulator,
+    TimelineSink,
 };
-use event_coverage::unemitted;
+use event_coverage::{unemitted, VARIANTS};
 
 /// A CO-MAP four-node topology that exercises every event source:
 /// captures, hazard drops, discovery headers, ET opportunities,
@@ -146,14 +147,21 @@ fn jsonl_stream_matches_the_timeline() {
     sim.attach_sink(Box::new(timeline));
     sim.run(DURATION);
 
-    let text = String::from_utf8(buf.bytes()).expect("UTF-8 JSONL");
-    let parsed: Vec<_> = text
-        .lines()
-        .map(|line| parse_jsonl_line(line).expect("every line parses"))
-        .collect();
+    // Writing the recorded events through a second sink must give the
+    // live stream byte for byte: the trace is exactly the typed events.
+    // (`assert!`, not `assert_eq!`: a failure would print both traces.)
     let recorded = handle.events();
     assert!(!recorded.is_empty());
-    assert_eq!(parsed, recorded, "JSONL stream diverged from the timeline");
+    let replay_buf = SharedBuf::default();
+    let mut replay = JsonlSink::new(replay_buf.clone());
+    for (t, event) in &recorded {
+        replay.on_event(*t, event);
+    }
+    assert_eq!(replay.written(), recorded.len() as u64);
+    assert!(
+        buf.bytes() == replay_buf.bytes(),
+        "JSONL stream diverged from the timeline"
+    );
 }
 
 #[test]
@@ -448,6 +456,46 @@ fn every_event_variant_is_emitted() {
             events.extend(handle.events().into_iter().map(|(_, event)| event));
         }
     }
-    let missing = unemitted(&events);
+    let missing = unemitted(events.iter().map(|event| {
+        assert_eq!(
+            VARIANTS[variant_slot(event)],
+            event.type_name(),
+            "VARIANTS is out of order"
+        );
+        event.type_name()
+    }));
     assert!(missing.is_empty(), "no run emits {missing:?}");
+}
+
+/// The index of `event`'s variant in [`VARIANTS`]. The match is
+/// exhaustive, so a new variant does not compile until it is listed
+/// here, and then [`every_event_variant_is_emitted`] asks that some run
+/// emits it.
+fn variant_slot(event: &SimEvent) -> usize {
+    match event {
+        SimEvent::TxBegin { .. } => 0,
+        SimEvent::TxEnd { .. } => 1,
+        SimEvent::Capture { .. } => 2,
+        SimEvent::HazardDrop { .. } => 3,
+        SimEvent::RxResolved { .. } => 4,
+        SimEvent::CsBusy { .. } => 5,
+        SimEvent::CsIdle { .. } => 6,
+        SimEvent::Enqueue { .. } => 7,
+        SimEvent::Dequeue { .. } => 8,
+        SimEvent::BackoffDraw { .. } => 9,
+        SimEvent::Defer { .. } => 10,
+        SimEvent::Resume { .. } => 11,
+        SimEvent::AckTimeout { .. } => 12,
+        SimEvent::Retry { .. } => 13,
+        SimEvent::Delivered { .. } => 14,
+        SimEvent::FrameQueued { .. } => 15,
+        SimEvent::FrameTx { .. } => 16,
+        SimEvent::FrameAcked { .. } => 17,
+        SimEvent::FrameDropped { .. } => 18,
+        SimEvent::HeaderHeard { .. } => 19,
+        SimEvent::EtOpportunity { .. } => 20,
+        SimEvent::EtAbandon { .. } => 21,
+        SimEvent::ConcurrentTx { .. } => 22,
+        SimEvent::Adapt { .. } => 23,
+    }
 }

@@ -18,10 +18,10 @@ use comap_radio::pathloss::LogNormalShadowing;
 use comap_radio::stream::{
     keyed_state, link_key, normal_from_state, uniform_from_state, CounterRng, NORMAL_CLAMP_SIGMA,
 };
-use comap_radio::units::Dbm;
+use comap_radio::units::{Dbm, Meters};
 use comap_radio::Position;
 use comap_sim::frame::{Frame, FrameBody, NodeId};
-use comap_sim::medium::{Medium, MediumBackend};
+use comap_sim::medium::{Medium, MediumBackend, DEFAULT_POSITION_QUANTUM_M};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,20 +131,18 @@ proptest! {
         let positions: Vec<Position> = (0..n)
             .map(|_| Position::new(pos_rng.gen_range(0.0..400.0), pos_rng.gen_range(0.0..400.0)))
             .collect();
-        let mut lazy = Medium::with_backend(
+        let mut lazy = Medium::with_quantization(
             chan,
             positions.clone(),
             true,
             StdRng::seed_from_u64(seed),
-            MediumBackend::Culled,
-        );
-        let mut warm = Medium::with_backend(
+            MediumBackend::Culled, Meters::new(DEFAULT_POSITION_QUANTUM_M));
+        let mut warm = Medium::with_quantization(
             chan,
             positions,
             true,
             StdRng::seed_from_u64(seed),
-            MediumBackend::Culled,
-        );
+            MediumBackend::Culled, Meters::new(DEFAULT_POSITION_QUANTUM_M));
         for node in permutation(perm_seed, n) {
             warm.warm_links(NodeId(node));
         }

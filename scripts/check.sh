@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Local / CI quality gate for the CO-MAP reproduction.
+# Local / CI quality gate for the CO-MAP reproduction: CI's `check`
+# job runs this script and nothing else, so a local run is the CI run.
 #
 # Runs formatting, lints, and the tier-1 verification suite
-# (`cargo build --release && cargo test -q`). The workspace vendors all
+# (`cargo build --release && cargo test -q`), then the simbench smoke
+# test, every figure driver, the examples, the CLI exit-code checks, the
+# fig_scale report byte-diff and the bench_diff gate. The workspace vendors all
 # dependencies under vendor/, so the whole script must work with no
 # network access — CARGO_NET_OFFLINE keeps cargo from ever trying the
 # registry, which in sandboxed CI would otherwise hang or fail.
@@ -16,8 +19,7 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace -D warnings (the one static gate)"
 # clippy.toml and each library crate root hold the static invariants;
-# DESIGN.md §6 maps every rule to its lint or test. CI runs the
-# identical command.
+# DESIGN.md §6 maps every rule to its lint or test.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release"

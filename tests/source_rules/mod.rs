@@ -55,7 +55,7 @@ pub const RNG_CRATES: [&str; 3] = ["sim", "mac", "core"];
 /// The lines per file that may name `StdRng`: the seeding of the
 /// simulator and the medium. Every other file in [`RNG_CRATES`] holds 0.
 pub const STD_RNG_LINES: [(&str, usize); 2] = [
-    ("crates/sim/src/medium.rs", 4),
+    ("crates/sim/src/medium.rs", 2),
     ("crates/sim/src/sim.rs", 3),
 ];
 
