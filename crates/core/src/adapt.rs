@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 use comap_mac::timing::PhyTiming;
 use comap_radio::rates::Rate;
 
-use crate::model::{DcfModel, HiddenProfile, ModelInput};
+use crate::config::HIDDEN_PROFILE;
+use crate::model::{DcfModel, ModelInput};
 
 /// One precomputed best setting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,7 +35,7 @@ pub struct TxSetting {
 /// use comap_mac::timing::PhyTiming;
 /// use comap_radio::rates::Rate;
 ///
-/// let table = AdaptationTable::precompute(PhyTiming::dsss(), Rate::Mbps11, 5, 5);
+/// let table = AdaptationTable::precompute(PhyTiming::dsss(), Rate::Mbps11, 1500, true);
 /// let calm = table.setting(0, 4);
 /// let noisy = table.setting(5, 4);
 /// // More hidden terminals ⇒ shorter packets.
@@ -42,9 +43,8 @@ pub struct TxSetting {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptationTable {
-    max_hidden: usize,
-    max_contenders: usize,
-    /// Row-major `[h][c]`.
+    /// Row-major `[h][c]`, `h ∈ 0..=TABLE_MAX_HIDDEN`,
+    /// `c ∈ 0..=TABLE_MAX_CONTENDERS`.
     settings: Vec<TxSetting>,
 }
 
@@ -62,65 +62,28 @@ pub fn payload_candidates() -> impl Iterator<Item = u32> {
 /// not send 2200-byte MPDUs.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1500;
 
-impl AdaptationTable {
-    /// Precomputes best settings for `h ∈ 0..=max_hidden` and
-    /// `c ∈ 0..=max_contenders`, with payload candidates capped at
-    /// [`DEFAULT_MAX_PAYLOAD`] and hidden terminals modelled as stock DCF
-    /// stations ([`HiddenProfile::DCF_DEFAULT`]) — they keep *their* window
-    /// whatever we install for ourselves.
-    pub fn precompute(
-        phy: PhyTiming,
-        rate: Rate,
-        max_hidden: usize,
-        max_contenders: usize,
-    ) -> Self {
-        Self::precompute_with(
-            phy,
-            rate,
-            max_hidden,
-            max_contenders,
-            DEFAULT_MAX_PAYLOAD,
-            Some(HiddenProfile::DCF_DEFAULT),
-            &CW_CANDIDATES,
-        )
-    }
+/// Hidden-terminal counts the table materializes: the paper's Fig. 7
+/// explores up to 5 HTs; the table keeps a margin beyond that.
+const TABLE_MAX_HIDDEN: usize = 8;
 
-    /// Fully parameterized precomputation (ablations use this to restore
-    /// the homogeneous model or other payload ceilings). `cw_choices`
-    /// restricts the window candidates — pass `&[31]` for payload-only
-    /// adaptation.
-    pub fn precompute_with(
-        phy: PhyTiming,
-        rate: Rate,
-        max_hidden: usize,
-        max_contenders: usize,
-        max_payload: u32,
-        hidden_profile: Option<HiddenProfile>,
-        cw_choices: &[u32],
-    ) -> Self {
-        assert!(
-            !cw_choices.is_empty(),
-            "at least one window candidate required"
-        );
-        let mut settings = Vec::with_capacity((max_hidden + 1) * (max_contenders + 1));
-        for h in 0..=max_hidden {
-            for c in 0..=max_contenders {
-                settings.push(Self::optimize(
-                    phy,
-                    rate,
-                    h,
-                    c,
-                    max_payload,
-                    hidden_profile,
-                    cw_choices,
-                ));
+/// Contender counts the table materializes.
+const TABLE_MAX_CONTENDERS: usize = 8;
+
+impl AdaptationTable {
+    /// Precomputes best settings for `h ∈ 0..=8` and `c ∈ 0..=8`, with
+    /// payload candidates capped at `max_payload` and hidden terminals
+    /// behaving as [`HIDDEN_PROFILE`] — they keep *their* window whatever
+    /// we install for ourselves. With `adapt_cw` off the window stays at
+    /// 31 and only the payload adapts.
+    pub fn precompute(phy: PhyTiming, rate: Rate, max_payload: u32, adapt_cw: bool) -> Self {
+        let cw_choices: &[u32] = if adapt_cw { &CW_CANDIDATES } else { &[31] };
+        let mut settings = Vec::with_capacity((TABLE_MAX_HIDDEN + 1) * (TABLE_MAX_CONTENDERS + 1));
+        for h in 0..=TABLE_MAX_HIDDEN {
+            for c in 0..=TABLE_MAX_CONTENDERS {
+                settings.push(Self::optimize(phy, rate, h, c, max_payload, cw_choices));
             }
         }
-        AdaptationTable {
-            max_hidden,
-            max_contenders,
-            settings,
-        }
+        AdaptationTable { settings }
     }
 
     /// Grid-argmax of the analytical model for one `(h, c)` cell.
@@ -130,7 +93,6 @@ impl AdaptationTable {
         hidden: usize,
         contenders: usize,
         max_payload: u32,
-        hidden_profile: Option<HiddenProfile>,
         cw_choices: &[u32],
     ) -> TxSetting {
         let mut best = TxSetting {
@@ -147,7 +109,7 @@ impl AdaptationTable {
                     contenders,
                     hidden,
                     payload_bytes,
-                    hidden_profile,
+                    hidden_profile: Some(HIDDEN_PROFILE),
                 };
                 let goodput = DcfModel::per_node_goodput(&input);
                 if goodput > best.predicted_goodput {
@@ -165,19 +127,9 @@ impl AdaptationTable {
     /// The best setting for `hidden` HTs and `contenders` contending
     /// nodes; out-of-range counts clamp to the table edge.
     pub fn setting(&self, hidden: usize, contenders: usize) -> TxSetting {
-        let h = hidden.min(self.max_hidden);
-        let c = contenders.min(self.max_contenders);
-        self.settings[h * (self.max_contenders + 1) + c]
-    }
-
-    /// Largest hidden-terminal count materialized in the table.
-    pub fn max_hidden(&self) -> usize {
-        self.max_hidden
-    }
-
-    /// Largest contender count materialized in the table.
-    pub fn max_contenders(&self) -> usize {
-        self.max_contenders
+        let h = hidden.min(TABLE_MAX_HIDDEN);
+        let c = contenders.min(TABLE_MAX_CONTENDERS);
+        self.settings[h * (TABLE_MAX_CONTENDERS + 1) + c]
     }
 }
 
@@ -186,7 +138,7 @@ mod tests {
     use super::*;
 
     fn table() -> AdaptationTable {
-        AdaptationTable::precompute(PhyTiming::dsss(), Rate::Mbps11, 5, 5)
+        AdaptationTable::precompute(PhyTiming::dsss(), Rate::Mbps11, DEFAULT_MAX_PAYLOAD, true)
     }
 
     #[test]
@@ -240,8 +192,9 @@ mod tests {
     #[test]
     fn lookups_clamp_to_edges() {
         let t = table();
-        assert_eq!(t.setting(50, 50), t.setting(5, 5));
-        assert_eq!(t.setting(0, 99), t.setting(0, 5));
+        let (h, c) = (TABLE_MAX_HIDDEN, TABLE_MAX_CONTENDERS);
+        assert_eq!(t.setting(50, 50), t.setting(h, c));
+        assert_eq!(t.setting(0, 99), t.setting(0, c));
     }
 
     #[test]
@@ -258,7 +211,7 @@ mod tests {
                     contenders: c,
                     hidden: h,
                     payload_bytes: s.payload_bytes,
-                    hidden_profile: Some(HiddenProfile::DCF_DEFAULT),
+                    hidden_profile: Some(HIDDEN_PROFILE),
                 };
                 let re = DcfModel::per_node_goodput(&input);
                 assert!((re - s.predicted_goodput).abs() < 1e-9);
@@ -279,7 +232,7 @@ mod tests {
                     contenders: 4,
                     hidden: 3,
                     payload_bytes,
-                    hidden_profile: Some(HiddenProfile::DCF_DEFAULT),
+                    hidden_profile: Some(HIDDEN_PROFILE),
                 };
                 assert!(DcfModel::per_node_goodput(&input) <= s.predicted_goodput + 1e-9);
             }

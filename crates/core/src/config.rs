@@ -1,51 +1,56 @@
-//! Protocol configuration and the paper's two canonical parameter sets.
+//! Protocol configuration: the paper's fixed protocol parameters as
+//! named constants, and its two canonical parameter sets.
+//!
+//! A parameter that the paper fixes and no experiment varies is a
+//! constant here ([`T_PRR`], [`HT_MISS_PROBABILITY`],
+//! [`CENSUS_INTERFERENCE_PRR`], [`HIDDEN_PROFILE`],
+//! [`UPDATE_THRESHOLD_M`]); [`ProtocolConfig`] holds only what the two
+//! presets or the experiments set differently.
 
 use serde::{Deserialize, Serialize};
 
 use comap_mac::timing::PhyTiming;
 use comap_radio::pathloss::LogNormalShadowing;
 
-use crate::adapt::{AdaptationTable, CW_CANDIDATES};
+use crate::adapt::AdaptationTable;
 use crate::model::HiddenProfile;
 use comap_radio::prr::ReceptionModel;
 use comap_radio::rates::Rate;
-use comap_radio::units::{Db, Dbm, Meters};
+use comap_radio::units::{Db, Dbm};
 use comap_radio::NOISE_FLOOR;
 
-/// Default table extents: the paper's Fig. 7 explores up to 5 HTs; we
-/// precompute a margin beyond that.
-const TABLE_MAX_HIDDEN: usize = 8;
-const TABLE_MAX_CONTENDERS: usize = 8;
+/// Concurrency-validation threshold `T_PRR` (Table I): a transmission
+/// pair is compatible when both directional PRRs reach it.
+pub const T_PRR: f64 = 0.95;
 
-/// Position-update policy (paper Section V, "Mobility management").
-///
-/// A node re-broadcasts its position only after moving more than
-/// `update_threshold`, set to half of the highest position inaccuracy the
-/// protocol is expected to tolerate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MobilityConfig {
-    /// Movement (in meters) beyond which the position is re-reported.
-    pub update_threshold: Meters,
-}
+/// A node is a *potential hidden terminal* when its probability of
+/// missing carrier sense exceeds this (Section IV-D1: "> 90 %").
+pub const HT_MISS_PROBABILITY: f64 = 0.9;
 
-impl MobilityConfig {
-    /// Derives the threshold from the highest tolerated inaccuracy, as the
-    /// paper prescribes ("we set it to the half of the highest position
-    /// inaccuracy we can tolerate").
-    pub fn for_tolerated_inaccuracy(inaccuracy: Meters) -> Self {
-        MobilityConfig {
-            update_threshold: inaccuracy * 0.5,
-        }
-    }
-}
+/// PRR threshold below which a neighbor counts as *interfering* for the
+/// hidden-terminal census (Section IV-D1, condition 1). Stricter than
+/// [`T_PRR`] (which guards concurrency): only neighbors that actually
+/// corrupt a meaningful share of frames should trigger payload shrinking.
+pub const CENSUS_INTERFERENCE_PRR: f64 = 0.75;
 
-impl Default for MobilityConfig {
-    fn default() -> Self {
-        Self::for_tolerated_inaccuracy(Meters::new(10.0))
-    }
-}
+/// Behaviour assumed of hidden terminals by the adaptation table
+/// (Section IV-D3). The equivalent window is calibrated to a
+/// *loss-throttled* (TCP-like) interferer whose overlaps are further
+/// thinned by capture — a stock saturated-DCF profile would overstate
+/// the pressure and shrink payloads too aggressively.
+pub const HIDDEN_PROFILE: HiddenProfile = HiddenProfile {
+    cw: 511,
+    payload_bytes: 1000,
+};
 
-/// Everything CO-MAP needs to turn positions into decisions.
+/// Movement, in metres, beyond which a position is re-reported and a
+/// neighbor's table entry replaced (Section V, "Mobility management":
+/// "half of the highest position inaccuracy we can tolerate", which is
+/// 10 m).
+pub const UPDATE_THRESHOLD_M: f64 = 5.0;
+
+/// Everything CO-MAP needs to turn positions into decisions that the
+/// presets or the experiments set.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolConfig {
     /// Transmit power assumed for every node (the paper assumes equal
@@ -55,36 +60,14 @@ pub struct ProtocolConfig {
     pub channel: LogNormalShadowing,
     /// SIR decoding threshold `T_SIR` used in eq. (3).
     pub t_sir: Db,
-    /// Concurrency-validation threshold `T_PRR`: a transmission pair is
-    /// compatible when both directional PRRs exceed this (95 % in Table I).
-    pub t_prr: f64,
     /// Carrier-sense (CCA) threshold `T_cs`.
     pub t_cs: Dbm,
-    /// `T'_cs`: the part of `T_cs` not containing the noise floor, used by
-    /// the enhanced ET scheduler's RSSI-delta rule.
-    pub t_cs_delta: Dbm,
-    /// A node is a *potential hidden terminal* when its probability of
-    /// missing carrier sense exceeds this (90 % in Section IV-D1).
-    pub ht_miss_probability: f64,
-    /// PRR threshold below which a neighbor counts as *interfering* for
-    /// the census. Stricter than `t_prr` (which guards concurrency):
-    /// only neighbors that actually corrupt a meaningful share of frames
-    /// should trigger payload shrinking.
-    pub census_interference_prr: f64,
     /// PHY timing profile for the analytical model and duration math.
     pub phy: PhyTiming,
     /// Data rate assumed by the analytical model.
     pub model_rate: Rate,
     /// Selective-repeat ARQ send-window size `W_send`.
     pub arq_window: usize,
-    /// Position-update policy.
-    pub mobility: MobilityConfig,
-    /// Behaviour assumed of hidden terminals by the adaptation table.
-    /// The equivalent window is calibrated to a *loss-throttled* (TCP-
-    /// like) interferer whose overlaps are further thinned by capture —
-    /// a stock saturated-DCF profile would overstate the pressure and
-    /// shrink payloads too aggressively.
-    pub hidden_profile: HiddenProfile,
     /// Ceiling on the payload sizes the adaptation table may install.
     /// Bounded by the application's datagram size: a CBR/VoIP source
     /// cannot be coalesced into bigger MPDUs without violating latency.
@@ -106,24 +89,14 @@ impl ProtocolConfig {
     /// (Fig. 2), which is how the authors' geometry classifies correctly.
     pub fn testbed() -> Self {
         let tx_power = Dbm::new(0.0);
-        let t_cs = Dbm::new(-80.0);
         ProtocolConfig {
             tx_power,
             channel: LogNormalShadowing::testbed(tx_power),
             t_sir: Db::new(4.0),
-            t_prr: 0.95,
-            t_cs,
-            t_cs_delta: subtract_noise_floor(t_cs),
-            ht_miss_probability: 0.9,
-            census_interference_prr: 0.75,
+            t_cs: Dbm::new(-80.0),
             phy: PhyTiming::dsss(),
             model_rate: Rate::Mbps11,
             arq_window: 8,
-            mobility: MobilityConfig::default(),
-            hidden_profile: HiddenProfile {
-                cw: 511,
-                payload_bytes: 1000,
-            },
             max_adapted_payload: crate::adapt::DEFAULT_MAX_PAYLOAD,
             adapt_cw: true,
         }
@@ -134,24 +107,14 @@ impl ProtocolConfig {
     /// `T_SIR = 10`.
     pub fn large_scale() -> Self {
         let tx_power = Dbm::new(20.0);
-        let t_cs = Dbm::new(-80.0);
         ProtocolConfig {
             tx_power,
             channel: LogNormalShadowing::large_scale(tx_power),
             t_sir: Db::new(10.0),
-            t_prr: 0.95,
-            t_cs,
-            t_cs_delta: subtract_noise_floor(t_cs),
-            ht_miss_probability: 0.9,
-            census_interference_prr: 0.75,
-            phy: PhyTiming::erp_ofdm(false),
+            t_cs: Dbm::new(-80.0),
+            phy: PhyTiming::erp_ofdm(),
             model_rate: Rate::Mbps6,
             arq_window: 8,
-            mobility: MobilityConfig::default(),
-            hidden_profile: HiddenProfile {
-                cw: 511,
-                payload_bytes: 1000,
-            },
             max_adapted_payload: 1000,
             adapt_cw: false,
         }
@@ -163,27 +126,22 @@ impl ProtocolConfig {
         ReceptionModel::new(self.channel, self.t_sir)
     }
 
+    /// `T'_cs`: the part of `T_cs` not containing the noise floor, used
+    /// by the enhanced ET scheduler's RSSI-delta rule.
+    pub fn t_cs_delta(&self) -> Dbm {
+        subtract_noise_floor(self.t_cs)
+    }
+
     /// The adaptation table this configuration installs: a pure function
     /// of the configuration, so nodes sharing one configuration can share
     /// one table.
     pub fn adaptation_table(&self) -> AdaptationTable {
-        AdaptationTable::precompute_with(
+        AdaptationTable::precompute(
             self.phy,
             self.model_rate,
-            TABLE_MAX_HIDDEN,
-            TABLE_MAX_CONTENDERS,
             self.max_adapted_payload,
-            Some(self.hidden_profile),
-            if self.adapt_cw { &CW_CANDIDATES } else { &[31] },
+            self.adapt_cw,
         )
-    }
-
-    /// Replaces the carrier-sense threshold, keeping `T'_cs` consistent.
-    /// Used to calibrate per-site CS sensitivity (the paper's two testbed
-    /// floors behave differently).
-    pub fn set_t_cs(&mut self, t_cs: Dbm) {
-        self.t_cs = t_cs;
-        self.t_cs_delta = subtract_noise_floor(t_cs);
     }
 }
 
@@ -203,9 +161,9 @@ mod tests {
         // Table I: T_cs = −80 dBm, T'_cs = −80.14 dBm.
         let cfg = ProtocolConfig::large_scale();
         assert!(
-            (cfg.t_cs_delta.value() - (-80.14)).abs() < 0.01,
+            (cfg.t_cs_delta().value() - (-80.14)).abs() < 0.01,
             "T'_cs = {}",
-            cfg.t_cs_delta
+            cfg.t_cs_delta()
         );
     }
 
@@ -222,13 +180,6 @@ mod tests {
         assert_eq!(ls.t_sir, Db::new(10.0));
         assert_eq!(ls.tx_power, Dbm::new(20.0));
         assert_eq!(ls.model_rate, Rate::Mbps6);
-        assert_eq!(ls.t_prr, 0.95);
-    }
-
-    #[test]
-    fn mobility_threshold_is_half_inaccuracy() {
-        let m = MobilityConfig::for_tolerated_inaccuracy(Meters::new(10.0));
-        assert_eq!(m.update_threshold, Meters::new(5.0));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use comap_radio::prr::ReceptionModel;
 use comap_radio::units::{Dbm, Meters};
 use comap_radio::Position;
 
+use crate::config::{CENSUS_INTERFERENCE_PRR, HT_MISS_PROBABILITY};
 use crate::neighbor::NeighborTable;
 use crate::Addr;
 
@@ -67,15 +68,12 @@ impl<A> HtCensus<A> {
 /// can never flip a neighbor the pre-filter skips.
 const PREFILTER_MARGIN: f64 = 1.05;
 
-/// Census engine bundling the thresholds of Section IV-D1.
+/// Census engine applying the thresholds of Section IV-D1
+/// ([`CENSUS_INTERFERENCE_PRR`], [`HT_MISS_PROBABILITY`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HtCensusEngine {
     reception: ReceptionModel,
     t_cs: Dbm,
-    /// PRR threshold defining "interferes with the link".
-    interference_prr: f64,
-    /// CS-miss probability above which a node counts as hidden (90 %).
-    miss_probability: f64,
     /// `k` with `interference_range(d) = max(d, d₀)·k`, widened by
     /// [`PREFILTER_MARGIN`].
     interference_factor: f64,
@@ -84,25 +82,8 @@ pub struct HtCensusEngine {
 }
 
 impl HtCensusEngine {
-    /// Creates a census engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both probabilities are in `(0, 1)`.
-    pub fn new(
-        reception: ReceptionModel,
-        t_cs: Dbm,
-        interference_prr: f64,
-        miss_probability: f64,
-    ) -> Self {
-        assert!(
-            interference_prr > 0.0 && interference_prr < 1.0,
-            "interference PRR threshold must be in (0, 1)"
-        );
-        assert!(
-            miss_probability > 0.0 && miss_probability < 1.0,
-            "miss probability must be in (0, 1)"
-        );
+    /// Creates a census engine for carrier-sense threshold `t_cs`.
+    pub fn new(reception: ReceptionModel, t_cs: Dbm) -> Self {
         // A degenerate channel can make a range infinite or NaN. Either
         // becomes an infinite radius, which fails every pre-filter
         // comparison, so all neighbors then take the full path.
@@ -117,12 +98,12 @@ impl HtCensusEngine {
         HtCensusEngine {
             reception,
             t_cs,
-            interference_prr,
-            miss_probability,
-            interference_factor: widen(reception.interference_range(d0, interference_prr) / d0),
+            interference_factor: widen(
+                reception.interference_range(d0, CENSUS_INTERFERENCE_PRR) / d0,
+            ),
             cs_radius: widen(
                 reception
-                    .cs_range_for_miss_probability(t_cs, miss_probability)
+                    .cs_range_for_miss_probability(t_cs, HT_MISS_PROBABILITY)
                     .value(),
             ),
         }
@@ -148,10 +129,10 @@ impl HtCensusEngine {
         let d = s.distance_to(r);
         let eps = self.reception.channel().reference_distance();
         let interferer_dist = neighbor.distance_to(r).max(eps);
-        let interferes = self.reception.prr(d, interferer_dist) < self.interference_prr;
+        let interferes = self.reception.prr(d, interferer_dist) < CENSUS_INTERFERENCE_PRR;
         let sense_dist = neighbor.distance_to(s).max(eps);
         let senses =
-            self.reception.cs_miss_probability(sense_dist, self.t_cs) <= self.miss_probability;
+            self.reception.cs_miss_probability(sense_dist, self.t_cs) <= HT_MISS_PROBABILITY;
         match (interferes, senses) {
             (true, false) => NeighborClass::Hidden,
             (_, true) => NeighborClass::Contender,
@@ -239,16 +220,11 @@ fn distance_sq(a: Position, b: Position) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MobilityConfig, ProtocolConfig};
+    use crate::config::ProtocolConfig;
 
     fn engine() -> HtCensusEngine {
         let cfg = ProtocolConfig::testbed();
-        HtCensusEngine::new(
-            cfg.reception(),
-            cfg.t_cs,
-            cfg.census_interference_prr,
-            cfg.ht_miss_probability,
-        )
+        HtCensusEngine::new(cfg.reception(), cfg.t_cs)
     }
 
     #[test]
@@ -291,7 +267,7 @@ mod tests {
     #[test]
     fn census_excludes_link_endpoints() {
         let e = engine();
-        let mut t = NeighborTable::new(MobilityConfig::default());
+        let mut t = NeighborTable::new();
         t.insert("S", Position::new(0.0, 0.0));
         t.insert("R", Position::new(15.0, 0.0));
         t.insert("H", Position::new(37.0, 0.0));
@@ -340,12 +316,12 @@ mod tests {
         let cfg = ProtocolConfig::testbed();
         let e = engine();
         let model = cfg.reception();
-        let cs = model.cs_range_for_miss_probability(cfg.t_cs, cfg.ht_miss_probability);
+        let cs = model.cs_range_for_miss_probability(cfg.t_cs, HT_MISS_PROBABILITY);
         // Sub-reference links clamp to d₀ exactly as eq. (3) does.
         for d in [0.5, 1.0, 15.0, 60.0] {
             let d = Meters::new(d);
             let (interference, sense) = e.prefilter_radii(d);
-            let exact = model.interference_range(d, cfg.census_interference_prr);
+            let exact = model.interference_range(d, CENSUS_INTERFERENCE_PRR);
             let ratio = interference / exact;
             assert!((ratio - PREFILTER_MARGIN).abs() < 1e-12, "d = {d}: {ratio}");
             assert!((sense / cs - PREFILTER_MARGIN).abs() < 1e-12);
@@ -355,7 +331,7 @@ mod tests {
     #[test]
     fn counts_agree_with_the_census() {
         let e = engine();
-        let mut t = NeighborTable::new(MobilityConfig::default());
+        let mut t = NeighborTable::new();
         // A 5 m grid over a 200 m square around the link.
         for i in 0..41 * 41u32 {
             let (x, y) = (f64::from(i % 41), f64::from(i / 41));
@@ -369,12 +345,5 @@ mod tests {
             e.counts(&t, 100, s, 101, r),
             (census.n_ht(), census.n_contenders())
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in (0, 1)")]
-    fn thresholds_are_validated() {
-        let cfg = ProtocolConfig::testbed();
-        let _ = HtCensusEngine::new(cfg.reception(), cfg.t_cs, 0.95, 1.5);
     }
 }

@@ -24,6 +24,8 @@
 //! * [`scheduler`] — the enhanced multiple-ET scheduling rule
 //!   (`RSSI₂ ≥ RSSI₁ + T'_cs` ⇒ abandon, Section IV-C3),
 //! * [`location`] — the location-sharing service and its update policy,
+//! * [`config`] — the paper's fixed protocol parameters as constants, and
+//!   the two [`ProtocolConfig`] presets,
 //! * [`protocol`] — [`Protocol`], the façade tying the pieces together.
 //!
 //! # Example
@@ -77,7 +79,7 @@ pub mod scheduler;
 pub mod validate;
 
 pub use adapt::{AdaptationTable, TxSetting};
-pub use config::{MobilityConfig, ProtocolConfig};
+pub use config::ProtocolConfig;
 pub use cooccurrence::CoOccurrenceMap;
 pub use error::CoMapError;
 pub use hidden::{HtCensus, NeighborClass};

@@ -4,43 +4,33 @@
 //! onto ordinary traffic so that every node learns its 2-hop
 //! neighborhood. [`LocationService`] implements the *sender* side: it
 //! decides when a movement is large enough to justify a fresh report
-//! (the mobility-management rule) and counts the reports issued, which is
-//! the protocol's entire communication overhead.
+//! (the mobility-management rule: more than [`UPDATE_THRESHOLD_M`] from
+//! the last report).
 
-use comap_radio::units::Meters;
 use comap_radio::Position;
 
-use crate::config::MobilityConfig;
+use crate::config::UPDATE_THRESHOLD_M;
 
 /// Decides when this node's own position must be re-broadcast.
 ///
 /// ```rust
-/// use comap_core::{LocationService, MobilityConfig};
-/// use comap_radio::{Position, units::Meters};
+/// use comap_core::LocationService;
+/// use comap_radio::Position;
 ///
-/// let policy = MobilityConfig::for_tolerated_inaccuracy(Meters::new(10.0));
-/// let mut svc = LocationService::new(policy);
+/// let mut svc = LocationService::new();
 /// assert!(svc.observe(Position::new(0.0, 0.0)).is_some()); // first fix
 /// assert!(svc.observe(Position::new(2.0, 0.0)).is_none()); // < 5 m: quiet
 /// assert!(svc.observe(Position::new(7.0, 0.0)).is_some()); // > 5 m: report
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LocationService {
-    policy: MobilityConfig,
     last_reported: Option<Position>,
-    reports: u64,
-    suppressed: u64,
 }
 
 impl LocationService {
     /// Creates a service that has not yet obtained a position fix.
-    pub fn new(policy: MobilityConfig) -> Self {
-        LocationService {
-            policy,
-            last_reported: None,
-            reports: 0,
-            suppressed: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feeds a new localization fix. Returns `Some(position)` when the fix
@@ -49,31 +39,14 @@ impl LocationService {
     pub fn observe(&mut self, fix: Position) -> Option<Position> {
         let must_report = match self.last_reported {
             None => true,
-            Some(prev) => fix.distance_to(prev).value() > self.policy.update_threshold.value(),
+            Some(prev) => fix.distance_to(prev).value() > UPDATE_THRESHOLD_M,
         };
         if must_report {
             self.last_reported = Some(fix);
-            self.reports += 1;
             Some(fix)
         } else {
-            self.suppressed += 1;
             None
         }
-    }
-
-    /// The last position actually reported.
-    pub fn last_reported(&self) -> Option<Position> {
-        self.last_reported
-    }
-
-    /// `(reports sent, fixes suppressed)` — the overhead counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.reports, self.suppressed)
-    }
-
-    /// The movement threshold in force.
-    pub fn threshold(&self) -> Meters {
-        self.policy.update_threshold
     }
 }
 
@@ -82,7 +55,7 @@ mod tests {
     use super::*;
 
     fn service() -> LocationService {
-        LocationService::new(MobilityConfig::for_tolerated_inaccuracy(Meters::new(10.0)))
+        LocationService::new()
     }
 
     #[test]
@@ -92,7 +65,6 @@ mod tests {
             s.observe(Position::new(1.0, 1.0)),
             Some(Position::new(1.0, 1.0))
         );
-        assert_eq!(s.stats(), (1, 0));
     }
 
     #[test]
@@ -103,8 +75,8 @@ mod tests {
             let wiggle = Position::new((i % 3) as f64, (i % 2) as f64);
             assert_eq!(s.observe(wiggle), None);
         }
-        assert_eq!(s.stats(), (1, 10));
-        assert_eq!(s.last_reported(), Some(Position::ORIGIN));
+        // The reference stayed at the origin: 5.5 m from it reports.
+        assert!(s.observe(Position::new(5.5, 0.0)).is_some());
     }
 
     #[test]
@@ -132,6 +104,7 @@ mod tests {
         s.observe(Position::new(6.0, 0.0));
         // Moving back within 5 m of the new reference stays quiet.
         assert_eq!(s.observe(Position::new(2.0, 0.0)), None);
-        assert_eq!(s.last_reported(), Some(Position::new(6.0, 0.0)));
+        // 0.5 m from the old reference, 5.5 m from the new one: reported.
+        assert!(s.observe(Position::new(0.5, 0.0)).is_some());
     }
 }

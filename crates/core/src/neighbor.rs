@@ -4,7 +4,7 @@
 //! the reports, so each node learns the coordinates of its relative
 //! neighbors "within 2-hop" (paper Fig. 3 and Section V). The table also
 //! implements the paper's mobility-management rule: an update that moves a
-//! neighbor by less than the configured threshold is absorbed without
+//! neighbor by no more than [`UPDATE_THRESHOLD_M`] is absorbed without
 //! signalling a change, so downstream caches are not needlessly
 //! invalidated.
 
@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use comap_radio::units::Meters;
 use comap_radio::Position;
 
-use crate::config::MobilityConfig;
+use crate::config::UPDATE_THRESHOLD_M;
 use crate::Addr;
 
 /// One row of the neighbor table.
@@ -28,27 +28,31 @@ pub struct NeighborEntry {
 /// A node's view of the positions of its 2-hop neighborhood.
 ///
 /// ```rust
-/// use comap_core::{NeighborTable, MobilityConfig};
+/// use comap_core::NeighborTable;
 /// use comap_radio::Position;
 ///
-/// let mut t = NeighborTable::new(MobilityConfig::default());
+/// let mut t = NeighborTable::new();
 /// assert!(t.update("C2", Position::new(4.0, -10.0)));
-/// // A 1 m wiggle is below the default 5 m threshold: absorbed.
+/// // A 1 m wiggle is below the 5 m threshold: absorbed.
 /// assert!(!t.update("C2", Position::new(4.5, -10.0)));
 /// assert_eq!(t.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct NeighborTable<A: Addr> {
     entries: BTreeMap<A, NeighborEntry>,
-    mobility: MobilityConfig,
+}
+
+impl<A: Addr> Default for NeighborTable<A> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<A: Addr> NeighborTable<A> {
-    /// Creates an empty table with the given mobility policy.
-    pub fn new(mobility: MobilityConfig) -> Self {
+    /// Creates an empty table.
+    pub fn new() -> Self {
         NeighborTable {
             entries: BTreeMap::new(),
-            mobility,
         }
     }
 
@@ -69,7 +73,7 @@ impl<A: Addr> NeighborTable<A> {
             }
             Some(entry) => {
                 let moved = entry.position.distance_to(position);
-                if moved.value() > self.mobility.update_threshold.value() {
+                if moved.value() > UPDATE_THRESHOLD_M {
                     entry.position = position;
                     entry.updates += 1;
                     true
@@ -129,11 +133,6 @@ impl<A: Addr> NeighborTable<A> {
     pub fn iter(&self) -> impl Iterator<Item = (A, &NeighborEntry)> + '_ {
         self.entries.iter().map(|(a, e)| (*a, e))
     }
-
-    /// The mobility policy in force.
-    pub fn mobility(&self) -> MobilityConfig {
-        self.mobility
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +140,7 @@ mod tests {
     use super::*;
 
     fn table() -> NeighborTable<&'static str> {
-        NeighborTable::new(MobilityConfig::for_tolerated_inaccuracy(Meters::new(10.0)))
+        NeighborTable::new()
     }
 
     #[test]

@@ -70,17 +70,12 @@ impl<A: Addr> Protocol<A> {
             addr,
             config,
             own_position: None,
-            neighbors: NeighborTable::new(config.mobility),
+            neighbors: NeighborTable::new(),
             map: CoOccurrenceMap::new(),
-            validator: ConcurrencyValidator::new(reception, config.t_prr),
-            census: HtCensusEngine::new(
-                reception,
-                config.t_cs,
-                config.census_interference_prr,
-                config.ht_miss_probability,
-            ),
+            validator: ConcurrencyValidator::new(reception),
+            census: HtCensusEngine::new(reception, config.t_cs),
             adaptation,
-            location: LocationService::new(config.mobility),
+            location: LocationService::new(),
         }
     }
 
@@ -260,7 +255,7 @@ impl<A: Addr> Protocol<A> {
     /// Arms the enhanced-scheduling RSSI watchdog with the power observed
     /// at discovery time.
     pub fn arm_scheduler(&self, rssi1: Dbm) -> EtScheduler {
-        EtScheduler::arm(rssi1, self.config.t_cs_delta)
+        EtScheduler::arm(rssi1, self.config.t_cs_delta())
     }
 
     /// Read access to the private neighbor table of a standalone

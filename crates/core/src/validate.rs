@@ -10,10 +10,13 @@
 //!    r₂ = |rx−src|)` — will my receiver decode despite the ongoing
 //!    sender?
 //!
-//! The transmission pair is compatible when both PRRs exceed `T_PRR`.
+//! The transmission pair is compatible when both PRRs reach
+//! [`T_PRR`].
 
 use comap_radio::prr::ReceptionModel;
 use comap_radio::Position;
+
+use crate::config::T_PRR;
 
 /// Outcome of validating one candidate concurrent transmission.
 ///
@@ -27,8 +30,6 @@ pub struct ConcurrencyDecision {
     /// PRR of my link under the ongoing sender's interference
     /// (direction 2).
     pub prr_mine: f64,
-    /// The threshold both must exceed.
-    pub threshold: f64,
 }
 
 impl ConcurrencyDecision {
@@ -39,41 +40,27 @@ impl ConcurrencyDecision {
 
     /// Direction 1 passed: I do not break the ongoing reception.
     pub fn harmless_to_ongoing(&self) -> bool {
-        self.prr_ongoing >= self.threshold
+        self.prr_ongoing >= T_PRR
     }
 
     /// Direction 2 passed: my own receiver survives the ongoing sender.
     /// When this is the only failing direction, the paper suggests trying
     /// "another receiver further away from the current transmitter".
     pub fn viable_for_me(&self) -> bool {
-        self.prr_mine >= self.threshold
+        self.prr_mine >= T_PRR
     }
 }
 
-/// Stateless validator bundling the reception model and `T_PRR`.
+/// Stateless validator over a reception model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConcurrencyValidator {
     reception: ReceptionModel,
-    t_prr: f64,
 }
 
 impl ConcurrencyValidator {
     /// Creates a validator.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < t_prr < 1`.
-    pub fn new(reception: ReceptionModel, t_prr: f64) -> Self {
-        assert!(
-            t_prr > 0.0 && t_prr < 1.0,
-            "T_PRR must be in (0, 1), got {t_prr}"
-        );
-        ConcurrencyValidator { reception, t_prr }
-    }
-
-    /// The validation threshold `T_PRR`.
-    pub fn t_prr(&self) -> f64 {
-        self.t_prr
+    pub fn new(reception: ReceptionModel) -> Self {
+        ConcurrencyValidator { reception }
     }
 
     /// Validates `me → rx` against the ongoing `src → dst` using the four
@@ -93,7 +80,6 @@ impl ConcurrencyValidator {
         ConcurrencyDecision {
             prr_ongoing: self.reception.prr(d1, r1.max(eps)),
             prr_mine: self.reception.prr(d2, r2.max(eps)),
-            threshold: self.t_prr,
         }
     }
 }
@@ -105,10 +91,10 @@ mod tests {
     use comap_radio::units::{Db, Dbm, Meters};
 
     fn validator() -> ConcurrencyValidator {
-        ConcurrencyValidator::new(
-            ReceptionModel::new(LogNormalShadowing::testbed(Dbm::new(0.0)), Db::new(4.0)),
-            0.95,
-        )
+        ConcurrencyValidator::new(ReceptionModel::new(
+            LogNormalShadowing::testbed(Dbm::new(0.0)),
+            Db::new(4.0),
+        ))
     }
 
     #[test]
@@ -175,15 +161,6 @@ mod tests {
         }
         assert!(last, "far away must be allowed");
         assert_eq!(flips, 1, "decision must be monotone in distance");
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in (0, 1)")]
-    fn threshold_is_validated() {
-        let _ = ConcurrencyValidator::new(
-            ReceptionModel::new(LogNormalShadowing::testbed(Dbm::new(0.0)), Db::new(4.0)),
-            1.0,
-        );
     }
 
     #[test]

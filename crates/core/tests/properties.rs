@@ -1,8 +1,10 @@
 //! Property-based tests of the CO-MAP protocol invariants.
 
 use std::f64::consts::TAU;
+use std::sync::OnceLock;
 
 use comap_core::adapt::{payload_candidates, AdaptationTable, CW_CANDIDATES};
+use comap_core::config::{CENSUS_INTERFERENCE_PRR, HIDDEN_PROFILE, HT_MISS_PROBABILITY};
 use comap_core::cooccurrence::CoOccurrenceMap;
 use comap_core::hidden::HtCensusEngine;
 use comap_core::model::{DcfModel, HiddenProfile, ModelInput};
@@ -14,6 +16,13 @@ use comap_radio::rates::Rate;
 use comap_radio::units::{Db, Meters};
 use comap_radio::Position;
 use proptest::prelude::*;
+
+/// The testbed preset's adaptation table (DSSS, 11 Mbps, 1500 B cap,
+/// windows adapted), built once for every case.
+fn testbed_table() -> &'static AdaptationTable {
+    static TABLE: OnceLock<AdaptationTable> = OnceLock::new();
+    TABLE.get_or_init(|| ProtocolConfig::testbed().adaptation_table())
+}
 
 fn arb_pos() -> impl Strategy<Value = Position> {
     ((-150.0..150.0f64), (-150.0..150.0f64)).prop_map(|(x, y)| Position::new(x, y))
@@ -67,7 +76,7 @@ proptest! {
         a in arb_pos(), b in arb_pos(), c in arb_pos(), d in arb_pos(),
     ) {
         let cfg = ProtocolConfig::testbed();
-        let v = ConcurrencyValidator::new(cfg.reception(), cfg.t_prr);
+        let v = ConcurrencyValidator::new(cfg.reception());
         let p = v.validate(a, b, c, d);
         let q = v.validate(c, d, a, b);
         let (p1, p2, q1, q2) = (p.prr_ongoing, p.prr_mine, q.prr_ongoing, q.prr_mine);
@@ -129,8 +138,7 @@ proptest! {
     /// candidate it was allowed to choose from.
     #[test]
     fn adaptation_entry_is_argmax(h in 0usize..4, c in 0usize..4) {
-        let t = AdaptationTable::precompute(PhyTiming::dsss(), Rate::Mbps11, 4, 4);
-        let s = t.setting(h, c);
+        let s = testbed_table().setting(h, c);
         for &cw in &CW_CANDIDATES {
             for payload in payload_candidates().filter(|&p| p <= 1500) {
                 let g = DcfModel::per_node_goodput(&ModelInput {
@@ -140,7 +148,7 @@ proptest! {
                     contenders: c,
                     hidden: h,
                     payload_bytes: payload,
-                    hidden_profile: Some(HiddenProfile::DCF_DEFAULT),
+                    hidden_profile: Some(HIDDEN_PROFILE),
                 });
                 prop_assert!(g <= s.predicted_goodput + 1e-9);
             }
@@ -193,12 +201,7 @@ proptest! {
         boundary in prop::collection::vec((0usize..4, any::<bool>(), 0.0..TAU), 0..60),
     ) {
         let cfg = census_config(channel);
-        let engine = HtCensusEngine::new(
-            cfg.reception(),
-            cfg.t_cs,
-            cfg.census_interference_prr,
-            cfg.ht_miss_probability,
-        );
+        let engine = HtCensusEngine::new(cfg.reception(), cfg.t_cs);
         let (len, angle) = link;
         let s = Position::new(3.0, -2.0);
         let r = s.offset(len * angle.cos(), len * angle.sin());
@@ -206,8 +209,8 @@ proptest! {
         let model = cfg.reception();
         let (prefilter_interference, prefilter_cs) = engine.prefilter_radii(d);
         let radii = [
-            (r, model.interference_range(d, cfg.census_interference_prr)),
-            (s, model.cs_range_for_miss_probability(cfg.t_cs, cfg.ht_miss_probability)),
+            (r, model.interference_range(d, CENSUS_INTERFERENCE_PRR)),
+            (s, model.cs_range_for_miss_probability(cfg.t_cs, HT_MISS_PROBABILITY)),
             (r, prefilter_interference),
             (s, prefilter_cs),
         ];
@@ -255,7 +258,7 @@ proptest! {
         let cfg = census_config(channel);
         let mut private = Protocol::new(0u32, cfg);
         let mut shared = Protocol::new(0u32, cfg);
-        let mut directory = NeighborTable::new(cfg.mobility);
+        let mut directory = NeighborTable::new();
         // Nodes 0..5 report at start-up; 5 and 6 never do.
         for (addr, &pos) in (0u32..).zip(&start) {
             directory.insert(addr, pos);

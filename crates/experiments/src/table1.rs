@@ -1,8 +1,9 @@
 //! **Table I** — parameter settings of the NS-2 simulations, printed from
-//! the canonical [`ProtocolConfig::large_scale`] preset so the table and
-//! the code can never drift apart.
+//! the canonical [`ProtocolConfig::large_scale`] preset and the paper
+//! constants of [`comap_core::config`], so the table and the code can
+//! never drift apart.
 
-use comap_core::config::ProtocolConfig;
+use comap_core::config::{ProtocolConfig, HT_MISS_PROBABILITY, T_PRR};
 
 use crate::report::Table;
 
@@ -16,9 +17,9 @@ pub fn build() -> Table {
     let rows: Vec<(String, String)> = vec![
         ("Data rate".into(), format!("{}", cfg.model_rate)),
         ("TX power".into(), format!("{}", cfg.tx_power)),
-        ("T_PRR".into(), format!("{:.0} %", cfg.t_prr * 100.0)),
+        ("T_PRR".into(), format!("{:.0} %", T_PRR * 100.0)),
         ("T_cs".into(), format!("{}", cfg.t_cs)),
-        ("T'_cs".into(), format!("{}", cfg.t_cs_delta)),
+        ("T'_cs".into(), format!("{}", cfg.t_cs_delta())),
         (
             "Path loss exponent α".into(),
             format!("{}", cfg.channel.alpha()),
@@ -27,7 +28,7 @@ pub fn build() -> Table {
         ("T_SIR".into(), format!("{}", cfg.t_sir)),
         (
             "HT miss probability".into(),
-            format!("{:.0} %", cfg.ht_miss_probability * 100.0),
+            format!("{:.0} %", HT_MISS_PROBABILITY * 100.0),
         ),
         ("ARQ window W_send".into(), format!("{}", cfg.arq_window)),
         ("CBR per flow (paper)".into(), "3 Mbps (two-way)".into()),
@@ -66,6 +67,7 @@ mod tests {
             "3.3",
             "5.00 dB",
             "10.00 dB",
+            "90 %",
         ] {
             assert!(
                 rendered.contains(needle),

@@ -53,7 +53,7 @@ pub fn et_testbed(c2_x: f64, features: MacFeatures, seed: u64) -> (SimConfig, Et
     // 20–34 m exposed region, so C1 reliably defers to C2 as in Fig. 1.
     // (−86 dBm leaves only ≈ 1.5 dB there — serialization becomes a
     // per-seed coin flip and the exposed-terminal effect washes out.)
-    cfg.protocol.set_t_cs(comap_radio::units::Dbm::new(-89.0));
+    cfg.protocol.t_cs = comap_radio::units::Dbm::new(-89.0);
     cfg.rate_controller = RateController::IdealSinr {
         margin: Db::new(4.0),
     };

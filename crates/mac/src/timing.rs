@@ -5,9 +5,10 @@
 //! * **DSSS / HR-DSSS** (802.11b, the testbed's 2.4 GHz band, and the
 //!   "HR/DSSS PHY specifications" of Table I): 20 µs slots, 10 µs SIFS,
 //!   192 µs long PLCP preamble + header transmitted at 1 Mbps.
-//! * **ERP-OFDM** (802.11g, used for the 6 Mbps NS-2 data rate): 9 µs
-//!   slots, 10 µs SIFS, 20 µs preamble + SIGNAL, payload packed into 4 µs
-//!   symbols with 16 SERVICE + 6 tail bits and a 6 µs signal extension.
+//! * **ERP-OFDM** (802.11g, used for the 6 Mbps NS-2 data rate): long
+//!   (b/g-compatible) 20 µs slots, 10 µs SIFS, 20 µs preamble + SIGNAL,
+//!   payload packed into 4 µs symbols with 16 SERVICE + 6 tail bits and a
+//!   6 µs signal extension.
 //!
 //! `DIFS = SIFS + 2 × slot` in both cases.
 
@@ -39,11 +40,11 @@ impl PhyTiming {
 
     /// ERP-OFDM (802.11g) timing with the 20 µs preamble+SIGNAL and long
     /// (compatibility) 20 µs slots, as used when b/g coexistence is
-    /// assumed; pass `short_slots` to use 9 µs slots.
-    pub fn erp_ofdm(short_slots: bool) -> Self {
+    /// assumed.
+    pub fn erp_ofdm() -> Self {
         PhyTiming {
             standard: PhyStandard::ErpOfdm,
-            slot: SimDuration::from_micros(if short_slots { 9 } else { 20 }),
+            slot: SimDuration::from_micros(20),
             sifs: SimDuration::from_micros(10),
             plcp_overhead: SimDuration::from_micros(20),
         }
@@ -160,14 +161,7 @@ mod tests {
     #[test]
     fn difs_is_sifs_plus_two_slots() {
         assert_eq!(PhyTiming::dsss().difs(), SimDuration::from_micros(50));
-        assert_eq!(
-            PhyTiming::erp_ofdm(true).difs(),
-            SimDuration::from_micros(28)
-        );
-        assert_eq!(
-            PhyTiming::erp_ofdm(false).difs(),
-            SimDuration::from_micros(50)
-        );
+        assert_eq!(PhyTiming::erp_ofdm().difs(), SimDuration::from_micros(50));
     }
 
     #[test]
@@ -185,7 +179,7 @@ mod tests {
     fn ofdm_frame_duration_reference() {
         // 1500 B + 28 B at 54 Mbps: ceil((16+12224+6)/216) = 57 symbols
         // → 20 + 228 + 6 = 254 µs.
-        let phy = PhyTiming::erp_ofdm(true);
+        let phy = PhyTiming::erp_ofdm();
         let d = phy.frame_duration(DATA_HEADER_BYTES + 1500, Rate::Mbps54);
         assert_eq!(d.as_micros_round(), 254);
         // ACK at 6 Mbps: ceil((16+112+6)/24) = 6 symbols → 20+24+6 = 50 µs.

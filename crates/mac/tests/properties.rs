@@ -85,7 +85,7 @@ proptest! {
 
     #[test]
     fn frame_duration_monotone_in_size(bytes in 1u32..2400) {
-        for phy in [PhyTiming::dsss(), PhyTiming::erp_ofdm(true)] {
+        for phy in [PhyTiming::dsss(), PhyTiming::erp_ofdm()] {
             let rate = phy.control_rate();
             let d1 = phy.frame_duration(bytes, rate);
             let d2 = phy.frame_duration(bytes + 1, rate);

@@ -88,9 +88,6 @@ pub struct NodeSpec {
     pub name: String,
     /// True position on the floor plan.
     pub position: Position,
-    /// Whether this node is an access point (affects nothing physical;
-    /// used by reports and the quickstart example).
-    pub ap: bool,
     /// Per-node payload-size override; `None` inherits
     /// [`SimConfig::payload_bytes`].
     pub payload: Option<u32>,
@@ -115,21 +112,15 @@ impl NodeSpec {
         NodeSpec {
             name: name.into(),
             position,
-            ap: false,
             payload: None,
             moves: Vec::new(),
         }
     }
 
-    /// An access point.
+    /// An access point. The simulator treats it as any other node: the
+    /// role lives only in the topology's flows and the node's name.
     pub fn ap(name: impl Into<String>, position: Position) -> Self {
-        NodeSpec {
-            name: name.into(),
-            position,
-            ap: true,
-            payload: None,
-            moves: Vec::new(),
-        }
+        Self::client(name, position)
     }
 
     /// Overrides the payload size of this node's frames.
@@ -172,6 +163,17 @@ pub enum ConfigError {
         /// Receiving node.
         dst: NodeId,
     },
+    /// A CBR flow's rate is not a finite, positive number of bits per
+    /// second.
+    InvalidCbrRate {
+        /// Sending node.
+        src: NodeId,
+        /// Receiving node.
+        dst: NodeId,
+    },
+    /// A node's position, or the target of one of its moves, has a
+    /// non-finite coordinate.
+    NonFinitePosition(NodeId),
 }
 
 impl fmt::Display for ConfigError {
@@ -182,6 +184,15 @@ impl fmt::Display for ConfigError {
             ConfigError::SelfFlow(node) => write!(f, "flow from {node} to itself"),
             ConfigError::DuplicateFlow { src, dst } => {
                 write!(f, "more than one flow from {src} to {dst}")
+            }
+            ConfigError::InvalidCbrRate { src, dst } => {
+                write!(
+                    f,
+                    "flow {src} to {dst}: CBR rate is not finite and positive"
+                )
+            }
+            ConfigError::NonFinitePosition(node) => {
+                write!(f, "node {node} has a non-finite position or move target")
             }
         }
     }
@@ -286,15 +297,24 @@ impl SimConfig {
     }
 
     /// Checks that the configuration describes a run: at least one node,
-    /// and flows between distinct existing nodes, at most one per
-    /// `(src, dst)` pair (a MAC keeps one sender record per destination).
+    /// every position and move target finite, and flows between distinct
+    /// existing nodes, at most one per `(src, dst)` pair (a MAC keeps one
+    /// sender record per destination), each CBR rate finite and positive.
     /// Returns the first problem found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes.is_empty() {
             return Err(ConfigError::NoNodes);
         }
+        let finite = |p: &Position| p.x.is_finite() && p.y.is_finite();
+        if let Some(i) = self
+            .nodes
+            .iter()
+            .position(|n| !finite(&n.position) || !n.moves.iter().all(|m| finite(&m.to)))
+        {
+            return Err(ConfigError::NonFinitePosition(NodeId(i)));
+        }
         let mut pairs = BTreeSet::new();
-        for &FlowSpec { src, dst, .. } in &self.flows {
+        for &FlowSpec { src, dst, traffic } in &self.flows {
             if let Some(&node) = [src, dst].iter().find(|n| n.0 >= self.nodes.len()) {
                 return Err(ConfigError::UnknownEndpoint(node));
             }
@@ -303,6 +323,11 @@ impl SimConfig {
             }
             if !pairs.insert((src, dst)) {
                 return Err(ConfigError::DuplicateFlow { src, dst });
+            }
+            if let Traffic::Cbr { bps } = traffic {
+                if !(bps.is_finite() && bps > 0.0) {
+                    return Err(ConfigError::InvalidCbrRate { src, dst });
+                }
             }
         }
         Ok(())
@@ -323,6 +348,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comap_mac::time::SimDuration;
 
     #[test]
     fn node_and_flow_registration() {
@@ -373,6 +399,30 @@ mod tests {
         assert_eq!(
             cfg.validate(),
             Err(ConfigError::DuplicateFlow { src: a, dst: b })
+        );
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected() {
+        for bps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let (mut cfg, a, b) = pair();
+            cfg.add_flow(a, b, Traffic::Cbr { bps });
+            assert_eq!(
+                crate::Simulator::try_new(cfg).err(),
+                Some(ConfigError::InvalidCbrRate { src: a, dst: b }),
+                "bps = {bps}"
+            );
+        }
+        let nan = Position::new(f64::NAN, 0.0);
+        let (mut cfg, _, b) = pair();
+        cfg.nodes[b.0].position = nan;
+        assert_eq!(cfg.validate(), Err(ConfigError::NonFinitePosition(b)));
+        let (mut cfg, a, _) = pair();
+        cfg.nodes[a.0] = NodeSpec::client("a", Position::ORIGIN)
+            .with_move(SimDuration::from_secs(1), Position::new(0.0, f64::INFINITY));
+        assert_eq!(
+            crate::Simulator::try_new(cfg).err(),
+            Some(ConfigError::NonFinitePosition(a))
         );
     }
 

@@ -1254,15 +1254,6 @@ impl Medium {
         notes
     }
 
-    /// The scheduled end time of an active transmission.
-    pub fn end_time(&self, tx: TxId) -> Option<SimTime> {
-        self.slots
-            .get(tx.slot())
-            .and_then(Option::as_ref)
-            .filter(|a| a.id == tx)
-            .map(|a| a.end)
-    }
-
     /// The propagation channel in force.
     pub fn channel(&self) -> &LogNormalShadowing {
         &self.channel
@@ -1500,11 +1491,19 @@ mod tests {
         m.end(tx1, end_at(1000));
         let (tx2, _) = m.begin(data(0, 1), end_at(1000), end_at(2000));
         assert_ne!(tx1, tx2, "generations keep reused slots distinguishable");
-        assert_eq!(m.end_time(tx1), None, "the ended id is stale");
-        assert_eq!(m.end_time(tx2), Some(end_at(2000)));
         assert_eq!(m.active_count(), 1);
         m.end(tx2, end_at(2000));
         assert_eq!(m.active_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not on the air")]
+    fn a_stale_id_cannot_end_its_reused_slot() {
+        let mut m = medium();
+        let (tx1, _) = m.begin(data(0, 1), SimTime::ZERO, end_at(1000));
+        m.end(tx1, end_at(1000));
+        let _ = m.begin(data(0, 1), end_at(1000), end_at(2000));
+        let _ = m.end(tx1, end_at(2000));
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Simulator {
             .iter()
             .map(|p| p.with_error(cfg.position_error, &mut error_rng))
             .collect();
-        let mut directory = NeighborTable::new(cfg.protocol.mobility);
+        let mut directory = NeighborTable::new();
         for (i, &pos) in reported.iter().enumerate() {
             directory.insert(NodeId(i), pos);
         }

@@ -17,12 +17,11 @@
 //! Build the co-occurrence map of the paper's Fig. 3 example network:
 //!
 //! ```rust
-//! use comap::core::{NeighborTable, ProtocolConfig};
+//! use comap::core::NeighborTable;
 //! use comap::radio::Position;
 //!
 //! # fn main() {
-//! let cfg = ProtocolConfig::testbed();
-//! let mut table = NeighborTable::new(cfg.mobility);
+//! let mut table = NeighborTable::new();
 //! table.update("C2", Position::new(4.0, -10.0));
 //! table.update("AP0", Position::new(4.0, 8.0));
 //! assert_eq!(table.len(), 2);

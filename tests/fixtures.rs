@@ -8,9 +8,9 @@
 mod source_rules;
 
 use source_rules::{
-    budget_mismatches, clippy_toml_paths, compares_to_zero, expect_counts, expected_lints,
-    library_lines, library_sources, root_lints, std_rng_lines, unit_violations, Source,
-    EXPECT_BUDGET, LIBRARY_ROOTS,
+    assert_lines, assert_mismatches, budget_mismatches, clippy_toml_paths, compares_to_zero,
+    expect_counts, expected_lints, library_lines, library_sources, root_lints, std_rng_lines,
+    unit_violations, Source, ASSERT_BUDGET, EXPECT_BUDGET, LIBRARY_ROOTS,
 };
 
 /// Every library crate whose root does not warn all of `lints`, with
@@ -254,6 +254,55 @@ pub fn later() {
             ("clippy::todo".to_string(), 1, 0),
         ]
     );
+}
+
+/// The assert scan counts `assert!`, `assert_eq!` and `assert_ne!` in
+/// library code, not `debug_assert!`, doc examples or test items; the
+/// workspace holds its budget exactly, and one more assert trips it.
+#[test]
+fn assert_budget_fixture_trips_and_respects_budgets() {
+    let src = "\
+pub fn checked(p: f64) -> f64 {
+    assert!(p > 0.0, \"p must be positive\");
+    debug_assert!(p < 1.0);
+    assert_eq!(p, p);
+    let _ = p; assert_ne!(1, 2);
+    debug_assert_eq!(p, p);
+    p // assert!(false) in a comment is not code
+}
+/// ```
+/// assert!(doc_examples_are_not_counted());
+/// ```
+pub fn my_assert_helper() -> &'static str {
+    \"no assert here\"
+}
+#[cfg(test)]
+mod tests {
+    fn t() { assert!(true); }
+}
+";
+    assert_eq!(assert_lines(&library_lines(src)), vec![2, 4, 5]);
+
+    let mut sources = library_sources();
+    assert!(assert_mismatches(&sources).is_empty());
+    let budget = ASSERT_BUDGET
+        .iter()
+        .find(|(krate, _)| *krate == "core")
+        .map(|&(_, n)| n)
+        .unwrap();
+    let extra = "pub fn f(x: u32) {\n    assert!(x > 0);\n}\n";
+    sources.push(Source {
+        krate: "core",
+        path: "crates/core/src/assert_budget.rs".to_string(),
+        text: extra.to_string(),
+        lines: library_lines(extra),
+    });
+    assert_eq!(
+        assert_mismatches(&sources),
+        vec![("core", budget + 1, budget)]
+    );
+    sources.retain(|s| s.krate != "core");
+    assert_eq!(assert_mismatches(&sources), vec![("core", 0, budget)]);
 }
 
 /// A suppression must say why, and must be an `#[expect]` (which rustc

@@ -5,7 +5,7 @@
 //! gate: `clippy.toml` bans types, methods and macros workspace-wide, and
 //! each library crate root warns a list of lints outside `cfg(test)`.
 //! [`clippy_toml_paths`] and [`root_lints`] read that configuration, so
-//! the tests can pin it. Four rules need the source text instead:
+//! the tests can pin it. Five rules need the source text instead:
 //!
 //! 1. **Units** — a `pub fn` in `comap-radio` or `comap-sim` takes a unit
 //!    newtype, never a raw `f64`, for a parameter whose name implies a
@@ -19,6 +19,11 @@
 //!    constant in [`EXPECT_BUDGET`]. Fixing a site means lowering the
 //!    constant; rustc already rejects an `#[expect]` that silences
 //!    nothing.
+//! 5. **Assert budget** — each library crate's `assert!`/`assert_eq!`/
+//!    `assert_ne!` line count equals its constant in [`ASSERT_BUDGET`].
+//!    `clippy::panic` does not flag these macros; a caller-supplied
+//!    input deserves a typed error, and an internal invariant a
+//!    `debug_assert!`.
 //!
 //! The scans read rustfmt-formatted sources (the formatting gate runs
 //! first), skip `src/bin`, `main.rs` and every `#[cfg(test)]` item, and
@@ -67,6 +72,16 @@ pub const EXPECT_BUDGET: [(&str, usize); 5] = [
     ("clippy::float_cmp", 2),
     ("clippy::panic", 1),
     ("clippy::wildcard_enum_match_arm", 2),
+];
+
+/// How many `assert!`, `assert_eq!` and `assert_ne!` lines each library
+/// crate may hold, held exactly. A crate that is not listed holds 0.
+pub const ASSERT_BUDGET: [(&str, usize); 5] = [
+    ("core", 1),
+    ("experiments", 6),
+    ("mac", 5),
+    ("radio", 11),
+    ("sim", 5),
 ];
 
 /// One library file: its crate, its workspace-relative path, its text
@@ -250,6 +265,42 @@ fn has_word(code: &str, word: &str) -> bool {
         let after = code[at + word.len()..].chars().next();
         !before.is_some_and(ident) && !after.is_some_and(ident)
     })
+}
+
+/// The line numbers in `lines` that invoke `assert!`, `assert_eq!` or
+/// `assert_ne!`. `debug_assert!` and its siblings are not counted.
+pub fn assert_lines(lines: &[(usize, String)]) -> Vec<usize> {
+    lines
+        .iter()
+        .filter(|(_, code)| {
+            ["assert!", "assert_eq!", "assert_ne!"]
+                .iter()
+                .any(|mac| has_word(code, mac))
+        })
+        .map(|(n, _)| *n)
+        .collect()
+}
+
+/// Each library crate whose assert line count in `sources` differs from
+/// [`ASSERT_BUDGET`], as `(crate, count, budget)`.
+pub fn assert_mismatches<'a>(
+    sources: impl IntoIterator<Item = &'a Source>,
+) -> Vec<(&'static str, usize, usize)> {
+    let mut counts: BTreeMap<&'static str, usize> =
+        LIBRARY_ROOTS.iter().map(|&(krate, _)| (krate, 0)).collect();
+    for src in sources {
+        *counts.entry(src.krate).or_default() += assert_lines(&src.lines).len();
+    }
+    counts
+        .into_iter()
+        .filter_map(|(krate, count)| {
+            let budget = ASSERT_BUDGET
+                .iter()
+                .find(|(name, _)| *name == krate)
+                .map_or(0, |&(_, n)| n);
+            (count != budget).then_some((krate, count, budget))
+        })
+        .collect()
 }
 
 /// Whether `code` compares something with `==`/`!=` against a zero

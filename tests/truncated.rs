@@ -9,7 +9,7 @@ mod source_rules;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use source_rules::{
-    compares_to_zero, expected_lints, library_lines, library_sources, std_rng_lines,
+    assert_lines, compares_to_zero, expected_lints, library_lines, library_sources, std_rng_lines,
     unit_violations,
 };
 
@@ -46,6 +46,7 @@ fn truncated_sources_never_panic() {
                 unit_violations(&lines);
                 std_rng_lines(&lines);
                 expected_lints(&lines);
+                assert_lines(&lines);
                 lines
                     .iter()
                     .filter(|(_, code)| compares_to_zero(code))

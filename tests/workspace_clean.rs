@@ -6,8 +6,8 @@
 mod source_rules;
 
 use source_rules::{
-    budget_mismatches, compares_to_zero, expect_counts, library_sources, std_rng_lines,
-    unit_violations, RNG_CRATES, STD_RNG_LINES, UNIT_CRATES,
+    assert_mismatches, budget_mismatches, compares_to_zero, expect_counts, library_sources,
+    std_rng_lines, unit_violations, RNG_CRATES, STD_RNG_LINES, UNIT_CRATES,
 };
 
 /// The unit and zero scans find nothing on this tree. Neither has an
@@ -79,6 +79,25 @@ fn suppression_budgets_hold_and_allowlist_is_exact() {
             "STD_RNG_LINES names {path}, which the walk did not find"
         );
     }
+}
+
+/// Each library crate's `assert!`/`assert_eq!`/`assert_ne!` line count
+/// equals its constant in `ASSERT_BUDGET`: a new assert fails here, and
+/// so does a removed one whose constant was not lowered.
+#[test]
+fn assert_budget_holds_exactly() {
+    let found: Vec<String> = assert_mismatches(&library_sources())
+        .into_iter()
+        .map(|(krate, count, budget)| {
+            let fix = if count > budget {
+                "use a typed error or `debug_assert!`"
+            } else {
+                "lower the constant"
+            };
+            format!("{krate}: {count} assert lines, ASSERT_BUDGET says {budget} — {fix}")
+        })
+        .collect();
+    assert!(found.is_empty(), "{}", found.join("\n"));
 }
 
 #[test]
