@@ -48,14 +48,6 @@ pub struct HiddenProfile {
     pub payload_bytes: u32,
 }
 
-impl HiddenProfile {
-    /// A stock 802.11 DCF station: `CW_min = 31`, 1000-byte frames.
-    pub const DCF_DEFAULT: HiddenProfile = HiddenProfile {
-        cw: 31,
-        payload_bytes: 1000,
-    };
-}
-
 /// Inputs of one model evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ModelInput {
@@ -301,10 +293,14 @@ mod tests {
 
     #[test]
     fn heterogeneous_hts_do_not_reward_our_window_growth() {
-        // With DCF-profile hidden terminals, growing OUR window no longer
-        // slows the HTs down, so the survival term must not improve.
+        // With hidden terminals that are stock DCF stations (CW_min = 31,
+        // 1000-byte frames), growing OUR window no longer slows the HTs
+        // down, so the survival term must not improve.
         let mk = |cw| ModelInput {
-            hidden_profile: Some(HiddenProfile::DCF_DEFAULT),
+            hidden_profile: Some(HiddenProfile {
+                cw: 31,
+                payload_bytes: 1000,
+            }),
             ..input(cw, 1, 1, 1000)
         };
         let small = DcfModel::slot_stats(&mk(63));

@@ -24,6 +24,13 @@ fn testbed_table() -> &'static AdaptationTable {
     TABLE.get_or_init(|| ProtocolConfig::testbed().adaptation_table())
 }
 
+/// Hidden terminals that are stock 802.11 DCF stations: `CW_min = 31`,
+/// 1000-byte frames.
+const DCF_STATION: HiddenProfile = HiddenProfile {
+    cw: 31,
+    payload_bytes: 1000,
+};
+
 fn arb_pos() -> impl Strategy<Value = Position> {
     ((-150.0..150.0f64), (-150.0..150.0f64)).prop_map(|(x, y)| Position::new(x, y))
 }
@@ -101,7 +108,7 @@ proptest! {
             contenders,
             hidden,
             payload_bytes: payload,
-            hidden_profile: hetero.then_some(HiddenProfile::DCF_DEFAULT),
+            hidden_profile: hetero.then_some(DCF_STATION),
         };
         let stats = DcfModel::slot_stats(&input);
         for v in [stats.tau, stats.p_tr, stats.p_s, stats.p_s_i] {
@@ -127,7 +134,7 @@ proptest! {
             contenders,
             hidden: h,
             payload_bytes: payload,
-            hidden_profile: Some(HiddenProfile::DCF_DEFAULT),
+            hidden_profile: Some(DCF_STATION),
         };
         let a = DcfModel::per_node_goodput(&mk(hidden));
         let b = DcfModel::per_node_goodput(&mk(hidden + 1));

@@ -17,11 +17,15 @@
 //! `2^SUB_BITS = 32` equal sub-buckets, bounding the relative
 //! quantization error of any reported quantile by
 //! [`LatencyHistogram::MAX_RELATIVE_ERROR`] (1/32 ≈ 3.1%) while
-//! covering 0 ns through `u64::MAX` ns (~584 years) in at most 1920
-//! buckets. Counts are exact, so [`LatencyHistogram::quantile`] walks
-//! true sample ranks, and [`LatencyHistogram::merge`] is plain
-//! bucket-wise addition — commutative and associative, which is what
-//! makes per-node → aggregate (and later per-shard → global) merging
+//! covering 0 ns through `u64::MAX` ns (~584 years) with 1920 possible
+//! buckets. Storage is sparse: ascending `(bucket, count)` pairs for
+//! the buckets some sample hit, so it grows with the distinct buckets
+//! hit, not with the largest sample (a millisecond latency sits near
+//! bucket 700, and `access` records many 0 ns samples in bucket 0).
+//! Counts are exact, so [`LatencyHistogram::quantile`] walks true
+//! sample ranks, and [`LatencyHistogram::merge`] is plain bucket-wise
+//! addition — commutative and associative, which is what makes
+//! per-node → aggregate (and later per-shard → global) merging
 //! order-independent and deterministic.
 //!
 //! Like every observer, the sink is strictly read-only: the lifecycle
@@ -48,19 +52,19 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// Bucket index of a nanosecond value. Values below [`SUB_COUNT`] get
 /// exact unit buckets; above, bucket `i` of octave `o` spans
 /// `[(32 + i) << (o-1), (32 + i + 1) << (o-1))`.
-fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> u32 {
     if v < SUB_COUNT {
-        v as usize
+        v as u32
     } else {
         let msb = 63 - v.leading_zeros();
         let shift = msb - SUB_BITS;
-        ((u64::from(shift + 1) << SUB_BITS) + ((v >> shift) - SUB_COUNT)) as usize
+        ((shift + 1) << SUB_BITS) + ((v >> shift) - SUB_COUNT) as u32
     }
 }
 
 /// Inclusive lower edge of a bucket.
-fn bucket_lower(idx: usize) -> u64 {
-    let idx = idx as u64;
+fn bucket_lower(idx: u32) -> u64 {
+    let idx = u64::from(idx);
     if idx < SUB_COUNT {
         idx
     } else {
@@ -71,9 +75,8 @@ fn bucket_lower(idx: usize) -> u64 {
 }
 
 /// Width of a bucket (1 below [`SUB_COUNT`], doubling per octave).
-fn bucket_width(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < SUB_COUNT {
+fn bucket_width(idx: u32) -> u64 {
+    if u64::from(idx) < SUB_COUNT {
         1
     } else {
         1u64 << ((idx >> SUB_BITS) - 1)
@@ -88,8 +91,9 @@ fn bucket_width(idx: usize) -> u64 {
 /// bounded by [`Self::MAX_RELATIVE_ERROR`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHistogram {
-    /// Count per bucket, dense from bucket 0; never ends in a zero.
-    counts: Vec<u64>,
+    /// `(bucket, count)` for every bucket hit, ascending by bucket;
+    /// no count is 0, so equal histograms have equal pairs.
+    buckets: Vec<(u32, u64)>,
     count: u64,
     /// Saturating sum of all samples, for the mean.
     sum_ns: u64,
@@ -110,10 +114,10 @@ impl LatencyHistogram {
     /// Records one nanosecond sample.
     pub fn record(&mut self, ns: u64) {
         let idx = bucket_index(ns);
-        if self.counts.len() <= idx {
-            self.counts.resize(idx + 1, 0);
+        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(pos) => self.buckets[pos].1 = self.buckets[pos].1.saturating_add(1),
+            Err(pos) => self.buckets.insert(pos, (idx, 1)),
         }
-        self.counts[idx] = self.counts[idx].saturating_add(1);
         if self.count == 0 {
             self.min_ns = ns;
             self.max_ns = ns;
@@ -156,7 +160,7 @@ impl LatencyHistogram {
         let p = p.clamp(0.0, 1.0);
         let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count) - 1;
         let mut cum = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for &(idx, c) in &self.buckets {
             cum += c;
             if cum > rank {
                 let mid = bucket_lower(idx) + bucket_width(idx) / 2;
@@ -175,12 +179,18 @@ impl LatencyHistogram {
         if other.count == 0 {
             return;
         }
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
+        // One pass over both ascending pair lists.
+        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
+        let mut theirs = other.buckets.iter().peekable();
+        for &(idx, c) in &self.buckets {
+            while let Some(&pair) = theirs.next_if(|&&(j, _)| j < idx) {
+                merged.push(pair);
+            }
+            let same = theirs.next_if(|&&(j, _)| j == idx).map_or(0, |&(_, d)| d);
+            merged.push((idx, c.saturating_add(same)));
         }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine = mine.saturating_add(*theirs);
-        }
+        merged.extend(theirs);
+        self.buckets = merged;
         if self.count == 0 {
             self.min_ns = other.min_ns;
             self.max_ns = other.max_ns;
@@ -196,11 +206,9 @@ impl LatencyHistogram {
     /// `[index, count]` pairs.
     pub fn to_json(&self) -> Json {
         let buckets: Vec<Json> = self
-            .counts
+            .buckets
             .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| Json::Arr(vec![Json::Uint(i as u64), Json::Uint(c)]))
+            .map(|&(i, c)| Json::Arr(vec![Json::Uint(u64::from(i)), Json::Uint(c)]))
             .collect();
         let mut fields = vec![
             ("buckets", Json::Arr(buckets)),
@@ -509,15 +517,20 @@ mod tests {
         assert_eq!(uint(&back, "sum_ns"), Some(60_000_010_041));
         assert_eq!(uint(&back, "min_ns"), Some(0));
         assert_eq!(uint(&back, "max_ns"), Some(60_000_000_000));
-        // The sparse `[index, count]` pairs rebuild every bucket.
-        let mut counts = vec![0; h.counts.len()];
-        for pair in back.get("buckets").and_then(Json::as_arr).unwrap() {
-            let [idx, c] = pair.as_arr().unwrap() else {
-                panic!("bucket is not a pair: {pair:?}")
-            };
-            counts[idx.as_u64().unwrap() as usize] = c.as_u64().unwrap();
-        }
-        assert_eq!(counts, h.counts);
+        // The `[index, count]` pairs are exactly the stored buckets.
+        let pairs: Vec<(u32, u64)> = back
+            .get("buckets")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|pair| {
+                let [idx, c] = pair.as_arr().unwrap() else {
+                    panic!("bucket is not a pair: {pair:?}")
+                };
+                (idx.as_u64().unwrap() as u32, c.as_u64().unwrap())
+            })
+            .collect();
+        assert_eq!(pairs, h.buckets);
 
         let back = reparse(&LatencyHistogram::new().to_json());
         assert_eq!(uint(&back, "count"), Some(0));

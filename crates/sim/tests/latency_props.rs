@@ -7,8 +7,13 @@
 //! 2. **Merge linearity** — merging histograms recorded separately is
 //!    indistinguishable from recording every sample into one
 //!    histogram, for any split of the samples.
+//! 3. **Sparse invariants** — after any interleaving of `record` and
+//!    `merge`, the serialized bucket indices are strictly ascending, no
+//!    bucket count is 0 and the counts sum to `count()`; and merging
+//!    is symmetric (`a.merge(b) == b.merge(a)`).
 
 use comap_sim::latency::LatencyHistogram;
+use comap_sim::Json;
 use proptest::prelude::*;
 
 /// Exact order statistic with the same rank convention as
@@ -25,6 +30,11 @@ fn oracle(sorted: &[u64], p: f64) -> u64 {
 /// draw picks a magnitude class first so every octave band stays
 /// represented regardless of how uniform draws would skew.
 fn samples() -> impl Strategy<Value = Vec<u64>> {
+    samples_of(1..200)
+}
+
+/// [`samples`] with a vector length drawn from `len`.
+fn samples_of(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(
         (0u64..4, 0.0f64..1.0).prop_map(|(class, frac)| {
             let (lo, hi): (u64, u64) = match class {
@@ -35,8 +45,52 @@ fn samples() -> impl Strategy<Value = Vec<u64>> {
             };
             lo + (frac * (hi - lo) as f64) as u64
         }),
-        1..200,
+        len,
     )
+}
+
+/// Build steps: `(true, s)` records `s` straight into the histogram,
+/// `(false, s)` records `s` into a fresh histogram and merges that in
+/// (an empty `s` merges an empty histogram).
+fn steps() -> impl Strategy<Value = Vec<(bool, Vec<u64>)>> {
+    prop::collection::vec((any::<bool>(), samples_of(0..40)), 0..6)
+}
+
+fn build(steps: &[(bool, Vec<u64>)]) -> LatencyHistogram {
+    let mut h = LatencyHistogram::new();
+    for (direct, values) in steps {
+        if *direct {
+            for &v in values {
+                h.record(v);
+            }
+        } else {
+            let mut part = LatencyHistogram::new();
+            for &v in values {
+                part.record(v);
+            }
+            h.merge(&part);
+        }
+    }
+    h
+}
+
+/// The serialized `[index, count]` bucket pairs of `h`.
+fn bucket_pairs(h: &LatencyHistogram) -> Vec<(u64, u64)> {
+    let json = h.to_json();
+    let buckets = json
+        .get("buckets")
+        .and_then(Json::as_arr)
+        .expect("a `buckets` array");
+    buckets
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([idx, count]) => (
+                idx.as_u64().expect("an integer index"),
+                count.as_u64().expect("an integer count"),
+            ),
+            _ => panic!("bucket is not a pair: {pair:?}"),
+        })
+        .collect()
 }
 
 proptest! {
@@ -105,5 +159,32 @@ proptest! {
         }
         c.merge(&d);
         prop_assert_eq!(&c, &together);
+    }
+
+    /// The stored buckets stay canonical under any mix of `record` and
+    /// `merge`, and `merge` commutes.
+    #[test]
+    fn sparse_buckets_stay_canonical(a_steps in steps(), b_steps in steps()) {
+        let a = build(&a_steps);
+        let b = build(&b_steps);
+        for h in [&a, &b] {
+            let pairs = bucket_pairs(h);
+            prop_assert!(
+                pairs.windows(2).all(|w| w[0].0 < w[1].0),
+                "bucket indices not strictly ascending: {pairs:?}"
+            );
+            prop_assert!(
+                pairs.iter().all(|&(_, c)| c > 0),
+                "a zero count is stored: {pairs:?}"
+            );
+            prop_assert_eq!(pairs.iter().map(|&(_, c)| c).sum::<u64>(), h.count());
+        }
+
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        prop_assert_eq!(&ab, &ba);
+        prop_assert_eq!(ab.count(), a.count() + b.count());
     }
 }

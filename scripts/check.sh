@@ -58,12 +58,17 @@ status=0
 cargo run -q --release -p comap-experiments --bin fig02 -- --quick --trace=/dev/full > /dev/null || status=$?
 test "$status" = "1"
 
-echo "==> two fig_scale runs write byte-identical reports (CI's determinism job)"
+echo "==> two fig_scale runs write byte-identical reports and latency sections (CI's determinism job)"
+# The latency section holds the histograms of all 150 campus nodes, so
+# its cmp gates the determinism of the latency sink at scale.
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \
-    --report-json target/fig_scale_report_a.json > /dev/null
+    --report-json target/fig_scale_report_a.json \
+    --latency-json target/latency_fig_scale_a.json > /dev/null
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \
-    --report-json target/fig_scale_report_b.json > /dev/null
+    --report-json target/fig_scale_report_b.json \
+    --latency-json target/latency_fig_scale_b.json > /dev/null
 cmp target/fig_scale_report_a.json target/fig_scale_report_b.json
+cmp target/latency_fig_scale_a.json target/latency_fig_scale_b.json
 
 echo "==> perf-regression gate (fig_scale --quick vs pinned envelope, health invariants first)"
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \

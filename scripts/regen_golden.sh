@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates the golden JSONL traces under tests/golden/.
+# Regenerates the golden files under tests/golden/.
 #
 # Golden traces pin the byte-exact event stream of representative fig02
-# and fig08 runs; CI diffs every build against them. Regeneration is a
+# and fig08 runs, and fig02_quick_metrics.json pins the fig02 run's
+# metrics and latency section; CI diffs every build against them. Regeneration is a
 # deliberate act after an intentional behavior change, so this script
 # refuses to run unless REGEN_GOLDEN is already set in the environment:
 #
@@ -13,11 +14,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ -z "${REGEN_GOLDEN:-}" ]]; then
-    echo "refusing to overwrite golden traces: set REGEN_GOLDEN=1 explicitly" >&2
+    echo "refusing to overwrite golden files: set REGEN_GOLDEN=1 explicitly" >&2
     echo "usage: REGEN_GOLDEN=1 scripts/regen_golden.sh" >&2
     exit 2
 fi
 
 cargo test --test golden_traces -- --nocapture
 echo
-echo "golden traces regenerated; review with: git diff tests/golden/"
+echo "golden files regenerated; review with: git diff tests/golden/"

@@ -8,6 +8,12 @@
 //! exactly the point: behavioral drift must be a deliberate, reviewed
 //! regeneration, never an accident.
 //!
+//! The fig02 run is also pinned through its sinks: the compact
+//! `Metrics::to_json` of the same run with a `MetricsSink` and a
+//! `LatencySink` attached (airtime, queue, backoff and SINR aggregates
+//! plus the latency section's sparse histogram buckets) is stored in
+//! `fig02_quick_metrics.json`.
+//!
 //! To regenerate after an intentional behavior change, run
 //! `scripts/regen_golden.sh` (it sets `REGEN_GOLDEN=1` and re-runs this
 //! test binary, which then rewrites the files instead of comparing).
@@ -18,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use comap::experiments::instrument::representative;
 use comap::mac::SimDuration;
-use comap::sim::{Json, JsonlSink, Simulator};
+use comap::sim::{Json, JsonlSink, LatencySink, MetricsSink, Simulator};
 
 /// `(experiment name, golden file)` — names resolve through
 /// [`representative`], so the golden topology is exactly the one the
@@ -32,6 +38,9 @@ const GOLDEN: &[(&str, &str)] = &[
 /// files small, long enough that DATA/ACK cycles, backoff, map exchange
 /// and (for fig02) mobility all appear in the stream.
 const GOLDEN_MILLIS: u64 = 150;
+
+/// `(experiment name, golden file)` of the pinned metrics section.
+const GOLDEN_METRICS: (&str, &str) = ("fig02", "fig02_quick_metrics.json");
 
 fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -121,6 +130,67 @@ fn golden_traces_are_reproduced_byte_for_byte() {
                 golden.lines().count(),
             );
         }
+    }
+}
+
+/// Runs the named experiment's representative topology for
+/// [`GOLDEN_MILLIS`] with a [`MetricsSink`] and a [`LatencySink`]
+/// attached and returns the metrics section as one line of compact JSON.
+fn metrics(name: &str) -> String {
+    let (cfg, _) = representative(name);
+    let mut sim = Simulator::new(cfg);
+    sim.attach_sink(Box::new(MetricsSink::new()));
+    sim.attach_sink(Box::new(LatencySink::new()));
+    let report = sim.run(SimDuration::from_millis(GOLDEN_MILLIS));
+    let metrics = report.metrics.expect("a MetricsSink was attached");
+    assert!(
+        metrics.latency.is_some(),
+        "{name}: the LatencySink installed no latency section"
+    );
+    metrics.to_json().to_string_compact() + "\n"
+}
+
+#[test]
+fn golden_metrics_are_reproduced_byte_for_byte() {
+    let (name, file) = GOLDEN_METRICS;
+    let path = golden_path(file);
+    let fresh = metrics(name);
+
+    if regen_requested() {
+        std::fs::write(&path, &fresh)
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        eprintln!("regenerated {} ({} bytes)", path.display(), fresh.len());
+        return;
+    }
+
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing or unreadable golden metrics {}: {e}\n\
+             run scripts/regen_golden.sh to (re)create it",
+            path.display()
+        )
+    });
+    if fresh != golden {
+        let at = fresh
+            .bytes()
+            .zip(golden.bytes())
+            .position(|(f, g)| f != g)
+            .unwrap_or_else(|| fresh.len().min(golden.len()));
+        let context = |s: &str| {
+            s.get(at.saturating_sub(40)..(at + 40).min(s.len()))
+                .unwrap_or("")
+                .to_string()
+        };
+        panic!(
+            "{name}: metrics diverged from {} at byte {at} \
+             (fresh {} bytes vs golden {}):\n  fresh:  …{}…\n  golden: …{}…\n\
+             if the change is intentional, regenerate with scripts/regen_golden.sh",
+            path.display(),
+            fresh.len(),
+            golden.len(),
+            context(&fresh),
+            context(&golden),
+        );
     }
 }
 
