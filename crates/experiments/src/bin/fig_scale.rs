@@ -4,15 +4,15 @@
 //!
 //! Extra flag on top of `--quick` and the instrumentation ones:
 //!
-//! * `--report-json=<path>` — additionally run the representative
-//!   150-node campus once (quick duration, culled backend) and write
-//!   its `SimReport` JSON to `<path>`. CI runs this twice and byte-diffs
+//! * `--report-json=<path>` — write the `SimReport` JSON of the
+//!   representative 150-node campus (400 ms, culled backend) to
+//!   `<path>`. The instrumentation flags observe the same run, and the
+//!   report is written without the sinks' `metrics` section, so its
+//!   bytes are those of a plain run. CI runs this twice and byte-diffs
 //!   the outputs as a determinism gate.
 
-use comap_experiments::instrument::{run_if_requested, Args, Flag};
+use comap_experiments::instrument::{representative, Args, Flag};
 use comap_experiments::report::{mbps, Table};
-use comap_mac::time::SimDuration;
-use comap_sim::Simulator;
 
 fn main() {
     let args = Args::from_env("fig_scale", &[Flag::Quick, Flag::ReportJson]);
@@ -40,16 +40,17 @@ fn main() {
     }
     t.print();
 
-    if let Some(path) = &args.report_json {
-        let cfg = comap_experiments::fig_scale::representative_config(1);
-        let report = Simulator::new(cfg).run(SimDuration::from_millis(400));
-        let text = report.to_json().to_string_compact();
-        if let Err(e) = std::fs::write(path, text + "\n") {
-            eprintln!("error: cannot write report {}: {e}", path.display());
-            std::process::exit(1);
+    let inst = &args.instrumentation;
+    if args.report_json.is_some() || inst.any() {
+        let (cfg, duration) = representative("fig_scale");
+        let report = inst.run("fig_scale", cfg, duration);
+        if let Some(path) = &args.report_json {
+            let text = report.to_json().to_string_compact();
+            if let Err(e) = std::fs::write(path, text + "\n") {
+                eprintln!("error: cannot write report {}: {e}", path.display());
+                std::process::exit(1);
+            }
+            println!("representative report written to {}", path.display());
         }
-        println!("representative report written to {}", path.display());
     }
-
-    run_if_requested("fig_scale", &args.instrumentation);
 }

@@ -34,7 +34,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use comap_mac::time::SimDuration;
 use comap_sim::config::{MacFeatures, SimConfig};
 use comap_sim::json::SCHEMA_VERSION;
-use comap_sim::{Json, JsonlSink, LatencyHistogram, LatencySink, MetricsSink, Simulator};
+use comap_sim::{
+    Json, JsonlSink, LatencyHistogram, LatencySink, MetricsSink, SimReport, Simulator,
+};
 
 use crate::topology;
 
@@ -149,10 +151,14 @@ impl Instrumentation {
             || self.latency_json.is_some()
     }
 
-    /// Runs one instrumented simulation of `cfg` for `duration`,
-    /// honouring every requested flag. Exits 1 with a message naming the
-    /// path when an output file cannot be created or written.
-    pub fn run(&self, name: &str, cfg: SimConfig, duration: SimDuration) {
+    /// Runs one simulation of `cfg` for `duration` with every requested
+    /// sink attached, honouring every flag, and returns its report with
+    /// the sink-installed `metrics` section cleared: observation never
+    /// perturbs a report, so that is byte for byte the report of a plain
+    /// run, and one run serves a `--report-json` next to any
+    /// instrumentation flag. Exits 1 with a message naming the path when
+    /// an output file cannot be created or written.
+    pub fn run(&self, name: &str, cfg: SimConfig, duration: SimDuration) -> SimReport {
         let mut sim = Simulator::new(cfg);
         let trace_error = TraceError::default();
         if let Some(path) = &self.trace {
@@ -174,11 +180,13 @@ impl Instrumentation {
             sim.attach_sink(Box::new(LatencySink::new()));
         }
 
-        println!(
-            "\n== instrumentation: one representative {name} run ({} ms) ==",
-            duration.as_nanos() / 1_000_000
-        );
-        let report = if let Some(path) = &self.profile_json {
+        if self.any() {
+            println!(
+                "\n== instrumentation: one representative {name} run ({} ms) ==",
+                duration.as_nanos() / 1_000_000
+            );
+        }
+        let mut report = if let Some(path) = &self.profile_json {
             let (report, profile) = sim.run_profiled(duration);
             let text = profile.to_json().to_string_compact();
             if let Err(e) = std::fs::write(path, text + "\n") {
@@ -254,6 +262,8 @@ impl Instrumentation {
                 );
             }
         }
+        report.metrics = None;
+        report
     }
 }
 

@@ -62,15 +62,22 @@
 //!
 //! # The mobility hot path
 //!
-//! Movement never recomputes links eagerly. [`Medium::set_position`]
-//! snaps the target onto the position quantum, bumps the mover's
-//! *position epoch* and refreshes the overflow lists — nothing else. A
-//! link's slow-fade mean is a **pure function** of the endpoints'
-//! positions and epochs: the slow-fade draw comes from a counter-based
-//! stream keyed by `(seed, min(i, j), max(i, j), epoch sum)`, so the link
-//! cache — one 16-byte record `(epoch tag, mean dBm)` per directed link —
-//! can be refilled lazily, on the first lookup that sees a stale epoch
-//! tag, in any order, under any backend. See DESIGN.md §8.
+//! Movement never recomputes links eagerly. A link's slow-fade mean is a
+//! **pure function** of the endpoints' positions and *position epochs*:
+//! the slow-fade draw comes from a counter-based stream keyed by
+//! `(seed, min(i, j), max(i, j), epoch sum)`, so the link cache can be
+//! filled lazily, in any order, under any backend.
+//!
+//! The cache holds only the links a transmission reads: one row per
+//! node of `(peer, mean dBm)` entries (16 bytes each), ascending by peer.
+//! A sender's first `begin` after a move fills its row in bulk from its
+//! sorted candidate list — each missing link is computed once, stored at
+//! the row's exact size and mirrored into the peer's row, so the rows
+//! stay symmetric. [`Medium::set_position`] snaps the target onto the
+//! position quantum; an applied move bumps the mover's epoch, drops its
+//! row and deletes it from every peer row listed there, so every stored
+//! entry is always fresh. Memory is `O(n·k)` for `k` candidates per node,
+//! not `O(n²)`. See DESIGN.md §8.
 //!
 //! # Per-frame stream discipline
 //!
@@ -176,18 +183,11 @@ impl ActiveTx {
     }
 }
 
-/// One entry of the link cache: the mean received power of an ordered
-/// link and the epoch sum it was computed at. 16 bytes per directed link;
-/// the relevance predicate and the ledger quantization are derived from
-/// `dbm` where they are needed.
-#[derive(Debug, Clone, Copy)]
-struct Link {
-    /// Epoch sum of the endpoints when filled ([`STALE`] = never).
-    tag: u64,
-    /// Mean received power in dBm: mean path loss at the current
-    /// distance plus the slow-fade draw.
-    dbm: f64,
-}
+/// One entry of a node's link-cache row: the peer and the link's mean
+/// received power in dBm (mean path loss at the current distance plus
+/// the slow-fade draw). The relevance predicate and the ledger
+/// quantization are derived from the mean where they are needed.
+type RowEntry = (u32, f64);
 
 /// Per-frame fading deviation: for *static* nodes most of the shadowing
 /// (obstructions, walls) does not change between frames; only a small
@@ -226,10 +226,6 @@ pub const DEFAULT_POSITION_QUANTUM_M: f64 = 1.0;
 /// candidates — correctness never depends on the cap.
 const MAX_CELLS_PER_AXIS: usize = 64;
 
-/// Epoch tag of a link-cache entry that has never been filled. Real tags
-/// are sums of two `u32` epochs, so they can never reach it.
-const STALE: u64 = u64::MAX;
-
 /// Bits of a [`TxId`] used for the slab slot; the rest hold a
 /// never-reused generation count, so a stale id can never alias a live
 /// transmission occupying the same slot.
@@ -264,14 +260,14 @@ fn link_slow_normal(seed: u64, lo: u32, hi: u32, esum: u64) -> f64 {
 /// profiler only — never through a [`SimReport`](crate::stats::SimReport).
 ///
 /// Both cache counters are in **directed-link units**: a lookup is one
-/// directed cache read serving a power sample, a recompute is one
-/// directed read that missed (stale epoch tag) and refilled the entry —
-/// the reciprocal mirror is refreshed by the same fill without being
-/// counted, since no second path-loss evaluation happens.
+/// directed cache read serving a power sample, a recompute is one link
+/// missing from the sender's row and computed into it — the mirror entry
+/// in the peer's row is stored by the same fill without being counted,
+/// since no second path-loss evaluation happens.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediumCounters {
-    /// Directed link-cache entries recomputed through the path-loss
-    /// path because a read found a stale epoch tag.
+    /// Directed link-cache entries computed through the path-loss path
+    /// because the sender's row lacked them.
     pub cache_recomputes: u64,
     /// Directed link-cache reads serving a received-power sample (one
     /// per relevant receiver per transmission).
@@ -424,13 +420,16 @@ pub struct Medium {
     /// link are statistically unrelated.
     hazard_seed: u64,
     /// Position epoch per node, bumped by every applied (non-coalesced)
-    /// move. A link is fresh iff its stored tag equals the sum of its
-    /// endpoints' epochs — the sum strictly increases on any move, so a
-    /// stale entry can never alias a fresh one.
+    /// move. The endpoints' epoch sum keys a link's slow-fade draw, so
+    /// a mover's links draw fresh slow fades.
     node_epoch: Vec<u32>,
-    /// Link cache over ordered links (`src * n + dst`), filled lazily on
-    /// the first read that finds a stale tag.
-    links: Vec<Link>,
+    /// Link cache: one row per node, ascending by peer, holding only the
+    /// links its transmissions (or its peers') have read since either
+    /// endpoint last moved. Symmetric (`b ∈ rows[a]` ⟺ `a ∈ rows[b]`,
+    /// with the same mean), and every entry is fresh.
+    rows: Vec<Vec<RowEntry>>,
+    /// Reusable buffer of the links a fill finds missing.
+    missing: Vec<RowEntry>,
     /// Static (slow) shadowing deviation in dB: the channel sigma minus
     /// the fast-fading component, in quadrature.
     slow_sigma: f64,
@@ -548,13 +547,8 @@ impl Medium {
             fade_seed,
             hazard_seed,
             node_epoch: vec![0; n],
-            links: vec![
-                Link {
-                    tag: STALE,
-                    dbm: f64::NEG_INFINITY,
-                };
-                n * n
-            ],
+            rows: vec![Vec::new(); n],
+            missing: Vec::new(),
             slow_sigma: slow,
             fast_sigma: Db::new(fast),
             relevance_floor,
@@ -653,9 +647,9 @@ impl Medium {
     /// current positions and epochs: mean path loss (behind the 1 m
     /// near-field clamp of
     /// [`link_mean_at`](LogNormalShadowing::link_mean_at)) plus the
-    /// link's slow-fade draw. A pure function — the lazy cache fill, the
-    /// `&self` read of [`Medium::link_dbm_now`] and the overflow scan all
-    /// evaluate exactly this expression, so they can never disagree.
+    /// link's slow-fade draw. A pure function — the lazy row fill,
+    /// [`Medium::relevant_receivers`] and the overflow scan all evaluate
+    /// exactly this expression, so they can never disagree.
     fn compute_link_dbm(&self, a: usize, b: usize) -> f64 {
         let d = self.positions[a].distance_to(self.positions[b]);
         let mut dbm = self.channel.link_mean_at(d).value();
@@ -667,38 +661,63 @@ impl Medium {
         dbm
     }
 
-    /// The tag a fresh cache entry for the link `{a, b}` carries.
+    /// The slow-fade key of the link `{a, b}`: its endpoints' epoch sum.
     fn epoch_sum(&self, a: usize, b: usize) -> u64 {
         self.node_epoch[a] as u64 + self.node_epoch[b] as u64
     }
 
-    /// Mean received power of `src → dst` in dBm, refilling the entry
-    /// (and its reciprocal mirror) first if its epoch tag is stale.
-    #[inline]
-    fn fresh_link_dbm(&mut self, src: usize, dst: usize) -> f64 {
-        let n = self.positions.len();
-        let tag = self.epoch_sum(src, dst);
-        if self.links[src * n + dst].tag != tag {
-            self.counters.cache_recomputes += 1;
-            let link = Link {
-                tag,
-                dbm: self.compute_link_dbm(src, dst),
-            };
-            self.links[src * n + dst] = link;
-            self.links[dst * n + src] = link;
+    /// Makes `src`'s row cover `candidates` (ascending). One merge walk
+    /// finds the missing links; each is computed once, counted once,
+    /// stored in a new row allocated at its exact size and mirrored into
+    /// the peer's row.
+    fn fill_row(&mut self, src: usize, candidates: &[u32]) {
+        let mut missing = std::mem::take(&mut self.missing);
+        missing.clear();
+        let row = &self.rows[src];
+        let mut k = 0;
+        for &j in candidates {
+            while k < row.len() && row[k].0 < j {
+                k += 1;
+            }
+            if row.get(k).is_none_or(|e| e.0 != j) {
+                missing.push((j, self.compute_link_dbm(src, j as usize)));
+            }
         }
-        self.links[src * n + dst].dbm
+        if !missing.is_empty() {
+            self.counters.cache_recomputes += missing.len() as u64;
+            let old = std::mem::take(&mut self.rows[src]);
+            let mut row = Vec::with_capacity(old.len() + missing.len());
+            let (mut i, mut m) = (0, 0);
+            while i < old.len() || m < missing.len() {
+                if m == missing.len() || (i < old.len() && old[i].0 < missing[m].0) {
+                    row.push(old[i]);
+                    i += 1;
+                } else {
+                    row.push(missing[m]);
+                    m += 1;
+                }
+            }
+            self.rows[src] = row;
+            let me = src as u32;
+            for &(j, dbm) in &missing {
+                let peer = &mut self.rows[j as usize];
+                let at = peer.partition_point(|e| e.0 < me);
+                debug_assert!(peer.get(at).is_none_or(|e| e.0 != me), "rows lost symmetry");
+                peer.insert(at, (me, dbm));
+            }
+        }
+        self.missing = missing;
     }
 
-    /// [`Medium::fresh_link_dbm`] without touching the cache: served
-    /// from it when fresh, recomputed otherwise (the identical
-    /// expression, so the answer matches what a fill would store).
-    fn link_dbm_now(&self, a: usize, b: usize) -> f64 {
-        let link = self.links[a * self.positions.len() + b];
-        if link.tag == self.epoch_sum(a, b) {
-            link.dbm
-        } else {
-            self.compute_link_dbm(a, b)
+    /// Drops `node`'s row and deletes `node` from every peer row listed
+    /// in it — by symmetry, every entry that involved `node`.
+    fn evict_row(&mut self, node: usize) {
+        let me = node as u32;
+        for (peer, _) in std::mem::take(&mut self.rows[node]) {
+            let row = &mut self.rows[peer as usize];
+            if let Ok(k) = row.binary_search_by_key(&me, |e| e.0) {
+                row.remove(k);
+            }
         }
     }
 
@@ -717,12 +736,12 @@ impl Medium {
     /// Moves a node. The target snaps onto the position quantum: a move
     /// that stays inside the mover's current quantum cell coalesces into
     /// a no-op. An applied move stores the snapped position, bumps the
-    /// mover's position epoch — lazily invalidating exactly the mover's
-    /// row and column of the link cache, which refill on first use (a
-    /// mover meets new walls, so its links draw fresh slow fades) — then
-    /// re-files the node in the grid and refreshes the overflow lists on
-    /// both sides of every affected pair. Transmissions already on the
-    /// air keep the powers they were drawn with.
+    /// mover's position epoch (a mover meets new walls, so its links draw
+    /// fresh slow fades), evicts exactly the mover's cached links — its
+    /// row and its entry in every peer's row, which refill on first use —
+    /// then re-files the node in the grid and refreshes the overflow
+    /// lists on both sides of every affected pair. Transmissions already
+    /// on the air keep the powers they were drawn with.
     pub fn set_position(&mut self, node: NodeId, to: Position) {
         let to = if self.quantum > 0.0 {
             let ix = (to.x / self.quantum).round() as i64;
@@ -740,6 +759,7 @@ impl Medium {
         self.counters.moves_applied += 1;
         self.positions[node.0] = to;
         self.node_epoch[node.0] += 1;
+        self.evict_row(node.0);
         self.grid.move_node(node.0, to);
         self.refresh_overflow(node.0);
     }
@@ -827,7 +847,7 @@ impl Medium {
     pub fn relevant_receivers(&self, node: NodeId) -> Vec<NodeId> {
         let floor = self.relevance_floor.value();
         (0..self.positions.len())
-            .filter(|&j| j != node.0 && self.link_dbm_now(node.0, j) >= floor)
+            .filter(|&j| j != node.0 && self.compute_link_dbm(node.0, j) >= floor)
             .map(NodeId)
             .collect()
     }
@@ -843,20 +863,19 @@ impl Medium {
             .collect()
     }
 
-    /// Pre-warms `node`'s outgoing link-cache row: freshens every
-    /// directed entry `node → j` now instead of lazily at the next
-    /// `begin()`. Fills are pure functions of the position epochs, so a
-    /// warmed run produces bit-identical powers, events and reports to a
-    /// lazy one — only the `cache_recomputes` timing moves. The
-    /// differential harness drives both fill orders through this hook;
-    /// a sharded engine can use it to warm a shard before its first
-    /// frame.
+    /// Pre-warms `node`'s link-cache row: fills it with the links to the
+    /// candidate receivers — exactly what the next `begin()` from `node`
+    /// reads — now instead of lazily then. Fills are pure functions of
+    /// the positions and epochs, so a warmed run produces bit-identical
+    /// powers, events and reports to a lazy one — only the
+    /// `cache_recomputes` timing moves. The differential harness drives
+    /// both fill orders through this hook; a sharded engine can use it
+    /// to warm a shard before its first frame.
     pub fn warm_links(&mut self, node: NodeId) {
-        for j in 0..self.positions.len() {
-            if j != node.0 {
-                self.fresh_link_dbm(node.0, j);
-            }
-        }
+        let mut candidates = std::mem::take(&mut self.scratch);
+        self.candidates(node.0, &mut candidates);
+        self.fill_row(node.0, &candidates);
+        self.scratch = candidates;
     }
 
     /// Total ambient power currently sensed at `node` (noise floor plus
@@ -934,7 +953,10 @@ impl Medium {
                 self.slots.len() - 1
             }
         };
-        assert!(slot < (1usize << SLOT_BITS), "transmission slab exhausted");
+        // At most one live transmission per node (`begin` refuses a busy
+        // source) and node ids are `u32`, so the slab never outgrows the
+        // slot bits.
+        debug_assert!(slot < (1usize << SLOT_BITS), "transmission slab exhausted");
         let id = TxId((self.next_gen << SLOT_BITS) | slot as u64);
         self.next_gen += 1;
         id
@@ -958,19 +980,27 @@ impl Medium {
     }
 
     /// Builds the receiver list of a transmission from `src`: the
-    /// backend's candidates, each freshened and filtered by the
-    /// relevance floor, with one fading draw per survivor. Every fade is
-    /// a pure function of `(fade_seed, src → rx, frame_ctr)`, so neither
-    /// the visiting order nor the backend can change a single value.
+    /// backend's candidates, read from `src`'s row once it covers them
+    /// and filtered by the relevance floor, with one fading draw per
+    /// survivor. Every fade is a pure function of
+    /// `(fade_seed, src → rx, frame_ctr)`, so neither the visiting order
+    /// nor the backend can change a single value.
     fn draw_receivers(&mut self, src: usize, frame_ctr: u64) -> Vec<(u32, QuantizedPower)> {
         let mut candidates = std::mem::take(&mut self.scratch);
         self.candidates(src, &mut candidates);
         self.counters.cull_candidates += candidates.len() as u64;
+        self.fill_row(src, &candidates);
         let floor = self.relevance_floor.value();
         let sigma = self.fast_sigma.value();
+        let row = &self.rows[src];
+        let mut k = 0;
         let mut receivers = Vec::with_capacity(candidates.len());
         for &j in &candidates {
-            let mean = self.fresh_link_dbm(src, j as usize);
+            // The fill made the row a superset of the candidates.
+            while row[k].0 < j {
+                k += 1;
+            }
+            let mean = row[k].1;
             if mean < floor {
                 continue;
             }
@@ -1717,11 +1747,11 @@ mod tests {
         )));
     }
 
-    /// The link cache is `n²` records, so the record size is the
-    /// medium's memory per node pair: a tag and a mean, nothing derived.
+    /// A row entry is the medium's memory per cached directed link: a
+    /// peer and a mean, nothing derived.
     #[test]
-    fn link_record_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Link>(), 16);
+    fn link_row_entry_is_at_most_sixteen_bytes() {
+        assert!(std::mem::size_of::<RowEntry>() <= 16);
     }
 
     /// A move recomputes nothing by itself: it bumps the mover's epoch
@@ -1824,6 +1854,109 @@ mod tests {
             let mover = NodeId((step * 3 + 1) % n);
             m.set_position(mover, Position::new(100.0 * step as f64, 333.0));
             check(&m, &format!("after counter-move {step}"));
+        }
+    }
+
+    /// Every link-cache row is strictly ascending and symmetric, and every
+    /// entry equals the link's mean at the current positions and epochs.
+    /// Returns the number of entries checked.
+    fn check_rows(m: &Medium, when: &str) -> usize {
+        let mut entries = 0;
+        for (a, row) in m.rows.iter().enumerate() {
+            assert!(
+                row.windows(2).all(|w| w[0].0 < w[1].0),
+                "{when}: row {a} is not strictly ascending: {row:?}"
+            );
+            for &(b, dbm) in row {
+                let b = b as usize;
+                assert_ne!(b, a, "{when}: row {a} lists itself");
+                assert!(
+                    m.rows[b].binary_search_by_key(&(a as u32), |e| e.0).is_ok(),
+                    "{when}: {b} is in row {a} but {a} is not in row {b}"
+                );
+                assert_eq!(
+                    dbm.to_bits(),
+                    m.compute_link_dbm(a, b).to_bits(),
+                    "{when}: stale entry {a} → {b}"
+                );
+                entries += 1;
+            }
+        }
+        entries
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// The rows stay exact under random moves — applied and
+        /// coalesced alike — interleaved with transmissions: no move
+        /// leaves an entry behind that a fill would compute differently.
+        #[test]
+        fn link_rows_stay_exact_under_moves(
+            seed in 0u64..10_000,
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..16, 0.0f64..1500.0, 0.0f64..1500.0), 1..48),
+        ) {
+            let n = 5 + (seed % 7) as usize;
+            let backend = if seed % 2 == 0 {
+                MediumBackend::Culled
+            } else {
+                MediumBackend::Exhaustive
+            };
+            let mut pos_rng = StdRng::seed_from_u64(seed ^ 0x5EED_0F05);
+            let positions = (0..n)
+                .map(|_| Position::new(pos_rng.gen_range(0.0..1200.0), pos_rng.gen_range(0.0..1200.0)))
+                .collect();
+            let mut m = Medium::with_quantization(
+                LogNormalShadowing::testbed(Dbm::new(0.0)),
+                positions,
+                true,
+                StdRng::seed_from_u64(seed),
+                backend,
+                Meters::new(DEFAULT_POSITION_QUANTUM_M),
+            );
+            let mut t = 0u64;
+            let mut active: Vec<(TxId, u64)> = Vec::new();
+            let end_earliest = |m: &mut Medium, active: &mut Vec<(TxId, u64)>, t: &mut u64| {
+                if let Some(i) = (0..active.len()).min_by_key(|&i| active[i].1) {
+                    let (tx, end) = active.swap_remove(i);
+                    *t = (*t).max(end);
+                    m.end(tx, end_at(end));
+                }
+            };
+            for (op, idx, x, y) in ops {
+                let node = idx % n;
+                match op {
+                    0 => {
+                        if !m.is_transmitting(NodeId(node)) {
+                            let end = t + 40 + (idx as u64 % 5) * 37;
+                            let (tx, _) = m.begin(data(node, (node + 1) % n), end_at(t), end_at(end));
+                            active.push((tx, end));
+                        }
+                    }
+                    1 => end_earliest(&mut m, &mut active, &mut t),
+                    2 => m.set_position(NodeId(node), Position::new(x, y)),
+                    _ => {
+                        // Inside the mover's 1 m quantum cell: coalesces.
+                        let p = m.position(NodeId(node));
+                        let before = m.counters().moves_coalesced;
+                        m.set_position(NodeId(node), Position::new(p.x + x / 4000.0, p.y - y / 4000.0));
+                        assert_eq!(m.counters().moves_coalesced, before + 1);
+                    }
+                }
+                t += 13;
+                check_rows(&m, &format!("seed {seed} op {op}"));
+            }
+            while !active.is_empty() {
+                end_earliest(&mut m, &mut active, &mut t);
+            }
+            // One frame from every node fills every row.
+            for node in 0..n {
+                let (tx, _) = m.begin(data(node, (node + 1) % n), end_at(t), end_at(t + 50));
+                m.end(tx, end_at(t + 50));
+                t += 50;
+            }
+            assert!(check_rows(&m, "filled") > 0, "seed {seed}: no row was ever filled");
         }
     }
 

@@ -195,10 +195,11 @@ impl Simulator {
         self.sinks.push(sink);
     }
 
-    /// Pre-warms every node's outgoing link-cache row before the run
+    /// Pre-warms every node's link-cache row before the run: the links
+    /// to its candidate receivers, which its first `begin` would fill
     /// (see [`Medium::warm_links`]). Purely an evaluation-order change:
-    /// cache fills are deterministic functions of the position epochs,
-    /// so a warmed run is bit-identical to a lazy one — the
+    /// cache fills are deterministic functions of the positions and
+    /// epochs, so a warmed run is bit-identical to a lazy one — the
     /// differential harness drives both fill orders through this hook.
     pub fn warm_link_cache(&mut self) {
         for i in 0..self.macs.len() {

@@ -70,6 +70,13 @@ cargo run --release -p comap-experiments --bin fig_scale -- --quick \
 cmp target/fig_scale_report_a.json target/fig_scale_report_b.json
 cmp target/latency_fig_scale_a.json target/latency_fig_scale_b.json
 
+echo "==> a plain fig_scale report equals one from a run that also passes --latency-json"
+# One instrumented run serves --report-json and every sink flag, so
+# this cmp gates that observation never perturbs the report.
+cargo run --release -p comap-experiments --bin fig_scale -- --quick \
+    --report-json target/fig_scale_report_plain.json > /dev/null
+cmp target/fig_scale_report_plain.json target/fig_scale_report_a.json
+
 echo "==> perf-regression gate (fig_scale --quick vs pinned envelope, health invariants first)"
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \
     --profile-json target/profile_fig_scale.json > /dev/null

@@ -81,7 +81,7 @@ pub const ASSERT_BUDGET: [(&str, usize); 5] = [
     ("experiments", 6),
     ("mac", 5),
     ("radio", 11),
-    ("sim", 5),
+    ("sim", 4),
 ];
 
 /// One library file: its crate, its workspace-relative path, its text
