@@ -8,6 +8,8 @@
 //! candidate windows and payload sizes for every `(h, c)` cell; lookups
 //! clamp out-of-range counts to the table edge.
 
+use std::num::NonZeroU32;
+
 use serde::{Deserialize, Serialize};
 
 use comap_mac::timing::PhyTiming;
@@ -50,7 +52,14 @@ pub struct AdaptationTable {
 
 /// Candidate contention windows (the `2^k − 1` ladder the paper sweeps in
 /// Fig. 7).
-pub const CW_CANDIDATES: [u32; 6] = [31, 63, 127, 255, 511, 1023];
+pub const CW_CANDIDATES: [NonZeroU32; 6] = [
+    NonZeroU32::new(31).unwrap(),
+    NonZeroU32::new(63).unwrap(),
+    NonZeroU32::new(127).unwrap(),
+    NonZeroU32::new(255).unwrap(),
+    NonZeroU32::new(511).unwrap(),
+    NonZeroU32::new(1023).unwrap(),
+];
 
 /// Candidate payload sizes in bytes (100 B steps up to the Ethernet-ish
 /// 2200 B the paper sweeps).
@@ -76,7 +85,11 @@ impl AdaptationTable {
     /// we install for ourselves. With `adapt_cw` off the window stays at
     /// 31 and only the payload adapts.
     pub fn precompute(phy: PhyTiming, rate: Rate, max_payload: u32, adapt_cw: bool) -> Self {
-        let cw_choices: &[u32] = if adapt_cw { &CW_CANDIDATES } else { &[31] };
+        let cw_choices: &[NonZeroU32] = if adapt_cw {
+            &CW_CANDIDATES
+        } else {
+            &CW_CANDIDATES[..1]
+        };
         let mut settings = Vec::with_capacity((TABLE_MAX_HIDDEN + 1) * (TABLE_MAX_CONTENDERS + 1));
         for h in 0..=TABLE_MAX_HIDDEN {
             for c in 0..=TABLE_MAX_CONTENDERS {
@@ -93,10 +106,10 @@ impl AdaptationTable {
         hidden: usize,
         contenders: usize,
         max_payload: u32,
-        cw_choices: &[u32],
+        cw_choices: &[NonZeroU32],
     ) -> TxSetting {
         let mut best = TxSetting {
-            cw: cw_choices[0],
+            cw: cw_choices[0].get(),
             payload_bytes: 100,
             predicted_goodput: f64::MIN,
         };
@@ -114,7 +127,7 @@ impl AdaptationTable {
                 let goodput = DcfModel::per_node_goodput(&input);
                 if goodput > best.predicted_goodput {
                     best = TxSetting {
-                        cw,
+                        cw: cw.get(),
                         payload_bytes,
                         predicted_goodput: goodput,
                     };
@@ -207,7 +220,7 @@ mod tests {
                 let input = ModelInput {
                     phy: PhyTiming::dsss(),
                     rate: Rate::Mbps11,
-                    cw: s.cw,
+                    cw: NonZeroU32::new(s.cw).unwrap(),
                     contenders: c,
                     hidden: h,
                     payload_bytes: s.payload_bytes,

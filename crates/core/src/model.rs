@@ -30,6 +30,8 @@
 //! The backoff window is assumed constant (`τ = 2/(W+1)`), which is what
 //! CO-MAP installs when it adapts parameters.
 
+use std::num::NonZeroU32;
+
 use serde::{Deserialize, Serialize};
 
 use comap_mac::time::SimDuration;
@@ -55,8 +57,9 @@ pub struct ModelInput {
     pub phy: PhyTiming,
     /// Data rate of every station (homogeneous network).
     pub rate: Rate,
-    /// Constant contention window `W`.
-    pub cw: u32,
+    /// Constant contention window `W`, at least 1 by construction: a
+    /// zero window would put `τ = 2/(W+1)` at 2.
+    pub cw: NonZeroU32,
     /// Number of *other* contending stations `c` (the cell has `c + 1`).
     pub contenders: usize,
     /// Number of potential hidden terminals `h`.
@@ -99,13 +102,8 @@ pub struct DcfModel;
 
 impl DcfModel {
     /// Evaluates every intermediate quantity for `input`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cw` is zero.
     pub fn slot_stats(input: &ModelInput) -> SlotStats {
-        assert!(input.cw >= 1, "contention window must be at least 1");
-        let tau = 2.0 / (f64::from(input.cw) + 1.0);
+        let tau = 2.0 / (f64::from(input.cw.get()) + 1.0);
         let c = input.contenders as i32;
         // Eq. (6): at least one of the c+1 stations transmits.
         let p_tr = 1.0 - (1.0 - tau).powi(c + 1);
@@ -171,7 +169,7 @@ mod tests {
         ModelInput {
             phy: PhyTiming::dsss(),
             rate: Rate::Mbps11,
-            cw,
+            cw: NonZeroU32::new(cw).unwrap(),
             contenders,
             hidden,
             payload_bytes: payload,
@@ -285,10 +283,18 @@ mod tests {
         assert!(s > 3e6 && s < 8e6, "aggregate = {s}");
     }
 
+    /// The smallest window the type admits transmits in every slot:
+    /// `τ = 1`, so a lone station always succeeds and any contender
+    /// always collides — and goodput stays finite.
     #[test]
-    #[should_panic(expected = "contention window")]
-    fn zero_window_panics() {
-        let _ = DcfModel::slot_stats(&input(0, 4, 0, 1000));
+    fn smallest_window_is_well_defined() {
+        let alone = DcfModel::slot_stats(&input(1, 0, 0, 1000));
+        assert_eq!((alone.tau, alone.p_tr, alone.p_s), (1.0, 1.0, 1.0));
+        assert_eq!(alone.p_s_i, 1.0);
+        let crowded = DcfModel::slot_stats(&input(1, 4, 2, 1000));
+        assert_eq!((crowded.p_tr, crowded.p_s, crowded.p_s_i), (1.0, 0.0, 0.0));
+        let goodput = DcfModel::per_node_goodput(&input(1, 0, 0, 1000));
+        assert!(goodput.is_finite() && goodput > 0.0);
     }
 
     #[test]

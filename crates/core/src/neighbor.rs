@@ -21,7 +21,9 @@ use crate::Addr;
 pub struct NeighborEntry {
     /// Last accepted position.
     pub position: Position,
-    /// How many position reports were accepted for this neighbor.
+    /// How many position reports were accepted for this neighbor. It
+    /// only ever grows: derived state stamped with it goes stale exactly
+    /// when a later report is accepted ([`NeighborTable::updates`]).
     pub updates: u64,
 }
 
@@ -40,6 +42,8 @@ pub struct NeighborEntry {
 #[derive(Debug, Clone)]
 pub struct NeighborTable<A: Addr> {
     entries: BTreeMap<A, NeighborEntry>,
+    /// Reports accepted over all entries: the sum of their `updates`.
+    revision: u64,
 }
 
 impl<A: Addr> Default for NeighborTable<A> {
@@ -53,6 +57,7 @@ impl<A: Addr> NeighborTable<A> {
     pub fn new() -> Self {
         NeighborTable {
             entries: BTreeMap::new(),
+            revision: 0,
         }
     }
 
@@ -60,7 +65,7 @@ impl<A: Addr> NeighborTable<A> {
     /// *changed* — a new neighbor, or a move beyond the mobility
     /// threshold — so the caller knows to invalidate derived state.
     pub fn update(&mut self, addr: A, position: Position) -> bool {
-        match self.entries.get_mut(&addr) {
+        let changed = match self.entries.get_mut(&addr) {
             None => {
                 self.entries.insert(
                     addr,
@@ -81,12 +86,15 @@ impl<A: Addr> NeighborTable<A> {
                     false
                 }
             }
-        }
+        };
+        self.revision += u64::from(changed);
+        changed
     }
 
     /// Forces a position in, bypassing the movement threshold (used when
     /// bootstrapping from a topology description).
     pub fn insert(&mut self, addr: A, position: Position) {
+        self.revision += 1;
         self.entries
             .entry(addr)
             .and_modify(|e| {
@@ -99,14 +107,25 @@ impl<A: Addr> NeighborTable<A> {
             });
     }
 
-    /// Drops a neighbor (e.g. on disassociation).
-    pub fn remove(&mut self, addr: A) -> Option<NeighborEntry> {
-        self.entries.remove(&addr)
-    }
-
     /// The last accepted position of `addr`, if known.
     pub fn position(&self, addr: A) -> Option<Position> {
         self.entries.get(&addr).map(|e| e.position)
+    }
+
+    /// How many position reports were accepted for `addr` — 0 while it
+    /// is unknown. A cache that records this count next to what it
+    /// derived from `addr`'s position knows that entry is stale exactly
+    /// when the count has moved: the table never drops an address, so
+    /// the count never repeats.
+    pub fn updates(&self, addr: A) -> u64 {
+        self.entries.get(&addr).map_or(0, |e| e.updates)
+    }
+
+    /// How many reports the table accepted in all — the sum of every
+    /// entry's count. While it stands still no [`Self::updates`] count
+    /// moved, so a cache can skip the per-address comparisons.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Distance between two known neighbors.
@@ -197,12 +216,19 @@ mod tests {
     }
 
     #[test]
-    fn remove_forgets_neighbor() {
+    fn updates_count_accepted_reports_from_zero() {
         let mut t = table();
+        assert_eq!(t.updates("A"), 0, "unknown");
+        t.update("A", Position::ORIGIN);
+        assert_eq!(t.updates("A"), 1);
+        t.update("A", Position::new(1.0, 0.0));
+        assert_eq!(t.updates("A"), 1, "absorbed report");
+        t.update("A", Position::new(9.0, 0.0));
         t.insert("A", Position::ORIGIN);
-        assert!(t.remove("A").is_some());
-        assert!(t.is_empty());
-        assert!(!t.contains("A"));
+        assert_eq!(t.updates("A"), 3);
+        t.update("B", Position::ORIGIN);
+        assert_eq!(t.revision(), 4, "every accepted report, over all entries");
+        assert!(!t.is_empty() && t.contains("B") && !t.contains("C"));
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! [`Protocol::tx_setting`] and its siblings. Since the APs disseminate
 //! every accepted report to every node (paper Section V), all nodes of a
 //! network hold the same table, so a simulator keeps one shared position
-//! directory instead: it applies each report once, tells every protocol
-//! to [`Protocol::forget_neighbor`] the mover when the report was
-//! accepted, and passes the directory to the `_in` queries
-//! ([`Protocol::tx_setting_in`] and its siblings). Each query has one
-//! implementation, over whichever table it is given.
+//! directory instead: it applies each report once and passes the
+//! directory to the `_in` queries ([`Protocol::tx_setting_in`] and its
+//! siblings). Each query has one implementation, over whichever table it
+//! is given. Neither holder tells the protocol about a neighbor's move:
+//! the co-occurrence verdicts are stamped with the table's report counts
+//! and go stale on their own (see [`CoOccurrenceMap`]).
 
 use std::sync::Arc;
 
@@ -112,26 +113,14 @@ impl<A: Addr> Protocol<A> {
     }
 
     /// Ingests a neighbor's position report. Returns `true` when the
-    /// neighborhood actually changed (and dependent caches were
-    /// invalidated).
+    /// neighborhood actually changed, which also turns every cached
+    /// verdict involving `addr` stale.
     pub fn on_position_report(&mut self, addr: A, position: Position) -> bool {
         if addr == self.addr {
             self.set_own_position(position);
             return true;
         }
-        let changed = self.neighbors.update(addr, position);
-        if changed {
-            self.forget_neighbor(addr);
-        }
-        changed
-    }
-
-    /// Drops every cached verdict that involves `addr`. A holder of a
-    /// shared position directory calls this on every protocol but the
-    /// mover's whenever the directory accepts a report from `addr`, as
-    /// [`Self::on_position_report`] does for the private table.
-    pub fn forget_neighbor(&mut self, addr: A) {
-        self.map.invalidate_involving(addr);
+        self.neighbors.update(addr, position)
     }
 
     /// Full eq.-(3) validation of "may I transmit to `receiver` while
@@ -249,7 +238,19 @@ impl<A: Addr> Protocol<A> {
     /// bad; feeding MAC outcomes back into the co-occurrence map stops
     /// the protocol from re-trying such pairs forever.
     pub fn record_concurrency_outcome(&mut self, ongoing: Link<A>, receiver: A, success: bool) {
-        self.map.record(ongoing, receiver, success);
+        self.map.record(&self.neighbors, ongoing, receiver, success);
+    }
+
+    /// [`Self::record_concurrency_outcome`] stamped against the shared
+    /// position directory `table`, the one its lookups read.
+    pub fn record_concurrency_outcome_in(
+        &mut self,
+        table: &NeighborTable<A>,
+        ongoing: Link<A>,
+        receiver: A,
+        success: bool,
+    ) {
+        self.map.record(table, ongoing, receiver, success);
     }
 
     /// Arms the enhanced-scheduling RSSI watchdog with the power observed
@@ -284,14 +285,14 @@ impl<A: Addr> Protocol<A> {
         ongoing: Link<A>,
         receiver: A,
     ) -> Result<bool, CoMapError<A>> {
-        if let Some(cached) = self.map.lookup(ongoing, receiver) {
+        let table = shared.unwrap_or(&self.neighbors);
+        if let Some(cached) = self.map.lookup(table, ongoing, receiver) {
             return Ok(cached);
         }
-        let table = shared.unwrap_or(&self.neighbors);
         let allowed = self
             .concurrency_decision_in(table, ongoing, receiver)?
             .allowed();
-        self.map.record(ongoing, receiver, allowed);
+        self.map.record(table, ongoing, receiver, allowed);
         Ok(allowed)
     }
 
@@ -376,10 +377,10 @@ mod tests {
     fn neighbor_motion_invalidates_cache() {
         let mut p = fig3();
         assert!(p.concurrency_allowed(("C2", "AP0"), "AP1").unwrap());
-        assert_eq!(p.cooccurrence().len(), 1);
+        assert_eq!(p.cooccurrence().len(p.neighbors()), 1);
         // C2 walks 20 m: every cached verdict involving it must go.
         assert!(p.on_position_report("C2", Position::new(-10.0, 0.0)));
-        assert_eq!(p.cooccurrence().len(), 0);
+        assert_eq!(p.cooccurrence().len(p.neighbors()), 0);
     }
 
     #[test]
@@ -387,7 +388,7 @@ mod tests {
         let mut p = fig3();
         let _ = p.concurrency_allowed(("C2", "AP0"), "AP1").unwrap();
         assert!(!p.on_position_report("C2", Position::new(-29.0, 0.0)));
-        assert_eq!(p.cooccurrence().len(), 1);
+        assert_eq!(p.cooccurrence().len(p.neighbors()), 1);
     }
 
     #[test]
@@ -395,7 +396,7 @@ mod tests {
         let mut p = fig3();
         let _ = p.concurrency_allowed(("C2", "AP0"), "AP1").unwrap();
         p.set_own_position(Position::new(7.0, 0.0));
-        assert!(p.cooccurrence().is_empty());
+        assert!(p.cooccurrence().is_empty(p.neighbors()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests of the CO-MAP protocol invariants.
 
 use std::f64::consts::TAU;
+use std::num::NonZeroU32;
 use std::sync::OnceLock;
 
 use comap_core::adapt::{payload_candidates, AdaptationTable, CW_CANDIDATES};
@@ -104,7 +105,7 @@ proptest! {
         let input = ModelInput {
             phy: PhyTiming::dsss(),
             rate: Rate::Mbps11,
-            cw,
+            cw: NonZeroU32::new(cw).unwrap(),
             contenders,
             hidden,
             payload_bytes: payload,
@@ -162,35 +163,57 @@ proptest! {
         }
     }
 
-    /// The co-occurrence map behaves like a map: last write wins, lookup
-    /// reflects exactly the recorded set, invalidation removes precisely
-    /// the entries involving the node.
+    /// The stamped co-occurrence map answers exactly like an eager
+    /// reference map that purges every entry involving a node whenever
+    /// the table accepts that node's report: same verdict on every
+    /// lookup, same `(hits, misses)` after every step. Reports jump far
+    /// (accepted) or wiggle below the mobility threshold (absorbed once
+    /// the node is known), and hit link ends and receivers alike.
     #[test]
     fn cooccurrence_map_semantics(
-        ops in prop::collection::vec((0u8..3, 0u32..6, 0u32..6, 0u32..6, any::<bool>()), 0..120),
+        ops in prop::collection::vec((0u8..4, 0u32..6, 0u32..6, 0u32..6, any::<bool>()), 0..160),
     ) {
+        let mut table = NeighborTable::new();
         let mut map: CoOccurrenceMap<u32> = CoOccurrenceMap::new();
-        let mut shadow: std::collections::BTreeMap<((u32, u32), u32), bool> =
+        let mut eager: std::collections::BTreeMap<((u32, u32), u32), bool> =
             std::collections::BTreeMap::new();
-        for (op, a, b, r, allowed) in ops {
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut jumps = 0.0;
+        for (op, a, b, r, flag) in ops {
             match op {
                 0 => {
                     if a != b {
-                        map.record((a, b), r, allowed);
-                        shadow.insert(((a, b), r), allowed);
+                        map.record(&table, (a, b), r, flag);
+                        eager.insert(((a, b), r), flag);
                     }
                 }
                 1 => {
                     if a != b {
-                        let got = map.lookup((a, b), r);
-                        prop_assert_eq!(got, shadow.get(&((a, b), r)).copied());
+                        let expected = eager.get(&((a, b), r)).copied();
+                        hits += u64::from(expected.is_some());
+                        misses += u64::from(expected.is_none());
+                        prop_assert_eq!(map.lookup(&table, (a, b), r), expected);
+                    }
+                }
+                2 => {
+                    let report = match table.position(a) {
+                        Some(at) if !flag => at.offset(1.0, 0.0),
+                        _ => {
+                            jumps += 50.0;
+                            Position::new(jumps, 0.0)
+                        }
+                    };
+                    if table.update(a, report) {
+                        eager.retain(|&((s, d), rx), _| s != a && d != a && rx != a);
                     }
                 }
                 _ => {
-                    map.invalidate_involving(a);
-                    shadow.retain(|&((s, d), rx), _| s != a && d != a && rx != a);
+                    map.clear();
+                    eager.clear();
                 }
             }
+            prop_assert_eq!(map.stats(), (hits, misses));
+            prop_assert_eq!(map.is_empty(&table), eager.is_empty());
         }
     }
 
@@ -248,11 +271,12 @@ proptest! {
     }
 
     /// A protocol queried through a shared position directory answers
-    /// exactly like one fed the same reports into its private table, as
-    /// long as the directory's holder calls `forget_neighbor` whenever it
-    /// accepts a report. Reports land both above and below the mobility
-    /// threshold, the node's own fixes go through the location service,
-    /// and queries name unknown nodes and the node itself too.
+    /// exactly like one fed the same reports into its private table,
+    /// though nobody tells it about a move: its verdicts are stamped
+    /// with the directory's report counts, as the private protocol's
+    /// are with its own table's. Reports land both above and below the
+    /// mobility threshold, the node's own fixes go through the location
+    /// service, and queries name unknown nodes and the node itself too.
     #[test]
     fn shared_directory_answers_like_a_private_table(
         channel in 0u8..3,
@@ -294,9 +318,6 @@ proptest! {
                     } else {
                         let accepted = directory.update(a, report);
                         prop_assert_eq!(private.on_position_report(a, report), accepted);
-                        if accepted {
-                            shared.forget_neighbor(a);
-                        }
                     }
                 }
                 1 => prop_assert_eq!(private.tx_setting(r), shared.tx_setting_in(&directory, r)),
@@ -310,11 +331,14 @@ proptest! {
                 ),
                 _ => {
                     private.record_concurrency_outcome((a, b), r, flag);
-                    shared.record_concurrency_outcome((a, b), r, flag);
+                    shared.record_concurrency_outcome_in(&directory, (a, b), r, flag);
                 }
             }
             prop_assert_eq!(private.cooccurrence().stats(), shared.cooccurrence().stats());
-            prop_assert!(private.cooccurrence().iter().eq(shared.cooccurrence().iter()));
+            prop_assert!(private
+                .cooccurrence()
+                .iter(private.neighbors())
+                .eq(shared.cooccurrence().iter(&directory)));
         }
         prop_assert!(shared.neighbors().is_empty());
     }

@@ -21,7 +21,7 @@ fn main() {
                 "W=1023 sim",
             ],
         );
-        let panels: Vec<_> = WINDOWS.iter().map(|&w| fig.panel(w, n_ht)).collect();
+        let panels: Vec<_> = WINDOWS.iter().map(|&w| fig.panel(w.get(), n_ht)).collect();
         for ((p63, p255), p1023) in panels[0].iter().zip(&panels[1]).zip(&panels[2]) {
             t.row(&[
                 p63.payload.to_string(),

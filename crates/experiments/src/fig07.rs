@@ -7,6 +7,8 @@
 //! saturated contenders with a constant window, hidden interferers that
 //! sense nobody, a σ = 0 channel.
 
+use std::num::NonZeroU32;
+
 use comap_core::model::{DcfModel, ModelInput};
 use comap_mac::time::SimDuration;
 use comap_radio::rates::Rate;
@@ -18,7 +20,11 @@ use crate::topology::validation_cell;
 pub const CELL_SIZE: usize = 5;
 
 /// The contention windows of the paper's panels.
-pub const WINDOWS: [u32; 3] = [63, 255, 1023];
+pub const WINDOWS: [NonZeroU32; 3] = [
+    NonZeroU32::new(63).unwrap(),
+    NonZeroU32::new(255).unwrap(),
+    NonZeroU32::new(1023).unwrap(),
+];
 
 /// The hidden-terminal counts of the paper's panels.
 pub const HT_COUNTS: [usize; 3] = [0, 3, 5];
@@ -66,7 +72,7 @@ pub fn run(quick: bool) -> Fig07 {
     for &w in &WINDOWS {
         for &n_ht in &HT_COUNTS {
             for payload in payloads(quick) {
-                let cell = validation_cell(CELL_SIZE, n_ht, w, payload, 0).1;
+                let cell = validation_cell(CELL_SIZE, n_ht, w.get(), payload, 0).1;
                 grid.push((w, n_ht, payload, cell));
             }
         }
@@ -75,7 +81,7 @@ pub fn run(quick: bool) -> Fig07 {
         &grid,
         seeds,
         duration,
-        |&(w, n_ht, payload, _), seed| validation_cell(CELL_SIZE, n_ht, w, payload, seed).0,
+        |&(w, n_ht, payload, _), seed| validation_cell(CELL_SIZE, n_ht, w.get(), payload, seed).0,
         |(_, _, _, cell), r| {
             cell.clients
                 .iter()
@@ -88,7 +94,7 @@ pub fn run(quick: bool) -> Fig07 {
         .iter()
         .zip(kept.chunks(seeds.len()))
         .map(|(&(w, n_ht, payload, _), per_seed)| Point {
-            w,
+            w: w.get(),
             n_ht,
             payload,
             model: DcfModel::per_node_goodput(&ModelInput {
@@ -149,7 +155,7 @@ mod tests {
         assert_eq!(debug_digest(&fig), "9f919a9094f24a76");
         // Without HTs, model and sim must agree well at every window.
         for &w in &WINDOWS {
-            for p in fig.panel(w, 0) {
+            for p in fig.panel(w.get(), 0) {
                 let err = (p.model - p.sim).abs() / p.model.max(p.sim);
                 assert!(
                     err < 0.35,

@@ -88,6 +88,35 @@ pub fn normal_from_state(h: u64) -> f64 {
     z.clamp(-NORMAL_CLAMP_SIGMA, NORMAL_CLAMP_SIGMA)
 }
 
+/// Largest value of [`normal_radius_zeros`]: the radius uniform has 53
+/// bits, so a draw has `0 ..= 53` leading zeros.
+pub const RADIUS_ZEROS_MAX: u32 = 53;
+
+/// The number of leading zeros `k` of the 53-bit Box–Muller radius
+/// uniform `a >> 11` that [`normal_from_state`] draws from `h` — one
+/// [`mix64`] round, no transcendental. It bounds the draw:
+/// `normal_from_state(h) ≤ normal_bound(k)`.
+///
+/// With `k ≤ 52` leading zeros the radius integer is at least
+/// `2^(52−k)`, so the radius uniform `u₁` exceeds `2^−(k+1)`; at
+/// `k = 53` it is `½ · 2⁻⁵³ = 2^−(k+1)` exactly. Either way
+/// `−2 ln u₁ ≤ 2(k+1) ln 2`, and `|z| ≤ √(−2 ln u₁) · |cos θ|` is at
+/// most `√(2(k+1) ln 2)`. Half of all keys have `k = 0`, which caps the
+/// draw at 1.18 — a far tighter bound than the ±6σ clamp.
+#[inline]
+pub fn normal_radius_zeros(h: u64) -> u32 {
+    (mix64(h) >> 11).leading_zeros() - 11
+}
+
+/// The largest draw [`normal_from_state`] can return for a key with
+/// `k` = [`normal_radius_zeros`] leading zeros: `√(2(k+1) ln 2)`, capped
+/// at the ±[`NORMAL_CLAMP_SIGMA`] clamp (reached from `k = 25` on).
+pub fn normal_bound(k: u32) -> f64 {
+    (2.0 * f64::from(k + 1) * std::f64::consts::LN_2)
+        .sqrt()
+        .min(NORMAL_CLAMP_SIGMA)
+}
+
 /// One uniform draw in `[0, 1)` from a keyed state (53 random mantissa
 /// bits, matching the `Standard` `f64` distribution of the vendored
 /// `rand`).
@@ -172,6 +201,40 @@ mod tests {
         let var = sumsq / f64::from(n) - mean * mean;
         assert!(mean.abs() < 0.02, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.03, "var = {var}");
+    }
+
+    /// Every draw stays within the bound its radius zeros give, over
+    /// 200k keys; and the bound is tight: the next smaller entry is
+    /// exceeded, so a reader that took entry `k − 1` would be wrong.
+    #[test]
+    fn normal_from_state_stays_within_its_radius_bound() {
+        let mut counts = [0u32; RADIUS_ZEROS_MAX as usize + 1];
+        let mut beyond_previous = 0u32;
+        for i in 0..200_000u64 {
+            let h = keyed_state(0xB0_0D, i % 509, i);
+            let k = normal_radius_zeros(h);
+            assert!(k <= RADIUS_ZEROS_MAX);
+            let z = normal_from_state(h);
+            assert!(
+                z <= normal_bound(k),
+                "key {i}: draw {z} above the bound {} of k = {k}",
+                normal_bound(k)
+            );
+            counts[k as usize] += 1;
+            beyond_previous += u32::from(k > 0 && z > normal_bound(k - 1));
+        }
+        // k is geometric: half the keys have no leading zero.
+        assert!((95_000..105_000).contains(&counts[0]), "{counts:?}");
+        assert!((45_000..55_000).contains(&counts[1]), "{counts:?}");
+        assert!(
+            beyond_previous > 100,
+            "only {beyond_previous} draws need their own entry"
+        );
+        // The bound is monotone and meets the clamp.
+        for k in 1..=RADIUS_ZEROS_MAX {
+            assert!(normal_bound(k) >= normal_bound(k - 1));
+        }
+        assert_eq!(normal_bound(RADIUS_ZEROS_MAX), NORMAL_CLAMP_SIGMA);
     }
 
     #[test]

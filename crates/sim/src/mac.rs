@@ -281,8 +281,10 @@ pub struct MacConfig {
     pub rate_ctl: RateController,
     /// Propagation channel (for the rate genie's mean estimates).
     pub channel: comap_radio::pathloss::LogNormalShadowing,
-    /// True node positions (rate genie only; CO-MAP decisions use the
-    /// *reported* positions of [`MacCtx::directory`]).
+    /// True node positions, indexed by node (rate genie only; CO-MAP
+    /// decisions use the *reported* positions of [`MacCtx::directory`]).
+    /// May be empty when the rate controller reads no positions
+    /// ([`RateController::reads_positions`]): moves then update nothing.
     pub true_positions: Vec<Position>,
     /// CCA threshold.
     pub t_cs: Dbm,
@@ -388,12 +390,12 @@ impl Mac {
         self.proto.as_ref()
     }
 
-    /// This node moved: the true-position table (rate genie) always
-    /// follows, while the *reported* position goes through the location
-    /// service's mobility threshold. Returns the position to broadcast,
-    /// if a report is due.
+    /// This node moved: the true-position table (rate genie), where
+    /// there is one, always follows, while the *reported* position goes
+    /// through the location service's mobility threshold. Returns the
+    /// position to broadcast, if a report is due.
     pub fn on_moved(&mut self, true_pos: Position, reported_fix: Position) -> Option<Position> {
-        self.cfg.true_positions[self.cfg.id.0] = true_pos;
+        self.set_true_position(self.cfg.id, true_pos);
         let proto = self.proto.as_mut()?;
         let report = proto.observe_position(reported_fix)?;
         // Our geometry changed: adapted settings must be re-censused.
@@ -406,7 +408,9 @@ impl Mac {
     /// A neighbor's position report arrived (disseminated by the APs)
     /// at a standalone MAC, whose protocol keeps a private neighbor
     /// table. A simulator applies each report to its shared directory
-    /// once and calls [`Self::forget_neighbor`] instead.
+    /// once instead, which stales the protocol's verdicts involving the
+    /// mover on its own, and tells only the MACs with a flow toward it
+    /// ([`Self::drop_setting_toward`]).
     pub fn on_position_report(&mut self, from: NodeId, position: Position) {
         let Some(proto) = &mut self.proto else { return };
         if proto.on_position_report(from, position) {
@@ -414,17 +418,10 @@ impl Mac {
         }
     }
 
-    /// `node`'s accepted report moved it in the shared directory: drops
-    /// the cached verdicts involving it and the setting of the flow
-    /// toward it, so both are worked out afresh from the new position.
-    pub fn forget_neighbor(&mut self, node: NodeId) {
-        let Some(proto) = &mut self.proto else { return };
-        proto.forget_neighbor(node);
-        self.drop_setting_toward(node);
-    }
-
-    /// Drops the adapted setting of the flow toward `node`, if any.
-    fn drop_setting_toward(&mut self, node: NodeId) {
+    /// `node`'s accepted report moved it: drops the adapted setting of
+    /// the flow toward it, if any, so the next frame re-censuses the
+    /// link from the new position.
+    pub(crate) fn drop_setting_toward(&mut self, node: NodeId) {
         if let Some(flow) = self.flows.iter_mut().find(|f| f.dst == node) {
             flow.setting = None;
         }
@@ -432,7 +429,15 @@ impl Mac {
 
     /// Keeps the rate genie's view of a *neighbor's* true position fresh.
     pub fn on_neighbor_moved(&mut self, node: NodeId, true_pos: Position) {
-        self.cfg.true_positions[node.0] = true_pos;
+        self.set_true_position(node, true_pos);
+    }
+
+    /// Writes `node`'s slot of the true-position table, if the table
+    /// has one (it is empty when no genie reads it).
+    fn set_true_position(&mut self, node: NodeId, true_pos: Position) {
+        if let Some(slot) = self.cfg.true_positions.get_mut(node.0) {
+            *slot = true_pos;
+        }
     }
 
     /// Handles one event, returning the actions to apply.
@@ -594,7 +599,7 @@ impl Mac {
         if awaited {
             if let Some(link) = self.concurrent_sent.take() {
                 if let Some(proto) = &mut self.proto {
-                    proto.record_concurrency_outcome(link, from, true);
+                    proto.record_concurrency_outcome_in(ctx.directory, link, from, true);
                 }
             }
         }
@@ -724,7 +729,7 @@ impl Mac {
         }));
         if let Some(link) = self.concurrent_sent.take() {
             if let Some(proto) = &mut self.proto {
-                proto.record_concurrency_outcome(link, p.dst, false);
+                proto.record_concurrency_outcome_in(ctx.directory, link, p.dst, false);
             }
         }
         let flow = &mut self.flows[self.current_flow];
@@ -1113,8 +1118,13 @@ impl Mac {
         }));
     }
 
-    /// Data rate for the pending frame's flow.
+    /// Data rate for the pending frame's flow. A fixed rate reads no
+    /// position, so it never touches the (then empty) true-position
+    /// table.
     fn rate_for(&self) -> Rate {
+        if let RateController::Fixed(rate) = self.cfg.rate_ctl {
+            return rate;
+        }
         let dst = self.flows[self.current_flow].dst;
         let interferer = self
             .opportunity

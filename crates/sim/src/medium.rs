@@ -77,7 +77,14 @@
 //! position quantum; an applied move bumps the mover's epoch, drops its
 //! row and deletes it from every peer row listed there, so every stored
 //! entry is always fresh. Memory is `O(n·k)` for `k` candidates per node,
-//! not `O(n²)`. See DESIGN.md §8.
+//! not `O(n²)`.
+//!
+//! The move then refreshes the mover's overflow list. One pass over the
+//! positions keeps the peers inside the hard skip radius of the ±6σ
+//! clamp; each of those is held against the skip radius of its *own*
+//! slow-fade draw, which the draw's Box–Muller radius bits bound
+//! ([`normal_radius_zeros`]): most are rejected from three [`mix64`]
+//! rounds, and only the rest pay the path loss. See DESIGN.md §8.
 //!
 //! # Per-frame stream discipline
 //!
@@ -93,7 +100,10 @@ use rand::Rng;
 
 use comap_mac::time::SimTime;
 use comap_radio::pathloss::LogNormalShadowing;
-use comap_radio::stream::{keyed_state, link_key, mix64, normal_from_state, uniform_from_state};
+use comap_radio::stream::{
+    keyed_state, link_key, mix64, normal_bound, normal_from_state, normal_radius_zeros,
+    uniform_from_state, RADIUS_ZEROS_MAX,
+};
 use comap_radio::units::{Db, Dbm, Meters, MilliWatts, QuantizedPower};
 use comap_radio::{Position, NOISE_FLOOR};
 
@@ -204,16 +214,6 @@ const FAST_SIGMA_DB: f64 = 1.5;
 /// the floor at −120 dBm for the −95 dBm noise floor.
 pub const RELEVANCE_MARGIN_DB: f64 = 25.0;
 
-/// Slow-fade draws are clamped to this many standard deviations — the
-/// shared clamp of every keyed normal stream
-/// ([`comap_radio::stream::NORMAL_CLAMP_SIGMA`]). The clip is a
-/// modeling choice (one-sided mass beyond 6σ is ≈ 1e-9, far below
-/// anything the simulator can resolve) that buys a hard geometric
-/// bound: beyond [`Medium::overflow_skip`] no draw can lift a link over
-/// the relevance floor, so the per-move overflow scan rejects far nodes
-/// on a squared-distance comparison alone.
-const SLOW_CLAMP_SIGMA: f64 = comap_radio::stream::NORMAL_CLAMP_SIGMA;
-
 /// Default position quantum in meters (see
 /// [`Medium::with_quantization`]): micro-moves inside a 1 m cell change
 /// the mean path loss by well under a dB even at the 1 m near-field
@@ -237,11 +237,13 @@ impl TxId {
     }
 }
 
-/// One standard-normal slow-fade draw for the unordered link `{lo, hi}`
-/// at position-epoch sum `esum` — a counter-based stream, so the draw
+/// The slow-fade stream state of the unordered link `{lo, hi}` at
+/// position-epoch sum `esum` — a counter-based stream, so the draw
 /// is a pure function of its key: lazy cache refills can happen in any
-/// order, under any backend. The result is clamped to
-/// ±[`SLOW_CLAMP_SIGMA`].
+/// order, under any backend. [`normal_from_state`] turns it into the
+/// draw; [`normal_radius_zeros`] bounds that draw from one more
+/// [`mix64`] round, which is all the overflow scan needs to reject a
+/// pair.
 ///
 /// The key fold is the original mobility-rework one (no seed pre-mix),
 /// kept verbatim so every slow-fade realization shipped since then
@@ -249,9 +251,16 @@ impl TxId {
 /// structured *cross-seed* aliases; the slow-fade stream has exactly
 /// one seed, drawn at random, so the legacy fold is sound here — and
 /// only here. New streams must use [`keyed_state`].
-fn link_slow_normal(seed: u64, lo: u32, hi: u32, esum: u64) -> f64 {
+fn link_slow_state(seed: u64, lo: u32, hi: u32, esum: u64) -> u64 {
     let h = mix64((seed ^ 0x5851_F42D_4C95_7F2D) ^ link_key(lo, hi));
-    normal_from_state(mix64(h ^ esum))
+    mix64(h ^ esum)
+}
+
+/// One standard-normal slow-fade draw for the unordered link `{lo, hi}`
+/// at position-epoch sum `esum`, clamped to
+/// ±[`NORMAL_CLAMP_SIGMA`](comap_radio::stream::NORMAL_CLAMP_SIGMA).
+fn link_slow_normal(seed: u64, lo: u32, hi: u32, esum: u64) -> f64 {
+    normal_from_state(link_slow_state(seed, lo, hi, esum))
 }
 
 /// Deterministic counters of the link cache and the culling layer.
@@ -440,11 +449,17 @@ pub struct Medium {
     /// the grid cell side. Links pushed past it by a favourable static
     /// draw live in the overflow lists instead.
     relevance_range: Meters,
-    /// Hard overflow-scan radius in meters: beyond it even a +6σ slow
-    /// draw cannot lift the mean over the relevance floor (the draws are
-    /// clamped — see [`SLOW_CLAMP_SIGMA`]), so the per-move scan rejects
-    /// such nodes on a squared-distance comparison.
-    overflow_skip: f64,
+    /// Squared overflow-scan radii in m², one per value `k` of
+    /// [`normal_radius_zeros`]: beyond entry `k` a slow draw with `k`
+    /// radius zeros (at most [`normal_bound`]`(k)` deviations) cannot
+    /// lift the mean over the relevance floor. The last entry is the
+    /// hard radius of the ±6σ clamp of every keyed normal draw
+    /// ([`NORMAL_CLAMP_SIGMA`](comap_radio::stream::NORMAL_CLAMP_SIGMA)):
+    /// the clip is a modeling choice (one-sided mass beyond 6σ is
+    /// ≈ 1e-9, far below anything the simulator can resolve) that buys
+    /// a hard geometric bound, so the per-move scan rejects far nodes on
+    /// a squared distance alone.
+    skip_sq: [f64; RADIUS_ZEROS_MAX as usize + 1],
     /// Position quantum in meters; 0 disables quantization (every move
     /// is applied verbatim).
     quantum: f64,
@@ -503,16 +518,21 @@ impl Medium {
         let slow = (sigma * sigma - fast * fast).max(0.0).sqrt();
         let relevance_floor = NOISE_FLOOR + Db::new(-RELEVANCE_MARGIN_DB);
         let relevance_range = channel.range_for_threshold(relevance_floor);
-        // The skip radius inverts the floor minus the largest possible
-        // up-fade; the relative inflation dwarfs the rounding noise
-        // between this inversion and the fill path's `link_mean_at`, so
-        // the squared-distance rejection can never hide a relevant link.
-        let overflow_skip = if slow > 0.0 {
-            let deepest = relevance_floor + Db::new(-(SLOW_CLAMP_SIGMA * slow));
-            channel.range_for_threshold(deepest).value() * (1.0 + 1e-9)
-        } else {
-            relevance_range.value()
-        };
+        // Each skip radius inverts the floor minus the largest up-fade
+        // a draw with `k` radius zeros can give; the relative inflation
+        // dwarfs the rounding noise between this inversion and the fill
+        // path's `link_mean_at` (and between `normal_bound` and the
+        // draw), so the squared-distance rejection can never hide a
+        // relevant link.
+        let skip_sq = std::array::from_fn(|k| {
+            let skip = if slow > 0.0 {
+                let deepest = relevance_floor + Db::new(-(normal_bound(k as u32) * slow));
+                channel.range_for_threshold(deepest).value() * (1.0 + 1e-9)
+            } else {
+                relevance_range.value()
+            };
+            skip * skip
+        });
         // Seed-derivation order matters for artifact stability: the
         // slow-fade seed draws first, so re-keying the per-frame
         // streams never perturbed the per-link slow fades.
@@ -553,7 +573,7 @@ impl Medium {
             fast_sigma: Db::new(fast),
             relevance_floor,
             relevance_range,
-            overflow_skip,
+            skip_sq,
             quantum: q,
             qx,
             qy,
@@ -571,11 +591,14 @@ impl Medium {
         // Bootstrap the overflow lists (link means stay lazy): ascending
         // pair order keeps every list sorted.
         for a in 0..n {
-            for b in (a + 1)..n {
-                if medium.overflows(a, b) {
-                    medium.overflow[a].push(b as u32);
-                    medium.overflow[b].push(a as u32);
-                }
+            let peers: Vec<usize> = medium
+                .within_hard_skip(a, a + 1)
+                .filter(|&(b, d2)| medium.overflows(a, b, d2))
+                .map(|(b, _)| b)
+                .collect();
+            for b in peers {
+                medium.overflow[a].push(b as u32);
+                medium.overflow[b].push(a as u32);
             }
         }
         medium
@@ -721,16 +744,50 @@ impl Medium {
         }
     }
 
-    /// Whether `b` belongs on `a`'s overflow list: beyond the grid reach
-    /// (`dist > relevance_range`) yet relevant. Pairs beyond the hard
-    /// skip radius are rejected on the squared distance alone, before
-    /// any path-loss math. Symmetric in `a` and `b`.
-    fn overflows(&self, a: usize, b: usize) -> bool {
-        let (p, q) = (self.positions[a], self.positions[b]);
-        let (dx, dy) = (p.x - q.x, p.y - q.y);
-        dx * dx + dy * dy <= self.overflow_skip * self.overflow_skip
-            && p.distance_to(q).value() > self.relevance_range.value()
+    /// The peers of `node` from `from` on that lie within the hard skip
+    /// radius (the last entry of [`Medium::skip_sq`]), ascending, with
+    /// their squared distance: one pass over the positions, no path-loss
+    /// math.
+    fn within_hard_skip(
+        &self,
+        node: usize,
+        from: usize,
+    ) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let p = self.positions[node];
+        let hard = self.skip_sq[RADIUS_ZEROS_MAX as usize];
+        self.positions[from..]
+            .iter()
+            .zip(from..)
+            .filter_map(move |(q, other)| {
+                let (dx, dy) = (p.x - q.x, p.y - q.y);
+                let d2 = dx * dx + dy * dy;
+                (d2 <= hard && other != node).then_some((other, d2))
+            })
+    }
+
+    /// Whether `b`, at squared distance `d2` inside the hard skip
+    /// radius, belongs on `a`'s overflow list: beyond the grid reach
+    /// (`dist > relevance_range`) yet relevant. Most such pairs lie
+    /// beyond the skip radius of their own draw's bound and are
+    /// rejected from three [`mix64`] rounds, before any path-loss math.
+    /// Symmetric in `a` and `b`.
+    fn overflows(&self, a: usize, b: usize, d2: f64) -> bool {
+        d2 <= self.skip_sq[self.slow_radius_zeros(a, b) as usize]
+            && self.positions[a].distance_to(self.positions[b]).value()
+                > self.relevance_range.value()
             && self.compute_link_dbm(a, b) >= self.relevance_floor.value()
+    }
+
+    /// The radius zeros of the link `{a, b}`'s current slow-fade draw,
+    /// which index its skip radius in [`Medium::skip_sq`].
+    fn slow_radius_zeros(&self, a: usize, b: usize) -> u32 {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        normal_radius_zeros(link_slow_state(
+            self.link_seed,
+            lo as u32,
+            hi as u32,
+            self.epoch_sum(a, b),
+        ))
     }
 
     /// Moves a node. The target snaps onto the position quantum: a move
@@ -774,9 +831,10 @@ impl Medium {
     fn refresh_overflow(&mut self, node: usize) {
         let old = std::mem::take(&mut self.overflow[node]);
         // Ascending scan order keeps the rebuilt list sorted.
-        let new: Vec<u32> = (0..self.positions.len())
-            .filter(|&other| other != node && self.overflows(node, other))
-            .map(|other| other as u32)
+        let new: Vec<u32> = self
+            .within_hard_skip(node, 0)
+            .filter(|&(other, d2)| self.overflows(node, other, d2))
+            .map(|(other, _)| other as u32)
             .collect();
         let (mut i, mut j) = (0usize, 0usize);
         loop {
@@ -1301,6 +1359,7 @@ mod tests {
     use super::*;
     use comap_mac::time::SimDuration;
     use comap_radio::rates::Rate;
+    use comap_radio::stream::NORMAL_CLAMP_SIGMA;
     use comap_radio::units::Db;
     use rand::SeedableRng;
 
@@ -1662,7 +1721,7 @@ mod tests {
         let mut sumsq = 0.0;
         for i in 0..n {
             let z = link_slow_normal(0xDEAD_BEEF, i % 97, 100 + i / 97, (i % 5) as u64);
-            assert!(z.abs() <= SLOW_CLAMP_SIGMA, "clamped draw escaped: {z}");
+            assert!(z.abs() <= NORMAL_CLAMP_SIGMA, "clamped draw escaped: {z}");
             sum += z;
             sumsq += z * z;
         }
@@ -1802,58 +1861,62 @@ mod tests {
         assert!(c.cache_recomputes <= c.cache_lookups);
     }
 
-    /// The overflow lists always equal a from-scratch recomputation of
-    /// their membership predicate — in particular, moving a node purges
-    /// every stale entry referencing it from *other* nodes' lists.
-    #[test]
-    fn overflow_lists_track_moves_symmetrically() {
-        let chan = LogNormalShadowing::testbed(Dbm::new(0.0));
-        // A line crossing several relevance ranges (~573 m): plenty of
-        // beyond-range pairs whose membership hinges on the slow draw.
-        let n = 10usize;
-        let positions: Vec<Position> = (0..n)
-            .map(|i| Position::new(260.0 * i as f64, 35.0 * (i % 3) as f64))
-            .collect();
-        let mut m = Medium::with_quantization(
-            chan,
-            positions,
-            true,
-            StdRng::seed_from_u64(23),
-            MediumBackend::Culled,
-            Meters::new(DEFAULT_POSITION_QUANTUM_M),
-        );
-        let check = |m: &Medium, when: &str| {
-            for a in 0..n {
-                let expected: Vec<NodeId> = (0..n)
-                    .filter(|&b| {
-                        b != a
-                            && m.position(NodeId(a))
-                                .distance_to(m.position(NodeId(b)))
-                                .value()
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The overflow lists always equal a from-scratch recomputation of
+        /// their membership predicate — in particular, moving a node
+        /// purges every stale entry referencing it from *other* nodes'
+        /// lists. Dense random fields a few relevance ranges (~573 m)
+        /// across put hundreds of pairs in the band where membership
+        /// hinges on the slow draw and its per-draw skip radius, so a
+        /// scan that read a smaller radius than the draw's own would
+        /// drop a relevant link.
+        #[test]
+        fn overflow_lists_track_moves_symmetrically(
+            seed in 0u64..100_000,
+            n in 12usize..40,
+            side in 900.0f64..2_600.0,
+            moves in proptest::collection::vec((0usize..64, 0.0f64..1.0, 0.0f64..1.0), 1..10),
+        ) {
+            let mut pos_rng = StdRng::seed_from_u64(seed ^ 0x0E4F_1011);
+            let positions = (0..n)
+                .map(|_| Position::new(pos_rng.gen_range(0.0..side), pos_rng.gen_range(0.0..side)))
+                .collect();
+            let mut m = Medium::with_quantization(
+                LogNormalShadowing::testbed(Dbm::new(0.0)),
+                positions,
+                true,
+                StdRng::seed_from_u64(seed),
+                MediumBackend::Culled,
+                Meters::new(DEFAULT_POSITION_QUANTUM_M),
+            );
+            let check = |m: &Medium, when: &str| {
+                for a in 0..n {
+                    let relevant = m.relevant_receivers(NodeId(a));
+                    let expected: Vec<NodeId> = relevant
+                        .into_iter()
+                        .filter(|&b| {
+                            m.position(NodeId(a)).distance_to(m.position(b)).value()
                                 > m.relevance_range().value()
-                            && m.relevant_receivers(NodeId(a)).contains(&NodeId(b))
-                    })
-                    .map(NodeId)
-                    .collect();
-                assert_eq!(
-                    m.overflow_peers(NodeId(a)),
-                    expected,
-                    "{when}: node {a} overflow list diverged from brute force"
-                );
+                        })
+                        .collect();
+                    assert_eq!(
+                        m.overflow_peers(NodeId(a)),
+                        expected,
+                        "seed {seed}, {when}: node {a} overflow list diverged from brute force"
+                    );
+                }
+            };
+            check(&m, "fresh");
+            // Movers land anywhere in (and a little beyond) the field:
+            // entries referencing them must appear and vanish
+            // symmetrically.
+            for (step, (idx, x, y)) in moves.into_iter().enumerate() {
+                let to = Position::new(1.4 * side * x - 0.2 * side, 1.4 * side * y - 0.2 * side);
+                m.set_position(NodeId(idx % n), to);
+                check(&m, &format!("after move {step}"));
             }
-        };
-        check(&m, "fresh");
-        // March a node from one end of the line to the other and out:
-        // entries referencing it must appear and vanish symmetrically.
-        for (step, x) in [1500.0, 400.0, 2600.0, 9000.0, 130.0]
-            .into_iter()
-            .enumerate()
-        {
-            m.set_position(NodeId(2), Position::new(x, 20.0));
-            check(&m, &format!("after move {step}"));
-            let mover = NodeId((step * 3 + 1) % n);
-            m.set_position(mover, Position::new(100.0 * step as f64, 333.0));
-            check(&m, &format!("after counter-move {step}"));
         }
     }
 

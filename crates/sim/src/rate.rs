@@ -30,6 +30,13 @@ pub enum RateController {
 }
 
 impl RateController {
+    /// Whether the controller reads node positions. Only the
+    /// [`RateController::IdealSinr`] genie does, so only it needs the
+    /// true-position table and its updates on every move.
+    pub fn reads_positions(&self) -> bool {
+        matches!(self, RateController::IdealSinr { .. })
+    }
+
     /// The rate for a transmission from `src` to `dst`, optionally
     /// accounting for a concurrent interferer at `interferer` (CO-MAP
     /// exposed-terminal transmissions know who else is on the air).

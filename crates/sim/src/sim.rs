@@ -34,6 +34,9 @@ pub struct Simulator {
     /// nodes' neighbor tables would be this one table; the protocols
     /// read it through [`MacCtx::directory`].
     directory: NeighborTable<NodeId>,
+    /// Per node, the sources of the flows toward it: the only MACs that
+    /// cache an adapted setting derived from its position.
+    senders_to: Vec<Vec<NodeId>>,
     flow_gen: Vec<u64>,
     resp_gen: Vec<u64>,
     report: SimReport,
@@ -103,9 +106,18 @@ impl Simulator {
             directory.insert(NodeId(i), pos);
         }
 
+        // Each MAC holds its own copy of the true positions, but only
+        // for a rate genie that reads them: a fixed rate gets an empty
+        // table, and moves skip the fan-out.
+        let genie_positions = if cfg.rate_controller.reads_positions() {
+            true_positions.clone()
+        } else {
+            Vec::new()
+        };
+
         let mut medium = Medium::with_quantization(
             cfg.protocol.channel,
-            true_positions.clone(),
+            true_positions,
             cfg.capture,
             medium_rng,
             cfg.backend,
@@ -135,7 +147,7 @@ impl Simulator {
                 phy: cfg.protocol.phy,
                 rate_ctl: cfg.rate_controller,
                 channel: cfg.protocol.channel,
-                true_positions: true_positions.clone(),
+                true_positions: genie_positions.clone(),
                 t_cs: cfg.protocol.t_cs,
                 backoff: cfg.backoff,
                 payload_bytes: cfg.nodes[i].payload.unwrap_or(cfg.payload_bytes),
@@ -167,6 +179,11 @@ impl Simulator {
             }
         }
 
+        let mut senders_to = vec![Vec::new(); n];
+        for flow in &cfg.flows {
+            senders_to[flow.dst.0].push(flow.src);
+        }
+
         let move_seed = cfg.seed ^ 0xBB67_AE85_84CA_A73B;
         Simulator {
             cfg,
@@ -175,6 +192,7 @@ impl Simulator {
             now: SimTime::ZERO,
             macs,
             directory,
+            senders_to,
             flow_gen: vec![0; n],
             resp_gen: vec![0; n],
             report: SimReport::default(),
@@ -304,8 +322,13 @@ impl Simulator {
     /// Executes a scheduled movement: physics first, then the location
     /// service decides whether to broadcast. The APs disseminate a report
     /// to every node, as in the paper, so it is applied once, to the
-    /// position directory; when the directory accepts it, every other
-    /// MAC forgets what it derived from the mover's old position.
+    /// position directory. The protocols are not told: each
+    /// co-occurrence verdict carries its nodes' report counts in the
+    /// directory, which the acceptance bumps, so the verdicts involving
+    /// the mover go stale on their own. Only the MACs with a flow toward
+    /// the mover drop that flow's adapted setting, and only a rate
+    /// genie, which reads true positions, needs the move fanned out to
+    /// every MAC.
     fn apply_move(&mut self, node: NodeId, step: usize) {
         let mv = self.cfg.nodes[node.0].moves[step];
         self.medium.set_position(node, mv.to);
@@ -319,12 +342,15 @@ impl Simulator {
         let fix = truth.with_error(self.cfg.position_error, &mut noise);
         let report = self.macs[node.0].on_moved(mv.to, fix);
         self.report.position_reports += u64::from(report.is_some());
-        let accepted = report.is_some_and(|pos| self.directory.update(node, pos));
-        for (i, mac) in self.macs.iter_mut().enumerate() {
-            if i != node.0 {
-                mac.on_neighbor_moved(node, mv.to);
-                if accepted {
-                    mac.forget_neighbor(node);
+        if report.is_some_and(|pos| self.directory.update(node, pos)) {
+            for &src in &self.senders_to[node.0] {
+                self.macs[src.0].drop_setting_toward(node);
+            }
+        }
+        if self.cfg.rate_controller.reads_positions() {
+            for (i, mac) in self.macs.iter_mut().enumerate() {
+                if i != node.0 {
+                    mac.on_neighbor_moved(node, mv.to);
                 }
             }
         }

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nCo-occurrence map of C11:");
-    for (link, receivers) in c11.cooccurrence().iter() {
+    for (link, receivers) in c11.cooccurrence().iter(c11.neighbors()) {
         println!(
             "  while {} → {} is on the air: may transmit to {receivers:?}",
             link.0, link.1

@@ -38,8 +38,11 @@ cargo run --release -p comap-experiments --bin all -- --quick > /dev/null
 
 echo "==> examples: a standalone protocol (quickstart), a mobile simulation (mobility), a timeline (timeline)"
 cargo run --release --example quickstart > /dev/null
-cargo run --release --example mobility > /dev/null
 cargo run --release --example timeline > /dev/null
+
+echo "==> the mobility example prints its golden bytes (moves, report acceptance, cache invalidation end to end)"
+cargo run --release --example mobility > target/mobility_example.txt
+cmp target/mobility_example.txt tests/golden/mobility_example.txt
 
 echo "==> profiling smoke run (fig02 --quick --profile-json)"
 cargo run --release -p comap-experiments --bin fig02 -- --quick \

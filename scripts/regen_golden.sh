@@ -2,10 +2,12 @@
 # Regenerates the golden files under tests/golden/.
 #
 # Golden traces pin the byte-exact event stream of representative fig02
-# and fig08 runs, and fig02_quick_metrics.json pins the fig02 run's
-# metrics and latency section; CI diffs every build against them. Regeneration is a
-# deliberate act after an intentional behavior change, so this script
-# refuses to run unless REGEN_GOLDEN is already set in the environment:
+# and fig08 runs, fig02_quick_metrics.json pins the fig02 run's metrics
+# and latency section, and mobility_example.txt pins the stdout of the
+# `mobility` example (scripts/check.sh cmps it); CI diffs every build
+# against them. Regeneration is a deliberate act after an intentional
+# behavior change, so this script refuses to run unless REGEN_GOLDEN is
+# already set in the environment:
 #
 #     REGEN_GOLDEN=1 scripts/regen_golden.sh
 #
@@ -20,5 +22,6 @@ if [[ -z "${REGEN_GOLDEN:-}" ]]; then
 fi
 
 cargo test --test golden_traces -- --nocapture
+cargo run --release --example mobility > tests/golden/mobility_example.txt
 echo
 echo "golden files regenerated; review with: git diff tests/golden/"

@@ -83,13 +83,13 @@ fn mobility_threshold_gates_cache_invalidation() {
     let _ = p
         .concurrency_allowed(("independent", "far_src"), "myap")
         .unwrap();
-    assert_eq!(p.cooccurrence().len(), 1);
+    assert_eq!(p.cooccurrence().len(p.neighbors()), 1);
     // Sub-threshold jiggle keeps the cache.
     assert!(!p.on_position_report("independent", Position::new(121.0, 0.0)));
-    assert_eq!(p.cooccurrence().len(), 1);
+    assert_eq!(p.cooccurrence().len(p.neighbors()), 1);
     // A real move drops entries involving the mover.
     assert!(p.on_position_report("independent", Position::new(60.0, 0.0)));
-    assert_eq!(p.cooccurrence().len(), 0);
+    assert_eq!(p.cooccurrence().len(p.neighbors()), 0);
 }
 
 #[test]

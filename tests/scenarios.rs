@@ -3,10 +3,16 @@
 //! "reproduction smoke tests"; the full-scale numbers live in
 //! EXPERIMENTS.md.
 
+use std::num::NonZeroU32;
+use std::sync::{Arc, Mutex};
+
 use comap::experiments::topology::{et_testbed, fig9_topology, ht_testbed, validation_cell};
-use comap::mac::SimDuration;
-use comap::sim::config::MacFeatures;
-use comap::sim::Simulator;
+use comap::mac::{FrameKind, SimDuration, SimTime};
+use comap::radio::rates::Rate;
+use comap::radio::units::Db;
+use comap::radio::Position;
+use comap::sim::config::{MacFeatures, NodeSpec, SimConfig, Traffic};
+use comap::sim::{NodeId, Observer, RateController, SimEvent, Simulator};
 
 const DUR: SimDuration = SimDuration::from_millis(1500);
 
@@ -155,7 +161,7 @@ fn validation_cell_matches_model_without_hts() {
     let model = DcfModel::per_node_goodput(&ModelInput {
         phy: comap::mac::PhyTiming::dsss(),
         rate: comap::radio::rates::Rate::Mbps11,
-        cw: 63,
+        cw: NonZeroU32::new(63).unwrap(),
         contenders: 4,
         hidden: 0,
         payload_bytes: 1000,
@@ -178,4 +184,77 @@ fn simulation_is_deterministic_end_to_end() {
     let b = run();
     assert_eq!(a.links, b.links);
     assert_eq!(a.events, b.events);
+}
+
+/// Records the rate of every data frame the AP puts on the air, with
+/// its start time.
+struct DownlinkRates {
+    ap: NodeId,
+    seen: Arc<Mutex<Vec<(SimTime, Rate)>>>,
+}
+
+impl Observer for DownlinkRates {
+    fn on_event(&mut self, now: SimTime, event: &SimEvent) {
+        if let SimEvent::TxBegin {
+            src,
+            kind: FrameKind::Data,
+            rate,
+            ..
+        } = *event
+        {
+            if src == self.ap {
+                self.seen.lock().unwrap().push((now, rate));
+            }
+        }
+    }
+}
+
+#[test]
+fn genie_rate_follows_a_peer_that_walks_away() {
+    // The rate genie reads the true positions of both link ends. The AP
+    // never moves; its client walks from 5 m to 60 m half-way through,
+    // so only the move's fan-out to the AP's MAC can change the rate
+    // of the AP's downlink.
+    let margin = Db::new(4.0);
+    let (near, far) = (Position::new(5.0, 0.0), Position::new(60.0, 0.0));
+    let walk_at = SimDuration::from_millis(200);
+    let mut cfg = SimConfig::testbed(5);
+    cfg.rate_controller = RateController::IdealSinr { margin };
+    let ap = cfg.add_node(NodeSpec::ap("AP", Position::ORIGIN));
+    let client = cfg.add_node(NodeSpec::client("C", near).with_move(walk_at, far));
+    cfg.add_flow(ap, client, Traffic::Saturated);
+    let genie = |to: Position| {
+        cfg.rate_controller.select(
+            &cfg.protocol.channel,
+            cfg.protocol.phy.standard(),
+            Position::ORIGIN,
+            to,
+            None,
+        )
+    };
+    let (before, after) = (genie(near), genie(far));
+    assert!(
+        after.bits_per_second() < before.bits_per_second(),
+        "the walk must cost rate: {before:?} → {after:?}"
+    );
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulator::new(cfg);
+    sim.attach_sink(Box::new(DownlinkRates {
+        ap,
+        seen: Arc::clone(&seen),
+    }));
+    let _ = sim.run(SimDuration::from_millis(400));
+    let seen = seen.lock().unwrap();
+    let walked = SimTime::ZERO + walk_at;
+    let (early, late): (Vec<_>, Vec<_>) = seen.iter().partition(|&&(t, _)| t < walked);
+    assert!(!early.is_empty() && !late.is_empty(), "{seen:?}");
+    assert!(early.iter().all(|&&(_, r)| r == before), "{early:?}");
+    let stale = late.iter().filter(|&&&(_, r)| r != after).count();
+    assert_eq!(
+        stale,
+        0,
+        "{stale} of {} frames after the walk kept a rate other than {after:?}",
+        late.len()
+    );
 }
