@@ -12,33 +12,10 @@
 //!   the outputs as a determinism gate.
 
 use comap_experiments::instrument::{representative, Args, Flag};
-use comap_experiments::report::{mbps, Table};
 
 fn main() {
     let args = Args::from_env("fig_scale", &[Flag::Quick, Flag::ReportJson]);
-    let fig = comap_experiments::fig_scale::run(args.quick);
-    let mut t = Table::new(
-        "Scalability — spatial culling vs exhaustive medium (paper §VI campus)",
-        &[
-            "nodes",
-            "exhaustive (ms)",
-            "culled (ms)",
-            "speedup",
-            "identical",
-            "aggregate goodput",
-        ],
-    );
-    for p in &fig.points {
-        t.row(&[
-            format!("{}", p.n),
-            format!("{:.1}", p.exhaustive_ms),
-            format!("{:.1}", p.culled_ms),
-            format!("{:.2}x", p.speedup()),
-            format!("{}", p.identical),
-            mbps(p.aggregate_bps),
-        ]);
-    }
-    t.print();
+    print!("{}", comap_experiments::fig_scale::run(args.quick));
 
     let inst = &args.instrumentation;
     if args.report_json.is_some() || inst.any() {

@@ -4,6 +4,6 @@ use comap_experiments::instrument::{run_if_requested, Args};
 
 fn main() {
     let args = Args::from_env("table1", &[]);
-    comap_experiments::table1::build().print();
+    print!("{}", comap_experiments::table1::build());
     run_if_requested("table1", &args.instrumentation);
 }

@@ -4,9 +4,12 @@
 //! though both links could run concurrently is the exposed-terminal
 //! region the paper motivates CO-MAP with.
 
+use std::fmt;
+
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 
+use crate::report::{mbps, Table};
 use crate::runner::{seed_mean, sweep};
 use crate::topology::et_testbed;
 
@@ -70,43 +73,52 @@ pub fn run(quick: bool) -> Fig01 {
     Fig01 { points }
 }
 
-impl Fig01 {
-    /// Mean C1→AP1 goodput inside the exposed region (20–34 m).
-    pub fn exposed_region_mean(&self) -> f64 {
-        let pts: Vec<_> = self.points.iter().filter(|p| p.c2_x >= 20.0).collect();
-        pts.iter().map(|p| p.c1_goodput).sum::<f64>() / pts.len() as f64
-    }
-
-    /// Goodput at the far end of the sweep (C2 out of carrier sense).
-    #[expect(
-        clippy::expect_used,
-        reason = "the sweep constructor emits one point per C2 position"
-    )]
-    pub fn far_end(&self) -> f64 {
-        self.points.last().expect("non-empty sweep").c1_goodput
-    }
-
-    /// Goodput at the near end (C2 a genuine contender).
-    #[expect(
-        clippy::expect_used,
-        reason = "the sweep constructor emits one point per C2 position"
-    )]
-    pub fn near_end(&self) -> f64 {
-        self.points.first().expect("non-empty sweep").c1_goodput
+/// The sweep table and the near-end, exposed-region and far-end goodputs.
+impl fmt::Display for Fig01 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut t = Table::new(
+            "Fig. 1 — goodput of C1→AP1 under basic DCF vs C2 position",
+            &["C2 position (m from AP1)", "C1→AP1 (Mbps)", "C2→AP2 (Mbps)"],
+        );
+        for p in &self.points {
+            t.row(&[
+                format!("{:.0}", p.c2_x),
+                mbps(p.c1_goodput),
+                mbps(p.c2_goodput),
+            ]);
+        }
+        write!(f, "{t}")?;
+        // C1's goodput at either end of the sweep, and its mean over the
+        // exposed region (C2 at 20–34 m).
+        let c1 = |p: Option<&Point>| mbps(p.map_or(f64::NAN, |p| p.c1_goodput));
+        let exposed: Vec<f64> = self
+            .points
+            .iter()
+            .filter(|p| p.c2_x >= 20.0)
+            .map(|p| p.c1_goodput)
+            .collect();
+        writeln!(
+            f,
+            "near end: {} Mbps, exposed-region mean: {} Mbps, far end: {} Mbps",
+            c1(self.points.first()),
+            mbps(exposed.iter().sum::<f64>() / exposed.len() as f64),
+            c1(self.points.last())
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::debug_digest;
+    use crate::runner::{debug_digest, digest};
 
     #[test]
     fn deferral_recovers_with_distance() {
         let fig = run(true);
         // Pins every f64 of the quick figure, so the sweep's fold order
-        // cannot drift unnoticed.
+        // cannot drift unnoticed, and the text `--bin fig01 --quick` prints.
         assert_eq!(debug_digest(&fig), "f45d21dce66d4f87");
+        assert_eq!(digest(&fig.to_string()), "1af55a1ba69b0754");
         assert_eq!(fig.points.len(), 12);
         // Single-link goodput at one seed is dominated by the shadowing
         // realization (multi-seed averages put C1's far/near ratio near

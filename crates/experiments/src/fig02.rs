@@ -1,12 +1,17 @@
 //! **Fig. 2** — hidden-terminal motivation: goodput of the C1→AP1 link
-//! under basic DCF as the payload size varies, with and without one
-//! hidden terminal. Without the HT, bigger frames amortize overhead
-//! monotonically; with it, the collision probability grows with airtime
-//! and a moderate size wins.
+//! under basic DCF as the payload size varies, with no, one and three
+//! hidden terminals. Without HTs, bigger frames amortize overhead
+//! monotonically; with them, the collision probability grows with
+//! airtime, so big frames lose relatively more (the paper finds a
+//! moderate size wins; here only three HTs move the optimum below the
+//! largest size, see EXPERIMENTS.md).
+
+use std::fmt;
 
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 
+use crate::report::{mbps, Table};
 use crate::runner::{seed_mean, sweep};
 use crate::topology::ht_testbed;
 
@@ -86,60 +91,61 @@ pub fn run(quick: bool) -> Fig02 {
 }
 
 impl Fig02 {
-    /// The payload size maximizing goodput with one HT.
-    #[expect(
-        clippy::expect_used,
-        reason = "the sweep emits one point per payload size"
-    )]
-    pub fn best_payload_with_ht(&self) -> u32 {
+    /// The payload size maximizing the goodput curve `curve` reads.
+    fn best_payload(&self, curve: fn(&Point) -> f64) -> u32 {
         self.points
             .iter()
-            .max_by(|a, b| a.one_ht.total_cmp(&b.one_ht))
-            .expect("non-empty")
-            .payload
+            .max_by(|a, b| curve(a).total_cmp(&curve(b)))
+            .map_or(0, |p| p.payload)
     }
+}
 
-    /// The payload size maximizing goodput with three HTs.
-    #[expect(
-        clippy::expect_used,
-        reason = "the sweep emits one point per payload size"
-    )]
-    pub fn best_payload_with_three_hts(&self) -> u32 {
-        self.points
-            .iter()
-            .max_by(|a, b| a.three_ht.total_cmp(&b.three_ht))
-            .expect("non-empty")
-            .payload
-    }
-
-    /// The payload size maximizing goodput without HTs.
-    #[expect(
-        clippy::expect_used,
-        reason = "the sweep emits one point per payload size"
-    )]
-    pub fn best_payload_without_ht(&self) -> u32 {
-        self.points
-            .iter()
-            .max_by(|a, b| a.no_ht.total_cmp(&b.no_ht))
-            .expect("non-empty")
-            .payload
+/// The payload sweep table and the best payload of each curve.
+impl fmt::Display for Fig02 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut t = Table::new(
+            "Fig. 2 — goodput of C1→AP1 vs payload size",
+            &[
+                "Payload (B)",
+                "N_ht = 0 (Mbps)",
+                "N_ht = 1 (Mbps)",
+                "N_ht = 3 (Mbps)",
+            ],
+        );
+        for p in &self.points {
+            t.row(&[
+                p.payload.to_string(),
+                mbps(p.no_ht),
+                mbps(p.one_ht),
+                mbps(p.three_ht),
+            ]);
+        }
+        write!(f, "{t}")?;
+        writeln!(
+            f,
+            "best payload: {} B without HT, {} B with one HT, {} B with three HTs",
+            self.best_payload(|p| p.no_ht),
+            self.best_payload(|p| p.one_ht),
+            self.best_payload(|p| p.three_ht)
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::debug_digest;
+    use crate::runner::{debug_digest, digest};
 
     #[test]
     fn clean_channel_prefers_big_frames_and_ht_hurts() {
         let fig = run(true);
         // Pins every f64 of the quick figure, so the sweep's fold order
-        // cannot drift unnoticed.
+        // cannot drift unnoticed, and the text `--bin fig02 --quick` prints.
         assert_eq!(debug_digest(&fig), "589ce2eea7ba2150");
+        assert_eq!(digest(&fig.to_string()), "7e9720fc58f26ad2");
         // Without a hidden terminal the biggest payload should be at or
         // near the optimum.
-        assert!(fig.best_payload_without_ht() >= 1800, "{fig:?}");
+        assert!(fig.best_payload(|p| p.no_ht) >= 1800, "{fig:?}");
         // The hidden terminal costs real goodput at large payloads.
         let last = fig.points.last().unwrap();
         assert!(last.one_ht < 0.8 * last.no_ht, "{last:?}");

@@ -7,27 +7,29 @@
 //! saturated contenders with a constant window, hidden interferers that
 //! sense nobody, a σ = 0 channel.
 
+use std::fmt;
 use std::num::NonZeroU32;
 
 use comap_core::model::{DcfModel, ModelInput};
 use comap_mac::time::SimDuration;
 use comap_radio::rates::Rate;
 
+use crate::report::{mbps, Table};
 use crate::runner::{seed_mean, sweep};
 use crate::topology::validation_cell;
 
 /// Number of stations in the contending cell.
-pub const CELL_SIZE: usize = 5;
+const CELL_SIZE: usize = 5;
 
 /// The contention windows of the paper's panels.
-pub const WINDOWS: [NonZeroU32; 3] = [
+const WINDOWS: [NonZeroU32; 3] = [
     NonZeroU32::new(63).unwrap(),
     NonZeroU32::new(255).unwrap(),
     NonZeroU32::new(1023).unwrap(),
 ];
 
 /// The hidden-terminal counts of the paper's panels.
-pub const HT_COUNTS: [usize; 3] = [0, 3, 5];
+const HT_COUNTS: [usize; 3] = [0, 3, 5];
 
 /// One (W, h, payload) evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,7 +116,7 @@ pub fn run(quick: bool) -> Fig07 {
 
 impl Fig07 {
     /// Points of one panel, ordered by payload.
-    pub fn panel(&self, w: u32, n_ht: usize) -> Vec<Point> {
+    fn panel(&self, w: u32, n_ht: usize) -> Vec<Point> {
         self.points
             .iter()
             .filter(|p| p.w == w && p.n_ht == n_ht)
@@ -124,7 +126,7 @@ impl Fig07 {
 
     /// Mean relative model-vs-sim error over points where either side is
     /// non-negligible.
-    pub fn mean_relative_error(&self) -> f64 {
+    fn mean_relative_error(&self) -> f64 {
         let mut total = 0.0;
         let mut n = 0usize;
         for p in &self.points {
@@ -142,17 +144,57 @@ impl Fig07 {
     }
 }
 
+/// One table per hidden-terminal count, model and simulation side by
+/// side for each window, then the mean relative error.
+impl fmt::Display for Fig07 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for &n_ht in &HT_COUNTS {
+            let mut t = Table::new(
+                format!("Fig. 7 — {n_ht} hidden terminal(s): per-node goodput (Mbps)"),
+                &[
+                    "Payload (B)",
+                    "W=63 model",
+                    "W=63 sim",
+                    "W=255 model",
+                    "W=255 sim",
+                    "W=1023 model",
+                    "W=1023 sim",
+                ],
+            );
+            let panels: Vec<_> = WINDOWS.iter().map(|&w| self.panel(w.get(), n_ht)).collect();
+            for ((p63, p255), p1023) in panels[0].iter().zip(&panels[1]).zip(&panels[2]) {
+                t.row(&[
+                    p63.payload.to_string(),
+                    mbps(p63.model),
+                    mbps(p63.sim),
+                    mbps(p255.model),
+                    mbps(p255.sim),
+                    mbps(p1023.model),
+                    mbps(p1023.sim),
+                ]);
+            }
+            write!(f, "{t}")?;
+        }
+        writeln!(
+            f,
+            "mean relative model-vs-sim error: {:.1}%",
+            self.mean_relative_error() * 100.0
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::debug_digest;
+    use crate::runner::{debug_digest, digest};
 
     #[test]
     fn model_tracks_simulation_shape() {
         let fig = run(true);
         // Pins every f64 of the quick figure, so the sweep's fold order
-        // cannot drift unnoticed.
+        // cannot drift unnoticed, and the text `--bin fig07 --quick` prints.
         assert_eq!(debug_digest(&fig), "9f919a9094f24a76");
+        assert_eq!(digest(&fig.to_string()), "9469570fa2d7afed");
         // Without HTs, model and sim must agree well at every window.
         for &w in &WINDOWS {
             for p in fig.panel(w.get(), 0) {

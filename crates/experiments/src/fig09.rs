@@ -3,10 +3,13 @@
 //! The paper reports a 38.5 % mean goodput gain from packet-size
 //! adaptation.
 
+use std::fmt;
+
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 
-use crate::runner::{empirical_cdf, seed_mean, sweep, Cdf};
+use crate::report::{mbps, Table};
+use crate::runner::{empirical_cdf, seed_mean, sweep};
 use crate::topology::fig9_topology;
 
 /// Per-topology outcome.
@@ -68,35 +71,50 @@ pub fn run(quick: bool) -> Fig09 {
 }
 
 impl Fig09 {
-    /// CDF of DCF goodputs across topologies.
-    pub fn dcf_cdf(&self) -> Cdf {
-        empirical_cdf(self.points.iter().map(|p| p.dcf).collect())
-    }
-
-    /// CDF of CO-MAP goodputs across topologies.
-    pub fn comap_cdf(&self) -> Cdf {
-        empirical_cdf(self.points.iter().map(|p| p.comap).collect())
-    }
-
     /// Mean goodput gain across topologies.
-    pub fn mean_gain(&self) -> f64 {
+    fn mean_gain(&self) -> f64 {
         let dcf: f64 = self.points.iter().map(|p| p.dcf).sum();
         let comap: f64 = self.points.iter().map(|p| p.comap).sum();
         comap / dcf - 1.0
     }
 }
 
+/// The per-topology table, then both CDF medians and the mean gain.
+impl fmt::Display for Fig09 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut t = Table::new(
+            "Fig. 9 — C1→AP1 goodput per topology",
+            &["Topology", "DCF (Mbps)", "CO-MAP (Mbps)"],
+        );
+        for p in &self.points {
+            t.row(&[p.index.to_string(), mbps(p.dcf), mbps(p.comap)]);
+        }
+        write!(f, "{t}")?;
+        let median = |goodput: fn(&Point) -> f64| {
+            mbps(empirical_cdf(self.points.iter().map(goodput).collect()).quantile(0.5))
+        };
+        writeln!(
+            f,
+            "CDF medians: DCF {} Mbps, CO-MAP {} Mbps; mean gain {:+.1}% (paper: +38.5%)",
+            median(|p| p.dcf),
+            median(|p| p.comap),
+            self.mean_gain() * 100.0
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::debug_digest;
+    use crate::runner::{debug_digest, digest};
 
     #[test]
     fn comap_improves_ht_topologies() {
         let fig = run(true);
         // Pins every f64 of the quick figure, so the sweep's fold order
-        // cannot drift unnoticed.
+        // cannot drift unnoticed, and the text `--bin fig09 --quick` prints.
         assert_eq!(debug_digest(&fig), "70d0e698045bc91c");
+        assert_eq!(digest(&fig.to_string()), "ff29ad7c7d0c8553");
         assert!(
             fig.mean_gain() > 0.1,
             "mean gain = {:.3}, points: {:?}",

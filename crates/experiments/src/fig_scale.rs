@@ -5,12 +5,14 @@
 //! are bit-identical, and reports the wall-clock speedup of spatial
 //! culling.
 
+use std::fmt;
 use std::time::Instant;
 
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
 use comap_sim::{MediumBackend, SimReport, Simulator};
 
+use crate::report::{mbps, Table};
 use crate::topology::scale_campus;
 
 /// One sweep size.
@@ -32,7 +34,7 @@ pub struct Point {
 
 impl Point {
     /// Exhaustive-over-culled wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         if self.culled_ms <= 0.0 {
             return 0.0;
         }
@@ -112,4 +114,33 @@ pub fn run(quick: bool) -> FigScale {
         })
         .collect();
     FigScale { points }
+}
+
+/// The per-size table of both backends' wall-clock times, the speedup,
+/// the identity check and the aggregate goodput.
+impl fmt::Display for FigScale {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut t = Table::new(
+            "Scalability — spatial culling vs exhaustive medium (paper §VI campus)",
+            &[
+                "nodes",
+                "exhaustive (ms)",
+                "culled (ms)",
+                "speedup",
+                "identical",
+                "aggregate goodput",
+            ],
+        );
+        for p in &self.points {
+            t.row(&[
+                format!("{}", p.n),
+                format!("{:.1}", p.exhaustive_ms),
+                format!("{:.1}", p.culled_ms),
+                format!("{:.2}x", p.speedup()),
+                format!("{}", p.identical),
+                mbps(p.aggregate_bps),
+            ]);
+        }
+        write!(f, "{t}")
+    }
 }

@@ -1,10 +1,13 @@
 //! # comap-experiments — regenerating the paper's evaluation
 //!
 //! One module per figure/table of the paper, each exposing a `run`
-//! function that produces the figure's data series, plus a binary of the
-//! same name that prints them (`cargo run --release -p comap-experiments
-//! --bin fig08`). The experiment index lives in `DESIGN.md`; measured
-//! results against the paper's numbers live in `EXPERIMENTS.md`.
+//! function that produces the figure's data and a `Display` that prints
+//! it: the tables and summary lines of the binary of the same name
+//! (`cargo run --release -p comap-experiments --bin fig08`). The `all`
+//! binary prints the same text for every experiment, and its full-mode
+//! stdout is checked in as `results/figures.txt`. The experiment index
+//! lives in `DESIGN.md`; measured results against the paper's numbers
+//! live in `EXPERIMENTS.md`.
 //!
 //! All experiments accept a `quick` flag that shrinks durations and seed
 //! counts so the whole suite stays runnable in CI and in the benchmark.
@@ -36,7 +39,8 @@ pub mod fig09;
 pub mod fig10;
 pub mod fig_scale;
 pub mod instrument;
-pub mod report;
+mod report;
+pub mod rtscts;
 pub mod runner;
 pub mod table1;
 pub mod topology;

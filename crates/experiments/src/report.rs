@@ -1,12 +1,12 @@
 //! Plain-text rendering of experiment results: aligned tables for the
 //! terminal.
 
-use std::fmt::Write as _;
+use std::fmt;
 
-/// A simple column-aligned table with a title, used by every experiment
-/// binary to print the paper-figure data series.
+/// A simple column-aligned table with a title, used by every figure's
+/// `Display` to print its data series.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -14,7 +14,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -22,54 +22,47 @@ impl Table {
         }
     }
 
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count does not match the header count.
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
+    /// Appends a row of one cell per header.
+    pub(crate) fn row(&mut self, cells: &[String]) {
+        debug_assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
     }
+}
 
-    /// Renders the aligned table.
-    pub fn render(&self) -> String {
+/// The aligned table: a `== title ==` line, the right-aligned headers, a
+/// rule, then the rows.
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
                 *w = (*w).max(cell.len());
             }
         }
-        let mut out = String::new();
-        let _ = writeln!(out, "== {} ==", self.title);
-        let line = |cells: &[String], widths: &[usize]| -> String {
+        let line = |cells: &[String]| -> String {
             cells
                 .iter()
-                .zip(widths)
+                .zip(&widths)
                 .map(|(c, w)| format!("{c:>w$}", w = w))
                 .collect::<Vec<_>>()
                 .join("  ")
         };
-        let _ = writeln!(out, "{}", line(&self.headers, &widths));
-        let _ = writeln!(
-            out,
+        writeln!(f, "== {} ==", self.title)?;
+        writeln!(f, "{}", line(&self.headers))?;
+        writeln!(
+            f,
             "{}",
             "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-        );
+        )?;
         for row in &self.rows {
-            let _ = writeln!(out, "{}", line(row, &widths));
+            writeln!(f, "{}", line(row))?;
         }
-        out
-    }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
+        Ok(())
     }
 }
 
 /// Formats bits/s as Mbps with two decimals.
-pub fn mbps(bps: f64) -> String {
+pub(crate) fn mbps(bps: f64) -> String {
     format!("{:.2}", bps / 1e6)
 }
 
@@ -82,13 +75,14 @@ mod tests {
         let mut t = Table::new("demo", &["x", "goodput"]);
         t.row(&["1".into(), "5.00".into()]);
         t.row(&["20".into(), "10.25".into()]);
-        let s = t.render();
+        let s = t.to_string();
         assert!(s.contains("== demo =="));
         assert!(s.contains("goodput"));
         assert!(s.lines().count() >= 5);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "width mismatch")]
     fn wrong_width_panics() {
         let mut t = Table::new("demo", &["a", "b"]);

@@ -137,17 +137,22 @@ pub fn empirical_cdf(mut samples: Vec<f64>) -> Cdf {
     Cdf { sorted: samples }
 }
 
-/// FNV-1a (64 bit) of a value's `Debug` text, as 16 hex digits: the
-/// figure tests pin their quick-mode output with it, so any change to a
-/// single `f64` of a figure fails them.
+/// FNV-1a (64 bit) of `text`, as 16 hex digits: the figure tests pin
+/// their quick-mode printed form with it.
+#[cfg(test)]
+pub(crate) fn digest(text: &str) -> String {
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
+
+/// [`digest`] of a value's `Debug` text: the figure tests pin their
+/// quick-mode output with it, so any change to a single `f64` of a
+/// figure fails them.
 #[cfg(test)]
 pub(crate) fn debug_digest(value: &impl std::fmt::Debug) -> String {
-    let hash = format!("{value:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-    format!("{hash:016x}")
+    digest(&format!("{value:?}"))
 }
 
 #[cfg(test)]

@@ -3,12 +3,14 @@
 //! constants of [`comap_core::config`], so the table and the code can
 //! never drift apart.
 
+use std::fmt;
+
 use comap_core::config::{ProtocolConfig, HT_MISS_PROBABILITY, T_PRR};
 
 use crate::report::Table;
 
-/// Renders Table I from the preset.
-pub fn build() -> Table {
+/// Table I from the preset, printed as an aligned table.
+pub fn build() -> impl fmt::Display {
     let cfg = ProtocolConfig::large_scale();
     let mut t = Table::new(
         "Table I — parameter settings for the large-scale simulations",
@@ -57,7 +59,7 @@ mod tests {
 
     #[test]
     fn table_matches_paper_values() {
-        let rendered = build().render();
+        let rendered = build().to_string();
         for needle in [
             "6 Mbps",
             "20.00 dBm",

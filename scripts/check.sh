@@ -4,8 +4,9 @@
 #
 # Runs formatting, lints, and the tier-1 verification suite
 # (`cargo build --release && cargo test -q`), then the simbench smoke
-# test, every figure driver, the examples, the CLI exit-code checks, the
-# fig_scale report byte-diff and the bench_diff gate. The workspace vendors all
+# test, every experiment's full run against results/figures.txt, the
+# examples, the CLI exit-code checks, the fig_scale report byte-diff
+# and the bench_diff gate. The workspace vendors all
 # dependencies under vendor/, so the whole script must work with no
 # network access — CARGO_NET_OFFLINE keeps cargo from ever trying the
 # registry, which in sandboxed CI would otherwise hang or fail.
@@ -33,8 +34,11 @@ cargo test -q
 echo "==> simbench smoke test (its own workspace, not in tier-1)"
 cargo test -q --manifest-path simbench/Cargo.toml
 
-echo "==> every figure driver through the sweep pool (all --quick, release)"
-cargo run --release -p comap-experiments --bin all -- --quick > /dev/null
+echo "==> every experiment prints its checked-in text (all, full mode, vs results/figures.txt)"
+# EXPERIMENTS.md quotes this file and a tier-1 test holds it to it, so
+# the cmp ties the documented numbers to the code.
+cargo run --release -p comap-experiments --bin all > target/figures.txt
+cmp target/figures.txt results/figures.txt
 
 echo "==> examples: a standalone protocol (quickstart), a mobile simulation (mobility), a timeline (timeline)"
 cargo run --release --example quickstart > /dev/null

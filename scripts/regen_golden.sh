@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Regenerates the golden files under tests/golden/.
+# Regenerates the golden files under tests/golden/ and
+# results/figures.txt.
 #
 # Golden traces pin the byte-exact event stream of representative fig02
 # and fig08 runs, fig02_quick_metrics.json pins the fig02 run's metrics
 # and latency section, and mobility_example.txt pins the stdout of the
-# `mobility` example (scripts/check.sh cmps it); CI diffs every build
+# `mobility` example and results/figures.txt the stdout of the full-mode
+# `all` binary (scripts/check.sh cmps both); CI diffs every build
 # against them. Regeneration is a deliberate act after an intentional
 # behavior change, so this script refuses to run unless REGEN_GOLDEN is
 # already set in the environment:
@@ -23,5 +25,6 @@ fi
 
 cargo test --test golden_traces -- --nocapture
 cargo run --release --example mobility > tests/golden/mobility_example.txt
+cargo run --release -p comap-experiments --bin all > results/figures.txt
 echo
-echo "golden files regenerated; review with: git diff tests/golden/"
+echo "golden files regenerated; review with: git diff tests/golden/ results/figures.txt"
