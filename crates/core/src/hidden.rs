@@ -13,11 +13,16 @@
 //! share the channel through CSMA rather than colliding blindly. Both
 //! counts feed the analytical model's `(h, c)` lookup.
 //!
-//! The census is neighbourhood-local: eq. (3) PRR rises monotonically
-//! with the interferer's distance to `R` and eq. (4) miss probability
-//! with the sense distance to `S`, so a neighbor beyond both closed-form
-//! ranges is `Independent` without evaluating either `erf` (DESIGN.md
-//! §12).
+//! The census decides by distance wherever it can: eq. (3) PRR rises
+//! monotonically with the interferer's distance to `R` and eq. (4) miss
+//! probability with the sense distance to `S`, so each condition holds
+//! exactly inside a closed-form range. A neighbor more than a 5 % margin
+//! outside a range surely fails its condition, and one more than 5 %
+//! inside surely meets it; only a neighbor in the thin band between
+//! costs an `erf` (DESIGN.md §12). The inner side matters for long
+//! links: a roamer far from its AP has an interference range that
+//! covers most of a campus, and on the 1000-node campus such links were
+//! a tenth of all censuses but 84 % of the census time.
 
 use comap_radio::prr::ReceptionModel;
 use comap_radio::units::{Dbm, Meters};
@@ -62,10 +67,11 @@ impl<A> HtCensus<A> {
     }
 }
 
-/// Relative widening of both pre-filter radii. A 5 % longer distance
-/// moves eq. (3) and eq. (4) by `10 α log₁₀ 1.05 ≈ 0.2 α` dB — orders of
-/// magnitude above the `erf` and Newton-quantile rounding, so rounding
-/// can never flip a neighbor the pre-filter skips.
+/// Relative half-width of the band around each closed-form range. A 5 %
+/// longer or shorter distance moves eq. (3) and eq. (4) by
+/// `10 α log₁₀ 1.05 ≈ 0.2 α` dB — orders of magnitude above the `erf` and
+/// Newton-quantile rounding, so rounding can never flip a neighbor the
+/// census decides by distance alone.
 const PREFILTER_MARGIN: f64 = 1.05;
 
 /// Census engine applying the thresholds of Section IV-D1
@@ -74,34 +80,73 @@ const PREFILTER_MARGIN: f64 = 1.05;
 pub struct HtCensusEngine {
     reception: ReceptionModel,
     t_cs: Dbm,
-    /// `k` with `interference_range(d) = max(d, d₀)·k`, widened by
-    /// [`PREFILTER_MARGIN`].
-    interference_factor: f64,
-    /// The 90 %-miss carrier-sense range, widened by [`PREFILTER_MARGIN`].
-    cs_radius: f64,
+    /// The band around `k`, where `interference_range(d) = max(d, d₀)·k`.
+    interference_factor: Band,
+    /// The band around the 90 %-miss carrier-sense range.
+    cs_radius: Band,
+}
+
+/// A closed-form range narrowed and widened by [`PREFILTER_MARGIN`]: a
+/// clamped distance below `inner` surely meets the range's condition, one
+/// beyond `outer` surely fails it, and only the band between needs the
+/// `erf`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Band {
+    inner: f64,
+    outer: f64,
+}
+
+impl Band {
+    /// The band around `exact`. A degenerate channel can make a range
+    /// infinite or NaN. Either turns both sure zones off (`inner = 0`,
+    /// `outer = ∞`), so every neighbor takes the full path.
+    fn around(exact: f64) -> Band {
+        if exact.is_finite() {
+            Band {
+                inner: exact / PREFILTER_MARGIN,
+                outer: PREFILTER_MARGIN * exact,
+            }
+        } else {
+            Band {
+                inner: 0.0,
+                outer: f64::INFINITY,
+            }
+        }
+    }
+
+    /// Both edges scaled by `factor`, then squared.
+    fn scaled_sq(self, factor: f64) -> Band {
+        let (inner, outer) = (self.inner * factor, self.outer * factor);
+        Band {
+            inner: inner * inner,
+            outer: outer * outer,
+        }
+    }
+
+    /// Decides the range's condition from a squared distance when it lies
+    /// outside the (squared) band, and leaves it to the caller inside.
+    fn decide(self, dist_sq: f64) -> Option<bool> {
+        if dist_sq > self.outer {
+            Some(false)
+        } else if dist_sq < self.inner {
+            Some(true)
+        } else {
+            None
+        }
+    }
 }
 
 impl HtCensusEngine {
     /// Creates a census engine for carrier-sense threshold `t_cs`.
     pub fn new(reception: ReceptionModel, t_cs: Dbm) -> Self {
-        // A degenerate channel can make a range infinite or NaN. Either
-        // becomes an infinite radius, which fails every pre-filter
-        // comparison, so all neighbors then take the full path.
-        let widen = |x: f64| {
-            if x.is_finite() {
-                PREFILTER_MARGIN * x
-            } else {
-                f64::INFINITY
-            }
-        };
         let d0 = reception.channel().reference_distance();
         HtCensusEngine {
             reception,
             t_cs,
-            interference_factor: widen(
+            interference_factor: Band::around(
                 reception.interference_range(d0, CENSUS_INTERFERENCE_PRR) / d0,
             ),
-            cs_radius: widen(
+            cs_radius: Band::around(
                 reception
                     .cs_range_for_miss_probability(t_cs, HT_MISS_PROBABILITY)
                     .value(),
@@ -114,30 +159,44 @@ impl HtCensusEngine {
     /// from the receiver *and* farther than the second from the sender is
     /// `Independent`, and the census records it so without evaluating
     /// eq. (3) or eq. (4). Both radii lie a fixed margin outside the
-    /// closed-form ranges they bound. An infinite radius (a degenerate
-    /// channel) disables the pre-filter: every neighbor is classified.
+    /// closed-form ranges they bound. The same margin inside each range
+    /// gives its sure zone, of radius `exact² / prefilter`: a neighbor
+    /// there surely interferes, or surely senses the sender, again with
+    /// no `erf`. An infinite radius (a degenerate channel) disables both
+    /// sides of its band: every neighbor is classified.
     pub fn prefilter_radii(&self, link_length: Meters) -> (Meters, Meters) {
         let d0 = self.reception.channel().reference_distance();
         (
-            link_length.max(d0) * self.interference_factor,
-            Meters::new(self.cs_radius),
+            link_length.max(d0) * self.interference_factor.outer,
+            Meters::new(self.cs_radius.outer),
         )
     }
 
-    /// Classifies a single neighbor with respect to the link `s → r`.
+    /// Classifies a single neighbor with respect to the link `s → r`: the
+    /// composition of [`Self::interferes`] and [`Self::senses`], and the
+    /// brute-force reference of the census.
     pub fn classify(&self, s: Position, r: Position, neighbor: Position) -> NeighborClass {
-        let d = s.distance_to(r);
-        let eps = self.reception.channel().reference_distance();
-        let interferer_dist = neighbor.distance_to(r).max(eps);
-        let interferes = self.reception.prr(d, interferer_dist) < CENSUS_INTERFERENCE_PRR;
-        let sense_dist = neighbor.distance_to(s).max(eps);
-        let senses =
-            self.reception.cs_miss_probability(sense_dist, self.t_cs) <= HT_MISS_PROBABILITY;
-        match (interferes, senses) {
+        match (self.interferes(s, r, neighbor), self.senses(s, neighbor)) {
             (true, false) => NeighborClass::Hidden,
             (_, true) => NeighborClass::Contender,
             (false, false) => NeighborClass::Independent,
         }
+    }
+
+    /// Eq. (3): a concurrent transmission from `neighbor` drives the PRR
+    /// of the link `s → r` below [`CENSUS_INTERFERENCE_PRR`].
+    fn interferes(&self, s: Position, r: Position, neighbor: Position) -> bool {
+        let eps = self.reception.channel().reference_distance();
+        let interferer_dist = neighbor.distance_to(r).max(eps);
+        self.reception.prr(s.distance_to(r), interferer_dist) < CENSUS_INTERFERENCE_PRR
+    }
+
+    /// Eq. (4): `neighbor` misses the carrier of `s` with probability at
+    /// most [`HT_MISS_PROBABILITY`].
+    fn senses(&self, s: Position, neighbor: Position) -> bool {
+        let eps = self.reception.channel().reference_distance();
+        let sense_dist = neighbor.distance_to(s).max(eps);
+        self.reception.cs_miss_probability(sense_dist, self.t_cs) <= HT_MISS_PROBABILITY
     }
 
     /// Runs the census of the link `s → r` over a neighbor table,
@@ -184,7 +243,11 @@ impl HtCensusEngine {
 
     /// The census loop: classifies every neighbor except the link's
     /// endpoints, in address order, and hands each verdict to `visit`.
-    /// Neighbors outside both pre-filter radii skip [`Self::classify`].
+    /// Each condition is decided by the neighbor's clamped squared
+    /// distance unless that distance lies in the condition's band; only
+    /// then is eq. (4) [`Self::senses`] or eq. (3) [`Self::interferes`]
+    /// evaluated. Sensing is decided first: a neighbor that senses the
+    /// sender is a `Contender` whether or not it interferes.
     fn each_class<A: Addr>(
         &self,
         table: &NeighborTable<A>,
@@ -194,18 +257,29 @@ impl HtCensusEngine {
         r: Position,
         mut visit: impl FnMut(A, NeighborClass),
     ) {
-        let (interference, cs) = self.prefilter_radii(s.distance_to(r));
-        let interference_sq = interference.value() * interference.value();
-        let cs_sq = cs.value() * cs.value();
+        let d0 = self.reception.channel().reference_distance().value();
+        let d0_sq = d0 * d0;
+        let interference = self
+            .interference_factor
+            .scaled_sq(s.distance_to(r).value().max(d0));
+        let cs = self.cs_radius.scaled_sq(1.0);
         for (addr, entry) in table.iter() {
             if addr == s_addr || addr == r_addr {
                 continue;
             }
             let n = entry.position;
-            let class = if distance_sq(n, r) > interference_sq && distance_sq(n, s) > cs_sq {
-                NeighborClass::Independent
+            let senses = cs
+                .decide(distance_sq(n, s).max(d0_sq))
+                .unwrap_or_else(|| self.senses(s, n));
+            let class = if senses {
+                NeighborClass::Contender
+            } else if interference
+                .decide(distance_sq(n, r).max(d0_sq))
+                .unwrap_or_else(|| self.interferes(s, r, n))
+            {
+                NeighborClass::Hidden
             } else {
-                self.classify(s, r, n)
+                NeighborClass::Independent
             };
             visit(addr, class);
         }
@@ -325,6 +399,22 @@ mod tests {
             let ratio = interference / exact;
             assert!((ratio - PREFILTER_MARGIN).abs() < 1e-12, "d = {d}: {ratio}");
             assert!((sense / cs - PREFILTER_MARGIN).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn bands_straddle_the_range_and_vanish_when_it_is_degenerate() {
+        let band = Band::around(30.0);
+        assert!((band.inner * band.outer - 900.0).abs() < 1e-9);
+        assert!((band.outer / 30.0 - PREFILTER_MARGIN).abs() < 1e-12);
+        let sq = band.scaled_sq(2.0);
+        assert_eq!(sq.decide(55.0 * 55.0), Some(true));
+        assert_eq!(sq.decide(60.0 * 60.0), None);
+        assert_eq!(sq.decide(65.0 * 65.0), Some(false));
+        for exact in [f64::INFINITY, f64::NAN] {
+            let off = Band::around(exact).scaled_sq(2.0);
+            assert_eq!(off.decide(f64::MIN_POSITIVE), None);
+            assert_eq!(off.decide(f64::MAX), None);
         }
     }
 

@@ -217,32 +217,44 @@ proptest! {
         }
     }
 
-    /// The distance pre-filter changes no verdict: the census equals the
+    /// Deciding by distance changes no verdict: the census equals the
     /// brute-force one list for list and in order, and `tx_setting` is
-    /// the table entry for the brute-force counts. Neighbors are placed
-    /// uniformly and within 0.1 % of the four radii that matter — the
-    /// exact interference and carrier-sense ranges, and the pre-filter
-    /// radii just outside them.
+    /// the table entry for the brute-force counts. Links run from 0.5 m
+    /// to 10 km, log-uniformly, like a roamer's link to an AP across the
+    /// campus. Neighbors are placed uniformly, near the link and over a
+    /// ±10 km field, and within 0.1 % of the six radii that matter: the
+    /// exact interference and carrier-sense ranges, the pre-filter radii
+    /// just outside them, and the sure-zone radii (`exact² / prefilter`)
+    /// just inside them.
     #[test]
     fn prefiltered_census_equals_brute_force(
         channel in 0u8..3,
-        link in (0.5..60.0f64, 0.0..TAU),
-        uniform in prop::collection::vec((-400.0..400.0f64, -400.0..400.0f64), 0..60),
-        boundary in prop::collection::vec((0usize..4, any::<bool>(), 0.0..TAU), 0..60),
+        link in (-0.3..4.0f64, 0.0..TAU),
+        near in prop::collection::vec((-400.0..400.0f64, -400.0..400.0f64), 0..60),
+        far in prop::collection::vec((-1e4..1e4f64, -1e4..1e4f64), 0..30),
+        boundary in prop::collection::vec((0usize..6, any::<bool>(), 0.0..TAU), 0..60),
     ) {
         let cfg = census_config(channel);
         let engine = HtCensusEngine::new(cfg.reception(), cfg.t_cs);
-        let (len, angle) = link;
+        let (log_len, angle) = link;
+        let len = 10f64.powf(log_len);
         let s = Position::new(3.0, -2.0);
         let r = s.offset(len * angle.cos(), len * angle.sin());
         let d = Meters::new(len);
         let model = cfg.reception();
         let (prefilter_interference, prefilter_cs) = engine.prefilter_radii(d);
+        let exact_interference = model.interference_range(d, CENSUS_INTERFERENCE_PRR);
+        let exact_cs = model.cs_range_for_miss_probability(cfg.t_cs, HT_MISS_PROBABILITY);
+        let sure = |exact: Meters, prefilter: Meters| {
+            Meters::new(exact.value() * exact.value() / prefilter.value())
+        };
         let radii = [
-            (r, model.interference_range(d, CENSUS_INTERFERENCE_PRR)),
-            (s, model.cs_range_for_miss_probability(cfg.t_cs, HT_MISS_PROBABILITY)),
+            (r, exact_interference),
+            (s, exact_cs),
             (r, prefilter_interference),
             (s, prefilter_cs),
+            (r, sure(exact_interference, prefilter_interference)),
+            (s, sure(exact_cs, prefilter_cs)),
         ];
 
         let mut proto = Protocol::new(0u32, cfg);
@@ -253,7 +265,7 @@ proptest! {
             proto.on_position_report(next, pos);
             next += 1;
         };
-        for (x, y) in uniform {
+        for (x, y) in near.into_iter().chain(far) {
             place(&mut proto, Position::new(x, y));
         }
         for (which, outside, theta) in boundary {

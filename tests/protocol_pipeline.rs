@@ -2,8 +2,13 @@
 //! positions to transmission settings, exercised through the umbrella
 //! crate's public API.
 
-use comap::core::{CoMapError, Protocol, ProtocolConfig};
+use std::sync::Arc;
+
+use comap::core::hidden::HtCensusEngine;
+use comap::core::{CoMapError, HtCensus, NeighborClass, Protocol, ProtocolConfig};
+use comap::experiments::topology::scale_campus;
 use comap::radio::Position;
+use comap::sim::MacFeatures;
 
 /// A two-cell network with one of everything: contender, hidden terminal,
 /// independent node.
@@ -105,4 +110,100 @@ fn scheduler_is_derivable_from_config() {
         sched.on_rssi(comap::radio::units::Dbm::new(-60.0)),
         EtAction::Abandon
     );
+}
+
+/// The census of `me → receiver` over `p`'s table with every neighbor
+/// through `classify`: the reference the distance-decided census must
+/// reproduce.
+fn brute_force_census(
+    engine: &HtCensusEngine,
+    p: &Protocol<usize>,
+    receiver: usize,
+) -> HtCensus<usize> {
+    let (me, rx) = (
+        p.own_position().unwrap(),
+        p.neighbors().position(receiver).unwrap(),
+    );
+    let mut census = HtCensus {
+        hidden: Vec::new(),
+        contenders: Vec::new(),
+        independent: Vec::new(),
+    };
+    for (addr, entry) in p.neighbors().iter() {
+        if addr == p.addr() || addr == receiver {
+            continue;
+        }
+        match engine.classify(me, rx, entry.position) {
+            NeighborClass::Hidden => census.hidden.push(addr),
+            NeighborClass::Contender => census.contenders.push(addr),
+            NeighborClass::Independent => census.independent.push(addr),
+        }
+    }
+    census
+}
+
+/// The census on the scalability campus, at the start and after every
+/// scheduled move: one standalone protocol per node hears every node's
+/// position, and each client→AP and AP→client link's census and setting
+/// equal the brute-force ones. One client in eight roams the whole
+/// campus, so km-long links to its AP, whose interference range covers
+/// most of the campus, are among those checked.
+#[test]
+fn campus_census_equals_brute_force_through_every_move() {
+    let (cfg, campus) = scale_campus(200, 1, MacFeatures::COMAP, 1);
+    let config = cfg.protocol;
+    let engine = HtCensusEngine::new(config.reception(), config.t_cs);
+    let table = Arc::new(config.adaptation_table());
+    let mut nodes: Vec<Protocol<usize>> = (0..cfg.nodes.len())
+        .map(|addr| Protocol::with_adaptation(addr, config, Arc::clone(&table)))
+        .collect();
+    let report = |nodes: &mut [Protocol<usize>], addr: usize, pos: Position| {
+        for node in nodes.iter_mut() {
+            node.on_position_report(addr, pos);
+        }
+    };
+    let mut longest = 0.0f64;
+    let mut check = |nodes: &[Protocol<usize>], (client, ap): (usize, usize)| {
+        for (tx, rx) in [(client, ap), (ap, client)] {
+            let p = &nodes[tx];
+            let brute = brute_force_census(&engine, p, rx);
+            assert_eq!(
+                p.tx_setting(rx).unwrap(),
+                p.adaptation().setting(brute.n_ht(), brute.n_contenders()),
+                "link {tx} -> {rx}"
+            );
+            assert_eq!(p.ht_census(rx).unwrap(), brute, "link {tx} -> {rx}");
+        }
+        let p = &nodes[client];
+        let length = p
+            .own_position()
+            .unwrap()
+            .distance_to(p.neighbors().position(ap).unwrap());
+        longest = longest.max(length.value());
+    };
+    let links: Vec<(usize, usize)> = campus
+        .associations
+        .iter()
+        .map(|&(client, ap)| (client.0, ap.0))
+        .collect();
+
+    for (addr, node) in cfg.nodes.iter().enumerate() {
+        report(&mut nodes, addr, node.position);
+    }
+    for &link in &links {
+        check(&nodes, link);
+    }
+    let mut moves: Vec<_> = (cfg.nodes.iter().enumerate())
+        .flat_map(|(addr, node)| node.moves.iter().map(move |m| (m.at, addr, m.to)))
+        .collect();
+    moves.sort_by_key(|&(at, addr, _)| (at, addr));
+    for (_, mover, to) in moves {
+        report(&mut nodes, mover, to);
+        let &link = links.iter().find(|&&(client, _)| client == mover).unwrap();
+        check(&nodes, link);
+    }
+    for &link in &links {
+        check(&nodes, link);
+    }
+    assert!(longest > 1000.0, "longest link {longest} m");
 }
