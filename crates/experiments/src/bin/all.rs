@@ -4,7 +4,7 @@
 //! The full-mode output is checked in as `results/figures.txt`.
 
 use comap_experiments::instrument::{run_if_requested, Args, Flag};
-use comap_experiments::{fig01, fig02, fig07, fig08, fig09, fig10, rtscts, table1};
+use comap_experiments::{ablation, fig01, fig02, fig07, fig08, fig09, fig10, rtscts, table1};
 
 fn main() {
     let args = Args::from_env("all", &[Flag::Quick]);
@@ -20,6 +20,7 @@ fn main() {
         ("fig09", |quick| fig09::run(quick).to_string()),
         ("fig10", |quick| fig10::run(quick).to_string()),
         ("rtscts", |quick| rtscts::run(quick).to_string()),
+        ("ablation", |_| ablation::run().to_string()),
     ];
     for (name, text) in experiments {
         println!("\n########## {name} ##########");

@@ -43,28 +43,18 @@ pub fn run(quick: bool) -> Fig01 {
     } else {
         (&[1, 2, 3, 4, 5], SimDuration::from_secs(3))
     };
-    // Node ids do not depend on the seed, so each position's link pair
-    // is resolved once here rather than in every job.
-    let grid: Vec<_> = positions()
-        .into_iter()
-        .map(|x| (x, et_testbed(x, MacFeatures::DCF, 0).1))
-        .collect();
+    let positions = positions();
     let kept = sweep(
-        &grid,
+        &positions,
         seeds,
         duration,
-        |&(x, _), seed| et_testbed(x, MacFeatures::DCF, seed).0,
-        |(_, ids), r| {
-            (
-                r.link_goodput_bps(ids.c1, ids.ap1),
-                r.link_goodput_bps(ids.c2, ids.ap2),
-            )
-        },
+        |&x, seed| et_testbed(x, MacFeatures::DCF, seed),
+        |_, ids, r| ids.goodputs(r),
     );
-    let points = grid
+    let points = positions
         .iter()
         .zip(kept.chunks(seeds.len()))
-        .map(|((x, _), per_seed)| Point {
+        .map(|(x, per_seed)| Point {
             c2_x: *x,
             c1_goodput: seed_mean(per_seed, |g| g.0),
             c2_goodput: seed_mean(per_seed, |g| g.1),

@@ -56,22 +56,14 @@ pub fn run(quick: bool) -> Fig02 {
     };
     let grid: Vec<_> = payloads()
         .into_iter()
-        .flat_map(|payload| {
-            HT_COUNTS.map(|n_ht| {
-                (
-                    payload,
-                    n_ht,
-                    ht_testbed(payload, n_ht, MacFeatures::DCF, 0).1,
-                )
-            })
-        })
+        .flat_map(|payload| HT_COUNTS.map(|n_ht| (payload, n_ht)))
         .collect();
     let kept = sweep(
         &grid,
         seeds,
         duration,
-        |&(payload, n_ht, _), seed| ht_testbed(payload, n_ht, MacFeatures::DCF, seed).0,
-        |(_, _, ids), r| r.link_goodput_bps(ids.c1, ids.ap1),
+        |&(payload, n_ht), seed| ht_testbed(payload, n_ht, MacFeatures::DCF, seed),
+        |_, ids, r| r.link_goodput_bps(ids.c1, ids.ap1),
     );
     let means: Vec<f64> = kept
         .chunks(seeds.len())

@@ -74,8 +74,7 @@ pub fn run(quick: bool) -> Fig07 {
     for &w in &WINDOWS {
         for &n_ht in &HT_COUNTS {
             for payload in payloads(quick) {
-                let cell = validation_cell(CELL_SIZE, n_ht, w.get(), payload, 0).1;
-                grid.push((w, n_ht, payload, cell));
+                grid.push((w, n_ht, payload));
             }
         }
     }
@@ -83,8 +82,8 @@ pub fn run(quick: bool) -> Fig07 {
         &grid,
         seeds,
         duration,
-        |&(w, n_ht, payload, _), seed| validation_cell(CELL_SIZE, n_ht, w.get(), payload, seed).0,
-        |(_, _, _, cell), r| {
+        |&(w, n_ht, payload), seed| validation_cell(CELL_SIZE, n_ht, w.get(), payload, seed),
+        |_, cell, r| {
             cell.clients
                 .iter()
                 .map(|&c| r.link_goodput_bps(c, cell.ap))
@@ -95,7 +94,7 @@ pub fn run(quick: bool) -> Fig07 {
     let points = grid
         .iter()
         .zip(kept.chunks(seeds.len()))
-        .map(|(&(w, n_ht, payload, _), per_seed)| Point {
+        .map(|(&(w, n_ht, payload), per_seed)| Point {
             w: w.get(),
             n_ht,
             payload,

@@ -48,19 +48,14 @@ pub fn run(quick: bool) -> Fig08 {
     let positions = crate::fig01::positions();
     let grid: Vec<_> = positions
         .iter()
-        .flat_map(|&x| macs.map(|features| (x, features, et_testbed(x, features, 0).1)))
+        .flat_map(|&x| macs.map(|features| (x, features)))
         .collect();
     let kept = sweep(
         &grid,
         seeds,
         duration,
-        |&(x, features, _), seed| et_testbed(x, features, seed).0,
-        |(_, _, ids), r| {
-            (
-                r.link_goodput_bps(ids.c1, ids.ap1),
-                r.link_goodput_bps(ids.c2, ids.ap2),
-            )
-        },
+        |&(x, features), seed| et_testbed(x, features, seed),
+        |_, ids, r| ids.goodputs(r),
     );
     let means: Vec<(f64, f64)> = kept
         .chunks(seeds.len())

@@ -39,9 +39,7 @@ pub fn run(quick: bool) -> Fig09 {
     };
     let macs = [MacFeatures::DCF, MacFeatures::COMAP];
     let grid: Vec<_> = (0..indices)
-        .flat_map(|index| {
-            macs.map(|features| (index, features, fig9_topology(index, features, 0).1))
-        })
+        .flat_map(|index| macs.map(|features| (index, features)))
         .collect();
     // Mix the topology index into the seed so different configurations
     // draw independent static shadowing.
@@ -49,10 +47,8 @@ pub fn run(quick: bool) -> Fig09 {
         &grid,
         seeds,
         duration,
-        |&(index, features, _), seed| {
-            fig9_topology(index, features, seed * 97 + index as u64 + 1).0
-        },
-        |(_, _, t), r| r.link_goodput_bps(t.c1, t.ap1),
+        |&(index, features), seed| fig9_topology(index, features, seed * 97 + index as u64 + 1),
+        |_, t, r| r.link_goodput_bps(t.c1, t.ap1),
     );
     let means: Vec<f64> = kept
         .chunks(seeds.len())

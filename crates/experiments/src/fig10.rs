@@ -94,14 +94,6 @@ pub fn run_variants(
     seeds: &[u64],
     duration: SimDuration,
 ) -> Vec<VariantResult> {
-    // A floor's flows depend only on its topology seed, so they are
-    // resolved once per topology and shared by every variant.
-    let flows: Vec<[(NodeId, NodeId); FLOWS]> = (0..topologies as u64)
-        .map(|topo| {
-            let (cfg, _) = large_scale(topo, 0, MacFeatures::DCF, 0.0);
-            std::array::from_fn(|i| (cfg.flows[i].src, cfg.flows[i].dst))
-        })
-        .collect();
     let grid: Vec<_> = variants
         .iter()
         .flat_map(|&variant| {
@@ -116,12 +108,14 @@ pub fn run_variants(
         &grid,
         seeds,
         duration,
-        |&(topo, features, error), seed| large_scale(topo as u64, seed, features, error).0,
-        |&(topo, _, _), r| {
-            let per_flow: [f64; FLOWS] = std::array::from_fn(|i| {
-                let (src, dst) = flows[topo][i];
-                r.link_goodput_bps(src, dst)
-            });
+        |&(topo, features, error), seed| {
+            let (cfg, _) = large_scale(topo as u64, seed, features, error);
+            let flows: [(NodeId, NodeId); FLOWS] =
+                std::array::from_fn(|i| (cfg.flows[i].src, cfg.flows[i].dst));
+            (cfg, flows)
+        },
+        |_, flows, r| {
+            let per_flow = flows.map(|(src, dst)| r.link_goodput_bps(src, dst));
             (per_flow, r.aggregate_goodput_bps())
         },
     );

@@ -9,8 +9,11 @@
 //! lives in `DESIGN.md`; measured results against the paper's numbers
 //! live in `EXPERIMENTS.md`.
 //!
-//! All experiments accept a `quick` flag that shrinks durations and seed
-//! counts so the whole suite stays runnable in CI and in the benchmark.
+//! Every simulated experiment but `fig_scale`, whose timed runs stay
+//! sequential, runs its grid of points × seeds through
+//! [`runner::sweep`]. All experiments but `table1` and `ablation` accept
+//! a `quick` flag that shrinks durations and seed counts so the whole
+//! suite stays runnable in CI and in the benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +33,7 @@
     )
 )]
 
+pub mod ablation;
 pub mod bench_diff;
 pub mod fig01;
 pub mod fig02;

@@ -10,9 +10,9 @@ use std::fmt;
 
 use comap_mac::time::SimDuration;
 use comap_sim::config::MacFeatures;
-use comap_sim::sim::Simulator;
 
 use crate::report::{mbps, Table};
+use crate::runner::sweep;
 use crate::topology::{et_testbed, ht_testbed};
 
 /// One MAC's outcome in both testbeds, averaged or summed over seeds.
@@ -44,45 +44,59 @@ pub struct RtsCts {
     pub rows: Vec<Row>,
 }
 
-/// Runs the three MACs through both testbeds.
+/// Runs the three MACs through both testbeds, one [`sweep`] each.
 pub fn run(quick: bool) -> RtsCts {
     let (seeds, duration): (&[u64], _) = if quick {
         (&[1], SimDuration::from_millis(400))
     } else {
         (&[1, 2, 3, 4], SimDuration::from_secs(2))
     };
-    let n = seeds.len() as f64;
-    let rows = [
+    let macs = [
         ("DCF", MacFeatures::DCF),
         ("DCF + RTS/CTS", MacFeatures::DCF_RTS_CTS),
         ("CO-MAP", MacFeatures::COMAP),
-    ]
-    .into_iter()
-    .map(|(mac, features)| {
-        let mut row = Row {
-            mac,
-            ..Row::default()
-        };
-        for &seed in seeds {
-            let (cfg, ids) = et_testbed(26.0, features, seed);
-            let r = Simulator::new(cfg).run(duration);
-            row.et_c1 += r.link_goodput_bps(ids.c1, ids.ap1) / n;
-            row.et_c2 += r.link_goodput_bps(ids.c2, ids.ap2) / n;
-        }
-        for &seed in seeds {
-            let (cfg, ids) = ht_testbed(1000, 1, features, seed);
-            let r = Simulator::new(cfg).run(duration);
-            row.ht_c1 += r.link_goodput_bps(ids.c1, ids.ap1) / n;
-            if let Some(l) = r.links.get(&(ids.c1, ids.ap1)) {
-                row.ack_timeouts += l.ack_timeouts;
-                row.data_tx += l.data_tx;
+    ];
+    let et = sweep(
+        &macs,
+        seeds,
+        duration,
+        |&(_, features), seed| et_testbed(26.0, features, seed),
+        |_, ids, r| ids.goodputs(r),
+    );
+    let ht = sweep(
+        &macs,
+        seeds,
+        duration,
+        |&(_, features), seed| ht_testbed(1000, 1, features, seed),
+        |_, ids, r| {
+            let link = r.links.get(&(ids.c1, ids.ap1)).copied().unwrap_or_default();
+            (r.link_goodput_bps(ids.c1, ids.ap1), link, r.medium)
+        },
+    );
+    // Fold each MAC's seeds in seed order, as a per-seed loop would.
+    let n = seeds.len() as f64;
+    let rows = macs
+        .iter()
+        .zip(et.chunks(seeds.len()).zip(ht.chunks(seeds.len())))
+        .map(|(&(mac, _), (et, ht))| {
+            let mut row = Row {
+                mac,
+                ..Row::default()
+            };
+            for &(c1, c2) in et {
+                row.et_c1 += c1 / n;
+                row.et_c2 += c2 / n;
             }
-            row.captures += r.medium.captures;
-            row.hazard_drops += r.medium.hazard_drops;
-        }
-        row
-    })
-    .collect();
+            for (c1, link, medium) in ht {
+                row.ht_c1 += c1 / n;
+                row.ack_timeouts += link.ack_timeouts;
+                row.data_tx += link.data_tx;
+                row.captures += medium.captures;
+                row.hazard_drops += medium.hazard_drops;
+            }
+            row
+        })
+        .collect();
     RtsCts { rows }
 }
 

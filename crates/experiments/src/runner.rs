@@ -12,21 +12,27 @@ use comap_sim::stats::SimReport;
 /// returns the `keep` projection of each job's report, point-major: the
 /// values of `points[i]` are `[i * seeds.len()..][..seeds.len()]`, in
 /// `seeds` order, so `chunks(seeds.len())` yields one slice per point.
+/// This is the one way an experiment runs a grid.
+///
+/// `build(point, seed)` is the topology builder itself: it returns the
+/// job's config and the handles (node ids, flows) that `keep(point,
+/// &handles, &report)` reads the report through. A grid therefore holds
+/// only its parameters, and no topology is built outside its job.
 ///
 /// All jobs share one pool of at most
 /// [`std::thread::available_parallelism`] workers, so a figure whose
 /// points each have only a few seeds still keeps every core busy until
 /// the last job. Workers pull job indices from a shared counter and
-/// store `keep(point, &report)` in that job's slot; the report and its
-/// config are dropped inside the worker, so only the projections outlive
-/// a job. Every simulation is deterministic in its config, so the output
-/// does not depend on scheduling. A panic in `build`, the simulation or
-/// `keep` is re-raised on the calling thread.
+/// store `keep`'s value in that job's slot; the handles, the report and
+/// the config are dropped inside the worker, so only the projections
+/// outlive a job. Every simulation is deterministic in its config, so
+/// the output does not depend on scheduling. A panic in `build`, the
+/// simulation or `keep` is re-raised on the calling thread.
 #[expect(
     clippy::expect_used,
     reason = "every index below `jobs` was claimed and any worker panic was re-raised above"
 )]
-pub fn sweep<P, T, B, K>(
+pub fn sweep<P, H, T, B, K>(
     points: &[P],
     seeds: &[u64],
     duration: SimDuration,
@@ -36,8 +42,8 @@ pub fn sweep<P, T, B, K>(
 where
     P: Sync,
     T: Send + Sync,
-    B: Fn(&P, u64) -> SimConfig + Sync,
-    K: Fn(&P, &SimReport) -> T + Sync,
+    B: Fn(&P, u64) -> (SimConfig, H) + Sync,
+    K: Fn(&P, &H, &SimReport) -> T + Sync,
 {
     let jobs = points.len() * seeds.len();
     let slots: Vec<OnceLock<T>> = (0..jobs).map(|_| OnceLock::new()).collect();
@@ -55,10 +61,10 @@ where
                     let job = next.fetch_add(1, Ordering::Relaxed);
                     let Some(slot) = slots.get(job) else { break };
                     let point = &points[job / seeds.len()];
-                    let report =
-                        Simulator::new(build(point, seeds[job % seeds.len()])).run(duration);
+                    let (cfg, handles) = build(point, seeds[job % seeds.len()]);
+                    let report = Simulator::new(cfg).run(duration);
                     // The counter hands out each index once, so the slot is empty.
-                    let _ = slot.set(keep(point, &report));
+                    let _ = slot.set(keep(point, &handles, &report));
                 })
             })
             .collect();
@@ -162,27 +168,30 @@ mod tests {
     use comap_sim::config::{NodeSpec, Traffic};
     use comap_sim::frame::NodeId;
 
-    /// A saturated client `x` meters from its AP.
-    fn link_at(x: &f64, seed: u64) -> SimConfig {
+    /// A saturated client `x` meters from its AP; the handles are the
+    /// link's ids and the seed, so a result shows whose handles it read.
+    fn link_at(x: &f64, seed: u64) -> (SimConfig, (NodeId, NodeId, u64)) {
         let mut cfg = SimConfig::testbed(seed);
         let a = cfg.add_node(NodeSpec::client("a", Position::new(0.0, 0.0)));
         let b = cfg.add_node(NodeSpec::ap("b", Position::new(*x, 0.0)));
         cfg.add_flow(a, b, Traffic::Saturated);
-        cfg
+        (cfg, (a, b, seed))
     }
 
-    fn goodput_bits(_: &f64, r: &SimReport) -> (u64, u64) {
-        (
-            r.link_goodput_bps(NodeId(0), NodeId(1)).to_bits(),
+    fn goodput_bits(_: &f64, &(a, b, seed): &(NodeId, NodeId, u64), r: &SimReport) -> [u64; 3] {
+        [
+            seed,
+            r.link_goodput_bps(a, b).to_bits(),
             r.aggregate_goodput_bps().to_bits(),
-        )
+        ]
     }
 
     #[test]
     fn sweep_matches_a_sequential_loop() {
         // 21 jobs queue past any plausible core count, and the seeds are
         // deliberately out of order: results must follow `seeds`, not
-        // their values or the order the workers finish in.
+        // their values or the order the workers finish in, and each
+        // `keep` must read the handles its own job's `build` returned.
         let points = [4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0];
         let seeds = [5, 1, 3];
         let d = SimDuration::from_millis(20);
@@ -190,9 +199,10 @@ mod tests {
         let sequential: Vec<_> = points
             .iter()
             .flat_map(|p| {
-                seeds
-                    .iter()
-                    .map(move |&s| goodput_bits(p, &Simulator::new(link_at(p, s)).run(d)))
+                seeds.iter().map(move |&s| {
+                    let (cfg, ids) = link_at(p, s);
+                    goodput_bits(p, &ids, &Simulator::new(cfg).run(d))
+                })
             })
             .collect();
         assert_eq!(swept, sequential);

@@ -27,6 +27,7 @@ use comap_radio::Position;
 use comap_sim::config::{MacFeatures, NodeSpec, SimConfig, Traffic};
 use comap_sim::frame::NodeId;
 use comap_sim::rate::RateController;
+use comap_sim::stats::SimReport;
 
 /// Node handles of the ET testbed.
 #[derive(Debug, Clone, Copy)]
@@ -39,6 +40,16 @@ pub struct EtTestbed {
     pub c2: NodeId,
     /// AP2.
     pub ap2: NodeId,
+}
+
+impl EtTestbed {
+    /// Goodputs of the C1→AP1 and C2→AP2 links in `report`, bits/s.
+    pub fn goodputs(&self, report: &SimReport) -> (f64, f64) {
+        (
+            report.link_goodput_bps(self.c1, self.ap1),
+            report.link_goodput_bps(self.c2, self.ap2),
+        )
+    }
 }
 
 /// Builds the Fig. 1 / Fig. 8 exposed-terminal testbed with C2 at

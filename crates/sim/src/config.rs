@@ -174,6 +174,14 @@ pub enum ConfigError {
     /// A node's position, or the target of one of its moves, has a
     /// non-finite coordinate.
     NonFinitePosition(NodeId),
+    /// [`SimConfig::position_error`] is not a finite radius.
+    NonFinitePositionError,
+    /// [`SimConfig::position_quantum`] is not a finite grid step.
+    NonFinitePositionQuantum,
+    /// A node's position, or the target of one of its moves, lies 2⁶³
+    /// or more position quanta from the origin on some axis: its cell
+    /// index does not fit the medium's `i64` snap.
+    BeyondQuantumGrid(NodeId),
 }
 
 impl fmt::Display for ConfigError {
@@ -194,6 +202,12 @@ impl fmt::Display for ConfigError {
             ConfigError::NonFinitePosition(node) => {
                 write!(f, "node {node} has a non-finite position or move target")
             }
+            ConfigError::NonFinitePositionError => write!(f, "position error is not finite"),
+            ConfigError::NonFinitePositionQuantum => write!(f, "position quantum is not finite"),
+            ConfigError::BeyondQuantumGrid(node) => write!(
+                f,
+                "node {node} has a position or move target 2^63 or more position quanta out"
+            ),
         }
     }
 }
@@ -297,21 +311,40 @@ impl SimConfig {
     }
 
     /// Checks that the configuration describes a run: at least one node,
-    /// every position and move target finite, and flows between distinct
-    /// existing nodes, at most one per `(src, dst)` pair (a MAC keeps one
-    /// sender record per destination), each CBR rate finite and positive.
-    /// Returns the first problem found.
+    /// a finite position error and position quantum, every position and
+    /// move target finite and less than 2⁶³ quanta from the origin on
+    /// each axis, and flows between distinct existing nodes, at most one
+    /// per `(src, dst)` pair (a MAC keeps one sender record per
+    /// destination), each CBR rate finite and positive. Returns the
+    /// first problem found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes.is_empty() {
             return Err(ConfigError::NoNodes);
         }
+        if !self.position_error.value().is_finite() {
+            return Err(ConfigError::NonFinitePositionError);
+        }
+        let q = self.position_quantum.value();
+        if !q.is_finite() {
+            return Err(ConfigError::NonFinitePositionQuantum);
+        }
         let finite = |p: &Position| p.x.is_finite() && p.y.is_finite();
-        if let Some(i) = self
-            .nodes
-            .iter()
-            .position(|n| !finite(&n.position) || !n.moves.iter().all(|m| finite(&m.to)))
-        {
-            return Err(ConfigError::NonFinitePosition(NodeId(i)));
+        // The medium snaps each coordinate to `(c / q).round() as i64`
+        // (a zero quantum snaps nothing), which saturates from 2⁶³ on.
+        let snaps = |p: &Position| {
+            q <= 0.0
+                || [p.x, p.y]
+                    .iter()
+                    .all(|c| (c / q).round().abs() < -(i64::MIN as f64))
+        };
+        for (i, node) in self.nodes.iter().enumerate() {
+            let points = || std::iter::once(&node.position).chain(node.moves.iter().map(|m| &m.to));
+            if !points().all(finite) {
+                return Err(ConfigError::NonFinitePosition(NodeId(i)));
+            }
+            if !points().all(snaps) {
+                return Err(ConfigError::BeyondQuantumGrid(NodeId(i)));
+            }
         }
         let mut pairs = BTreeSet::new();
         for &FlowSpec { src, dst, traffic } in &self.flows {
@@ -424,6 +457,43 @@ mod tests {
             crate::Simulator::try_new(cfg).err(),
             Some(ConfigError::NonFinitePosition(a))
         );
+        let (mut cfg, _, _) = pair();
+        cfg.position_error = Meters::new(f64::INFINITY);
+        assert_eq!(
+            crate::Simulator::try_new(cfg).err(),
+            Some(ConfigError::NonFinitePositionError)
+        );
+        let (mut cfg, _, _) = pair();
+        cfg.position_quantum = Meters::new(f64::INFINITY);
+        assert_eq!(
+            crate::Simulator::try_new(cfg).err(),
+            Some(ConfigError::NonFinitePositionQuantum)
+        );
+        // At 1e-300 m, b's 5 m is far past 2⁶³ cells; a stays at the origin.
+        let (mut cfg, _, b) = pair();
+        cfg.position_quantum = Meters::new(1e-300);
+        assert_eq!(
+            crate::Simulator::try_new(cfg).err(),
+            Some(ConfigError::BeyondQuantumGrid(b))
+        );
+        // At 1e-18 m, 5 m is 5e18 cells (fits), a move to 10 m is 1e19.
+        let (mut cfg, a, _) = pair();
+        cfg.position_quantum = Meters::new(1e-18);
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.nodes[a.0] = NodeSpec::client("a", Position::ORIGIN)
+            .with_move(SimDuration::from_secs(1), Position::new(-10.0, 0.0));
+        assert_eq!(cfg.validate(), Err(ConfigError::BeyondQuantumGrid(a)));
+        // The bound itself: 2⁶³ quanta is out, the next float below is in.
+        let edge = -(i64::MIN as f64);
+        for (y, expected) in [
+            (edge, Err(ConfigError::BeyondQuantumGrid(b))),
+            (edge - 1024.0, Ok(())),
+        ] {
+            let (mut cfg, _, b) = pair();
+            cfg.position_quantum = Meters::new(1.0);
+            cfg.nodes[b.0].position = Position::new(0.0, y);
+            assert_eq!(cfg.validate(), expected, "y = {y}");
+        }
     }
 
     #[test]

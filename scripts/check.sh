@@ -65,7 +65,7 @@ status=0
 cargo run -q --release -p comap-experiments --bin fig02 -- --quick --trace=/dev/full > /dev/null || status=$?
 test "$status" = "1"
 
-echo "==> two fig_scale runs write byte-identical reports and latency sections (CI's determinism job)"
+echo "==> two fig_scale runs write byte-identical reports and latency sections"
 # The latency section holds the histograms of all 150 campus nodes, so
 # its cmp gates the determinism of the latency sink at scale.
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \

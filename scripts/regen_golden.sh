@@ -6,7 +6,8 @@
 # and fig08 runs, fig02_quick_metrics.json pins the fig02 run's metrics
 # and latency section, and mobility_example.txt pins the stdout of the
 # `mobility` example and results/figures.txt the stdout of the full-mode
-# `all` binary (scripts/check.sh cmps both); CI diffs every build
+# `all` binary: table1, the figures, rtscts and ablation, every
+# experiment but fig_scale (scripts/check.sh cmps both); CI diffs every build
 # against them. Regeneration is a deliberate act after an intentional
 # behavior change, so this script refuses to run unless REGEN_GOLDEN is
 # already set in the environment:
