@@ -321,6 +321,8 @@ impl SimConfig {
         if self.nodes.is_empty() {
             return Err(ConfigError::NoNodes);
         }
+        // `Meters::new` refuses a negative or NaN value, so finiteness
+        // is all that is left to check.
         if !self.position_error.value().is_finite() {
             return Err(ConfigError::NonFinitePositionError);
         }
@@ -371,11 +373,6 @@ impl SimConfig {
     pub fn features_of(&self, _node: NodeId) -> MacFeatures {
         self.default_features
     }
-
-    /// Flows originating at `node`.
-    pub fn flows_from(&self, node: NodeId) -> impl Iterator<Item = &FlowSpec> + '_ {
-        self.flows.iter().filter(move |f| f.src == node)
-    }
 }
 
 #[cfg(test)]
@@ -389,8 +386,14 @@ mod tests {
         let a = cfg.add_node(NodeSpec::client("a", Position::ORIGIN));
         let b = cfg.add_node(NodeSpec::ap("b", Position::new(5.0, 0.0)));
         cfg.add_flow(a, b, Traffic::Saturated);
-        assert_eq!(cfg.flows_from(a).count(), 1);
-        assert_eq!(cfg.flows_from(b).count(), 0);
+        assert_eq!(
+            cfg.flows,
+            vec![FlowSpec {
+                src: a,
+                dst: b,
+                traffic: Traffic::Saturated
+            }]
+        );
         assert_eq!((a, b), (NodeId(0), NodeId(1)));
     }
 
@@ -469,6 +472,12 @@ mod tests {
             crate::Simulator::try_new(cfg).err(),
             Some(ConfigError::NonFinitePositionQuantum)
         );
+        // Zero is the documented "off" for both; a negative `Meters`
+        // cannot be built (`Meters::new` panics on one).
+        let (mut cfg, _, _) = pair();
+        cfg.position_error = Meters::ZERO;
+        cfg.position_quantum = Meters::ZERO;
+        assert_eq!(cfg.validate(), Ok(()));
         // At 1e-300 m, b's 5 m is far past 2⁶³ cells; a stays at the origin.
         let (mut cfg, _, b) = pair();
         cfg.position_quantum = Meters::new(1e-300);

@@ -149,7 +149,8 @@ struct PendingFrame {
     payload: u32,
     /// Zero-based transmission attempt this service round corresponds
     /// to — carried so [`SimEvent::FrameTx`] can label the on-air try.
-    /// Any attempt after the first sets the frame's retry bit.
+    /// Any attempt after the first sets the frame's retry bit. Under
+    /// stop-and-wait it is also the frame's retry count.
     attempt: u32,
 }
 
@@ -318,7 +319,6 @@ pub struct Mac {
     state: FlowState,
     wait: WaitPhase,
     backoff: Backoff,
-    retries: u32,
     pending: Option<PendingFrame>,
     /// Index into `flows` of the pending frame's flow.
     current_flow: usize,
@@ -358,7 +358,6 @@ impl Mac {
             state: FlowState::Idle,
             wait: WaitPhase::NeedIdle,
             backoff: Backoff::from_slots(0),
-            retries: 0,
             pending: None,
             current_flow: 0,
             pending_ack: None,
@@ -405,12 +404,13 @@ impl Mac {
         Some(report)
     }
 
-    /// A neighbor's position report arrived (disseminated by the APs)
-    /// at a standalone MAC, whose protocol keeps a private neighbor
-    /// table. A simulator applies each report to its shared directory
-    /// once instead, which stales the protocol's verdicts involving the
-    /// mover on its own, and tells only the MACs with a flow toward it
-    /// ([`Self::drop_setting_toward`]).
+    /// Feeds a neighbor's position report into the protocol's private
+    /// neighbor table and, if the report is accepted, drops the setting
+    /// of the flow toward the reporter. No MAC query reads that table:
+    /// each passes [`MacCtx::directory`], to which the simulator applies
+    /// every report once before telling only the MACs with a flow toward
+    /// the mover ([`Self::drop_setting_toward`]). Only the per-layer
+    /// benchmark's `mac.position_report_ns` probe calls this method.
     pub fn on_position_report(&mut self, from: NodeId, position: Position) {
         let Some(proto) = &mut self.proto else { return };
         if proto.on_position_report(from, position) {
@@ -655,7 +655,6 @@ impl Mac {
     fn finish_frame(&mut self) {
         self.state = FlowState::Idle;
         self.pending = None;
-        self.retries = 0;
     }
 
     fn on_tx_done(&mut self, frame: Frame, ctx: MacCtx, out: &mut Vec<MacAction>) {
@@ -740,8 +739,8 @@ impl Mac {
             flow.timeouts += 1;
             self.finish_frame();
         } else {
-            self.retries += 1;
-            if self.retries > self.cfg.retry_limit {
+            let attempt = p.attempt + 1;
+            if attempt > self.cfg.retry_limit {
                 out.push(MacAction::Emit(SimEvent::FrameDropped {
                     node: self.cfg.id,
                     dst: p.dst,
@@ -756,18 +755,15 @@ impl Mac {
                 }
                 self.finish_frame();
             } else {
-                self.pending = Some(PendingFrame {
-                    attempt: self.retries,
-                    ..p
-                });
+                self.pending = Some(PendingFrame { attempt, ..p });
                 if ctx.observing {
                     out.push(MacAction::Emit(SimEvent::Retry {
                         node: self.cfg.id,
                         dst: p.dst,
-                        attempt: self.retries,
+                        attempt,
                     }));
                 }
-                self.contend(self.retries, ctx, out);
+                self.contend(attempt, ctx, out);
             }
         }
     }
@@ -871,7 +867,6 @@ impl Mac {
                 self.flow_rr = (idx + 1) % n;
                 self.current_flow = idx;
                 self.pending = Some(p);
-                self.retries = 0;
                 self.contend(self.flows[idx].timeouts, ctx, out);
                 self.try_enter_opportunity(ctx, out);
                 return;

@@ -14,6 +14,11 @@
 //! observed runs collect the physical-layer [`SimEvent`]s for
 //! [`Medium::drain_events`].
 //!
+//! A frame on the air is recorded once, in its sender's state: a
+//! single-radio node sends at most one frame at a time and cannot
+//! receive while it does. A [`TxId`] holds the sender's index in its low
+//! 32 bits and a never-reused generation count in the high bits.
+//!
 //! Reception follows the SINR-threshold capture model: a receiver locks
 //! onto the first frame whose SINR against the current ambient power
 //! clears the rate's minimum; the frame survives if its SINR against the
@@ -164,15 +169,18 @@ impl RxLock {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct PhyState {
-    transmitting: Option<TxId>,
+    /// The frame this node has on the air. A single-radio node sends at
+    /// most one at a time, and cannot receive while it does.
+    tx: Option<ActiveTx>,
     /// Exact ledger of the ambient power arriving from every active
     /// transmission (own transmissions excluded).
     incoming: QuantizedPower,
     lock: Option<RxLock>,
 }
 
+/// A frame on the air, recorded in its sender's [`PhyState`].
 #[derive(Debug, Clone)]
 struct ActiveTx {
     id: TxId,
@@ -182,15 +190,6 @@ struct ActiveTx {
     /// ascending by node and pre-quantized so begin/end move identical
     /// grains. The same list under either backend.
     receivers: Vec<(u32, QuantizedPower)>,
-}
-
-impl ActiveTx {
-    /// Power delivered to `node` (zero below the floor or at the sender).
-    fn power_at(&self, node: usize) -> QuantizedPower {
-        self.receivers
-            .binary_search_by_key(&(node as u32), |&(n, _)| n)
-            .map_or(QuantizedPower::ZERO, |i| self.receivers[i].1)
-    }
 }
 
 /// One entry of a node's link-cache row: the peer and the link's mean
@@ -226,14 +225,21 @@ pub const DEFAULT_POSITION_QUANTUM_M: f64 = 1.0;
 /// candidates — correctness never depends on the cap.
 const MAX_CELLS_PER_AXIS: usize = 64;
 
-/// Bits of a [`TxId`] used for the slab slot; the rest hold a
-/// never-reused generation count, so a stale id can never alias a live
-/// transmission occupying the same slot.
+/// Low bits of a [`TxId`], which hold the sender's node index; the
+/// high bits hold a never-reused generation count, so a stale id can
+/// never alias a later transmission from the same sender.
 const SLOT_BITS: u32 = 32;
 
 impl TxId {
-    fn slot(self) -> usize {
+    /// The sender, whose [`PhyState`] records the transmission.
+    fn sender(self) -> usize {
         (self.0 & ((1 << SLOT_BITS) - 1)) as usize
+    }
+
+    /// The frame counter keying the transmission's fades and hazard
+    /// draws.
+    fn generation(self) -> u64 {
+        self.0 >> SLOT_BITS
     }
 }
 
@@ -405,14 +411,8 @@ pub struct Medium {
     /// Emit [`MacEvent::Announce`] when a node locks onto a data frame
     /// (the paper\'s in-band header implementation, Section V method 1).
     inband_announce: bool,
+    /// Per node: its frame on the air, its ledger and its receiver lock.
     states: Vec<PhyState>,
-    /// Active transmissions, slab-addressed by the slot encoded in their
-    /// [`TxId`] — O(1) lookup instead of a linear scan.
-    slots: Vec<Option<ActiveTx>>,
-    /// Vacated slab slots available for reuse.
-    free_slots: Vec<u32>,
-    /// Number of occupied slots.
-    live: usize,
     /// Generation counter feeding new [`TxId`]s.
     next_gen: u64,
     /// Seed of the counter-based per-link slow-fade streams, drawn once
@@ -539,7 +539,7 @@ impl Medium {
         let link_seed = rng.gen::<u64>();
         let fade_seed = rng.gen::<u64>();
         let hazard_seed = rng.gen::<u64>();
-        let q = quantum.value().max(0.0);
+        let q = quantum.value();
         let (mut qx, mut qy) = (Vec::new(), Vec::new());
         if q > 0.0 {
             qx.reserve(n);
@@ -559,9 +559,6 @@ impl Medium {
             backend,
             inband_announce: false,
             states,
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            live: 0,
             next_gen: 0,
             link_seed,
             fade_seed,
@@ -821,48 +818,31 @@ impl Medium {
         self.refresh_overflow(node.0);
     }
 
-    /// Rebuilds `node`'s overflow list and updates its membership in
-    /// every affected peer's list — both sides of each pair, so no stale
-    /// entry referencing the mover survives anywhere. Peer lists are
-    /// touched only where membership actually flipped: the lists are
-    /// kept symmetric (`b ∈ overflow[a]` ⟺ `a ∈ overflow[b]`), so the
-    /// flips are exactly the differences between the old and new lists,
-    /// found by one merge walk over the two sorted vectors.
+    /// Rebuilds `node`'s overflow list the way [`Medium::evict_row`]
+    /// and [`Medium::fill_row`] keep the rows: the lists are symmetric
+    /// (`b ∈ overflow[a]` ⟺ `a ∈ overflow[b]`), so the mover is deleted
+    /// from every peer list its old list names, then inserted into every
+    /// peer list its new list names. No stale entry referencing the
+    /// mover survives anywhere.
     fn refresh_overflow(&mut self, node: usize) {
-        let old = std::mem::take(&mut self.overflow[node]);
+        let me = node as u32;
+        for peer in std::mem::take(&mut self.overflow[node]) {
+            let list = &mut self.overflow[peer as usize];
+            if let Ok(k) = list.binary_search(&me) {
+                list.remove(k);
+            }
+        }
         // Ascending scan order keeps the rebuilt list sorted.
         let new: Vec<u32> = self
             .within_hard_skip(node, 0)
             .filter(|&(other, d2)| self.overflows(node, other, d2))
             .map(|(other, _)| other as u32)
             .collect();
-        let (mut i, mut j) = (0usize, 0usize);
-        loop {
-            // A peer only in `old` dropped out; one only in `new` joined.
-            let dropped = match (old.get(i), new.get(j)) {
-                (Some(&o), Some(&w)) if o == w => {
-                    i += 1;
-                    j += 1;
-                    continue;
-                }
-                (Some(&o), Some(&w)) => o < w,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if dropped {
-                let peers = &mut self.overflow[old[i] as usize];
-                if let Ok(k) = peers.binary_search(&(node as u32)) {
-                    peers.remove(k);
-                }
-                i += 1;
-            } else {
-                let peers = &mut self.overflow[new[j] as usize];
-                if let Err(k) = peers.binary_search(&(node as u32)) {
-                    peers.insert(k, node as u32);
-                }
-                j += 1;
-            }
+        for &peer in &new {
+            let list = &mut self.overflow[peer as usize];
+            let at = list.partition_point(|&v| v < me);
+            debug_assert!(list.get(at) != Some(&me), "overflow lists lost symmetry");
+            list.insert(at, me);
         }
         self.overflow[node] = new;
     }
@@ -945,7 +925,7 @@ impl Medium {
 
     /// Whether `node` is currently transmitting.
     pub fn is_transmitting(&self, node: NodeId) -> bool {
-        self.states[node.0].transmitting.is_some()
+        self.states[node.0].tx.is_some()
     }
 
     /// Whether `node` is currently locked onto (decoding) a frame —
@@ -956,7 +936,7 @@ impl Medium {
 
     /// Number of transmissions currently on the air.
     pub fn active_count(&self) -> usize {
-        self.live
+        self.states.iter().filter(|s| s.tx.is_some()).count()
     }
 
     /// Counters of capture, hazard and ledger-verification events.
@@ -964,23 +944,21 @@ impl Medium {
         self.stats
     }
 
-    /// Recomputes `node`'s incoming power from scratch over the active
-    /// transmissions — the reference the incremental ledger must match.
-    fn recomputed_incoming(&self, node: usize) -> QuantizedPower {
-        self.slots.iter().flatten().map(|a| a.power_at(node)).sum()
-    }
-
     /// Largest divergence (in ledger grains) between any node's
     /// incremental ledger and a from-scratch recomputation over the
     /// active set. The ledger invariant says this is always 0; the
     /// long-run drift test pins that down.
     pub fn ledger_divergence_grains(&self) -> u128 {
-        (0..self.positions.len())
-            .map(|n| {
-                self.states[n]
-                    .incoming
-                    .abs_diff(self.recomputed_incoming(n))
-            })
+        let mut recomputed = vec![QuantizedPower::ZERO; self.states.len()];
+        for active in self.states.iter().filter_map(|s| s.tx.as_ref()) {
+            for &(n, power) in &active.receivers {
+                recomputed[n as usize] += power;
+            }
+        }
+        self.states
+            .iter()
+            .zip(recomputed)
+            .map(|(s, r)| s.incoming.abs_diff(r))
             .max()
             .unwrap_or(0)
     }
@@ -999,42 +977,6 @@ impl Medium {
             debug_assert_eq!(divergence, 0, "power ledger diverged from the active set");
             self.ledger_check_nanos += started.elapsed().as_nanos() as u64;
         }
-    }
-
-    /// Reserves a slab slot for a new transmission and returns its id;
-    /// the caller stores the transmission under `id.slot()`.
-    fn reserve_id(&mut self) -> TxId {
-        let slot = match self.free_slots.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
-        // At most one live transmission per node (`begin` refuses a busy
-        // source) and node ids are `u32`, so the slab never outgrows the
-        // slot bits.
-        debug_assert!(slot < (1usize << SLOT_BITS), "transmission slab exhausted");
-        let id = TxId((self.next_gen << SLOT_BITS) | slot as u64);
-        self.next_gen += 1;
-        id
-    }
-
-    /// Looks up an active transmission by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tx` is not on the air.
-    #[expect(
-        clippy::panic,
-        reason = "documented invariant: ending a tx that is not on the air corrupts hazard integrals, so refuse loudly"
-    )]
-    fn active(&self, tx: TxId) -> &ActiveTx {
-        self.slots
-            .get(tx.slot())
-            .and_then(Option::as_ref)
-            .filter(|a| a.id == tx)
-            .unwrap_or_else(|| panic!("transmission {tx:?} not on the air"))
     }
 
     /// Builds the receiver list of a transmission from `src`: the
@@ -1098,7 +1040,7 @@ impl Medium {
         let state = &mut self.states[n];
         let ambient = NOISE_FLOOR.to_milliwatts() + state.incoming.to_milliwatts();
         let threshold = frame.rate.min_sinr().to_linear();
-        let decodable = state.transmitting.is_none() && p.value() / ambient.value() >= threshold;
+        let decodable = state.tx.is_none() && p.value() / ambient.value() >= threshold;
         state.incoming += power;
         let incoming_now = state.incoming.to_milliwatts();
         let mut announced = false;
@@ -1179,7 +1121,7 @@ impl Medium {
     ) -> (TxId, Vec<(NodeId, MacEvent)>) {
         let src = frame.src.0;
         assert!(
-            self.states[src].transmitting.is_none(),
+            self.states[src].tx.is_none(),
             "node {} started a second transmission",
             frame.src
         );
@@ -1191,15 +1133,16 @@ impl Medium {
         // One fading draw per relevant receiver, consistent for the
         // frame's whole lifetime, keyed by the generation embedded in
         // the id (which is how `receive_end` recovers the hazard key).
-        let id = self.reserve_id();
+        // Node ids are `u32`, so the sender fits the low bits.
+        let id = TxId((self.next_gen << SLOT_BITS) | src as u64);
+        self.next_gen += 1;
         let active = ActiveTx {
             id,
             frame,
             end,
-            receivers: self.draw_receivers(src, id.0 >> SLOT_BITS),
+            receivers: self.draw_receivers(src, id.generation()),
         };
 
-        self.states[src].transmitting = Some(id);
         // A transmitting node cannot keep receiving: it loses any lock.
         self.states[src].lock = None;
 
@@ -1220,8 +1163,7 @@ impl Medium {
             // Only the receivers' ambient power moved.
             self.emit_cs_transitions(active.receivers.iter().map(|&(n, _)| n as usize));
         }
-        self.slots[id.slot()] = Some(active);
-        self.live += 1;
+        self.states[src].tx = Some(active);
         self.debug_check_ledger();
         (id, notes)
     }
@@ -1251,7 +1193,7 @@ impl Medium {
                 let draw = uniform_from_state(keyed_state(
                     self.hazard_seed,
                     link_key(frame.src.0 as u32, n as u32),
-                    id.0 >> SLOT_BITS,
+                    id.generation(),
                 ));
                 if survive >= 1.0 - 1e-12 || draw < survive {
                     if observe {
@@ -1306,22 +1248,22 @@ impl Medium {
     /// the wrong instant would corrupt every overlapping hazard
     /// integral, so the medium refuses instead of silently accepting it.
     pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<(NodeId, MacEvent)> {
-        let scheduled = self.active(tx).end;
-        assert_eq!(
-            scheduled, now,
-            "Medium::end({tx:?}) at {now}, but the transmission is scheduled to end at {scheduled}"
-        );
-        let slot = tx.slot();
         #[expect(
-            clippy::expect_used,
-            reason = "active(tx) above already proved the slot is occupied"
+            clippy::panic,
+            reason = "documented invariant: ending a tx that is not on the air corrupts hazard integrals, so refuse loudly"
         )]
-        let active = self.slots[slot].take().expect("checked by active()");
-        self.free_slots.push(slot as u32);
-        self.live -= 1;
+        let active = self
+            .states
+            .get_mut(tx.sender())
+            .and_then(|s| s.tx.take_if(|a| a.id == tx))
+            .unwrap_or_else(|| panic!("transmission {tx:?} not on the air"));
+        assert_eq!(
+            active.end, now,
+            "Medium::end({tx:?}) at {now}, but the transmission is scheduled to end at {}",
+            active.end
+        );
 
         let frame = active.frame;
-        self.states[frame.src.0].transmitting = None;
 
         if self.observe {
             self.events.push(SimEvent::TxEnd {
@@ -1574,12 +1516,15 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_reused_without_id_aliasing() {
+    fn a_sender_record_is_reused_without_id_aliasing() {
         let mut m = medium();
         let (tx1, _) = m.begin(data(0, 1), SimTime::ZERO, end_at(1000));
         m.end(tx1, end_at(1000));
         let (tx2, _) = m.begin(data(0, 1), end_at(1000), end_at(2000));
-        assert_ne!(tx1, tx2, "generations keep reused slots distinguishable");
+        assert_ne!(
+            tx1, tx2,
+            "generations keep a sender's frames distinguishable"
+        );
         assert_eq!(m.active_count(), 1);
         m.end(tx2, end_at(2000));
         assert_eq!(m.active_count(), 0);

@@ -40,11 +40,10 @@ pub struct Simulator {
     flow_gen: Vec<u64>,
     resp_gen: Vec<u64>,
     report: SimReport,
-    /// Attached observers; events fan out to each in order.
+    /// Attached observers; events fan out to each in order. Whether any
+    /// is attached is the single gate every emission site checks, bar
+    /// the seven report-counted events.
     sinks: Vec<Box<dyn Observer>>,
-    /// `true` once any sink is attached — the single gate every
-    /// emission site checks, bar the seven report-counted events.
-    observing: bool,
     /// Seed of the counter-keyed localization-noise streams.
     move_seed: u64,
     /// Per-node move-epoch counters: the counter half of the
@@ -158,11 +157,13 @@ impl Simulator {
             // Every MAC shares one backoff seed: per-node streams are
             // separated by the identity half of the key (the node id),
             // not by per-node seed arithmetic.
-            let mut mac = Mac::new(mac_cfg, proto, cfg.seed ^ 0x243F_6A88_85A3_08D3);
-            for flow in cfg.flows_from(id) {
-                mac.add_flow(flow.dst, flow.traffic);
-            }
-            macs.push(mac);
+            macs.push(Mac::new(mac_cfg, proto, cfg.seed ^ 0x243F_6A88_85A3_08D3));
+        }
+        // One pass over the flows: each MAC gets its own in list order.
+        let mut senders_to = vec![Vec::new(); n];
+        for flow in &cfg.flows {
+            macs[flow.src.0].add_flow(flow.dst, flow.traffic);
+            senders_to[flow.dst.0].push(flow.src);
         }
 
         let mut queue = EventQueue::new();
@@ -179,11 +180,6 @@ impl Simulator {
             }
         }
 
-        let mut senders_to = vec![Vec::new(); n];
-        for flow in &cfg.flows {
-            senders_to[flow.dst.0].push(flow.src);
-        }
-
         let move_seed = cfg.seed ^ 0xBB67_AE85_84CA_A73B;
         Simulator {
             cfg,
@@ -197,7 +193,6 @@ impl Simulator {
             resp_gen: vec![0; n],
             report: SimReport::default(),
             sinks: Vec::new(),
-            observing: false,
             move_seed,
             move_epoch: vec![0; n],
         }
@@ -208,7 +203,6 @@ impl Simulator {
     /// and every MAC, but never changes simulation results (sinks have
     /// no channel back, and no emission touches an RNG stream).
     pub fn attach_sink(&mut self, sink: Box<dyn Observer>) {
-        self.observing = true;
         self.medium.enable_observation(self.cfg.protocol.t_cs);
         self.sinks.push(sink);
     }
@@ -372,7 +366,7 @@ impl Simulator {
                 sensed: self.medium.sensed(node),
                 transmitting: self.medium.is_transmitting(node),
                 locked: self.medium.is_locked(node),
-                observing: self.observing,
+                observing: !self.sinks.is_empty(),
                 directory: &self.directory,
             };
             let actions = self.macs[node.0].handle(event, ctx);

@@ -77,16 +77,16 @@ cargo run --release -p comap-experiments --bin fig_scale -- --quick \
 cmp target/fig_scale_report_a.json target/fig_scale_report_b.json
 cmp target/latency_fig_scale_a.json target/latency_fig_scale_b.json
 
-echo "==> a plain fig_scale report equals one from a run that also passes --latency-json"
+echo "==> a profiled, sink-free fig_scale report equals one from a run that also passes --latency-json"
 # One instrumented run serves --report-json and every sink flag, so
-# this cmp gates that observation never perturbs the report.
+# this cmp gates that neither observation nor profiling perturbs the
+# report. The run attaches no sink, so its profile feeds the gate below.
 cargo run --release -p comap-experiments --bin fig_scale -- --quick \
-    --report-json target/fig_scale_report_plain.json > /dev/null
+    --report-json target/fig_scale_report_plain.json \
+    --profile-json target/profile_fig_scale.json > /dev/null
 cmp target/fig_scale_report_plain.json target/fig_scale_report_a.json
 
-echo "==> perf-regression gate (fig_scale --quick vs pinned envelope, health invariants first)"
-cargo run --release -p comap-experiments --bin fig_scale -- --quick \
-    --profile-json target/profile_fig_scale.json > /dev/null
+echo "==> perf-regression gate (that run's profile vs pinned envelope, health invariants first)"
 cargo run --release -p comap-experiments --bin bench_diff -- \
     target/profile_fig_scale.json results/BENCH_envelope.json
 

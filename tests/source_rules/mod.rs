@@ -68,7 +68,7 @@ pub const STD_RNG_LINES: [(&str, usize); 2] = [
 /// held exactly. A lint that is not listed holds 0.
 pub const EXPECT_BUDGET: [(&str, usize); 5] = [
     ("clippy::disallowed_methods", 4),
-    ("clippy::expect_used", 8),
+    ("clippy::expect_used", 7),
     ("clippy::float_cmp", 2),
     ("clippy::panic", 1),
     ("clippy::wildcard_enum_match_arm", 2),
