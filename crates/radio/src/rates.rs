@@ -7,6 +7,7 @@
 //! the paper quotes "10 dB for 11 Mbps down to 4 dB for 1 Mbps".
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -56,6 +57,22 @@ impl Rate {
 
     /// All ERP-OFDM (802.11g) rates, slowest first.
     pub const OFDM_ALL: [Rate; 8] = [
+        Rate::Mbps6,
+        Rate::Mbps9,
+        Rate::Mbps12,
+        Rate::Mbps18,
+        Rate::Mbps24,
+        Rate::Mbps36,
+        Rate::Mbps48,
+        Rate::Mbps54,
+    ];
+
+    /// Every rate in declaration order, so `Rate::ALL[r as usize] == r`.
+    pub const ALL: [Rate; 12] = [
+        Rate::Mbps1,
+        Rate::Mbps2,
+        Rate::Mbps5_5,
+        Rate::Mbps11,
         Rate::Mbps6,
         Rate::Mbps9,
         Rate::Mbps12,
@@ -122,6 +139,15 @@ impl Rate {
         })
     }
 
+    /// [`Rate::min_sinr`] as a linear power ratio: exactly
+    /// `min_sinr().to_linear()`, evaluated once per rate on first use
+    /// and read from a table after that, so a per-receiver decodability
+    /// test costs no `powf`.
+    pub fn min_sinr_linear(self) -> f64 {
+        static LINEAR: OnceLock<[f64; 12]> = OnceLock::new();
+        LINEAR.get_or_init(|| Rate::ALL.map(|r| r.min_sinr().to_linear()))[self as usize]
+    }
+
     /// Data bits per OFDM symbol (`N_DBPS`), for ERP-OFDM duration math.
     /// Returns `None` for DSSS rates, which are not symbol-blocked.
     pub fn bits_per_ofdm_symbol(self) -> Option<u32> {
@@ -177,6 +203,26 @@ mod tests {
             for w in rates.windows(2) {
                 assert!(w[0].min_sinr() < w[1].min_sinr(), "{} vs {}", w[0], w[1]);
             }
+        }
+    }
+
+    #[test]
+    fn all_lists_every_rate_at_its_index() {
+        for (i, r) in Rate::ALL.into_iter().enumerate() {
+            assert_eq!(r as usize, i, "{r}");
+        }
+        let families: Vec<Rate> = Rate::DSSS_ALL.into_iter().chain(Rate::OFDM_ALL).collect();
+        assert_eq!(families, Rate::ALL);
+    }
+
+    #[test]
+    fn min_sinr_table_is_bit_identical_to_the_conversion() {
+        for r in Rate::ALL {
+            assert_eq!(
+                r.min_sinr_linear().to_bits(),
+                r.min_sinr().to_linear().to_bits(),
+                "{r}"
+            );
         }
     }
 

@@ -165,6 +165,12 @@ impl QuantizedPower {
         MilliWatts(self.0 as f64 * Self::STEP_MILLIWATTS)
     }
 
+    /// The power of `grains` grains — the inverse of
+    /// [`QuantizedPower::grains`].
+    pub const fn from_grains(grains: u128) -> Self {
+        QuantizedPower(grains)
+    }
+
     /// The raw grain count.
     pub const fn grains(self) -> u128 {
         self.0

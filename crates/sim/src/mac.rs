@@ -19,7 +19,7 @@
 //! (timers and traffic from the event queue; `Sense`, `Rx`, `TxDone` and
 //! `Announce` straight from the medium) plus a context snapshot that
 //! also lends it the simulator's position directory, and applies the
-//! returned [`MacAction`]s.
+//! [`MacAction`]s the MAC appends to a buffer the simulator owns.
 //!
 //! Everything the MAC reports leaves as a [`MacAction::Emit`] of a
 //! [`SimEvent`]. The seven events the [`SimReport`](crate::SimReport)
@@ -70,6 +70,10 @@ pub struct MacCtx<'a> {
     pub now: SimTime,
     /// Total ambient power (noise floor + active transmissions).
     pub sensed: MilliWatts,
+    /// Whether energy-detect carrier sense reads busy: `sensed`, in dBm,
+    /// is at or above the CCA threshold. The medium judges it on its
+    /// exact ledger ([`Medium::cca_busy`](crate::medium::Medium::cca_busy)).
+    pub cca_busy: bool,
     /// Whether this node's radio is transmitting right now.
     pub transmitting: bool,
     /// Whether this node's receiver is locked onto a decodable frame
@@ -287,7 +291,9 @@ pub struct MacConfig {
     /// May be empty when the rate controller reads no positions
     /// ([`RateController::reads_positions`]): moves then update nothing.
     pub true_positions: Vec<Position>,
-    /// CCA threshold.
+    /// CCA threshold. The simulator hands the same value to the medium
+    /// ([`Medium::set_cca_threshold`](crate::medium::Medium::set_cca_threshold)),
+    /// which judges it into [`MacCtx::cca_busy`].
     pub t_cs: Dbm,
     /// Backoff policy when adaptation is off.
     pub backoff: BackoffPolicy,
@@ -440,22 +446,19 @@ impl Mac {
         }
     }
 
-    /// Handles one event, returning the actions to apply.
-    pub fn handle(&mut self, event: MacEvent, ctx: MacCtx) -> Vec<MacAction> {
-        let mut out = Vec::new();
+    /// Handles one event, appending the actions to apply to `out`,
+    /// a buffer the caller owns and reuses.
+    pub fn handle(&mut self, event: MacEvent, ctx: MacCtx, out: &mut Vec<MacAction>) {
         match event {
-            MacEvent::Sense => self.on_sense(ctx, &mut out),
-            MacEvent::Rx { frame, .. } => self.on_rx(frame, ctx, &mut out),
-            MacEvent::TxDone { frame } => self.on_tx_done(frame, ctx, &mut out),
-            MacEvent::FlowTimer => self.on_flow_timer(ctx, &mut out),
-            MacEvent::ResponderTimer => self.on_responder(ctx, &mut out),
+            MacEvent::Sense => self.on_sense(ctx, out),
+            MacEvent::Rx { frame, .. } => self.on_rx(frame, ctx, out),
+            MacEvent::TxDone { frame } => self.on_tx_done(frame, ctx, out),
+            MacEvent::FlowTimer => self.on_flow_timer(ctx, out),
+            MacEvent::ResponderTimer => self.on_responder(ctx, out),
             MacEvent::Traffic => self.traffic_armed = false,
-            MacEvent::Announce { link, data_end } => {
-                self.header_heard(link, data_end, ctx, &mut out)
-            }
+            MacEvent::Announce { link, data_end } => self.header_heard(link, data_end, ctx, out),
         }
-        self.sync(ctx, &mut out);
-        out
+        self.sync(ctx, out);
     }
 
     // ------------------------------------------------------------------
@@ -1218,8 +1221,6 @@ impl Mac {
         // announced data is on the air trivially, and once the watchdog
         // is armed because it alone decides (on_sense handles abandon).
         self.opportunity.is_none()
-            && (ctx.now < self.nav_until
-                || ctx.sensed.to_dbm() >= self.cfg.t_cs
-                || (self.cfg.preamble_cs && ctx.locked))
+            && (ctx.now < self.nav_until || ctx.cca_busy || (self.cfg.preamble_cs && ctx.locked))
     }
 }

@@ -192,6 +192,45 @@ struct ActiveTx {
     receivers: Vec<(u32, QuantizedPower)>,
 }
 
+/// The power a node senses over a ledger of `incoming`: the thermal
+/// noise floor plus every active transmission the ledger holds.
+fn sensed_power(incoming: QuantizedPower) -> MilliWatts {
+    NOISE_FLOOR.to_milliwatts() + incoming.to_milliwatts()
+}
+
+/// The smallest ledger over which energy-detect carrier sense reads
+/// busy — the power sensed over it, in dBm, at or above `t_cs` — or
+/// `None` when not even a full `u128` ledger reaches `t_cs`.
+///
+/// The predicate is non-decreasing in the grain count: the grains
+/// convert to milliwatts and add to the noise floor through correctly
+/// rounded, monotone steps, and `log10` cannot invert the order of two
+/// powers whose true levels differ by more than its few-ulp error — see
+/// DESIGN.md §4. So the ledger reads busy exactly from the first grain
+/// count at which the very same expression does, which a bisection over
+/// the 128 bits finds. A `t_cs` at or below the noise floor gives zero
+/// grains.
+fn cca_floor(t_cs: Dbm) -> Option<QuantizedPower> {
+    let busy = |g: u128| sensed_power(QuantizedPower::from_grains(g)).to_dbm() >= t_cs;
+    if busy(0) {
+        return Some(QuantizedPower::ZERO);
+    }
+    if !busy(u128::MAX) {
+        return None;
+    }
+    // Invariant: !busy(lo) && busy(hi).
+    let (mut lo, mut hi) = (0u128, u128::MAX);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if busy(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(QuantizedPower::from_grains(hi))
+}
+
 /// One entry of a node's link-cache row: the peer and the link's mean
 /// received power in dBm (mean path loss at the current distance plus
 /// the slow-fade draw). The relevance predicate and the ledger
@@ -475,13 +514,19 @@ pub struct Medium {
     overflow: Vec<Vec<u32>>,
     /// Reusable candidate buffer of [`Medium::draw_receivers`].
     scratch: Vec<u32>,
+    /// Receiver lists of ended transmissions, emptied, for
+    /// [`Medium::draw_receivers`] to refill: as many as were ever on the
+    /// air at once.
+    spare_receivers: Vec<Vec<(u32, QuantizedPower)>>,
     stats: MediumStats,
     counters: MediumCounters,
     /// Instrumentation enabled — gates every event construction below,
     /// so an unobserved medium pays one predictable branch per site.
     observe: bool,
-    /// CCA threshold for carrier-sense transition events.
-    cs_threshold: MilliWatts,
+    /// The smallest ledger over which energy-detect carrier sense reads
+    /// busy ([`cca_floor`]); `None` while no threshold is set, or when
+    /// no ledger reaches it.
+    cca_floor: Option<QuantizedPower>,
     /// Last carrier-sense state emitted per node.
     cs_busy: Vec<bool>,
     /// Events accumulated since the last [`Medium::drain_events`].
@@ -489,6 +534,10 @@ pub struct Medium {
     /// Wall-clock nanoseconds spent verifying the ledger. Kept outside
     /// [`MediumStats`] so wall-clock time never enters a [`SimReport`].
     ledger_check_nanos: u64,
+    /// The debug ledger audit's per-node recomputation, sized once at
+    /// construction in debug builds (empty in release), so the audit
+    /// allocates nothing per mutation.
+    audit: Vec<QuantizedPower>,
 }
 
 impl Medium {
@@ -577,13 +626,19 @@ impl Medium {
             grid,
             overflow: vec![Vec::new(); n],
             scratch: Vec::new(),
+            spare_receivers: Vec::new(),
             stats: MediumStats::default(),
             counters: MediumCounters::default(),
             observe: false,
-            cs_threshold: Dbm::MIN.to_milliwatts(),
+            cca_floor: None,
             cs_busy: vec![false; n],
             events: Vec::new(),
             ledger_check_nanos: 0,
+            audit: if cfg!(debug_assertions) {
+                Vec::with_capacity(n)
+            } else {
+                Vec::new()
+            },
         };
         // Bootstrap the overflow lists (link means stay lazy): ascending
         // pair order keeps every list sorted.
@@ -606,13 +661,33 @@ impl Medium {
         self.inband_announce = enabled;
     }
 
+    /// Sets the CCA threshold `t_cs` that [`Medium::cca_busy`] judges
+    /// energy-detect carrier sense against. Until it is set no ledger
+    /// reads busy. The threshold becomes a grain count once, here (see
+    /// [`cca_floor`]), so each carrier-sense test is one integer
+    /// comparison.
+    pub fn set_cca_threshold(&mut self, t_cs: Dbm) {
+        self.cca_floor = cca_floor(t_cs);
+        if self.observe {
+            self.emit_cs_transitions(0..self.states.len());
+        }
+    }
+
+    /// Whether energy-detect carrier sense at `node` reads busy: the
+    /// power it senses ([`Medium::sensed`]), in dBm, is at or above the
+    /// CCA threshold set by [`Medium::set_cca_threshold`].
+    pub fn cca_busy(&self, node: NodeId) -> bool {
+        self.cca_floor
+            .is_some_and(|floor| self.states[node.0].incoming >= floor)
+    }
+
     /// Enables instrumentation-event emission; carrier-sense busy/idle
-    /// transitions are judged against the CCA threshold `t_cs`. Nodes
-    /// already busy at this point get their `CsBusy` now, so later
-    /// passes need only look at the nodes whose power moved.
-    pub fn enable_observation(&mut self, t_cs: Dbm) {
+    /// transitions are those of [`Medium::cca_busy`], the predicate the
+    /// MAC acts on. Nodes already busy at this point get their `CsBusy`
+    /// now, so later passes need only look at the nodes whose power
+    /// moved.
+    pub fn enable_observation(&mut self) {
         self.observe = true;
-        self.cs_threshold = t_cs.to_milliwatts();
         self.emit_cs_transitions(0..self.states.len());
     }
 
@@ -651,7 +726,7 @@ impl Medium {
     /// whose sensed power crossed the CCA threshold since its last pass.
     fn emit_cs_transitions(&mut self, nodes: impl IntoIterator<Item = usize>) {
         for n in nodes {
-            let busy = self.sensed(NodeId(n)).value() >= self.cs_threshold.value();
+            let busy = self.cca_busy(NodeId(n));
             if busy != self.cs_busy[n] {
                 self.cs_busy[n] = busy;
                 self.events.push(if busy {
@@ -920,7 +995,7 @@ impl Medium {
     /// every active transmission, excluding the node's own). A pure
     /// function of the active-transmission set — see the module docs.
     pub fn sensed(&self, node: NodeId) -> MilliWatts {
-        NOISE_FLOOR.to_milliwatts() + self.states[node.0].incoming.to_milliwatts()
+        sensed_power(self.states[node.0].incoming)
     }
 
     /// Whether `node` is currently transmitting.
@@ -949,7 +1024,14 @@ impl Medium {
     /// active set. The ledger invariant says this is always 0; the
     /// long-run drift test pins that down.
     pub fn ledger_divergence_grains(&self) -> u128 {
-        let mut recomputed = vec![QuantizedPower::ZERO; self.states.len()];
+        self.divergence_into(&mut Vec::new())
+    }
+
+    /// [`Medium::ledger_divergence_grains`], recomputing the ledgers
+    /// into `recomputed`.
+    fn divergence_into(&self, recomputed: &mut Vec<QuantizedPower>) -> u128 {
+        recomputed.clear();
+        recomputed.resize(self.states.len(), QuantizedPower::ZERO);
         for active in self.states.iter().filter_map(|s| s.tx.as_ref()) {
             for &(n, power) in &active.receivers {
                 recomputed[n as usize] += power;
@@ -957,8 +1039,8 @@ impl Medium {
         }
         self.states
             .iter()
-            .zip(recomputed)
-            .map(|(s, r)| s.incoming.abs_diff(r))
+            .zip(recomputed.iter())
+            .map(|(s, &r)| s.incoming.abs_diff(r))
             .max()
             .unwrap_or(0)
     }
@@ -973,7 +1055,9 @@ impl Medium {
             )]
             let started = std::time::Instant::now();
             self.stats.ledger_checks += 1;
-            let divergence = self.ledger_divergence_grains();
+            let mut audit = std::mem::take(&mut self.audit);
+            let divergence = self.divergence_into(&mut audit);
+            self.audit = audit;
             debug_assert_eq!(divergence, 0, "power ledger diverged from the active set");
             self.ledger_check_nanos += started.elapsed().as_nanos() as u64;
         }
@@ -994,7 +1078,8 @@ impl Medium {
         let sigma = self.fast_sigma.value();
         let row = &self.rows[src];
         let mut k = 0;
-        let mut receivers = Vec::with_capacity(candidates.len());
+        let mut receivers = self.spare_receivers.pop().unwrap_or_default();
+        receivers.reserve(candidates.len());
         for &j in &candidates {
             // The fill made the row a superset of the candidates.
             while row[k].0 < j {
@@ -1038,11 +1123,10 @@ impl Medium {
         let capture = self.capture;
         let mut captured = false;
         let state = &mut self.states[n];
-        let ambient = NOISE_FLOOR.to_milliwatts() + state.incoming.to_milliwatts();
-        let threshold = frame.rate.min_sinr().to_linear();
+        let ambient = sensed_power(state.incoming);
+        let threshold = frame.rate.min_sinr_linear();
         let decodable = state.tx.is_none() && p.value() / ambient.value() >= threshold;
         state.incoming += power;
-        let incoming_now = state.incoming.to_milliwatts();
         let mut announced = false;
         state.lock = match state.lock {
             None if decodable => {
@@ -1061,7 +1145,7 @@ impl Medium {
                 // Close the exposure span at the old interference
                 // level, then raise it.
                 lock.accrue(now);
-                lock.interference = NOISE_FLOOR.to_milliwatts() + incoming_now - lock.signal;
+                lock.interference = sensed_power(state.incoming) - lock.signal;
                 // Preamble capture: the new frame is decodable even
                 // over the locked signal.
                 if capture && decodable {
@@ -1155,7 +1239,10 @@ impl Medium {
             });
         }
 
-        let mut notes = Vec::new();
+        // A `Sense` per receiver, and an `Announce` before it when the
+        // receiver locks with in-band headers on.
+        let per_receiver = if self.inband_announce { 2 } else { 1 };
+        let mut notes = Vec::with_capacity(per_receiver * active.receivers.len());
         for &(n, power) in &active.receivers {
             self.receive_begin(n as usize, power, &active, now, &mut notes);
         }
@@ -1226,9 +1313,7 @@ impl Medium {
                 // The locked frame's interference just dropped: close
                 // its span at the old level.
                 lock.accrue(now);
-                lock.interference = NOISE_FLOOR.to_milliwatts()
-                    + self.states[n].incoming.to_milliwatts()
-                    - lock.signal;
+                lock.interference = sensed_power(self.states[n].incoming) - lock.signal;
                 self.states[n].lock = Some(lock);
             }
         }
@@ -1272,7 +1357,8 @@ impl Medium {
             });
         }
 
-        let mut notes = Vec::new();
+        // At most an `Rx` and a `Sense` per receiver, then `TxDone`.
+        let mut notes = Vec::with_capacity(2 * active.receivers.len() + 1);
         for &(n, power) in &active.receivers {
             self.receive_end(n as usize, power, &active, now, &mut notes);
         }
@@ -1280,6 +1366,9 @@ impl Medium {
         if self.observe {
             self.emit_cs_transitions(active.receivers.iter().map(|&(n, _)| n as usize));
         }
+        let mut receivers = active.receivers;
+        receivers.clear();
+        self.spare_receivers.push(receivers);
         self.debug_check_ledger();
         notes
     }
@@ -1736,7 +1825,8 @@ mod tests {
     fn observation_enabled_mid_frame_reports_busy_nodes() {
         let mut m = medium();
         let (tx, _) = m.begin(data(0, 1), SimTime::ZERO, end_at(1000));
-        m.enable_observation(Dbm::new(-80.0));
+        m.set_cca_threshold(Dbm::new(-80.0));
+        m.enable_observation();
         let busy: Vec<SimEvent> = m.drain_events().collect();
         assert_eq!(busy, vec![SimEvent::CsBusy { node: NodeId(1) }]);
         m.end(tx, end_at(1000));
@@ -1749,6 +1839,147 @@ mod tests {
             e,
             SimEvent::CsBusy { .. } | SimEvent::CsIdle { node: NodeId(2) }
         )));
+        // A threshold at the noise floor makes every node busy, and a
+        // threshold set while observing reports that at once.
+        m.set_cca_threshold(NOISE_FLOOR);
+        let busy: Vec<SimEvent> = m.drain_events().collect();
+        assert_eq!(
+            busy,
+            (0..3)
+                .map(|n| SimEvent::CsBusy { node: NodeId(n) })
+                .collect::<Vec<_>>()
+        );
+    }
+
+    /// Every CCA threshold a `SimConfig` or `ProtocolConfig` constructor
+    /// sets (−80 dBm for the testbed and NS-2 setups, −89 dBm for the
+    /// Fig. 1/8 corridor), the −82 dBm of the radio tests, a spread of
+    /// others, the noise floor itself, thresholds below it and one above
+    /// any reachable ledger (a full `u128` ledger is ≈ +85 dBm).
+    const CCA_THRESHOLDS_DBM: [f64; 11] = [
+        -80.0,
+        -89.0,
+        -82.0,
+        -94.0,
+        -70.0,
+        -40.0,
+        0.0,
+        -95.0,
+        -100.0,
+        f64::NEG_INFINITY,
+        120.0,
+    ];
+
+    /// Carrier sense as the MAC judged it before the grain threshold:
+    /// the sensed power over a ledger of `grains`, in dBm, against
+    /// `t_cs`.
+    fn dbm_busy(grains: u128, t_cs: Dbm) -> bool {
+        let ledger = QuantizedPower::from_grains(grains).to_milliwatts();
+        (NOISE_FLOOR.to_milliwatts() + ledger).to_dbm() >= t_cs
+    }
+
+    /// The grain threshold reads busy exactly where the dBm comparison
+    /// does: one grain below it, at it, and at random ledgers spread
+    /// over all 128 bits and clustered around it.
+    #[test]
+    fn integer_cca_equals_the_dbm_comparison() {
+        let mut rng = StdRng::seed_from_u64(0xCCA);
+        for t in CCA_THRESHOLDS_DBM {
+            let t_cs = Dbm::new(t);
+            let floor = cca_floor(t_cs).map(QuantizedPower::grains);
+            let integer = |g: u128| floor.is_some_and(|f| g >= f);
+            match floor {
+                Some(f) => {
+                    assert!(dbm_busy(f, t_cs), "{t} dBm: busy at the floor");
+                    if f > 0 {
+                        assert!(!dbm_busy(f - 1, t_cs), "{t} dBm: idle below it");
+                    }
+                }
+                None => assert!(!dbm_busy(u128::MAX, t_cs), "{t} dBm: never busy"),
+            }
+            for _ in 0..20_000 {
+                let wide = (u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>());
+                let g = wide >> rng.gen_range(0..128u32);
+                assert_eq!(integer(g), dbm_busy(g, t_cs), "{t} dBm at {g} grains");
+                if let Some(f) = floor {
+                    let offset = (rng.gen::<u64>() as i64 as i128) >> rng.gen_range(0..64u32);
+                    let near = f.saturating_add_signed(offset);
+                    assert_eq!(
+                        integer(near),
+                        dbm_busy(near, t_cs),
+                        "{t} dBm at {near} grains"
+                    );
+                }
+            }
+        }
+        assert_eq!(cca_floor(NOISE_FLOOR), Some(QuantizedPower::ZERO));
+        assert_eq!(cca_floor(Dbm::new(-100.0)), Some(QuantizedPower::ZERO));
+        assert_eq!(cca_floor(Dbm::MIN), Some(QuantizedPower::ZERO));
+        assert_eq!(cca_floor(Dbm::new(120.0)), None);
+        assert!(cca_floor(Dbm::new(-80.0)).is_some_and(|f| f.grains() > 1 << 64));
+    }
+
+    /// Around each crossover power `x*` — the sensed power at the grain
+    /// threshold — `10·log10(x) ≥ t_cs` flips exactly once over the
+    /// `f64`s within ±4096 ulps, between the powers of the ledgers one
+    /// grain below and at the threshold. The window's ends lie at least
+    /// 1.9e-12 dB from `t_cs`, far beyond `log10`'s few-ulp error, so no
+    /// power outside the window can read on the wrong side (DESIGN.md
+    /// §4): the predicate is monotone and the bisection exact.
+    #[test]
+    fn dbm_comparison_flips_once_around_each_crossover() {
+        const WINDOW_ULPS: u64 = 4096;
+        let mut crossovers = 0;
+        for t in CCA_THRESHOLDS_DBM {
+            let t_cs = Dbm::new(t);
+            let Some(floor) = cca_floor(t_cs).filter(|f| !f.is_zero()) else {
+                continue;
+            };
+            crossovers += 1;
+            let busy = |bits: u64| MilliWatts::new(f64::from_bits(bits)).to_dbm() >= t_cs;
+            let at = sensed_power(floor).value().to_bits();
+            let below = sensed_power(QuantizedPower::from_grains(floor.grains() - 1))
+                .value()
+                .to_bits();
+            let (first, last) = (at - WINDOW_ULPS, at + WINDOW_ULPS);
+            assert!(
+                first < below,
+                "{t} dBm: the window spans the last idle grain"
+            );
+            let flips = (first..last).filter(|&b| busy(b) != busy(b + 1)).count();
+            assert_eq!(flips, 1, "{t} dBm: {flips} flips");
+            assert!(
+                !busy(below) && busy(at),
+                "{t} dBm: the flip lies between the grains"
+            );
+            let level = |bits: u64| 10.0 * f64::from_bits(bits).log10();
+            let margin = (t - level(first)).min(level(last) - t);
+            assert!(margin > 1.9e-12, "{t} dBm: window margin {margin:e} dB");
+        }
+        assert_eq!(
+            crossovers, 7,
+            "every threshold above the floor has a crossover"
+        );
+    }
+
+    /// The medium's verdict is the comparison on its own sensed power,
+    /// idle and under frames alike.
+    #[test]
+    fn cca_busy_reads_the_sensed_power_against_t_cs() {
+        let mut m = medium();
+        for t in CCA_THRESHOLDS_DBM {
+            m.set_cca_threshold(Dbm::new(t));
+            let (tx, _) = m.begin(data(0, 1), SimTime::ZERO, end_at(1000));
+            for when in ["on air", "after"] {
+                for n in 0..3 {
+                    let dbm = m.sensed(NodeId(n)).to_dbm() >= Dbm::new(t);
+                    assert_eq!(m.cca_busy(NodeId(n)), dbm, "{t} dBm, node {n}, {when}");
+                }
+                if when == "on air" {
+                    m.end(tx, end_at(1000));
+                }
+            }
+        }
     }
 
     /// A row entry is the medium's memory per cached directed link: a

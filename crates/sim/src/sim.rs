@@ -44,6 +44,11 @@ pub struct Simulator {
     /// is attached is the single gate every emission site checks, bar
     /// the seven report-counted events.
     sinks: Vec<Box<dyn Observer>>,
+    /// The dispatch work queue: `(node, event)` pairs awaiting their
+    /// MAC. Empty between events; kept so its capacity is reused.
+    work: VecDeque<(NodeId, MacEvent)>,
+    /// The actions of the MAC being dispatched, reused the same way.
+    actions: Vec<MacAction>,
     /// Seed of the counter-keyed localization-noise streams.
     move_seed: u64,
     /// Per-node move-epoch counters: the counter half of the
@@ -123,6 +128,7 @@ impl Simulator {
             cfg.position_quantum,
         );
         medium.set_inband_announce(cfg.inband_header);
+        medium.set_cca_threshold(cfg.protocol.t_cs);
 
         // The adaptation table depends on the protocol configuration
         // alone: built on first use and shared by every node.
@@ -193,6 +199,8 @@ impl Simulator {
             resp_gen: vec![0; n],
             report: SimReport::default(),
             sinks: Vec::new(),
+            work: VecDeque::new(),
+            actions: Vec::new(),
             move_seed,
             move_epoch: vec![0; n],
         }
@@ -203,7 +211,7 @@ impl Simulator {
     /// and every MAC, but never changes simulation results (sinks have
     /// no channel back, and no emission touches an RNG stream).
     pub fn attach_sink(&mut self, sink: Box<dyn Observer>) {
-        self.medium.enable_observation(self.cfg.protocol.t_cs);
+        self.medium.enable_observation();
         self.sinks.push(sink);
     }
 
@@ -258,7 +266,8 @@ impl Simulator {
                 Event::TxEnd(tx) => {
                     let events = self.medium.end(tx, self.now);
                     self.forward_medium_events();
-                    self.drain(events.into());
+                    self.work.extend(events);
+                    self.drain();
                 }
                 Event::FlowTimer { node, gen } => {
                     if self.flow_gen[node.0] == gen {
@@ -356,27 +365,34 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, node: NodeId, event: MacEvent) {
-        self.drain(VecDeque::from([(node, event)]));
+        self.work.push_back((node, event));
+        self.drain();
     }
 
-    fn drain(&mut self, mut work: VecDeque<(NodeId, MacEvent)>) {
-        while let Some((node, event)) = work.pop_front() {
+    /// Hands the work queue's events to their MACs in order, applying
+    /// each MAC's actions before the next event; a transmission the
+    /// actions start queues the medium's events behind the rest.
+    fn drain(&mut self) {
+        let mut actions = std::mem::take(&mut self.actions);
+        while let Some((node, event)) = self.work.pop_front() {
             let ctx = MacCtx {
                 now: self.now,
                 sensed: self.medium.sensed(node),
+                cca_busy: self.medium.cca_busy(node),
                 transmitting: self.medium.is_transmitting(node),
                 locked: self.medium.is_locked(node),
                 observing: !self.sinks.is_empty(),
                 directory: &self.directory,
             };
-            let actions = self.macs[node.0].handle(event, ctx);
-            for action in actions {
-                self.apply(node, action, &mut work);
+            self.macs[node.0].handle(event, ctx, &mut actions);
+            for action in actions.drain(..) {
+                self.apply(node, action);
             }
         }
+        self.actions = actions;
     }
 
-    fn apply(&mut self, node: NodeId, action: MacAction, work: &mut VecDeque<(NodeId, MacEvent)>) {
+    fn apply(&mut self, node: NodeId, action: MacAction) {
         match action {
             MacAction::ArmFlowTimer(at) => {
                 self.flow_gen[node.0] += 1;
@@ -415,7 +431,7 @@ impl Simulator {
                 self.forward_medium_events();
                 self.queue.schedule(end, Event::TxEnd(tx));
                 self.report.node_mut(node).airtime += duration;
-                work.extend(events);
+                self.work.extend(events);
             }
             MacAction::Emit(event) => {
                 self.account(&event);

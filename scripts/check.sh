@@ -3,10 +3,10 @@
 # job runs this script and nothing else, so a local run is the CI run.
 #
 # Runs formatting, lints, and the tier-1 verification suite
-# (`cargo build --release && cargo test -q`), then the simbench smoke
-# test, every experiment's full run against results/figures.txt, the
-# examples, the CLI exit-code checks, the fig_scale report byte-diff
-# and the bench_diff gate. The workspace vendors all
+# (`cargo build --release && cargo test -q`), then the allocation-budget
+# test in release, the simbench smoke test, every experiment's full run
+# against results/figures.txt, the examples, the CLI exit-code checks,
+# the fig_scale report byte-diff and the bench_diff gate. The workspace vendors all
 # dependencies under vendor/, so the whole script must work with no
 # network access — CARGO_NET_OFFLINE keeps cargo from ever trying the
 # registry, which in sandboxed CI would otherwise hang or fail.
@@ -30,6 +30,11 @@ echo "==> tier-1: cargo test -q"
 # The workspace's default-members list every first-party crate (the
 # vendored stand-ins stay out), so this runs the whole suite.
 cargo test -q
+
+echo "==> allocation budget per event, release build (tier-1 ran it in debug)"
+# The counts are held exactly and agree across profiles; the release
+# count is the one users pay, so it is checked on its own build.
+cargo test -q --release -p comap-sim --test event_allocations
 
 echo "==> simbench smoke test (its own workspace, not in tier-1)"
 cargo test -q --manifest-path simbench/Cargo.toml
