@@ -54,11 +54,12 @@ use comap_mac::frames::FrameKind;
 use comap_mac::time::{SimDuration, SimTime};
 use comap_mac::timing::PhyTiming;
 use comap_radio::rates::Rate;
-use comap_radio::units::{Dbm, MilliWatts};
+use comap_radio::units::{Dbm, MilliWatts, QuantizedPower};
 use comap_radio::Position;
 
 use crate::config::{MacFeatures, Traffic};
 use crate::frame::{Frame, FrameBody, NodeId};
+use crate::medium::sensed_power;
 use crate::observe::SimEvent;
 use crate::rate::RateController;
 
@@ -68,11 +69,13 @@ use crate::rate::RateController;
 pub struct MacCtx<'a> {
     /// Current simulation time.
     pub now: SimTime,
-    /// Total ambient power (noise floor + active transmissions).
-    pub sensed: MilliWatts,
-    /// Whether energy-detect carrier sense reads busy: `sensed`, in dBm,
-    /// is at or above the CCA threshold. The medium judges it on its
-    /// exact ledger ([`Medium::cca_busy`](crate::medium::Medium::cca_busy)).
+    /// The node's exact ledger of the ambient power arriving from every
+    /// active transmission; [`MacCtx::sensed`] converts it on demand.
+    pub incoming: QuantizedPower,
+    /// Whether energy-detect carrier sense reads busy: the sensed power,
+    /// in dBm, is at or above the CCA threshold. The medium judges it on
+    /// its exact ledger
+    /// ([`Medium::cca_busy`](crate::medium::Medium::cca_busy)).
     pub cca_busy: bool,
     /// Whether this node's radio is transmitting right now.
     pub transmitting: bool,
@@ -86,6 +89,16 @@ pub struct MacCtx<'a> {
     /// Every node's last accepted position report: the one table the
     /// protocol's census and concurrency checks read.
     pub directory: &'a NeighborTable<NodeId>,
+}
+
+impl MacCtx<'_> {
+    /// Total ambient power (noise floor + active transmissions), as
+    /// [`Medium::sensed`](crate::medium::Medium::sensed) reads it. Only
+    /// the exposed-terminal watchdog needs it, so it is converted here
+    /// rather than for every dispatch.
+    pub fn sensed(&self) -> MilliWatts {
+        sensed_power(self.incoming)
+    }
 }
 
 /// Events delivered to the MAC. The medium hands `Sense`, `Rx`, `TxDone`
@@ -481,13 +494,13 @@ impl Mac {
                 // *drop*; RSSI₁ must be the ongoing data frame, i.e. the
                 // first clear rise over the entry baseline.
                 if let Some(proto) = &self.proto {
-                    if ctx.sensed.value() > op.baseline.value() * 1.5 {
-                        op.sched = Some(proto.arm_scheduler(ctx.sensed.to_dbm()));
+                    if ctx.sensed().value() > op.baseline.value() * 1.5 {
+                        op.sched = Some(proto.arm_scheduler(ctx.sensed().to_dbm()));
                     }
                 }
             }
             Some(sched) => {
-                if sched.on_rssi(ctx.sensed.to_dbm()) == EtAction::Abandon {
+                if sched.on_rssi(ctx.sensed().to_dbm()) == EtAction::Abandon {
                     self.opportunity = None;
                     out.push(MacAction::Emit(SimEvent::EtAbandon { node: self.cfg.id }));
                 }
@@ -1195,11 +1208,11 @@ impl Mac {
         // Joining after the data frame is already on the air: the current
         // ambient power *is* RSSI₁. Joining at discovery time: the data
         // has not started, so the watchdog arms on the first clear rise.
-        let sched = (ctx.now > data_start).then(|| proto.arm_scheduler(ctx.sensed.to_dbm()));
+        let sched = (ctx.now > data_start).then(|| proto.arm_scheduler(ctx.sensed().to_dbm()));
         self.opportunity = Some(Opportunity {
             link: (src, dst),
             until,
-            baseline: ctx.sensed,
+            baseline: ctx.sensed(),
             sched,
         });
         if ctx.observing {

@@ -8,11 +8,13 @@
 //! holds **no mutable RNG state at all**, so no sweep order, backend or
 //! future shard plan can perturb a single sample.
 //!
-//! The medium speaks the MAC's language: [`Medium::begin`] and
-//! [`Medium::end`] return `(node, MacEvent)` pairs — `Sense`, `Rx`,
-//! `TxDone`, `Announce` — that the simulator dispatches unchanged, and
-//! observed runs collect the physical-layer [`SimEvent`]s for
-//! [`Medium::drain_events`].
+//! The medium speaks the MAC's language: [`Medium::begin_into`] and
+//! [`Medium::end_into`] push `(node, MacEvent)` notes — `Sense`, `Rx`,
+//! `TxDone`, `Announce` — straight onto the caller's work queue, which
+//! the simulator dispatches unchanged, and observed runs collect the
+//! physical-layer [`SimEvent`]s for [`Medium::drain_events`].
+//! [`Medium::begin`] and [`Medium::end`] return the same notes in a
+//! fresh `Vec`, for callers without a queue of their own.
 //!
 //! A frame on the air is recorded once, in its sender's state: a
 //! single-radio node sends at most one frame at a time and cannot
@@ -58,12 +60,20 @@
 //!   range) plus a per-node *overflow list* of links whose static
 //!   shadowing draw keeps them relevant beyond that range.
 //!
-//! One code path then filters the candidates by the relevance floor into
-//! the transmission's single receiver list — `(node, power)`, ascending —
+//! The candidates fill the sender's link-cache row (below), and one code
+//! path then walks that row, filtering by the relevance floor into the
+//! transmission's single receiver list — `(node, power)`, ascending —
 //! which `begin` and `end` walk. Both candidate sets cover the relevant
 //! set, so both backends build the same list and move identical grains.
-//! See DESIGN.md §7 for the derivation of the radius and the exactness
-//! argument.
+//!
+//! Candidacy is symmetric in the two endpoints, and a row only ever holds
+//! candidates of its node, so once a sender's row is filled it holds
+//! *exactly* that sender's candidates until the next applied move. A
+//! per-node layout stamp records the fill: a sender gathers, sorts and
+//! fills its candidates only when a move has been applied since its last
+//! fill, and otherwise reads its receivers straight from its row. See
+//! DESIGN.md §7 for the derivation of the radius and both exactness
+//! arguments.
 //!
 //! # The mobility hot path
 //!
@@ -76,13 +86,13 @@
 //! The cache holds only the links a transmission reads: one row per
 //! node of `(peer, mean dBm)` entries (16 bytes each), ascending by peer.
 //! A sender's first `begin` after a move fills its row in bulk from its
-//! sorted candidate list — each missing link is computed once, stored at
-//! the row's exact size and mirrored into the peer's row, so the rows
-//! stay symmetric. [`Medium::set_position`] snaps the target onto the
-//! position quantum; an applied move bumps the mover's epoch, drops its
-//! row and deletes it from every peer row listed there, so every stored
-//! entry is always fresh. Memory is `O(n·k)` for `k` candidates per node,
-//! not `O(n²)`.
+//! sorted candidate list — each missing link is computed once, merged
+//! into the row's own buffer and mirrored into the peer's row, so the
+//! rows stay symmetric. [`Medium::set_position`] snaps the target onto
+//! the position quantum; an applied move bumps the mover's epoch, clears
+//! its row and deletes it from every peer row listed there, so every
+//! stored entry is always fresh. Memory is `O(n·k)` for `k` candidates
+//! per node, not `O(n²)`.
 //!
 //! The move then refreshes the mover's overflow list. One pass over the
 //! positions keeps the peers inside the hard skip radius of the ±6σ
@@ -99,6 +109,8 @@
 //! generation. No draw depends on another, so the order in which
 //! [`Medium::begin`] visits its candidates cannot change a value. See
 //! DESIGN.md §11.
+
+use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -194,8 +206,18 @@ struct ActiveTx {
 
 /// The power a node senses over a ledger of `incoming`: the thermal
 /// noise floor plus every active transmission the ledger holds.
-fn sensed_power(incoming: QuantizedPower) -> MilliWatts {
+pub(crate) fn sensed_power(incoming: QuantizedPower) -> MilliWatts {
     NOISE_FLOOR.to_milliwatts() + incoming.to_milliwatts()
+}
+
+/// Whether a frame of power `p` (mW) cannot clear the linear SINR
+/// `threshold` over the noise floor alone — and so over no ledger. The
+/// sensed power `fl(noise + x)` with `x ≥ 0` is never below the noise
+/// floor, and correctly rounded division is monotone in its divisor, so
+/// `p / sensed < threshold` whenever `p / noise < threshold`: the
+/// shortcut is exact bit for bit, and spares the ledger conversion.
+fn below_noise_sinr(p: f64, threshold: f64) -> bool {
+    p / NOISE_FLOOR.to_milliwatts().value() < threshold
 }
 
 /// The smallest ledger over which energy-detect carrier sense reads
@@ -476,6 +498,13 @@ pub struct Medium {
     /// endpoint last moved. Symmetric (`b ∈ rows[a]` ⟺ `a ∈ rows[b]`,
     /// with the same mean), and every entry is fresh.
     rows: Vec<Vec<RowEntry>>,
+    /// Layout stamp, bumped by every applied move: the candidate sets
+    /// of all senders are fixed between two bumps. Starts at 1.
+    layout: u64,
+    /// Per node, the layout stamp of its row's last fill (0: never
+    /// filled). While it equals [`Medium::layout`], the row holds
+    /// exactly the node's candidate receivers.
+    filled_at: Vec<u64>,
     /// Reusable buffer of the links a fill finds missing.
     missing: Vec<RowEntry>,
     /// Static (slow) shadowing deviation in dB: the channel sigma minus
@@ -614,6 +643,8 @@ impl Medium {
             hazard_seed,
             node_epoch: vec![0; n],
             rows: vec![Vec::new(); n],
+            layout: 1,
+            filled_at: vec![0; n],
             missing: Vec::new(),
             slow_sigma: slow,
             fast_sigma: Db::new(fast),
@@ -763,7 +794,7 @@ impl Medium {
 
     /// Makes `src`'s row cover `candidates` (ascending). One merge walk
     /// finds the missing links; each is computed once, counted once,
-    /// stored in a new row allocated at its exact size and mirrored into
+    /// merged into the row's own buffer from the back and mirrored into
     /// the peer's row.
     fn fill_row(&mut self, src: usize, candidates: &[u32]) {
         let mut missing = std::mem::take(&mut self.missing);
@@ -780,19 +811,23 @@ impl Medium {
         }
         if !missing.is_empty() {
             self.counters.cache_recomputes += missing.len() as u64;
-            let old = std::mem::take(&mut self.rows[src]);
-            let mut row = Vec::with_capacity(old.len() + missing.len());
-            let (mut i, mut m) = (0, 0);
-            while i < old.len() || m < missing.len() {
-                if m == missing.len() || (i < old.len() && old[i].0 < missing[m].0) {
-                    row.push(old[i]);
-                    i += 1;
+            let row = &mut self.rows[src];
+            let old = row.len();
+            row.reserve_exact(missing.len());
+            row.resize(old + missing.len(), (0, 0.0));
+            // Backward merge: the write cursor `w` never overtakes the
+            // unread old entries below `i`.
+            let (mut i, mut m, mut w) = (old, missing.len(), row.len());
+            while m > 0 {
+                w -= 1;
+                if i > 0 && row[i - 1].0 > missing[m - 1].0 {
+                    i -= 1;
+                    row[w] = row[i];
                 } else {
-                    row.push(missing[m]);
-                    m += 1;
+                    m -= 1;
+                    row[w] = missing[m];
                 }
             }
-            self.rows[src] = row;
             let me = src as u32;
             for &(j, dbm) in &missing {
                 let peer = &mut self.rows[j as usize];
@@ -804,16 +839,19 @@ impl Medium {
         self.missing = missing;
     }
 
-    /// Drops `node`'s row and deletes `node` from every peer row listed
-    /// in it — by symmetry, every entry that involved `node`.
+    /// Clears `node`'s row, keeping its buffer for the next fill, and
+    /// deletes `node` from every peer row listed in it — by symmetry,
+    /// every entry that involved `node`.
     fn evict_row(&mut self, node: usize) {
         let me = node as u32;
-        for (peer, _) in std::mem::take(&mut self.rows[node]) {
-            let row = &mut self.rows[peer as usize];
-            if let Ok(k) = row.binary_search_by_key(&me, |e| e.0) {
-                row.remove(k);
+        for k in 0..self.rows[node].len() {
+            let peer = self.rows[node][k].0 as usize;
+            let row = &mut self.rows[peer];
+            if let Ok(at) = row.binary_search_by_key(&me, |e| e.0) {
+                row.remove(at);
             }
         }
+        self.rows[node].clear();
     }
 
     /// The peers of `node` from `from` on that lie within the hard skip
@@ -869,8 +907,10 @@ impl Medium {
     /// fresh slow fades), evicts exactly the mover's cached links — its
     /// row and its entry in every peer's row, which refill on first use —
     /// then re-files the node in the grid and refreshes the overflow
-    /// lists on both sides of every affected pair. Transmissions already
-    /// on the air keep the powers they were drawn with.
+    /// lists on both sides of every affected pair, and bumps the layout
+    /// stamp, so every sender gathers its candidates afresh before its
+    /// next frame. Transmissions already on the air keep the powers they
+    /// were drawn with.
     pub fn set_position(&mut self, node: NodeId, to: Position) {
         let to = if self.quantum > 0.0 {
             let ix = (to.x / self.quantum).round() as i64;
@@ -886,6 +926,7 @@ impl Medium {
             to
         };
         self.counters.moves_applied += 1;
+        self.layout += 1;
         self.positions[node.0] = to;
         self.node_epoch[node.0] += 1;
         self.evict_row(node.0);
@@ -985,9 +1026,27 @@ impl Medium {
     /// both fill orders through this hook; a sharded engine can use it
     /// to warm a shard before its first frame.
     pub fn warm_links(&mut self, node: NodeId) {
+        if self.filled_at[node.0] != self.layout {
+            self.refill_row(node.0);
+        }
+    }
+
+    /// Gathers `src`'s candidates, fills its row with them and stamps
+    /// the fill with the current layout. A row only ever holds
+    /// candidates of its node — an entry is stored for a candidate pair
+    /// by either endpoint's fill (candidacy is symmetric), and a move
+    /// that could change the pair's candidacy evicts it — so the filled
+    /// row holds exactly the candidates until the next applied move.
+    fn refill_row(&mut self, src: usize) {
         let mut candidates = std::mem::take(&mut self.scratch);
-        self.candidates(node.0, &mut candidates);
-        self.fill_row(node.0, &candidates);
+        self.candidates(src, &mut candidates);
+        self.fill_row(src, &candidates);
+        debug_assert_eq!(
+            self.rows[src].len(),
+            candidates.len(),
+            "row {src} holds a non-candidate"
+        );
+        self.filled_at[src] = self.layout;
         self.scratch = candidates;
     }
 
@@ -996,6 +1055,13 @@ impl Medium {
     /// function of the active-transmission set — see the module docs.
     pub fn sensed(&self, node: NodeId) -> MilliWatts {
         sensed_power(self.states[node.0].incoming)
+    }
+
+    /// The exact ledger of the ambient power arriving at `node` from
+    /// every active transmission (its own excluded);
+    /// [`Medium::sensed`] adds the noise floor to it.
+    pub(crate) fn incoming(&self, node: NodeId) -> QuantizedPower {
+        self.states[node.0].incoming
     }
 
     /// Whether `node` is currently transmitting.
@@ -1064,28 +1130,23 @@ impl Medium {
     }
 
     /// Builds the receiver list of a transmission from `src`: the
-    /// backend's candidates, read from `src`'s row once it covers them
-    /// and filtered by the relevance floor, with one fading draw per
+    /// entries of `src`'s row — refilled first if a move was applied
+    /// since its last fill, so it holds exactly the backend's candidates
+    /// — filtered by the relevance floor, with one fading draw per
     /// survivor. Every fade is a pure function of
     /// `(fade_seed, src → rx, frame_ctr)`, so neither the visiting order
     /// nor the backend can change a single value.
     fn draw_receivers(&mut self, src: usize, frame_ctr: u64) -> Vec<(u32, QuantizedPower)> {
-        let mut candidates = std::mem::take(&mut self.scratch);
-        self.candidates(src, &mut candidates);
-        self.counters.cull_candidates += candidates.len() as u64;
-        self.fill_row(src, &candidates);
+        if self.filled_at[src] != self.layout {
+            self.refill_row(src);
+        }
+        let row = &self.rows[src];
+        self.counters.cull_candidates += row.len() as u64;
         let floor = self.relevance_floor.value();
         let sigma = self.fast_sigma.value();
-        let row = &self.rows[src];
-        let mut k = 0;
         let mut receivers = self.spare_receivers.pop().unwrap_or_default();
-        receivers.reserve(candidates.len());
-        for &j in &candidates {
-            // The fill made the row a superset of the candidates.
-            while row[k].0 < j {
-                k += 1;
-            }
-            let mean = row[k].1;
+        receivers.reserve(row.len());
+        for &(j, mean) in row {
             if mean < floor {
                 continue;
             }
@@ -1102,7 +1163,6 @@ impl Medium {
         let relevant = receivers.len() as u64;
         self.counters.cull_relevant += relevant;
         self.counters.cache_lookups += relevant;
-        self.scratch = candidates;
         receivers
     }
 
@@ -1116,51 +1176,53 @@ impl Medium {
         power: QuantizedPower,
         tx: &ActiveTx,
         now: SimTime,
-        notes: &mut Vec<(NodeId, MacEvent)>,
+        notes: &mut VecDeque<(NodeId, MacEvent)>,
     ) {
         let (id, frame) = (tx.id, tx.frame);
         let p = power.to_milliwatts();
         let capture = self.capture;
         let mut captured = false;
         let state = &mut self.states[n];
-        let ambient = sensed_power(state.incoming);
         let threshold = frame.rate.min_sinr_linear();
-        let decodable = state.tx.is_none() && p.value() / ambient.value() >= threshold;
+        // The ambient power before the frame, when the frame is
+        // decodable over it. A frame too weak to clear the threshold
+        // over the noise floor alone never converts the ledger.
+        let decodable = if state.tx.is_some() || below_noise_sinr(p.value(), threshold) {
+            None
+        } else {
+            let ambient = sensed_power(state.incoming);
+            (p.value() / ambient.value() >= threshold).then_some(ambient)
+        };
         state.incoming += power;
+        let lock_on = |interference| RxLock {
+            tx: id,
+            signal: p,
+            interference,
+            hazard: 0.0,
+            since: now,
+            rate: frame.rate,
+        };
         let mut announced = false;
-        state.lock = match state.lock {
-            None if decodable => {
+        state.lock = match (state.lock, decodable) {
+            (None, Some(ambient)) => {
                 announced = true;
-                Some(RxLock {
-                    tx: id,
-                    signal: p,
-                    interference: ambient,
-                    hazard: 0.0,
-                    since: now,
-                    rate: frame.rate,
-                })
+                Some(lock_on(ambient))
             }
-            None => None,
-            Some(mut lock) => {
+            (None, None) => None,
+            (Some(mut lock), decodable) => {
                 // Close the exposure span at the old interference
                 // level, then raise it.
                 lock.accrue(now);
                 lock.interference = sensed_power(state.incoming) - lock.signal;
                 // Preamble capture: the new frame is decodable even
                 // over the locked signal.
-                if capture && decodable {
-                    announced = true;
-                    captured = true;
-                    Some(RxLock {
-                        tx: id,
-                        signal: p,
-                        interference: ambient,
-                        hazard: 0.0,
-                        since: now,
-                        rate: frame.rate,
-                    })
-                } else {
-                    Some(lock)
+                match decodable {
+                    Some(ambient) if capture => {
+                        announced = true;
+                        captured = true;
+                        Some(lock_on(ambient))
+                    }
+                    _ => Some(lock),
                 }
             }
         };
@@ -1177,7 +1239,7 @@ impl Medium {
             && self.inband_announce
             && matches!(frame.body, crate::frame::FrameBody::Data { .. })
         {
-            notes.push((
+            notes.push_back((
                 NodeId(n),
                 MacEvent::Announce {
                     link: (frame.src, frame.dst),
@@ -1185,24 +1247,26 @@ impl Medium {
                 },
             ));
         }
-        notes.push((NodeId(n), MacEvent::Sense));
+        notes.push_back((NodeId(n), MacEvent::Sense));
     }
 
     /// Puts `frame` on the air from its source at `now`, lasting until
-    /// `end`. Returns the transmission id and the [`MacEvent`]s for the
-    /// nodes it affects. Only the receivers above the relevance floor
-    /// are visited — the same list under either backend.
+    /// `end`, and returns the transmission id. The [`MacEvent`]s for the
+    /// nodes it affects go onto the back of `notes`, receiver by
+    /// receiver. Only the receivers above the relevance floor are
+    /// visited — the same list under either backend.
     ///
     /// # Panics
     ///
     /// Panics if the source is already transmitting, or if `end` is not
     /// after `now`.
-    pub fn begin(
+    pub fn begin_into(
         &mut self,
         frame: Frame,
         now: SimTime,
         end: SimTime,
-    ) -> (TxId, Vec<(NodeId, MacEvent)>) {
+        notes: &mut VecDeque<(NodeId, MacEvent)>,
+    ) -> TxId {
         let src = frame.src.0;
         assert!(
             self.states[src].tx.is_none(),
@@ -1241,10 +1305,8 @@ impl Medium {
 
         // A `Sense` per receiver, and an `Announce` before it when the
         // receiver locks with in-band headers on.
-        let per_receiver = if self.inband_announce { 2 } else { 1 };
-        let mut notes = Vec::with_capacity(per_receiver * active.receivers.len());
         for &(n, power) in &active.receivers {
-            self.receive_begin(n as usize, power, &active, now, &mut notes);
+            self.receive_begin(n as usize, power, &active, now, notes);
         }
         if self.observe {
             // Only the receivers' ambient power moved.
@@ -1252,7 +1314,19 @@ impl Medium {
         }
         self.states[src].tx = Some(active);
         self.debug_check_ledger();
-        (id, notes)
+        id
+    }
+
+    /// [`Medium::begin_into`], returning the notes in a fresh `Vec`.
+    pub fn begin(
+        &mut self,
+        frame: Frame,
+        now: SimTime,
+        end: SimTime,
+    ) -> (TxId, Vec<(NodeId, MacEvent)>) {
+        let mut notes = VecDeque::new();
+        let id = self.begin_into(frame, now, end, &mut notes);
+        (id, notes.into())
     }
 
     /// Receiver-side bookkeeping when `tx` ends: ledger debit, lock
@@ -1263,7 +1337,7 @@ impl Medium {
         power: QuantizedPower,
         tx: &ActiveTx,
         now: SimTime,
-        notes: &mut Vec<(NodeId, MacEvent)>,
+        notes: &mut VecDeque<(NodeId, MacEvent)>,
     ) {
         let (id, frame) = (tx.id, tx.frame);
         let observe = self.observe;
@@ -1293,7 +1367,7 @@ impl Medium {
                             sinr_db,
                         });
                     }
-                    notes.push((
+                    notes.push_back((
                         NodeId(n),
                         MacEvent::Rx {
                             frame,
@@ -1317,13 +1391,14 @@ impl Medium {
                 self.states[n].lock = Some(lock);
             }
         }
-        notes.push((NodeId(n), MacEvent::Sense));
+        notes.push_back((NodeId(n), MacEvent::Sense));
     }
 
     /// Takes a transmission off the air at `now`, resolving receptions.
-    /// Returns per-node [`MacEvent`]s (`Rx` for a successful receiver,
-    /// `TxDone` for the sender, `Sense` for everyone whose ambient power
-    /// dropped). Only the receivers `begin` listed are visited — no one
+    /// Pushes per-node [`MacEvent`]s onto the back of `notes`: `Rx` for
+    /// a successful receiver and `Sense` for everyone whose ambient
+    /// power dropped, receiver by receiver, then `TxDone` for the
+    /// sender. Only the receivers `begin` listed are visited — no one
     /// else's ambient power moved.
     ///
     /// # Panics
@@ -1332,7 +1407,7 @@ impl Medium {
     /// end time the transmission was scheduled with — ending a frame at
     /// the wrong instant would corrupt every overlapping hazard
     /// integral, so the medium refuses instead of silently accepting it.
-    pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<(NodeId, MacEvent)> {
+    pub fn end_into(&mut self, tx: TxId, now: SimTime, notes: &mut VecDeque<(NodeId, MacEvent)>) {
         #[expect(
             clippy::panic,
             reason = "documented invariant: ending a tx that is not on the air corrupts hazard integrals, so refuse loudly"
@@ -1357,12 +1432,10 @@ impl Medium {
             });
         }
 
-        // At most an `Rx` and a `Sense` per receiver, then `TxDone`.
-        let mut notes = Vec::with_capacity(2 * active.receivers.len() + 1);
         for &(n, power) in &active.receivers {
-            self.receive_end(n as usize, power, &active, now, &mut notes);
+            self.receive_end(n as usize, power, &active, now, notes);
         }
-        notes.push((frame.src, MacEvent::TxDone { frame }));
+        notes.push_back((frame.src, MacEvent::TxDone { frame }));
         if self.observe {
             self.emit_cs_transitions(active.receivers.iter().map(|&(n, _)| n as usize));
         }
@@ -1370,7 +1443,13 @@ impl Medium {
         receivers.clear();
         self.spare_receivers.push(receivers);
         self.debug_check_ledger();
-        notes
+    }
+
+    /// [`Medium::end_into`], returning the notes in a fresh `Vec`.
+    pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<(NodeId, MacEvent)> {
+        let mut notes = VecDeque::new();
+        self.end_into(tx, now, &mut notes);
+        notes.into()
     }
 
     /// The propagation channel in force.
@@ -2197,6 +2276,131 @@ mod tests {
             }
             assert!(check_rows(&m, "filled") > 0, "seed {seed}: no row was ever filled");
         }
+
+        /// Reading receivers straight from a filled row is exact: under
+        /// both backends, with applied and coalesced moves interleaved
+        /// with transmissions — repeat senders reading their row, senders
+        /// refilling after a move — every `begin` visits exactly
+        /// `relevant_receivers` (one `Sense` each, ascending) and counts
+        /// exactly `candidate_receivers` as its candidates.
+        #[test]
+        fn row_reads_equal_the_relevant_set_between_moves(
+            seed in 0u64..10_000,
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..16, 0.0f64..1500.0, 0.0f64..1500.0), 1..64),
+        ) {
+            let n = 5 + (seed % 7) as usize;
+            let mut pos_rng = StdRng::seed_from_u64(seed ^ 0x5EAD_0F05);
+            let positions: Vec<Position> = (0..n)
+                .map(|_| Position::new(pos_rng.gen_range(0.0..1200.0), pos_rng.gen_range(0.0..1200.0)))
+                .collect();
+            for backend in [MediumBackend::Culled, MediumBackend::Exhaustive] {
+                let mut m = Medium::with_quantization(
+                    LogNormalShadowing::testbed(Dbm::new(0.0)),
+                    positions.clone(),
+                    true,
+                    StdRng::seed_from_u64(seed),
+                    backend,
+                    Meters::new(DEFAULT_POSITION_QUANTUM_M),
+                );
+                let mut t = 0u64;
+                let mut active: Vec<(TxId, u64)> = Vec::new();
+                for (step, &(op, idx, x, y)) in ops.iter().enumerate() {
+                    let node = idx % n;
+                    match op {
+                        // Transmissions weigh half: repeat senders read
+                        // their rows between moves.
+                        0..=2 => {
+                            if m.is_transmitting(NodeId(node)) {
+                                continue;
+                            }
+                            let relevant = m.relevant_receivers(NodeId(node));
+                            let candidates = m.candidate_receivers(NodeId(node)).len() as u64;
+                            let before = m.counters().cull_candidates;
+                            let end = t + 40 + (idx as u64 % 5) * 37;
+                            let (tx, notes) = m.begin(data(node, (node + 1) % n), end_at(t), end_at(end));
+                            let sensed: Vec<NodeId> = notes
+                                .iter()
+                                .filter(|(_, ev)| matches!(ev, MacEvent::Sense))
+                                .map(|&(r, _)| r)
+                                .collect();
+                            assert_eq!(sensed, relevant, "seed {seed} {backend:?} step {step}: receivers");
+                            assert_eq!(
+                                m.counters().cull_candidates - before,
+                                candidates,
+                                "seed {seed} {backend:?} step {step}: candidates counted"
+                            );
+                            active.push((tx, end));
+                        }
+                        3 => {
+                            if let Some(i) = (0..active.len()).min_by_key(|&i| active[i].1) {
+                                let (tx, end) = active.swap_remove(i);
+                                t = t.max(end);
+                                m.end(tx, end_at(end));
+                            }
+                        }
+                        4 => m.set_position(NodeId(node), Position::new(x, y)),
+                        _ => {
+                            // Inside the mover's 1 m quantum cell: coalesces.
+                            let p = m.position(NodeId(node));
+                            m.set_position(NodeId(node), Position::new(p.x + x / 4000.0, p.y - y / 4000.0));
+                        }
+                    }
+                    t += 13;
+                }
+            }
+        }
+    }
+
+    /// The noise-floor shortcut of `receive_begin` never rules a frame
+    /// undecodable that the full comparison over the ledger would lock
+    /// onto: at every rate, over random powers (log-uniform across 30
+    /// decades and within a few ulps of the rate's crossover power
+    /// `noise · threshold`) and random ledgers (zero, one grain, spread
+    /// over all 128 bits, and around each power's own crossover ledger).
+    /// Over an empty ledger the shortcut and the comparison agree.
+    #[test]
+    fn noise_floor_shortcut_never_rejects_a_decodable_frame() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_015E);
+        let noise = NOISE_FLOOR.to_milliwatts().value();
+        let decodable = |p: f64, ledger: u128, threshold: f64| {
+            p / sensed_power(QuantizedPower::from_grains(ledger)).value() >= threshold
+        };
+        let mut rejected = 0;
+        for rate in Rate::ALL {
+            let threshold = rate.min_sinr_linear();
+            let crossover = (noise * threshold).to_bits();
+            for k in 0..20_000u64 {
+                let p = if k % 2 == 0 {
+                    f64::from_bits(crossover - 64 + rng.gen_range(0..128u64))
+                } else {
+                    10f64.powf(rng.gen_range(-20.0..10.0))
+                };
+                let wide = (u128::from(rng.gen::<u64>()) << 64) | u128::from(rng.gen::<u64>());
+                let own =
+                    ((p / threshold - noise) / QuantizedPower::STEP_MILLIWATTS).max(0.0) as u128;
+                let offset = (rng.gen::<u64>() as i64 as i128) >> rng.gen_range(0..64u32);
+                let ledgers = [
+                    0,
+                    1,
+                    wide >> rng.gen_range(0..128u32),
+                    own.saturating_add_signed(offset),
+                ];
+                let shortcut = below_noise_sinr(p, threshold);
+                assert_eq!(shortcut, !decodable(p, 0, threshold), "{rate} at {p:e} mW");
+                rejected += u32::from(shortcut);
+                for ledger in ledgers {
+                    assert!(
+                        !(shortcut && decodable(p, ledger, threshold)),
+                        "{rate}: {p:e} mW ruled out, yet decodable over {ledger} grains"
+                    );
+                }
+            }
+        }
+        assert!(
+            rejected > 80_000,
+            "the powers must exercise the shortcut: {rejected}"
+        );
     }
 
     /// Both backends walk identical relevant sets and draw identical

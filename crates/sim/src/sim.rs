@@ -45,7 +45,8 @@ pub struct Simulator {
     /// the seven report-counted events.
     sinks: Vec<Box<dyn Observer>>,
     /// The dispatch work queue: `(node, event)` pairs awaiting their
-    /// MAC. Empty between events; kept so its capacity is reused.
+    /// MAC, the medium's notes pushed straight onto it. Empty between
+    /// events; kept so its capacity is reused.
     work: VecDeque<(NodeId, MacEvent)>,
     /// The actions of the MAC being dispatched, reused the same way.
     actions: Vec<MacAction>,
@@ -264,9 +265,8 @@ impl Simulator {
             let started = profiler.as_ref().map(Profiler::dispatch_start);
             match event {
                 Event::TxEnd(tx) => {
-                    let events = self.medium.end(tx, self.now);
+                    self.medium.end_into(tx, self.now, &mut self.work);
                     self.forward_medium_events();
-                    self.work.extend(events);
                     self.drain();
                 }
                 Event::FlowTimer { node, gen } => {
@@ -377,7 +377,7 @@ impl Simulator {
         while let Some((node, event)) = self.work.pop_front() {
             let ctx = MacCtx {
                 now: self.now,
-                sensed: self.medium.sensed(node),
+                incoming: self.medium.incoming(node),
                 cca_busy: self.medium.cca_busy(node),
                 transmitting: self.medium.is_transmitting(node),
                 locked: self.medium.is_locked(node),
@@ -427,11 +427,10 @@ impl Simulator {
                     .phy
                     .frame_duration(frame.on_air_bytes(), frame.rate);
                 let end = self.now + duration;
-                let (tx, events) = self.medium.begin(frame, self.now, end);
+                let tx = self.medium.begin_into(frame, self.now, end, &mut self.work);
                 self.forward_medium_events();
                 self.queue.schedule(end, Event::TxEnd(tx));
                 self.report.node_mut(node).airtime += duration;
-                self.work.extend(events);
             }
             MacAction::Emit(event) => {
                 self.account(&event);

@@ -11,7 +11,7 @@
 //! It is the same in debug and release builds: the debug ledger audit
 //! reuses one buffer sized at construction. A change that moves a count
 //! updates its constant here, like `EXPECT_BUDGET`; the static workloads
-//! must also stay at no more than one allocation per event.
+//! must also stay at no more than one allocation per ten events.
 
 #![expect(
     clippy::disallowed_macros,
@@ -136,16 +136,16 @@ struct Budget {
 }
 
 /// Runs `cfg` and holds its events and allocations to `budget`, and,
-/// when `at_most_one`, its allocations to at most one per event.
-fn check(cfg: SimConfig, duration: SimDuration, budget: &Budget, at_most_one: bool) {
+/// when `static_ceiling`, its allocations to at most one per ten events.
+fn check(cfg: SimConfig, duration: SimDuration, budget: &Budget, static_ceiling: bool) {
     let (events, allocated) = run_counted(cfg, duration);
     let per_event = allocated as f64 / events as f64;
     assert_eq!(events, budget.events, "{}: events", budget.name);
-    if at_most_one {
+    if static_ceiling {
         assert!(
-            allocated <= events,
+            10 * allocated <= events,
             "{}: {allocated} allocations over {events} events ({per_event:.3} per event), \
-             at most 1 per event allowed",
+             at most 0.1 per event allowed",
             budget.name
         );
     }
@@ -159,28 +159,28 @@ fn check(cfg: SimConfig, duration: SimDuration, budget: &Budget, at_most_one: bo
 const CELL: Budget = Budget {
     name: "saturated cell",
     events: 4441,
-    allocations: 736,
+    allocations: 175,
 };
 
 const ET: Budget = Budget {
     name: "ET testbed",
     events: 1690,
-    allocations: 1335,
+    allocations: 24,
 };
 
 const CAMPUS: Budget = Budget {
     name: "mobile campus",
     events: 5217,
-    allocations: 3719,
+    allocations: 1049,
 };
 
 #[test]
-fn saturated_cell_allocates_at_most_once_per_event() {
+fn saturated_cell_allocates_at_most_once_per_ten_events() {
     check(saturated_cell(), SimDuration::from_millis(200), &CELL, true);
 }
 
 #[test]
-fn et_testbed_allocates_at_most_once_per_event() {
+fn et_testbed_allocates_at_most_once_per_ten_events() {
     check(et_testbed(), SimDuration::from_millis(300), &ET, true);
 }
 
