@@ -36,11 +36,14 @@
 //! always belongs to the flow `current_flow` names. No flow carries rate
 //! state: the [`RateController`] is stateless, so a frame's rate is a
 //! pure function of geometry. Receiver-side state (duplicate filter,
-//! reorder window) is keyed by source.
+//! reorder window) is kept per source, one entry per sender toward the
+//! node.
+//!
+//! After every dispatch the MAC states, as a `SenseWatch`, which
+//! `Sense` notes could change it before its next dispatch; the medium
+//! leaves out the others (DESIGN.md §15).
 //!
 //! [`SimConfig::validate`]: crate::SimConfig::validate
-
-use std::collections::BTreeMap;
 
 use comap_radio::stream::CounterRng;
 
@@ -156,6 +159,43 @@ pub enum MacAction {
     /// An event for the report and the attached observers (see the
     /// module docs for which events are always emitted).
     Emit(SimEvent),
+}
+
+/// Which [`MacEvent::Sense`] notes can change a MAC until its next
+/// dispatch ([`Mac::sense_watch`]). "Busy" is the channel as the MAC's
+/// countdown reads it once no opportunity is armed and the NAV has
+/// expired: the node transmits, energy-detect carrier sense reads busy,
+/// or, with preamble carrier sense, the node is locked onto a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SenseWatch {
+    /// Any note may change the MAC.
+    Always,
+    /// No note changes the MAC.
+    Never,
+    /// Only a note that finds the channel busy changes the MAC.
+    IfBusy {
+        /// Whether a receiver lock counts as busy.
+        preamble_cs: bool,
+    },
+    /// Only a note that finds the channel idle changes the MAC.
+    IfIdle {
+        /// Whether a receiver lock counts as busy.
+        preamble_cs: bool,
+    },
+}
+
+impl SenseWatch {
+    /// Whether a `Sense` note that finds the node in this radio state
+    /// leaves its MAC unchanged and appends no action.
+    pub(crate) fn is_noop(self, transmitting: bool, cca_busy: bool, locked: bool) -> bool {
+        let busy = |preamble_cs: bool| transmitting || cca_busy || (preamble_cs && locked);
+        match self {
+            SenseWatch::Always => false,
+            SenseWatch::Never => true,
+            SenseWatch::IfBusy { preamble_cs } => !busy(preamble_cs),
+            SenseWatch::IfIdle { preamble_cs } => busy(preamble_cs),
+        }
+    }
 }
 
 /// The frame currently in service.
@@ -286,6 +326,27 @@ struct Flow {
     setting: Option<TxSetting>,
 }
 
+/// Receiver-side state toward one source.
+#[derive(Debug)]
+struct RxPeer {
+    src: NodeId,
+    /// Sequence number of the last stop-and-wait data frame from `src`:
+    /// a retry carrying it again is a duplicate.
+    last_seq: Option<u64>,
+    /// The selective-repeat reorder window.
+    arq: SelectiveRepeatReceiver,
+}
+
+impl RxPeer {
+    fn new(src: NodeId) -> Self {
+        RxPeer {
+            src,
+            last_seq: None,
+            arq: SelectiveRepeatReceiver::new(),
+        }
+    }
+}
+
 /// Static wiring the MAC needs from the simulation.
 #[derive(Debug)]
 pub struct MacConfig {
@@ -348,9 +409,10 @@ pub struct Mac {
     /// (set by overheard RTS/CTS NAVs).
     nav_until: SimTime,
 
-    // Receiver-side state.
-    rx_dedup: BTreeMap<NodeId, u64>,
-    arq_rx: BTreeMap<NodeId, SelectiveRepeatReceiver>,
+    /// Receiver-side state, one entry per source: the senders toward
+    /// this node ([`Mac::set_senders`]), then any other source whose data
+    /// frame reached it.
+    rx: Vec<RxPeer>,
 
     // CO-MAP runtime.
     opportunity: Option<Opportunity>,
@@ -382,8 +444,7 @@ impl Mac {
             pending_ack: None,
             traffic_armed: false,
             nav_until: SimTime::ZERO,
-            rx_dedup: BTreeMap::new(),
-            arq_rx: BTreeMap::new(),
+            rx: Vec::new(),
             opportunity: None,
             concurrent_sent: None,
             ongoing: None,
@@ -401,6 +462,24 @@ impl Mac {
             timeouts: 0,
             setting: None,
         });
+    }
+
+    /// Gives this node its receiver-side state toward each source with a
+    /// flow toward it, allocated once, before the run.
+    pub(crate) fn set_senders(&mut self, senders: &[NodeId]) {
+        self.rx = senders.iter().map(|&src| RxPeer::new(src)).collect();
+    }
+
+    /// The receiver-side state toward `src`, created on first use.
+    fn rx_peer(&mut self, src: NodeId) -> &mut RxPeer {
+        let at = match self.rx.iter().position(|p| p.src == src) {
+            Some(at) => at,
+            None => {
+                self.rx.push(RxPeer::new(src));
+                self.rx.len() - 1
+            }
+        };
+        &mut self.rx[at]
     }
 
     /// Read access to the protocol instance (reports, examples).
@@ -474,6 +553,40 @@ impl Mac {
         self.sync(ctx, out);
     }
 
+    /// Which `Sense` notes can change this MAC from `now` until its
+    /// next dispatch. A `Sense` first feeds an armed opportunity's
+    /// watchdog, then [`Mac::sync`] reconciles the flow with the
+    /// channel, so:
+    ///
+    /// * an armed opportunity, a running NAV (whose expiry flips the
+    ///   countdown's verdict later) or an `Idle` flow (whose admission
+    ///   refreshes the CBR bucket, rounding differently at every call)
+    ///   keeps every note;
+    /// * a frame on the air or awaiting its answer ignores them all;
+    /// * a countdown waiting out DIFS or counting slots acts only on a
+    ///   busy channel, and a frozen one only on an idle channel.
+    ///
+    /// Nothing but a dispatch changes these fields, and a NAV that has
+    /// expired by `now` stays expired.
+    pub(crate) fn sense_watch(&self, now: SimTime) -> SenseWatch {
+        if self.opportunity.is_some() || now < self.nav_until {
+            return SenseWatch::Always;
+        }
+        let preamble_cs = self.cfg.preamble_cs;
+        match self.state {
+            FlowState::Idle => SenseWatch::Always,
+            FlowState::TxRts
+            | FlowState::WaitCts
+            | FlowState::TxHeader
+            | FlowState::TxData
+            | FlowState::WaitAck => SenseWatch::Never,
+            FlowState::Contend => match self.wait {
+                WaitPhase::NeedIdle => SenseWatch::IfIdle { preamble_cs },
+                WaitPhase::Difs | WaitPhase::Counting(_) => SenseWatch::IfBusy { preamble_cs },
+            },
+        }
+    }
+
     // ------------------------------------------------------------------
     // Event handlers
     // ------------------------------------------------------------------
@@ -522,19 +635,20 @@ impl Mac {
                 if frame.dst != self.cfg.id {
                     return;
                 }
-                let (is_new, ack_body) = if self.cfg.features.selective_repeat {
-                    let rx = self.arq_rx.entry(frame.src).or_default();
-                    let new = rx.on_frame(seq);
+                let selective_repeat = self.cfg.features.selective_repeat;
+                let peer = self.rx_peer(frame.src);
+                let (is_new, ack_body) = if selective_repeat {
+                    let new = peer.arq.on_frame(seq);
                     (
                         new,
                         FrameBody::Ack {
                             seq,
-                            sr: Some(rx.ack()),
+                            sr: Some(peer.arq.ack()),
                         },
                     )
                 } else {
-                    let new = !retry || self.rx_dedup.get(&frame.src) != Some(&seq);
-                    self.rx_dedup.insert(frame.src, seq);
+                    let new = !retry || peer.last_seq != Some(seq);
+                    peer.last_seq = Some(seq);
                     (new, FrameBody::Ack { seq, sr: None })
                 };
                 if is_new {
@@ -1235,5 +1349,160 @@ impl Mac {
         // is armed because it alone decides (on_sense handles abandon).
         self.opportunity.is_none()
             && (ctx.now < self.nav_until || ctx.cca_busy || (self.cfg.preamble_cs && ctx.locked))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use comap_core::adapt::AdaptationTable;
+
+    use super::*;
+    use crate::config::SimConfig;
+
+    /// A CO-MAP MAC with one saturated flow toward node 1.
+    fn comap_mac(table: &Arc<AdaptationTable>, preamble_cs: bool) -> Mac {
+        let cfg = SimConfig::testbed(1);
+        let id = NodeId(0);
+        let mut proto = Protocol::with_adaptation(id, cfg.protocol, Arc::clone(table));
+        proto.set_own_position(Position::new(0.0, 0.0));
+        let mut mac = Mac::new(
+            MacConfig {
+                id,
+                features: MacFeatures::COMAP,
+                phy: cfg.protocol.phy,
+                rate_ctl: RateController::Fixed(Rate::Mbps11),
+                channel: cfg.protocol.channel,
+                true_positions: Vec::new(),
+                t_cs: cfg.protocol.t_cs,
+                backoff: cfg.backoff,
+                payload_bytes: cfg.payload_bytes,
+                retry_limit: cfg.retry_limit,
+                arq_window: cfg.protocol.arq_window,
+                preamble_cs,
+            },
+            Some(proto),
+            7,
+        );
+        mac.add_flow(NodeId(1), Traffic::Saturated);
+        mac
+    }
+
+    const STATES: [FlowState; 7] = [
+        FlowState::Idle,
+        FlowState::Contend,
+        FlowState::TxRts,
+        FlowState::WaitCts,
+        FlowState::TxHeader,
+        FlowState::TxData,
+        FlowState::WaitAck,
+    ];
+
+    /// Every flow state, wait phase, opportunity (none, armed before or
+    /// after its watchdog, past its end), NAV (none, ended at the watch
+    /// instant, running past it), `preamble_cs` and radio state
+    /// (transmitting, CCA, lock): wherever the watch, taken at one
+    /// instant, calls a `Sense` a no-op, handling one then or later
+    /// appends nothing and leaves the `Debug` text as it was.
+    #[test]
+    fn a_sense_the_watch_calls_a_noop_changes_nothing() {
+        let table = Arc::new(SimConfig::testbed(1).protocol.adaptation_table());
+        let slot = SimConfig::testbed(1).protocol.phy.slot();
+        let watched = SimTime::ZERO + SimDuration::from_micros(500);
+        let busy_ledger = QuantizedPower::from_milliwatts(Dbm::new(-60.0).to_milliwatts());
+        let waits = [
+            WaitPhase::NeedIdle,
+            WaitPhase::Difs,
+            WaitPhase::Counting(SimTime::ZERO + SimDuration::from_micros(400)),
+        ];
+        let opportunity = |until: SimTime, armed: bool| Opportunity {
+            link: (NodeId(2), NodeId(3)),
+            until,
+            baseline: MilliWatts::new(1e-9),
+            sched: armed.then(|| {
+                comap_mac(&table, true)
+                    .protocol()
+                    .map(|p| p.arm_scheduler(Dbm::new(-70.0)))
+                    .expect("CO-MAP node")
+            }),
+        };
+        let later = watched + SimDuration::from_micros(40);
+        let opportunities = [
+            None,
+            Some(opportunity(later + slot, false)),
+            Some(opportunity(later + slot, true)),
+            Some(opportunity(watched, false)),
+        ];
+        let navs = [
+            SimTime::ZERO,
+            watched,
+            watched + SimDuration::from_micros(20),
+        ];
+        let directory = NeighborTable::new();
+        let mut seen = Vec::new();
+        let mut checked = 0;
+        for state in STATES {
+            for wait in waits {
+                for op in opportunities {
+                    for nav_until in navs {
+                        for preamble_cs in [false, true] {
+                            let mut mac = comap_mac(&table, preamble_cs);
+                            mac.state = state;
+                            mac.wait = wait;
+                            mac.opportunity = op;
+                            mac.nav_until = nav_until;
+                            if state != FlowState::Idle {
+                                mac.pending = Some(PendingFrame {
+                                    dst: NodeId(1),
+                                    seq: 0,
+                                    payload: 1000,
+                                    attempt: 0,
+                                });
+                            }
+                            let watch = mac.sense_watch(watched);
+                            if !seen.contains(&watch) {
+                                seen.push(watch);
+                            }
+                            let before = format!("{mac:?}");
+                            for bits in 0..8u8 {
+                                let (transmitting, cca_busy, locked) =
+                                    (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+                                if !watch.is_noop(transmitting, cca_busy, locked) {
+                                    continue;
+                                }
+                                for now in [watched, later] {
+                                    let ctx = MacCtx {
+                                        now,
+                                        incoming: if cca_busy {
+                                            busy_ledger
+                                        } else {
+                                            QuantizedPower::ZERO
+                                        },
+                                        cca_busy,
+                                        transmitting,
+                                        locked,
+                                        observing: true,
+                                        directory: &directory,
+                                    };
+                                    let mut out = Vec::new();
+                                    mac.handle(MacEvent::Sense, ctx, &mut out);
+                                    let case = format!(
+                                        "{state:?} {wait:?} {op:?} nav {nav_until} pcs \
+                                         {preamble_cs} tx {transmitting} cca {cca_busy} \
+                                         lock {locked} at {now}: {watch:?}"
+                                    );
+                                    assert!(out.is_empty(), "{case} acts: {out:?}");
+                                    assert_eq!(format!("{mac:?}"), before, "{case}");
+                                    checked += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), 6, "every watch occurs: {seen:?}");
+        assert!(checked > 1000, "{checked} no-op cases checked");
     }
 }

@@ -8,13 +8,16 @@
 //! holds **no mutable RNG state at all**, so no sweep order, backend or
 //! future shard plan can perturb a single sample.
 //!
-//! The medium speaks the MAC's language: [`Medium::begin_into`] and
-//! [`Medium::end_into`] push `(node, MacEvent)` notes — `Sense`, `Rx`,
-//! `TxDone`, `Announce` — straight onto the caller's work queue, which
-//! the simulator dispatches unchanged, and observed runs collect the
+//! The medium speaks the MAC's language: `Medium::begin_into` and
+//! `Medium::end_into` push `(node, MacEvent)` notes — `Sense`, `Rx`,
+//! `TxDone`, `Announce` — straight onto the simulator's work queue,
+//! which it dispatches unchanged, and observed runs collect the
 //! physical-layer [`SimEvent`]s for [`Medium::drain_events`].
 //! [`Medium::begin`] and [`Medium::end`] return the same notes in a
-//! fresh `Vec`, for callers without a queue of their own.
+//! fresh `Vec`, for callers without a queue of their own. It also reads
+//! the MAC's sense watches: a receiver's `Sense` that its watch proves
+//! a no-op, and that nothing can overtake before it would pop, is left
+//! out (DESIGN.md §15).
 //!
 //! A frame on the air is recorded once, in its sender's state: a
 //! single-radio node sends at most one frame at a time and cannot
@@ -124,8 +127,8 @@ use comap_radio::stream::{
 use comap_radio::units::{Db, Dbm, Meters, MilliWatts, QuantizedPower};
 use comap_radio::{Position, NOISE_FLOOR};
 
-use crate::frame::{Frame, NodeId, TxId};
-use crate::mac::MacEvent;
+use crate::frame::{Frame, FrameBody, NodeId, TxId};
+use crate::mac::{MacEvent, SenseWatch};
 use crate::observe::SimEvent;
 use crate::stats::MediumStats;
 
@@ -202,6 +205,41 @@ struct ActiveTx {
     /// ascending by node and pre-quantized so begin/end move identical
     /// grains. The same list under either backend.
     receivers: Vec<(u32, QuantizedPower)>,
+}
+
+/// One entry of the simulator's dispatch work queue, where the medium
+/// pushes its notes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Note {
+    /// An event for a node's MAC.
+    Mac(NodeId, MacEvent),
+    /// A `Sense` for the node that its watch proved a no-op. Release
+    /// builds leave it out altogether; debug builds keep it in place so
+    /// that the simulator can replay it where it would have popped and
+    /// assert that it changes nothing.
+    #[cfg(debug_assertions)]
+    LeftOut(NodeId),
+}
+
+impl Note {
+    /// The `(node, event)` pairs of `notes` that reach a MAC, in order;
+    /// release builds, where a note is laid out as its pair, collect
+    /// them in the queue's own buffer.
+    fn for_macs(notes: VecDeque<Note>) -> Vec<(NodeId, MacEvent)> {
+        Vec::from(notes)
+            .into_iter()
+            .filter_map(Note::for_mac)
+            .collect()
+    }
+
+    /// The `(node, event)` pair of a note that reaches a MAC.
+    fn for_mac(self) -> Option<(NodeId, MacEvent)> {
+        match self {
+            Note::Mac(node, event) => Some((node, event)),
+            #[cfg(debug_assertions)]
+            Note::LeftOut(_) => None,
+        }
+    }
 }
 
 /// The power a node senses over a ledger of `incoming`: the thermal
@@ -558,6 +596,9 @@ pub struct Medium {
     cca_floor: Option<QuantizedPower>,
     /// Last carrier-sense state emitted per node.
     cs_busy: Vec<bool>,
+    /// Per node, which `Sense` notes can change its MAC, as of its last
+    /// dispatch ([`Medium::set_sense_watch`]).
+    watches: Vec<SenseWatch>,
     /// Events accumulated since the last [`Medium::drain_events`].
     events: Vec<SimEvent>,
     /// Wall-clock nanoseconds spent verifying the ledger. Kept outside
@@ -663,6 +704,7 @@ impl Medium {
             observe: false,
             cca_floor: None,
             cs_busy: vec![false; n],
+            watches: vec![SenseWatch::Always; n],
             events: Vec::new(),
             ledger_check_nanos: 0,
             audit: if cfg!(debug_assertions) {
@@ -702,6 +744,13 @@ impl Medium {
         if self.observe {
             self.emit_cs_transitions(0..self.states.len());
         }
+    }
+
+    /// Stores which `Sense` notes can change `node`'s MAC until its next
+    /// dispatch ([`Mac::sense_watch`](crate::mac::Mac::sense_watch)).
+    /// Until it is first set, every note can.
+    pub(crate) fn set_sense_watch(&mut self, node: NodeId, watch: SenseWatch) {
+        self.watches[node.0] = watch;
     }
 
     /// Whether energy-detect carrier sense at `node` reads busy: the
@@ -942,25 +991,27 @@ impl Medium {
     /// mover survives anywhere.
     fn refresh_overflow(&mut self, node: usize) {
         let me = node as u32;
-        for peer in std::mem::take(&mut self.overflow[node]) {
+        let mut own = std::mem::take(&mut self.overflow[node]);
+        for &peer in &own {
             let list = &mut self.overflow[peer as usize];
             if let Ok(k) = list.binary_search(&me) {
                 list.remove(k);
             }
         }
-        // Ascending scan order keeps the rebuilt list sorted.
-        let new: Vec<u32> = self
-            .within_hard_skip(node, 0)
-            .filter(|&(other, d2)| self.overflows(node, other, d2))
-            .map(|(other, _)| other as u32)
-            .collect();
-        for &peer in &new {
+        // Rebuilt in its own buffer; ascending scan order keeps it sorted.
+        own.clear();
+        own.extend(
+            self.within_hard_skip(node, 0)
+                .filter(|&(other, d2)| self.overflows(node, other, d2))
+                .map(|(other, _)| other as u32),
+        );
+        for &peer in &own {
             let list = &mut self.overflow[peer as usize];
             let at = list.partition_point(|&v| v < me);
             debug_assert!(list.get(at) != Some(&me), "overflow lists lost symmetry");
             list.insert(at, me);
         }
-        self.overflow[node] = new;
+        self.overflow[node] = own;
     }
 
     /// Fills `out` with the candidate receivers of a transmission from
@@ -1176,7 +1227,8 @@ impl Medium {
         power: QuantizedPower,
         tx: &ActiveTx,
         now: SimTime,
-        notes: &mut VecDeque<(NodeId, MacEvent)>,
+        mut may_leave_out: bool,
+        notes: &mut VecDeque<Note>,
     ) {
         let (id, frame) = (tx.id, tx.frame);
         let p = power.to_milliwatts();
@@ -1235,37 +1287,57 @@ impl Medium {
                 });
             }
         }
-        if announced
-            && self.inband_announce
-            && matches!(frame.body, crate::frame::FrameBody::Data { .. })
-        {
-            notes.push_back((
+        if announced && self.inband_announce && matches!(frame.body, FrameBody::Data { .. }) {
+            notes.push_back(Note::Mac(
                 NodeId(n),
                 MacEvent::Announce {
                     link: (frame.src, frame.dst),
                     data_end: tx.end,
                 },
             ));
+            may_leave_out = false;
         }
-        notes.push_back((NodeId(n), MacEvent::Sense));
+        self.push_sense(n, may_leave_out, notes);
+    }
+
+    /// Pushes `n`'s `Sense` note, unless `may_leave_out` holds and its
+    /// watch proves the note a no-op at its radio state now: then
+    /// release builds push nothing, and debug builds a
+    /// [`Note::LeftOut`] for the simulator to audit.
+    fn push_sense(&self, n: usize, may_leave_out: bool, notes: &mut VecDeque<Note>) {
+        let state = &self.states[n];
+        if may_leave_out
+            && self.watches[n].is_noop(
+                state.tx.is_some(),
+                self.cca_busy(NodeId(n)),
+                state.lock.is_some(),
+            )
+        {
+            #[cfg(debug_assertions)]
+            notes.push_back(Note::LeftOut(NodeId(n)));
+            return;
+        }
+        notes.push_back(Note::Mac(NodeId(n), MacEvent::Sense));
     }
 
     /// Puts `frame` on the air from its source at `now`, lasting until
     /// `end`, and returns the transmission id. The [`MacEvent`]s for the
     /// nodes it affects go onto the back of `notes`, receiver by
     /// receiver. Only the receivers above the relevance floor are
-    /// visited — the same list under either backend.
+    /// visited — the same list under either backend. When `notes` starts
+    /// empty, a receiver's `Sense` is left out if its watch proves it a
+    /// no-op ([`Medium::set_sense_watch`]).
     ///
     /// # Panics
     ///
     /// Panics if the source is already transmitting, or if `end` is not
     /// after `now`.
-    pub fn begin_into(
+    pub(crate) fn begin_into(
         &mut self,
         frame: Frame,
         now: SimTime,
         end: SimTime,
-        notes: &mut VecDeque<(NodeId, MacEvent)>,
+        notes: &mut VecDeque<Note>,
     ) -> TxId {
         let src = frame.src.0;
         assert!(
@@ -1304,9 +1376,12 @@ impl Medium {
         }
 
         // A `Sense` per receiver, and an `Announce` before it when the
-        // receiver locks with in-band headers on.
+        // receiver locks with in-band headers on. No note of this batch
+        // starts a transmission, so on an empty queue nothing touches a
+        // receiver between the push and the pop of its `Sense`.
+        let may_leave_out = notes.is_empty();
         for &(n, power) in &active.receivers {
-            self.receive_begin(n as usize, power, &active, now, notes);
+            self.receive_begin(n as usize, power, &active, now, may_leave_out, notes);
         }
         if self.observe {
             // Only the receivers' ambient power moved.
@@ -1317,7 +1392,7 @@ impl Medium {
         id
     }
 
-    /// [`Medium::begin_into`], returning the notes in a fresh `Vec`.
+    /// `Medium::begin_into`, returning the notes in a fresh `Vec`.
     pub fn begin(
         &mut self,
         frame: Frame,
@@ -1326,7 +1401,7 @@ impl Medium {
     ) -> (TxId, Vec<(NodeId, MacEvent)>) {
         let mut notes = VecDeque::new();
         let id = self.begin_into(frame, now, end, &mut notes);
-        (id, notes.into())
+        (id, Note::for_macs(notes))
     }
 
     /// Receiver-side bookkeeping when `tx` ends: ledger debit, lock
@@ -1337,7 +1412,8 @@ impl Medium {
         power: QuantizedPower,
         tx: &ActiveTx,
         now: SimTime,
-        notes: &mut VecDeque<(NodeId, MacEvent)>,
+        mut may_leave_out: bool,
+        notes: &mut VecDeque<Note>,
     ) {
         let (id, frame) = (tx.id, tx.frame);
         let observe = self.observe;
@@ -1367,13 +1443,14 @@ impl Medium {
                             sinr_db,
                         });
                     }
-                    notes.push_back((
+                    notes.push_back(Note::Mac(
                         NodeId(n),
                         MacEvent::Rx {
                             frame,
                             rssi: lock.signal.to_dbm(),
                         },
                     ));
+                    may_leave_out = false;
                 } else {
                     self.stats.hazard_drops += 1;
                     if observe {
@@ -1391,7 +1468,7 @@ impl Medium {
                 self.states[n].lock = Some(lock);
             }
         }
-        notes.push_back((NodeId(n), MacEvent::Sense));
+        self.push_sense(n, may_leave_out, notes);
     }
 
     /// Takes a transmission off the air at `now`, resolving receptions.
@@ -1399,7 +1476,9 @@ impl Medium {
     /// a successful receiver and `Sense` for everyone whose ambient
     /// power dropped, receiver by receiver, then `TxDone` for the
     /// sender. Only the receivers `begin` listed are visited — no one
-    /// else's ambient power moved.
+    /// else's ambient power moved. When `notes` starts empty and the
+    /// frame is no CTS, a receiver's `Sense` is left out if its watch
+    /// proves it a no-op ([`Medium::set_sense_watch`]).
     ///
     /// # Panics
     ///
@@ -1407,7 +1486,7 @@ impl Medium {
     /// end time the transmission was scheduled with — ending a frame at
     /// the wrong instant would corrupt every overlapping hazard
     /// integral, so the medium refuses instead of silently accepting it.
-    pub fn end_into(&mut self, tx: TxId, now: SimTime, notes: &mut VecDeque<(NodeId, MacEvent)>) {
+    pub(crate) fn end_into(&mut self, tx: TxId, now: SimTime, notes: &mut VecDeque<Note>) {
         #[expect(
             clippy::panic,
             reason = "documented invariant: ending a tx that is not on the air corrupts hazard integrals, so refuse loudly"
@@ -1432,10 +1511,14 @@ impl Medium {
             });
         }
 
+        // Of this batch's notes only a CTS `Rx` can start a
+        // transmission before the rest pop (the RTS sender's data), and
+        // a discovery header's `TxDone`, which sends its data, pops last.
+        let may_leave_out = notes.is_empty() && !matches!(frame.body, FrameBody::Cts { .. });
         for &(n, power) in &active.receivers {
-            self.receive_end(n as usize, power, &active, now, notes);
+            self.receive_end(n as usize, power, &active, now, may_leave_out, notes);
         }
-        notes.push_back((frame.src, MacEvent::TxDone { frame }));
+        notes.push_back(Note::Mac(frame.src, MacEvent::TxDone { frame }));
         if self.observe {
             self.emit_cs_transitions(active.receivers.iter().map(|&(n, _)| n as usize));
         }
@@ -1445,11 +1528,11 @@ impl Medium {
         self.debug_check_ledger();
     }
 
-    /// [`Medium::end_into`], returning the notes in a fresh `Vec`.
+    /// `Medium::end_into`, returning the notes in a fresh `Vec`.
     pub fn end(&mut self, tx: TxId, now: SimTime) -> Vec<(NodeId, MacEvent)> {
         let mut notes = VecDeque::new();
         self.end_into(tx, now, &mut notes);
-        notes.into()
+        Note::for_macs(notes)
     }
 
     /// The propagation channel in force.
@@ -1507,6 +1590,50 @@ mod tests {
 
     fn end_at(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    /// The nodes whose `Sense` a MAC will handle, in queue order.
+    fn sensed_nodes(notes: &VecDeque<Note>) -> Vec<usize> {
+        notes
+            .iter()
+            .filter_map(|note| match note {
+                Note::Mac(n, MacEvent::Sense) => Some(n.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sense_is_left_out_only_where_nothing_can_overtake_it() {
+        let mut m = medium();
+        for n in 0..3 {
+            m.set_sense_watch(NodeId(n), SenseWatch::Never);
+        }
+        let cts = Frame {
+            body: FrameBody::Cts {
+                nav: SimDuration::from_micros(500),
+            },
+            ..data(0, 1)
+        };
+        let queued = Note::Mac(NodeId(0), MacEvent::FlowTimer);
+        // (frame, queue non-empty at the start, nodes keeping a Sense
+        // at its begin, and at its end: node 1 decodes every frame).
+        let cases = [
+            (data(0, 1), false, vec![], vec![1]),
+            (data(0, 1), true, vec![1, 2], vec![1, 2]),
+            (cts, false, vec![], vec![1, 2]),
+        ];
+        for (k, (frame, busy_queue, at_begin, at_end)) in cases.into_iter().enumerate() {
+            let (start, end) = (end_at(1000 * k as u64), end_at(1000 * k as u64 + 500));
+            let mut notes = VecDeque::new();
+            notes.extend(busy_queue.then_some(queued));
+            let tx = m.begin_into(frame, start, end, &mut notes);
+            assert_eq!(sensed_nodes(&notes), at_begin, "begin of case {k}");
+            notes.clear();
+            notes.extend(busy_queue.then_some(queued));
+            m.end_into(tx, end, &mut notes);
+            assert_eq!(sensed_nodes(&notes), at_end, "end of case {k}");
+        }
     }
 
     #[test]

@@ -17,10 +17,10 @@ use crate::config::{ConfigError, SimConfig};
 use crate::event::{Event, EventQueue};
 use crate::frame::NodeId;
 use crate::mac::{Mac, MacAction, MacConfig, MacCtx, MacEvent};
-use crate::medium::Medium;
+use crate::medium::{Medium, Note};
 use crate::observe::{Observer, SimEvent};
 use crate::profile::{Profiler, RunProfile};
-use crate::stats::SimReport;
+use crate::stats::{SimReport, Tally};
 
 /// A configured, runnable simulation.
 pub struct Simulator {
@@ -40,14 +40,21 @@ pub struct Simulator {
     flow_gen: Vec<u64>,
     resp_gen: Vec<u64>,
     report: SimReport,
+    /// The report's per-link and per-node counters while the run is
+    /// under way, written into the report when it ends.
+    tally: Tally,
     /// Attached observers; events fan out to each in order. Whether any
     /// is attached is the single gate every emission site checks, bar
     /// the seven report-counted events.
     sinks: Vec<Box<dyn Observer>>,
-    /// The dispatch work queue: `(node, event)` pairs awaiting their
-    /// MAC, the medium's notes pushed straight onto it. Empty between
-    /// events; kept so its capacity is reused.
-    work: VecDeque<(NodeId, MacEvent)>,
+    /// The dispatch work queue: events awaiting their MAC, the medium's
+    /// notes pushed straight onto it. Empty between events. Sized at
+    /// construction for the most it can hold, so it never grows during
+    /// a run, and debug builds, which keep the left-out `Sense` notes in
+    /// it, allocate what release builds do: a frame's notes are at most
+    /// two per receiver and the sender's `TxDone`, and only a CTS `Rx`
+    /// puts a second frame on the air before its batch drains.
+    work: VecDeque<Note>,
     /// The actions of the MAC being dispatched, reused the same way.
     actions: Vec<MacAction>,
     /// Seed of the counter-keyed localization-noise streams.
@@ -55,6 +62,11 @@ pub struct Simulator {
     /// Per-node move-epoch counters: the counter half of the
     /// localization-noise key, bumped once per applied move.
     move_epoch: Vec<u64>,
+    /// Debug builds: per node, the digest of its MAC's `Debug` text as
+    /// the last audit of a left-out `Sense` found it, until the MAC next
+    /// handles an event or hears of a move.
+    #[cfg(debug_assertions)]
+    audited: Vec<Option<u64>>,
 }
 
 impl fmt::Debug for Simulator {
@@ -172,6 +184,10 @@ impl Simulator {
             macs[flow.src.0].add_flow(flow.dst, flow.traffic);
             senders_to[flow.dst.0].push(flow.src);
         }
+        for (mac, senders) in macs.iter_mut().zip(&senders_to) {
+            mac.set_senders(senders);
+        }
+        let tally = Tally::new(n, &cfg.flows);
 
         let mut queue = EventQueue::new();
         for i in 0..n {
@@ -199,11 +215,14 @@ impl Simulator {
             flow_gen: vec![0; n],
             resp_gen: vec![0; n],
             report: SimReport::default(),
+            tally,
             sinks: Vec::new(),
-            work: VecDeque::new(),
+            work: VecDeque::with_capacity(4 * n),
             actions: Vec::new(),
             move_seed,
             move_epoch: vec![0; n],
+            #[cfg(debug_assertions)]
+            audited: vec![None; n],
         }
     }
 
@@ -289,6 +308,7 @@ impl Simulator {
             }
         }
         self.report.duration = duration;
+        self.tally.write_into(&mut self.report);
         self.report.medium = self.medium.stats();
         for sink in &mut self.sinks {
             sink.finish(&mut self.report);
@@ -333,6 +353,8 @@ impl Simulator {
     /// genie, which reads true positions, needs the move fanned out to
     /// every MAC.
     fn apply_move(&mut self, node: NodeId, step: usize) {
+        #[cfg(debug_assertions)]
+        self.audited.fill(None);
         let mv = self.cfg.nodes[node.0].moves[step];
         self.medium.set_position(node, mv.to);
         // The mover's localization fix carries the configured error,
@@ -365,31 +387,70 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, node: NodeId, event: MacEvent) {
-        self.work.push_back((node, event));
+        self.work.push_back(Note::Mac(node, event));
         self.drain();
     }
 
     /// Hands the work queue's events to their MACs in order, applying
     /// each MAC's actions before the next event; a transmission the
-    /// actions start queues the medium's events behind the rest.
+    /// actions start queues the medium's events behind the rest. After
+    /// each dispatch the MAC's sense watch goes to the medium.
     fn drain(&mut self) {
         let mut actions = std::mem::take(&mut self.actions);
-        while let Some((node, event)) = self.work.pop_front() {
-            let ctx = MacCtx {
-                now: self.now,
-                incoming: self.medium.incoming(node),
-                cca_busy: self.medium.cca_busy(node),
-                transmitting: self.medium.is_transmitting(node),
-                locked: self.medium.is_locked(node),
-                observing: !self.sinks.is_empty(),
-                directory: &self.directory,
+        while let Some(note) = self.work.pop_front() {
+            let (node, event) = match note {
+                Note::Mac(node, event) => (node, event),
+                #[cfg(debug_assertions)]
+                Note::LeftOut(node) => {
+                    self.audit_left_out(node, &mut actions);
+                    continue;
+                }
             };
-            self.macs[node.0].handle(event, ctx, &mut actions);
+            let observing = !self.sinks.is_empty();
+            let ctx = mac_ctx(self.now, &self.medium, node, observing, &self.directory);
+            let mac = &mut self.macs[node.0];
+            mac.handle(event, ctx, &mut actions);
+            self.medium.set_sense_watch(node, mac.sense_watch(self.now));
+            #[cfg(debug_assertions)]
+            {
+                self.audited[node.0] = None;
+            }
             for action in actions.drain(..) {
                 self.apply(node, action);
             }
         }
+        // Clearing the drained queue restarts its ring at the front of
+        // the buffer, so a run touches only as much of the buffer as its
+        // longest batch needs.
+        self.work.clear();
         self.actions = actions;
+    }
+
+    /// Debug-build audit of a `Sense` note the medium left out: replays
+    /// it where it would have popped and asserts that it appends no
+    /// action and leaves the MAC's `Debug` text unchanged. The text is
+    /// compared by digest, so the audit allocates nothing and debug runs
+    /// allocate what release runs do; a failed audit stops the run, so a
+    /// run that goes on has the MAC release builds have.
+    #[cfg(debug_assertions)]
+    fn audit_left_out(&mut self, node: NodeId, actions: &mut Vec<MacAction>) {
+        let observing = !self.sinks.is_empty();
+        let ctx = mac_ctx(self.now, &self.medium, node, observing, &self.directory);
+        let mac = &mut self.macs[node.0];
+        let before = self.audited[node.0].unwrap_or_else(|| debug_digest(mac));
+        mac.handle(MacEvent::Sense, ctx, actions);
+        debug_assert!(
+            actions.is_empty(),
+            "{node}: a left-out Sense at {} acts: {actions:?}",
+            self.now
+        );
+        let after = debug_digest(mac);
+        debug_assert_eq!(
+            after, before,
+            "{node}: a left-out Sense at {} changes the MAC",
+            self.now
+        );
+        self.audited[node.0] = Some(after);
     }
 
     fn apply(&mut self, node: NodeId, action: MacAction) {
@@ -430,7 +491,7 @@ impl Simulator {
                 let tx = self.medium.begin_into(frame, self.now, end, &mut self.work);
                 self.forward_medium_events();
                 self.queue.schedule(end, Event::TxEnd(tx));
-                self.report.node_mut(node).airtime += duration;
+                self.tally.node_mut(node).airtime += duration;
             }
             MacAction::Emit(event) => {
                 self.account(&event);
@@ -439,32 +500,32 @@ impl Simulator {
         }
     }
 
-    /// Folds one event into the report: the per-link and per-node
-    /// counters are exactly a projection of the event stream.
+    /// Folds one event into the report's counters: the per-link and
+    /// per-node counters are exactly a projection of the event stream.
     fn account(&mut self, event: &SimEvent) {
         match *event {
             SimEvent::FrameTx { node, dst, .. } => {
-                self.report.link_mut(node, dst).data_tx += 1;
+                self.tally.link_mut(node, dst).data_tx += 1;
             }
             SimEvent::Delivered { node, from, bytes } => {
-                let link = self.report.link_mut(from, node);
+                let link = self.tally.link_mut(from, node);
                 link.delivered_bytes += u64::from(bytes);
                 link.delivered_frames += 1;
             }
             SimEvent::AckTimeout { node, dst } => {
-                self.report.link_mut(node, dst).ack_timeouts += 1;
+                self.tally.link_mut(node, dst).ack_timeouts += 1;
             }
             SimEvent::FrameDropped { node, dst, .. } => {
-                self.report.link_mut(node, dst).drops += 1;
+                self.tally.link_mut(node, dst).drops += 1;
             }
             SimEvent::ConcurrentTx { node, .. } => {
-                self.report.node_mut(node).concurrent_tx += 1;
+                self.tally.node_mut(node).concurrent_tx += 1;
             }
             SimEvent::EtAbandon { node } => {
-                self.report.node_mut(node).et_abandons += 1;
+                self.tally.node_mut(node).et_abandons += 1;
             }
             SimEvent::HeaderHeard { node, .. } => {
-                self.report.node_mut(node).headers_heard += 1;
+                self.tally.node_mut(node).headers_heard += 1;
             }
             SimEvent::TxBegin { .. }
             | SimEvent::TxEnd { .. }
@@ -485,6 +546,45 @@ impl Simulator {
             | SimEvent::Adapt { .. } => {}
         }
     }
+}
+
+/// The context `node`'s MAC handles an event in: its radio state as the
+/// medium reads it now, and the shared position directory.
+fn mac_ctx<'a>(
+    now: SimTime,
+    medium: &Medium,
+    node: NodeId,
+    observing: bool,
+    directory: &'a NeighborTable<NodeId>,
+) -> MacCtx<'a> {
+    MacCtx {
+        now,
+        incoming: medium.incoming(node),
+        cca_busy: medium.cca_busy(node),
+        transmitting: medium.is_transmitting(node),
+        locked: medium.is_locked(node),
+        observing,
+        directory,
+    }
+}
+
+/// FNV-1a digest of `value`'s `Debug` text, streamed through the
+/// formatter so that nothing is allocated.
+#[cfg(debug_assertions)]
+fn debug_digest(value: &impl fmt::Debug) -> u64 {
+    struct Fnv(u64);
+    impl fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            for &b in s.as_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            Ok(())
+        }
+    }
+    let mut fnv = Fnv(0xCBF2_9CE4_8422_2325);
+    // Writing to `Fnv` cannot fail, nor can a derived `Debug`.
+    let _ = fmt::Write::write_fmt(&mut fnv, format_args!("{value:?}"));
+    fnv.0
 }
 
 #[cfg(test)]
@@ -646,6 +746,37 @@ mod tests {
             rts_timeouts < plain_timeouts,
             "virtual carrier sense must reduce HT collisions: {rts_timeouts} vs {plain_timeouts}"
         );
+    }
+
+    /// Three saturated RTS/CTS flows among eight nodes. At 49.4 ms node
+    /// 6 counts down, idle, while a CTS it cannot decode ends; the RTS
+    /// sender's data, sent when its `Rx` of that CTS pops, makes node 6's
+    /// channel busy before its `Sense` from the same batch pops. So the
+    /// medium must keep every `Sense` of a CTS's end: debug builds, whose
+    /// audit replays each left-out note, stop here if it does not.
+    #[test]
+    fn the_data_a_cts_sends_overtakes_its_batch() {
+        let mut cfg = SimConfig::testbed(3);
+        cfg.default_features = MacFeatures::DCF_RTS_CTS;
+        cfg.rate_controller = crate::rate::RateController::Fixed(Rate::Mbps11);
+        let spots = [
+            (3.0, 36.0),
+            (15.0, 4.0),
+            (32.0, 5.0),
+            (22.0, 8.0),
+            (11.0, 57.0),
+            (8.0, 7.0),
+            (48.0, 35.0),
+            (26.0, 59.0),
+        ];
+        for (i, &(x, y)) in spots.iter().enumerate() {
+            cfg.add_node(NodeSpec::client(format!("N{i}"), Position::new(x, y)));
+        }
+        for (src, dst) in [(2, 3), (4, 7), (6, 1)] {
+            cfg.add_flow(NodeId(src), NodeId(dst), Traffic::Saturated);
+        }
+        let report = Simulator::new(cfg).run(SimDuration::from_millis(60));
+        assert!(report.link_goodput_bps(NodeId(2), NodeId(3)) > 0.0);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use comap_mac::time::SimDuration;
 
+use crate::config::FlowSpec;
 use crate::frame::NodeId;
 use crate::json::{Json, SCHEMA_VERSION};
 use crate::metrics::Metrics;
@@ -54,13 +55,20 @@ pub struct MediumStats {
 }
 
 /// Results of one simulation run.
+///
+/// The per-link and per-node counters are exactly a projection of the
+/// run's event stream: the simulator folds the seven report-counted
+/// events, and each frame's airtime, into per-node arrays while the run
+/// is under way, and writes every entry the run touched into `links`
+/// and `nodes` once, when it ends.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Simulated duration.
     pub duration: SimDuration,
-    /// Per-directed-link counters.
+    /// Per-directed-link counters: every link the run counted anything
+    /// on.
     pub links: BTreeMap<(NodeId, NodeId), LinkStats>,
-    /// Per-node counters.
+    /// Per-node counters: every node the run counted anything on.
     pub nodes: BTreeMap<NodeId, NodeStats>,
     /// Total events processed (diagnostics).
     pub events: u64,
@@ -101,16 +109,6 @@ impl SimReport {
             .sum::<f64>()
             * 8.0
             / secs
-    }
-
-    /// Mutable access to a link's counters, creating them if absent.
-    pub fn link_mut(&mut self, src: NodeId, dst: NodeId) -> &mut LinkStats {
-        self.links.entry((src, dst)).or_default()
-    }
-
-    /// Mutable access to a node's counters, creating them if absent.
-    pub fn node_mut(&mut self, node: NodeId) -> &mut NodeStats {
-        self.nodes.entry(node).or_default()
     }
 
     /// Serializes the report (including the metrics section, when
@@ -170,6 +168,66 @@ impl SimReport {
     }
 }
 
+/// A run's per-link and per-node counters while it is under way, kept
+/// in arrays indexed by node so that counting an event is an index and
+/// a short scan, never a B-tree walk. An entry is `None` until the run
+/// first counts on it.
+#[derive(Debug)]
+pub(crate) struct Tally {
+    nodes: Vec<Option<NodeStats>>,
+    /// Per source, one entry per destination: the flows from it in list
+    /// order, then any other link first counted during the run.
+    links: Vec<Vec<(NodeId, Option<LinkStats>)>>,
+}
+
+impl Tally {
+    /// Counters for `n` nodes and the directed links of `flows`.
+    pub(crate) fn new(n: usize, flows: &[FlowSpec]) -> Self {
+        let mut links = vec![Vec::new(); n];
+        for flow in flows {
+            links[flow.src.0].push((flow.dst, None));
+        }
+        Tally {
+            nodes: vec![None; n],
+            links,
+        }
+    }
+
+    /// A node's counters, created on first use.
+    pub(crate) fn node_mut(&mut self, node: NodeId) -> &mut NodeStats {
+        self.nodes[node.0].get_or_insert_default()
+    }
+
+    /// A directed link's counters, created on first use.
+    pub(crate) fn link_mut(&mut self, src: NodeId, dst: NodeId) -> &mut LinkStats {
+        let row = &mut self.links[src.0];
+        let at = match row.iter().position(|&(d, _)| d == dst) {
+            Some(at) => at,
+            None => {
+                row.push((dst, None));
+                row.len() - 1
+            }
+        };
+        row[at].1.get_or_insert_default()
+    }
+
+    /// Writes every touched entry into `report`'s maps.
+    pub(crate) fn write_into(self, report: &mut SimReport) {
+        for (i, stats) in self.nodes.into_iter().enumerate() {
+            if let Some(stats) = stats {
+                report.nodes.insert(NodeId(i), stats);
+            }
+        }
+        for (src, row) in self.links.into_iter().enumerate() {
+            for (dst, stats) in row {
+                if let Some(stats) = stats {
+                    report.links.insert((NodeId(src), dst), stats);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +238,10 @@ mod tests {
             duration: SimDuration::from_secs(2),
             ..Default::default()
         };
-        r.link_mut(NodeId(0), NodeId(1)).delivered_bytes = 250_000;
+        r.links
+            .entry((NodeId(0), NodeId(1)))
+            .or_default()
+            .delivered_bytes = 250_000;
         assert_eq!(r.link_goodput_bps(NodeId(0), NodeId(1)), 1_000_000.0);
         assert_eq!(r.link_goodput_bps(NodeId(1), NodeId(0)), 0.0);
         assert_eq!(r.aggregate_goodput_bps(), 1_000_000.0);
@@ -189,7 +250,10 @@ mod tests {
     #[test]
     fn zero_duration_is_zero_goodput() {
         let mut r = SimReport::default();
-        r.link_mut(NodeId(0), NodeId(1)).delivered_bytes = 100;
+        r.links
+            .entry((NodeId(0), NodeId(1)))
+            .or_default()
+            .delivered_bytes = 100;
         assert_eq!(r.link_goodput_bps(NodeId(0), NodeId(1)), 0.0);
     }
 
@@ -213,19 +277,25 @@ mod tests {
             },
             ..Default::default()
         };
-        *r.link_mut(NodeId(0), NodeId(1)) = LinkStats {
-            delivered_bytes: 1500,
-            delivered_frames: 1,
-            data_tx: 2,
-            ack_timeouts: 1,
-            drops: 0,
-        };
-        *r.node_mut(NodeId(0)) = NodeStats {
-            airtime: SimDuration::from_nanos(250_000),
-            concurrent_tx: 1,
-            et_abandons: 0,
-            headers_heard: 4,
-        };
+        r.links.insert(
+            (NodeId(0), NodeId(1)),
+            LinkStats {
+                delivered_bytes: 1500,
+                delivered_frames: 1,
+                data_tx: 2,
+                ack_timeouts: 1,
+                drops: 0,
+            },
+        );
+        r.nodes.insert(
+            NodeId(0),
+            NodeStats {
+                airtime: SimDuration::from_nanos(250_000),
+                concurrent_tx: 1,
+                et_abandons: 0,
+                headers_heard: 4,
+            },
+        );
         let bare = concat!(
             r#"{"schema_version":2,"duration_ns":20000000,"events":9,"position_reports":2,"#,
             r#""links":[{"src":0,"dst":1,"delivered_bytes":1500,"delivered_frames":1,"#,

@@ -5,7 +5,8 @@
 # Runs formatting, lints, and the tier-1 verification suite
 # (`cargo build --release && cargo test -q`), then the allocation-budget
 # test in release, the simbench smoke test, the simbench full-scale
-# digests of hall_saturated and campus_mobile, every experiment's full run
+# digests of hall_saturated, campus_mobile and campus_observed, every
+# experiment's full run
 # against results/figures.txt, the examples, the CLI exit-code checks,
 # the fig_scale report byte-diff and the bench_diff gate. The workspace vendors all
 # dependencies under vendor/, so the whole script must work with no
@@ -40,9 +41,11 @@ cargo test -q --release -p comap-sim --test event_allocations
 echo "==> simbench smoke test (its own workspace, not in tier-1)"
 cargo test -q --manifest-path simbench/Cargo.toml
 
-echo "==> simbench full-scale digests (hall_saturated, campus_mobile; seed 1, one rep)"
+echo "==> simbench full-scale digests (hall_saturated, campus_mobile, campus_observed; seed 1, one rep)"
 # The driver's last line is its JSON summary; "correct":true means the
 # run's report digest equals the one simbench pins for the workload.
+# For campus_observed that is the digest with its metrics and latency
+# sinks attached, and its plain digest must also equal campus_mobile's.
 simbench_digest() {
     python3 simbench/run.py --workload "$1" --seed 1 --reps 1 --out "$2" > "${2%.json}.log"
     if ! tail -n 1 "${2%.json}.log" | grep -q '"correct":true'; then
@@ -53,6 +56,7 @@ simbench_digest() {
 }
 simbench_digest hall_saturated target/simbench_hall.json
 simbench_digest campus_mobile target/simbench_campus.json
+simbench_digest campus_observed target/simbench_observed.json
 
 echo "==> every experiment prints its checked-in text (all, full mode, vs results/figures.txt)"
 # EXPERIMENTS.md quotes this file and a tier-1 test holds it to it, so
