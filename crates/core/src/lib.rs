@@ -7,10 +7,12 @@
 //!
 //! The crate mirrors the paper's Section IV design:
 //!
-//! * [`neighbor`] — the neighbor table of 2-hop positions, with the
-//!   movement-threshold update rule of Section V (mobility management);
-//!   a standalone [`Protocol`] owns one, a simulator shares one between
-//!   all nodes (see [`protocol`]),
+//! * [`neighbor`] — the neighbor table of 2-hop positions, the node's
+//!   own included, with the movement-threshold update rule of Section V
+//!   (mobility management): a report is accepted, and disseminated, only
+//!   when the node moved more than 5 m from its last accepted one; a
+//!   standalone [`Protocol`] owns one table, a simulator shares one
+//!   between all nodes (see [`protocol`]),
 //! * [`validate`] — concurrency validation of an exposed transmission
 //!   against an ongoing one via eq. (3), in both directions (Fig. 4),
 //! * [`cooccurrence`] — the co-occurrence map itself: per-link caches of
@@ -23,7 +25,6 @@
 //!   hidden-terminal and contender counts (Section IV-D3),
 //! * [`scheduler`] — the enhanced multiple-ET scheduling rule
 //!   (`RSSI₂ ≥ RSSI₁ + T'_cs` ⇒ abandon, Section IV-C3),
-//! * [`location`] — the location-sharing service and its update policy,
 //! * [`config`] — the paper's fixed protocol parameters as constants, and
 //!   the two [`ProtocolConfig`] presets,
 //! * [`protocol`] — [`Protocol`], the façade tying the pieces together.
@@ -71,7 +72,6 @@ pub mod config;
 pub mod cooccurrence;
 pub mod error;
 pub mod hidden;
-pub mod location;
 pub mod model;
 pub mod neighbor;
 pub mod protocol;
@@ -83,7 +83,6 @@ pub use config::ProtocolConfig;
 pub use cooccurrence::CoOccurrenceMap;
 pub use error::CoMapError;
 pub use hidden::{HtCensus, NeighborClass};
-pub use location::LocationService;
 pub use model::{DcfModel, ModelInput};
 pub use neighbor::NeighborTable;
 pub use protocol::Protocol;

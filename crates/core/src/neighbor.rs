@@ -3,12 +3,13 @@
 //! Every node reports its position to its associated AP; APs disseminate
 //! the reports, so each node learns the coordinates of its relative
 //! neighbors "within 2-hop" (paper Fig. 3 and Section V). The table also
-//! implements the paper's mobility-management rule: an update that moves a
-//! neighbor by no more than [`UPDATE_THRESHOLD_M`] is absorbed without
-//! signalling a change, so downstream caches are not needlessly
-//! invalidated.
-
-use std::collections::BTreeMap;
+//! implements the paper's mobility-management rule, the one place it
+//! runs: an update that moves a node by no more than
+//! [`UPDATE_THRESHOLD_M`] from its last accepted report is absorbed
+//! without signalling a change, so the node broadcasts nothing and
+//! downstream caches are not needlessly invalidated. A node's own
+//! position is one more entry, so the table that decides whether a
+//! neighbor's report is news also decides whether the node's own is.
 
 use comap_radio::units::Meters;
 use comap_radio::Position;
@@ -41,7 +42,9 @@ pub struct NeighborEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct NeighborTable<A: Addr> {
-    entries: BTreeMap<A, NeighborEntry>,
+    /// Sorted by address, one entry per address: a lookup is a binary
+    /// search and the census walks contiguous memory.
+    entries: Vec<(A, NeighborEntry)>,
     /// Reports accepted over all entries: the sum of their `updates`.
     revision: u64,
 }
@@ -56,38 +59,44 @@ impl<A: Addr> NeighborTable<A> {
     /// Creates an empty table.
     pub fn new() -> Self {
         NeighborTable {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             revision: 0,
         }
+    }
+
+    /// Where `addr`'s entry is, or where it would be inserted.
+    fn find(&self, addr: A) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(a, _)| a.cmp(&addr))
+    }
+
+    /// `addr`'s entry, if known.
+    fn entry(&self, addr: A) -> Option<&NeighborEntry> {
+        self.find(addr).ok().map(|at| &self.entries[at].1)
     }
 
     /// Records a position report. Returns `true` when the table content
     /// *changed* — a new neighbor, or a move beyond the mobility
     /// threshold — so the caller knows to invalidate derived state.
+    ///
+    /// A node's own fixes go through here too: an accepted one is a
+    /// report it must broadcast.
+    ///
+    /// ```rust
+    /// use comap_core::NeighborTable;
+    /// use comap_radio::Position;
+    ///
+    /// let mut t = NeighborTable::new();
+    /// assert!(t.update("C0", Position::new(0.0, 0.0))); // first fix
+    /// assert!(!t.update("C0", Position::new(2.0, 0.0))); // < 5 m: quiet
+    /// assert!(t.update("C0", Position::new(7.0, 0.0))); // > 5 m: report
+    /// ```
     pub fn update(&mut self, addr: A, position: Position) -> bool {
-        let changed = match self.entries.get_mut(&addr) {
-            None => {
-                self.entries.insert(
-                    addr,
-                    NeighborEntry {
-                        position,
-                        updates: 1,
-                    },
-                );
-                true
-            }
-            Some(entry) => {
-                let moved = entry.position.distance_to(position);
-                if moved.value() > UPDATE_THRESHOLD_M {
-                    entry.position = position;
-                    entry.updates += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-        };
-        self.revision += u64::from(changed);
+        let changed = self
+            .position(addr)
+            .is_none_or(|last| last.distance_to(position).value() > UPDATE_THRESHOLD_M);
+        if changed {
+            self.insert(addr, position);
+        }
         changed
     }
 
@@ -95,21 +104,28 @@ impl<A: Addr> NeighborTable<A> {
     /// bootstrapping from a topology description).
     pub fn insert(&mut self, addr: A, position: Position) {
         self.revision += 1;
-        self.entries
-            .entry(addr)
-            .and_modify(|e| {
-                e.position = position;
-                e.updates += 1;
-            })
-            .or_insert(NeighborEntry {
-                position,
-                updates: 1,
-            });
+        match self.find(addr) {
+            Ok(at) => {
+                let entry = &mut self.entries[at].1;
+                entry.position = position;
+                entry.updates += 1;
+            }
+            Err(at) => self.entries.insert(
+                at,
+                (
+                    addr,
+                    NeighborEntry {
+                        position,
+                        updates: 1,
+                    },
+                ),
+            ),
+        }
     }
 
     /// The last accepted position of `addr`, if known.
     pub fn position(&self, addr: A) -> Option<Position> {
-        self.entries.get(&addr).map(|e| e.position)
+        self.entry(addr).map(|e| e.position)
     }
 
     /// How many position reports were accepted for `addr` — 0 while it
@@ -118,7 +134,7 @@ impl<A: Addr> NeighborTable<A> {
     /// when the count has moved: the table never drops an address, so
     /// the count never repeats.
     pub fn updates(&self, addr: A) -> u64 {
-        self.entries.get(&addr).map_or(0, |e| e.updates)
+        self.entry(addr).map_or(0, |e| e.updates)
     }
 
     /// How many reports the table accepted in all — the sum of every
@@ -145,7 +161,7 @@ impl<A: Addr> NeighborTable<A> {
 
     /// Whether `addr` is in the table.
     pub fn contains(&self, addr: A) -> bool {
-        self.entries.contains_key(&addr)
+        self.find(addr).is_ok()
     }
 
     /// Iterates over `(addr, entry)` in address order.
@@ -168,6 +184,54 @@ mod tests {
         assert!(t.update("C0", Position::ORIGIN));
         assert_eq!(t.len(), 1);
         assert_eq!(t.position("C0"), Some(Position::ORIGIN));
+    }
+
+    #[test]
+    fn first_fix_is_always_reported() {
+        let mut t = table();
+        assert!(t.update("C0", Position::new(1.0, 1.0)));
+        assert_eq!(t.position("C0"), Some(Position::new(1.0, 1.0)));
+        // Wherever the first fix lands, even where an earlier node sits.
+        assert!(t.update("C1", Position::new(1.0, 1.0)));
+    }
+
+    #[test]
+    fn jitter_is_suppressed() {
+        let mut t = table();
+        t.update("C0", Position::ORIGIN);
+        for i in 0..10 {
+            let wiggle = Position::new((i % 3) as f64, (i % 2) as f64);
+            assert!(!t.update("C0", wiggle));
+        }
+        // The reference stayed at the origin: 5.5 m from it is accepted.
+        assert!(t.update("C0", Position::new(5.5, 0.0)));
+    }
+
+    #[test]
+    fn long_walks_report_per_threshold_crossing() {
+        // Walk 25 m in 1 m steps with a 5 m threshold: the first fix plus
+        // a report each time the accumulated displacement exceeds 5 m.
+        let mut t = table();
+        let reports = (0..=25)
+            .filter(|&x| t.update("C0", Position::new(f64::from(x), 0.0)))
+            .count();
+        assert_eq!(
+            reports,
+            1 + 4,
+            "1 initial + 4 threshold crossings (6,12,18,24)"
+        );
+        assert_eq!(t.updates("C0"), 5);
+    }
+
+    #[test]
+    fn report_updates_reference_point() {
+        let mut t = table();
+        t.update("C0", Position::ORIGIN);
+        t.update("C0", Position::new(6.0, 0.0));
+        // Moving back within 5 m of the new reference stays quiet.
+        assert!(!t.update("C0", Position::new(2.0, 0.0)));
+        // 0.5 m from the old reference, 5.5 m from the new one: accepted.
+        assert!(t.update("C0", Position::new(0.5, 0.0)));
     }
 
     #[test]
@@ -203,7 +267,7 @@ mod tests {
         t.insert("C0", Position::ORIGIN);
         t.insert("C0", Position::new(1.0, 0.0));
         assert_eq!(t.position("C0"), Some(Position::new(1.0, 0.0)));
-        assert_eq!(t.entries.get("C0").unwrap().updates, 2);
+        assert_eq!(t.updates("C0"), 2);
     }
 
     #[test]

@@ -14,9 +14,13 @@
 //! directory instead: it applies each report once and passes the
 //! directory to the `_in` queries ([`Protocol::tx_setting_in`] and its
 //! siblings). Each query has one implementation, over whichever table it
-//! is given. Neither holder tells the protocol about a neighbor's move:
-//! the co-occurrence verdicts are stamped with the table's report counts
-//! and go stale on their own (see [`CoOccurrenceMap`]).
+//! is given, and reads this node's own position from that table too: the
+//! private one holds the node's own report next to its neighbors', and
+//! the shared directory holds every node's. Neither holder tells the
+//! protocol about a neighbor's move: the co-occurrence verdicts are
+//! stamped with the table's report counts and go stale on their own (see
+//! [`CoOccurrenceMap`]). A move of the node itself drops every verdict
+//! ([`Protocol::own_report_accepted`]).
 
 use std::sync::Arc;
 
@@ -28,7 +32,6 @@ use crate::config::ProtocolConfig;
 use crate::cooccurrence::CoOccurrenceMap;
 use crate::error::CoMapError;
 use crate::hidden::{HtCensus, HtCensusEngine};
-use crate::location::LocationService;
 use crate::neighbor::NeighborTable;
 use crate::scheduler::EtScheduler;
 use crate::validate::{ConcurrencyDecision, ConcurrencyValidator};
@@ -41,13 +44,11 @@ use crate::{Addr, Link};
 pub struct Protocol<A: Addr> {
     addr: A,
     config: ProtocolConfig,
-    own_position: Option<Position>,
     neighbors: NeighborTable<A>,
     map: CoOccurrenceMap<A>,
     validator: ConcurrencyValidator,
     census: HtCensusEngine,
     adaptation: Arc<AdaptationTable>,
-    location: LocationService,
 }
 
 impl<A: Addr> Protocol<A> {
@@ -70,13 +71,11 @@ impl<A: Addr> Protocol<A> {
         Protocol {
             addr,
             config,
-            own_position: None,
             neighbors: NeighborTable::new(),
             map: CoOccurrenceMap::new(),
             validator: ConcurrencyValidator::new(reception),
             census: HtCensusEngine::new(reception, config.t_cs),
             adaptation,
-            location: LocationService::new(),
         }
     }
 
@@ -90,31 +89,23 @@ impl<A: Addr> Protocol<A> {
         &self.config
     }
 
-    /// Sets this node's own position unconditionally (bootstrap).
+    /// Writes this node's own position into the private neighbor table
+    /// unconditionally (bootstrap), dropping every cached verdict.
     pub fn set_own_position(&mut self, position: Position) {
-        self.own_position = Some(position);
-        self.location.observe(position);
-        // Our own geometry underlies every cached verdict.
+        self.neighbors.insert(self.addr, position);
+        self.own_report_accepted();
+    }
+
+    /// This node's own report was accepted into the table its queries
+    /// read: its geometry underlies every cached verdict, so all go.
+    pub fn own_report_accepted(&mut self) {
         self.map.clear();
     }
 
-    /// Feeds a localization fix through the mobility-management policy.
-    /// Returns the position to broadcast when a report is due.
-    pub fn observe_position(&mut self, fix: Position) -> Option<Position> {
-        let report = self.location.observe(fix)?;
-        self.own_position = Some(report);
-        self.map.clear();
-        Some(report)
-    }
-
-    /// This node's current position, if known.
-    pub fn own_position(&self) -> Option<Position> {
-        self.own_position
-    }
-
-    /// Ingests a neighbor's position report. Returns `true` when the
-    /// neighborhood actually changed, which also turns every cached
-    /// verdict involving `addr` stale.
+    /// Ingests a position report into the private neighbor table.
+    /// Returns `true` when the neighborhood actually changed, which also
+    /// turns every cached verdict involving `addr` stale. A report about
+    /// this node itself is [`Self::set_own_position`].
     pub fn on_position_report(&mut self, addr: A, position: Position) -> bool {
         if addr == self.addr {
             self.set_own_position(position);
@@ -150,14 +141,14 @@ impl<A: Addr> Protocol<A> {
         ongoing: Link<A>,
         receiver: A,
     ) -> Result<ConcurrencyDecision, CoMapError<A>> {
-        let me = self.own_position.ok_or(CoMapError::OwnPositionUnknown)?;
+        let me = self.position_in(table, self.addr)?;
         let (src, dst) = ongoing;
         if src == self.addr || dst == self.addr {
             return Err(CoMapError::SelfReference(self.addr));
         }
-        let rx = self.neighbor_position(table, receiver)?;
-        let src_pos = self.neighbor_position(table, src)?;
-        let dst_pos = self.neighbor_position(table, dst)?;
+        let rx = self.position_in(table, receiver)?;
+        let src_pos = self.position_in(table, src)?;
+        let dst_pos = self.position_in(table, dst)?;
         Ok(self.validator.validate(me, rx, src_pos, dst_pos))
     }
 
@@ -215,8 +206,9 @@ impl<A: Addr> Protocol<A> {
     }
 
     /// [`Self::tx_setting`] censused over the shared position directory
-    /// `table` instead of the private neighbor table. An entry for this
-    /// node itself in `table` is ignored, like the link's other end.
+    /// `table` instead of the private neighbor table. This node's own
+    /// entry in `table` is its position, not a neighbor to census, like
+    /// the link's other end.
     ///
     /// # Errors
     ///
@@ -260,9 +252,9 @@ impl<A: Addr> Protocol<A> {
     }
 
     /// Read access to the private neighbor table of a standalone
-    /// protocol. A protocol queried through a shared position directory
-    /// (the `_in` methods) is never fed reports, so its table stays
-    /// empty.
+    /// protocol, this node's own position included. A protocol queried
+    /// through a shared position directory (the `_in` methods) is never
+    /// fed a position, so its table stays empty.
     pub fn neighbors(&self) -> &NeighborTable<A> {
         &self.neighbors
     }
@@ -303,23 +295,20 @@ impl<A: Addr> Protocol<A> {
         table: &NeighborTable<A>,
         receiver: A,
     ) -> Result<(Position, Position), CoMapError<A>> {
-        let me = self.own_position.ok_or(CoMapError::OwnPositionUnknown)?;
-        Ok((me, self.neighbor_position(table, receiver)?))
+        Ok((
+            self.position_in(table, self.addr)?,
+            self.position_in(table, receiver)?,
+        ))
     }
 
-    /// `addr`'s position in `table`; this node's own position always
-    /// comes from the protocol, never from the table.
-    fn neighbor_position(
-        &self,
-        table: &NeighborTable<A>,
-        addr: A,
-    ) -> Result<Position, CoMapError<A>> {
-        if addr == self.addr {
-            return self.own_position.ok_or(CoMapError::OwnPositionUnknown);
-        }
-        table
-            .position(addr)
-            .ok_or(CoMapError::UnknownNeighbor(addr))
+    /// `addr`'s position in `table`, this node's own included: the
+    /// table holds every position a query reads.
+    fn position_in(&self, table: &NeighborTable<A>, addr: A) -> Result<Position, CoMapError<A>> {
+        table.position(addr).ok_or(if addr == self.addr {
+            CoMapError::OwnPositionUnknown
+        } else {
+            CoMapError::UnknownNeighbor(addr)
+        })
     }
 }
 
@@ -430,15 +419,33 @@ mod tests {
     fn position_report_about_self_sets_own() {
         let mut p: Protocol<&str> = Protocol::new("me", ProtocolConfig::testbed());
         assert!(p.on_position_report("me", Position::new(1.0, 2.0)));
-        assert_eq!(p.own_position(), Some(Position::new(1.0, 2.0)));
+        assert_eq!(p.neighbors().position("me"), Some(Position::new(1.0, 2.0)));
+        // Unconditional, unlike a neighbor's report: a 1 m step is taken.
+        assert!(p.on_position_report("me", Position::new(2.0, 2.0)));
+        assert_eq!(p.neighbors().position("me"), Some(Position::new(2.0, 2.0)));
     }
 
     #[test]
-    fn observe_position_respects_threshold() {
+    fn a_shared_protocol_reads_its_own_position_from_the_directory() {
         let mut p: Protocol<&str> = Protocol::new("me", ProtocolConfig::testbed());
-        assert!(p.observe_position(Position::ORIGIN).is_some());
-        assert!(p.observe_position(Position::new(1.0, 0.0)).is_none());
-        assert_eq!(p.own_position(), Some(Position::ORIGIN));
-        assert!(p.observe_position(Position::new(9.0, 0.0)).is_some());
+        let mut directory = NeighborTable::new();
+        directory.insert("AP", Position::new(20.0, 0.0));
+        assert_eq!(
+            p.tx_setting_in(&directory, "AP"),
+            Err(CoMapError::OwnPositionUnknown)
+        );
+        directory.insert("me", Position::ORIGIN);
+        directory.insert("C2", Position::new(-30.0, 0.0));
+        directory.insert("AP0", Position::new(-34.0, 0.0));
+        assert!(p.tx_setting_in(&directory, "AP").is_ok());
+        assert!(p
+            .concurrency_allowed_in(&directory, ("C2", "AP0"), "AP")
+            .is_ok());
+        assert_eq!(p.cooccurrence().len(&directory), 1);
+        // The directory accepts the node's own report: every verdict goes.
+        assert!(directory.update("me", Position::new(9.0, 0.0)));
+        p.own_report_accepted();
+        assert!(p.cooccurrence().is_empty(&directory));
+        assert!(p.neighbors().is_empty(), "the protocol holds no position");
     }
 }

@@ -284,11 +284,14 @@ proptest! {
 
     /// A protocol queried through a shared position directory answers
     /// exactly like one fed the same reports into its private table,
-    /// though nobody tells it about a move: its verdicts are stamped
-    /// with the directory's report counts, as the private protocol's
-    /// are with its own table's. Reports land both above and below the
-    /// mobility threshold, the node's own fixes go through the location
-    /// service, and queries name unknown nodes and the node itself too.
+    /// though nobody tells it about a neighbor's move: its verdicts are
+    /// stamped with the directory's report counts, as the private
+    /// protocol's are with its own table's. Reports land both above and
+    /// below the mobility threshold, and queries name unknown nodes and
+    /// the node itself too. The shared protocol holds no position, its
+    /// own included: the node's own fixes go through the directory's
+    /// acceptance, which alone decides whether the private protocol
+    /// hears of them and the shared one drops its verdicts.
     #[test]
     fn shared_directory_answers_like_a_private_table(
         channel in 0u8..3,
@@ -305,12 +308,7 @@ proptest! {
         // Nodes 0..5 report at start-up; 5 and 6 never do.
         for (addr, &pos) in (0u32..).zip(&start) {
             directory.insert(addr, pos);
-            if addr == 0 {
-                private.set_own_position(pos);
-                shared.set_own_position(pos);
-            } else {
-                private.on_position_report(addr, pos);
-            }
+            private.on_position_report(addr, pos);
         }
         for (op, a, b, r, flag, pos) in ops {
             match op {
@@ -322,10 +320,9 @@ proptest! {
                         _ => pos,
                     };
                     if a == 0 {
-                        let own = private.observe_position(report);
-                        prop_assert_eq!(own, shared.observe_position(report));
-                        if let Some(own) = own {
-                            directory.update(0, own);
+                        if directory.update(0, report) {
+                            private.on_position_report(0, report);
+                            shared.own_report_accepted();
                         }
                     } else {
                         let accepted = directory.update(a, report);

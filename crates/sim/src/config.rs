@@ -6,6 +6,7 @@ use std::fmt;
 
 use comap_core::config::ProtocolConfig;
 use comap_mac::backoff::BackoffPolicy;
+use comap_radio::rates::Rate;
 use comap_radio::units::Meters;
 use comap_radio::Position;
 
@@ -92,8 +93,11 @@ pub struct NodeSpec {
     /// [`SimConfig::payload_bytes`].
     pub payload: Option<u32>,
     /// Scheduled movements (step motion): at each instant the node jumps
-    /// to the given position, its location service decides whether to
-    /// broadcast a report, and the physics follow the new geometry.
+    /// to the given position and the physics follow the new geometry. A
+    /// node that runs CO-MAP also reports its localization fix, which
+    /// the simulator's position directory accepts, and disseminates,
+    /// only when it lies more than 5 m from the node's last accepted
+    /// report.
     pub moves: Vec<Move>,
 }
 
@@ -182,6 +186,12 @@ pub enum ConfigError {
     /// or more position quanta from the origin on some axis: its cell
     /// index does not fit the medium's `i64` snap.
     BeyondQuantumGrid(NodeId),
+    /// A [`RateController::Fixed`] rate is not of the PHY standard of
+    /// [`ProtocolConfig::phy`]: no frame can be timed at it.
+    ForeignFixedRate(Rate),
+    /// [`ProtocolConfig::arq_window`] lies outside `1..=64`, the
+    /// selective-repeat ACK bitmap's width.
+    InvalidArqWindow(usize),
 }
 
 impl fmt::Display for ConfigError {
@@ -208,6 +218,12 @@ impl fmt::Display for ConfigError {
                 f,
                 "node {node} has a position or move target 2^63 or more position quanta out"
             ),
+            ConfigError::ForeignFixedRate(rate) => {
+                write!(f, "fixed rate {rate} is not of the protocol's PHY standard")
+            }
+            ConfigError::InvalidArqWindow(window) => {
+                write!(f, "ARQ window {window} is outside 1..=64")
+            }
         }
     }
 }
@@ -311,7 +327,9 @@ impl SimConfig {
     }
 
     /// Checks that the configuration describes a run: at least one node,
-    /// a finite position error and position quantum, every position and
+    /// a fixed rate, if any, of the protocol's PHY standard, an ARQ
+    /// window in `1..=64`, a finite position error and position quantum,
+    /// every position and
     /// move target finite and less than 2⁶³ quanta from the origin on
     /// each axis, and flows between distinct existing nodes, at most one
     /// per `(src, dst)` pair (a MAC keeps one sender record per
@@ -320,6 +338,14 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes.is_empty() {
             return Err(ConfigError::NoNodes);
+        }
+        if let RateController::Fixed(rate) = self.rate_controller {
+            if rate.standard() != self.protocol.phy.standard() {
+                return Err(ConfigError::ForeignFixedRate(rate));
+            }
+        }
+        if !(1..=64).contains(&self.protocol.arq_window) {
+            return Err(ConfigError::InvalidArqWindow(self.protocol.arq_window));
         }
         // `Meters::new` refuses a negative or NaN value, so finiteness
         // is all that is left to check.
@@ -502,6 +528,46 @@ mod tests {
             cfg.position_quantum = Meters::new(1.0);
             cfg.nodes[b.0].position = Position::new(0.0, y);
             assert_eq!(cfg.validate(), expected, "y = {y}");
+        }
+    }
+
+    #[test]
+    fn a_fixed_rate_of_another_phy_is_rejected() {
+        let (mut cfg, a, b) = pair();
+        cfg.add_flow(a, b, Traffic::Saturated);
+        cfg.rate_controller = RateController::Fixed(Rate::Mbps54);
+        assert_eq!(
+            crate::Simulator::try_new(cfg.clone()).err(),
+            Some(ConfigError::ForeignFixedRate(Rate::Mbps54))
+        );
+        cfg.rate_controller = RateController::Fixed(Rate::Mbps1);
+        assert!(crate::Simulator::try_new(cfg).is_ok());
+        let mut cfg = SimConfig::large_scale(1);
+        cfg.add_node(NodeSpec::client("a", Position::ORIGIN));
+        cfg.rate_controller = RateController::Fixed(Rate::Mbps11);
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::ForeignFixedRate(Rate::Mbps11))
+        );
+    }
+
+    #[test]
+    fn an_arq_window_outside_the_ack_bitmap_is_rejected() {
+        for (window, expected) in [
+            (0, Some(ConfigError::InvalidArqWindow(0))),
+            (1, None),
+            (64, None),
+            (65, Some(ConfigError::InvalidArqWindow(65))),
+        ] {
+            let (mut cfg, a, b) = pair();
+            cfg.default_features = MacFeatures::COMAP;
+            cfg.add_flow(a, b, Traffic::Saturated);
+            cfg.protocol.arq_window = window;
+            assert_eq!(
+                crate::Simulator::try_new(cfg).err(),
+                expected,
+                "window {window}"
+            );
         }
     }
 

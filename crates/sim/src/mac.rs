@@ -487,19 +487,17 @@ impl Mac {
         self.proto.as_ref()
     }
 
-    /// This node moved: the true-position table (rate genie), where
-    /// there is one, always follows, while the *reported* position goes
-    /// through the location service's mobility threshold. Returns the
-    /// position to broadcast, if a report is due.
-    pub fn on_moved(&mut self, true_pos: Position, reported_fix: Position) -> Option<Position> {
-        self.set_true_position(self.cfg.id, true_pos);
-        let proto = self.proto.as_mut()?;
-        let report = proto.observe_position(reported_fix)?;
-        // Our geometry changed: adapted settings must be re-censused.
+    /// This node's own position report was accepted into
+    /// [`MacCtx::directory`]: its geometry changed, so the protocol's
+    /// cached verdicts go and every flow's adapted setting must be
+    /// re-censused.
+    pub(crate) fn own_report_accepted(&mut self) {
+        if let Some(proto) = &mut self.proto {
+            proto.own_report_accepted();
+        }
         for flow in &mut self.flows {
             flow.setting = None;
         }
-        Some(report)
     }
 
     /// Feeds a neighbor's position report into the protocol's private
@@ -525,14 +523,11 @@ impl Mac {
         }
     }
 
-    /// Keeps the rate genie's view of a *neighbor's* true position fresh.
+    /// Keeps the rate genie's view of `node`'s true position fresh,
+    /// this node's own included: writes `node`'s slot of the
+    /// true-position table, if the table has one (it is empty when no
+    /// genie reads it).
     pub fn on_neighbor_moved(&mut self, node: NodeId, true_pos: Position) {
-        self.set_true_position(node, true_pos);
-    }
-
-    /// Writes `node`'s slot of the true-position table, if the table
-    /// has one (it is empty when no genie reads it).
-    fn set_true_position(&mut self, node: NodeId, true_pos: Position) {
         if let Some(slot) = self.cfg.true_positions.get_mut(node.0) {
             *slot = true_pos;
         }
@@ -1365,8 +1360,7 @@ mod tests {
     fn comap_mac(table: &Arc<AdaptationTable>, preamble_cs: bool) -> Mac {
         let cfg = SimConfig::testbed(1);
         let id = NodeId(0);
-        let mut proto = Protocol::with_adaptation(id, cfg.protocol, Arc::clone(table));
-        proto.set_own_position(Position::new(0.0, 0.0));
+        let proto = Protocol::with_adaptation(id, cfg.protocol, Arc::clone(table));
         let mut mac = Mac::new(
             MacConfig {
                 id,

@@ -114,13 +114,10 @@ impl Simulator {
         let medium_rng = StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
         let mut error_rng = StdRng::seed_from_u64(cfg.seed ^ 0x6A09_E667_F3BC_C909);
 
-        let reported: Vec<Position> = true_positions
-            .iter()
-            .map(|p| p.with_error(cfg.position_error, &mut error_rng))
-            .collect();
         let mut directory = NeighborTable::new();
-        for (i, &pos) in reported.iter().enumerate() {
-            directory.insert(NodeId(i), pos);
+        for (i, pos) in true_positions.iter().enumerate() {
+            let report = pos.with_error(cfg.position_error, &mut error_rng);
+            directory.insert(NodeId(i), report);
         }
 
         // Each MAC holds its own copy of the true positions, but only
@@ -147,18 +144,14 @@ impl Simulator {
         // alone: built on first use and shared by every node.
         let mut adaptation: Option<Arc<AdaptationTable>> = None;
         let mut macs = Vec::with_capacity(n);
-        for (i, &own_report) in reported.iter().enumerate() {
+        for i in 0..n {
             let id = NodeId(i);
             let features = cfg.features_of(id);
-            let proto = if features.any() {
+            let proto = features.any().then(|| {
                 let table =
                     adaptation.get_or_insert_with(|| Arc::new(cfg.protocol.adaptation_table()));
-                let mut p = Protocol::with_adaptation(id, cfg.protocol, Arc::clone(table));
-                p.set_own_position(own_report);
-                Some(p)
-            } else {
-                None
-            };
+                Protocol::with_adaptation(id, cfg.protocol, Arc::clone(table))
+            });
             let mac_cfg = MacConfig {
                 id,
                 features,
@@ -342,16 +335,19 @@ impl Simulator {
         }
     }
 
-    /// Executes a scheduled movement: physics first, then the location
-    /// service decides whether to broadcast. The APs disseminate a report
-    /// to every node, as in the paper, so it is applied once, to the
-    /// position directory. The protocols are not told: each
-    /// co-occurrence verdict carries its nodes' report counts in the
-    /// directory, which the acceptance bumps, so the verdicts involving
-    /// the mover go stale on their own. Only the MACs with a flow toward
-    /// the mover drop that flow's adapted setting, and only a rate
-    /// genie, which reads true positions, needs the move fanned out to
-    /// every MAC.
+    /// Executes a scheduled movement: physics first, then the position
+    /// directory decides whether the mover broadcasts. The directory
+    /// holds the mover's own last accepted report, so its mobility
+    /// threshold is the one report decision, taken once and only for a
+    /// node that runs a protocol. The APs disseminate an accepted report
+    /// to every node, as in the paper, so it is applied once, there. The
+    /// other protocols are not told: each co-occurrence verdict carries
+    /// its nodes' report counts in the directory, which the acceptance
+    /// bumps, so the verdicts involving the mover go stale on their own.
+    /// The mover's own MAC drops every verdict and adapted setting, the
+    /// MACs with a flow toward the mover drop that flow's setting, and
+    /// only a rate genie, which reads true positions, needs the move
+    /// fanned out to every MAC.
     fn apply_move(&mut self, node: NodeId, step: usize) {
         #[cfg(debug_assertions)]
         self.audited.fill(None);
@@ -365,18 +361,16 @@ impl Simulator {
         let mut noise =
             CounterRng::from_key(self.move_seed, node.0 as u64, self.move_epoch[node.0]);
         let fix = truth.with_error(self.cfg.position_error, &mut noise);
-        let report = self.macs[node.0].on_moved(mv.to, fix);
-        self.report.position_reports += u64::from(report.is_some());
-        if report.is_some_and(|pos| self.directory.update(node, pos)) {
+        if self.macs[node.0].protocol().is_some() && self.directory.update(node, fix) {
+            self.report.position_reports += 1;
+            self.macs[node.0].own_report_accepted();
             for &src in &self.senders_to[node.0] {
                 self.macs[src.0].drop_setting_toward(node);
             }
         }
         if self.cfg.rate_controller.reads_positions() {
-            for (i, mac) in self.macs.iter_mut().enumerate() {
-                if i != node.0 {
-                    mac.on_neighbor_moved(node, mv.to);
-                }
+            for mac in &mut self.macs {
+                mac.on_neighbor_moved(node, mv.to);
             }
         }
         // No Sense dispatch: a move changes no ambient power (active
@@ -796,6 +790,45 @@ mod tests {
         );
     }
 
+    /// The exposed-terminal testbed's C2 rides alongside C1 → AP1 until
+    /// it walks up to AP1, where its frames would drown C1's. The
+    /// directory accepts its own report, so its verdicts go and it stops
+    /// riding along, though none of the three nodes a verdict is stamped
+    /// with moved.
+    #[test]
+    fn a_movers_own_report_drops_its_verdicts() {
+        let moved_at = SimDuration::from_millis(100);
+        let moved = SimTime::ZERO + moved_at;
+        let mut cfg = SimConfig::testbed(1);
+        cfg.default_features = MacFeatures::COMAP;
+        cfg.protocol.t_cs = comap_radio::units::Dbm::new(-89.0);
+        let ap1 = cfg.add_node(NodeSpec::ap("AP1", Position::ORIGIN));
+        let c1 = cfg.add_node(NodeSpec::client("C1", Position::new(-8.0, 0.0)));
+        let ap2 = cfg.add_node(NodeSpec::ap("AP2", Position::new(36.0, 0.0)));
+        let c2 = cfg.add_node(
+            NodeSpec::client("C2", Position::new(26.0, 0.0))
+                .with_move(moved_at, Position::new(6.0, 0.0)),
+        );
+        cfg.add_flow(c1, ap1, Traffic::Saturated);
+        cfg.add_flow(c2, ap2, Traffic::Saturated);
+        let (timeline, handle) = crate::TimelineSink::new();
+        let mut sim = Simulator::new(cfg);
+        sim.attach_sink(Box::new(timeline));
+        assert_eq!(sim.run(SimDuration::from_millis(200)).position_reports, 1);
+        let rides = |after: bool| {
+            handle
+                .events()
+                .iter()
+                .filter(|&&(t, e)| {
+                    (t >= moved) == after
+                        && matches!(e, SimEvent::ConcurrentTx { node, .. } if node == c2)
+                })
+                .count()
+        };
+        assert!(rides(false) > 0, "C2 rides alongside C1 before its move");
+        assert_eq!(rides(true), 0, "and never after it");
+    }
+
     #[test]
     fn the_simulator_holds_the_only_position_table() {
         let mut cfg = SimConfig::testbed(1);
@@ -814,11 +847,14 @@ mod tests {
         );
         for mac in &sim.macs {
             let proto = mac.protocol().expect("CO-MAP node");
-            assert!(proto.neighbors().is_empty(), "no protocol keeps a replica");
+            assert!(
+                proto.neighbors().is_empty(),
+                "no protocol holds a position, its own included"
+            );
             assert_eq!(
-                proto.own_position(),
                 sim.directory.position(proto.addr()),
-                "each node knows its own report"
+                Some(sim.cfg.nodes[proto.addr().0].position),
+                "each node's own report is in the directory"
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Mobility: the paper's Section V update rule in action. A contender
-//! walks out of the cell mid-run; the location service broadcasts one
-//! position report (movement above the threshold), CO-MAP's caches are
-//! invalidated, and the measured link speeds up.
+//! walks out of the cell mid-run; the position directory accepts one
+//! position report (movement above the 5 m threshold), CO-MAP's caches
+//! are invalidated, and the measured link speeds up.
 //!
 //! Run with `cargo run --release --example mobility`.
 

@@ -4,7 +4,8 @@
 #
 # Runs formatting, lints, and the tier-1 verification suite
 # (`cargo build --release && cargo test -q`), then the allocation-budget
-# test in release, the simbench smoke test, the simbench full-scale
+# test and the experiments' library tests in release, the simbench
+# smoke test, the simbench full-scale
 # digests of hall_saturated, campus_mobile and campus_observed, every
 # experiment's full run
 # against results/figures.txt, the examples, the CLI exit-code checks,
@@ -37,6 +38,11 @@ echo "==> allocation budget per event, release build (tier-1 ran it in debug)"
 # The counts are held exactly and agree across profiles; the release
 # count is the one users pay, so it is checked on its own build.
 cargo test -q --release -p comap-sim --test event_allocations
+
+echo "==> the experiments' figure pins, release build (tier-1 ran them in debug)"
+# Each pins a digest of its figure's data; a pin that only one build
+# profile reproduces holds a counter that differs between them.
+cargo test -q --release -p comap-experiments --lib
 
 echo "==> simbench smoke test (its own workspace, not in tier-1)"
 cargo test -q --manifest-path simbench/Cargo.toml

@@ -121,7 +121,7 @@ fn brute_force_census(
     receiver: usize,
 ) -> HtCensus<usize> {
     let (me, rx) = (
-        p.own_position().unwrap(),
+        p.neighbors().position(p.addr()).unwrap(),
         p.neighbors().position(receiver).unwrap(),
     );
     let mut census = HtCensus {
@@ -175,10 +175,7 @@ fn campus_census_equals_brute_force_through_every_move() {
             assert_eq!(p.ht_census(rx).unwrap(), brute, "link {tx} -> {rx}");
         }
         let p = &nodes[client];
-        let length = p
-            .own_position()
-            .unwrap()
-            .distance_to(p.neighbors().position(ap).unwrap());
+        let length = p.neighbors().distance(client, ap).unwrap();
         longest = longest.max(length.value());
     };
     let links: Vec<(usize, usize)> = campus
