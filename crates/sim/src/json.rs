@@ -234,9 +234,22 @@ impl Json {
 
 /// Appends `u` in decimal. With [`write_f64`] this is the one number
 /// renderer of every JSON artifact: the [`Json`] writer and the JSONL
-/// event sink both call it.
-pub(crate) fn write_u64(out: &mut String, u: u64) {
-    let _ = write!(out, "{u}");
+/// event sink both call it. The digits are laid out back to front in a
+/// stack buffer and appended in one copy, bypassing `fmt`: the JSONL
+/// sink writes several integers per event.
+pub(crate) fn write_u64(out: &mut String, mut u: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// Appends `f` in the shortest `{}` form that parses back to the same

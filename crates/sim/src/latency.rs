@@ -258,8 +258,10 @@ impl NodeLatency {
         self.incomplete += other.incomplete;
     }
 
-    fn to_json(&self) -> Json {
+    /// Serializes `node`'s aggregates, its id first.
+    fn to_json(&self, node: NodeId) -> Json {
         Json::obj(vec![
+            ("node", Json::Uint(node.0 as u64)),
             ("e2e", self.e2e.to_json()),
             ("queueing", self.queueing.to_json()),
             ("access", self.access.to_json()),
@@ -295,18 +297,7 @@ impl Latency {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![(
             "nodes",
-            Json::Arr(
-                self.nodes
-                    .iter()
-                    .map(|(n, m)| {
-                        let Json::Obj(mut fields) = m.to_json() else {
-                            unreachable!("NodeLatency::to_json returns an object")
-                        };
-                        fields.insert(0, ("node".to_string(), Json::Uint(n.0 as u64)));
-                        Json::Obj(fields)
-                    })
-                    .collect(),
-            ),
+            Json::Arr(self.nodes.iter().map(|(&n, m)| m.to_json(n)).collect()),
         )])
     }
 }

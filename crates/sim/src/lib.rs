@@ -40,7 +40,9 @@
 //! crate, and [`Simulator::run_profiled`] times the event loop itself.
 //! The [`SimReport`] counters are a fold of the same events; with no
 //! sink attached only those report-counted events are constructed, and
-//! sinks can never perturb results (see `tests/observability.rs`).
+//! sinks can never perturb results (see `tests/observability.rs`). With
+//! sinks attached, the event loop runs on a scoped worker thread while
+//! the calling thread feeds the sinks, in emission order.
 //!
 //! # Example
 //!
@@ -104,11 +106,14 @@ pub use rate::RateController;
 pub use sim::Simulator;
 pub use stats::SimReport;
 
-// Compile-time shard safety: everything a sharded engine would hand to
-// a worker thread must be `Send`. A non-`Send` field anywhere inside
-// these types (an `Rc`, a raw pointer) fails the build here.
+// Compile-time thread safety: an observed run moves the simulator's
+// engine to a worker thread, and a sharded engine would hand these
+// parts to worker shards, so they must be `Send`. A non-`Send` field
+// anywhere inside these types (an `Rc`, a raw pointer) fails the build
+// here.
 const _: () = {
     const fn assert_send<T: Send>() {}
+    assert_send::<sim::Engine>();
     assert_send::<medium::Medium>();
     assert_send::<mac::Mac>();
     assert_send::<event::EventQueue>();

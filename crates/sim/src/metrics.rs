@@ -150,8 +150,10 @@ impl NodeMetrics {
             .then(|| self.queue_depth_sum as f64 / self.queue_depth_samples as f64)
     }
 
-    fn to_json(&self) -> Json {
+    /// Serializes `node`'s aggregates, its id first.
+    fn to_json(&self, node: NodeId) -> Json {
         Json::obj(vec![
+            ("node", Json::Uint(node.0 as u64)),
             (
                 "airtime_busy_ns",
                 Json::Arr(
@@ -199,18 +201,7 @@ impl Metrics {
             ("bucket_ns", Json::Uint(self.bucket_ns)),
             (
                 "nodes",
-                Json::Arr(
-                    self.nodes
-                        .iter()
-                        .map(|(n, m)| {
-                            let Json::Obj(mut fields) = m.to_json() else {
-                                unreachable!("NodeMetrics::to_json returns an object")
-                            };
-                            fields.insert(0, ("node".to_string(), Json::Uint(n.0 as u64)));
-                            Json::Obj(fields)
-                        })
-                        .collect(),
-                ),
+                Json::Arr(self.nodes.iter().map(|(&n, m)| m.to_json(n)).collect()),
             ),
         ];
         if let Some(latency) = &self.latency {

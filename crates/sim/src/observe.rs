@@ -9,7 +9,7 @@
 //! [`SimReport`] are a projection of seven variants (`FrameTx`,
 //! `Delivered`, `AckTimeout`, `FrameDropped`, `ConcurrentTx`,
 //! `EtAbandon`, `HeaderHeard`), which the simulator folds in before
-//! fanning each event out to whatever [`Observer`]s are attached to the
+//! handing each event on to whatever [`Observer`]s are attached to the
 //! [`crate::Simulator`]. Those seven are always built; every other
 //! emission site is gated on a single bool, so with no sink attached an
 //! unobserved run builds only what the report counts.
@@ -324,9 +324,17 @@ impl SimEvent {
 /// A sink for instrumentation events.
 ///
 /// The contract: `on_event` is called for every event in simulation
-/// order; `finish` is called once, after the run, with the final report
-/// (a sink may fold aggregates into it — e.g. the metrics section). A
-/// sink must never influence the simulation; it has no channel back.
+/// order, each event handed to every attached sink in attach order
+/// before the next; `finish` is called once, after the run, with the
+/// final report (a sink may fold aggregates into it — e.g. the metrics
+/// section), again in attach order. A sink must never influence the
+/// simulation; it has no channel back.
+///
+/// Both are called on the thread that calls
+/// [`Simulator::run`](crate::Simulator::run): with a sink attached the
+/// event loop runs on a worker thread and sends its events over in
+/// batches, but sinks never leave the calling thread, so an observer
+/// need not be `Send`.
 pub trait Observer {
     /// Receives one event at simulation time `now`.
     fn on_event(&mut self, now: SimTime, event: &SimEvent);
@@ -532,9 +540,10 @@ impl Fields<'_> {
     }
 }
 
-// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`: the sink must stay
-// `Send` so a sharded engine can hand observers to worker shards, and
-// the workspace `clippy.toml` bans the single-thread pair.
+// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`: the workspace
+// `clippy.toml` bans the single-thread pair. Sinks themselves need not
+// be `Send` (they stay on the thread that calls `run`), but the handle
+// may be read from any thread.
 type SharedEvents = Arc<Mutex<Vec<(SimTime, SimEvent)>>>;
 
 /// Locks a shared-event buffer, recovering the data from a poisoned

@@ -2,7 +2,11 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::mem;
+use std::panic;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,8 +26,20 @@ use crate::observe::{Observer, SimEvent};
 use crate::profile::{Profiler, RunProfile};
 use crate::stats::{SimReport, Tally};
 
-/// A configured, runnable simulation.
+/// A configured, runnable simulation: the engine and the sinks that
+/// observe it.
 pub struct Simulator {
+    engine: Engine,
+    /// Attached observers; events fan out to each in attach order. They
+    /// never leave the thread that calls `run`, so they need not be
+    /// `Send`.
+    sinks: Vec<Box<dyn Observer>>,
+}
+
+/// Everything of a simulation but its sinks: the state the event loop
+/// reads and writes. It is `Send` (checked at the crate root), so an
+/// observed run can move it to a worker thread.
+pub(crate) struct Engine {
     cfg: SimConfig,
     medium: Medium,
     queue: EventQueue,
@@ -43,10 +59,13 @@ pub struct Simulator {
     /// The report's per-link and per-node counters while the run is
     /// under way, written into the report when it ends.
     tally: Tally,
-    /// Attached observers; events fan out to each in order. Whether any
-    /// is attached is the single gate every emission site checks, bar
-    /// the seven report-counted events.
-    sinks: Vec<Box<dyn Observer>>,
+    /// Where emitted events go during an observed run. Whether it is
+    /// open is the single gate every emission site checks, bar the
+    /// seven report-counted events.
+    outlet: Option<Outlet>,
+    /// Set when the sinks' thread hung up mid-run (a sink panicked):
+    /// the loop stops at its next event, and the report is never read.
+    hung_up: bool,
     /// The dispatch work queue: events awaiting their MAC, the medium's
     /// notes pushed straight onto it. Empty between events. Sized at
     /// construction for the most it can hold, so it never grows during
@@ -69,11 +88,59 @@ pub struct Simulator {
     audited: Vec<Option<u64>>,
 }
 
+/// Events per batch on their way from the engine to the sinks.
+const BATCH: usize = 1024;
+
+/// Batches an observed run allocates: one the engine fills, the rest
+/// queued for the sinks or returned empty.
+const BATCHES: usize = 4;
+
+/// A batch of emitted events, in emission order.
+type Batch = Vec<(SimTime, SimEvent)>;
+
+/// The engine's end of an observed run's two channels: it fills
+/// `batch`, sends it full, and takes the next empty one the sinks'
+/// thread returned.
+struct Outlet {
+    batch: Batch,
+    full: SyncSender<Batch>,
+    empty: Receiver<Batch>,
+}
+
+impl Outlet {
+    /// Queues `event` for the sinks. Returns `false` once the sinks'
+    /// thread has hung up.
+    fn push(&mut self, now: SimTime, event: SimEvent) -> bool {
+        self.batch.push((now, event));
+        if self.batch.len() < BATCH {
+            return true;
+        }
+        if self.full.send(mem::take(&mut self.batch)).is_err() {
+            return false;
+        }
+        match self.empty.recv() {
+            Ok(batch) => {
+                self.batch = batch;
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Sends the last, partial batch.
+    fn close(self) {
+        if !self.batch.is_empty() {
+            // A failed send means the sinks' thread is unwinding.
+            let _ = self.full.send(self.batch);
+        }
+    }
+}
+
 impl fmt::Debug for Simulator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulator")
-            .field("now", &self.now)
-            .field("events", &self.report.events)
+            .field("now", &self.engine.now)
+            .field("events", &self.engine.report.events)
             .field("sinks", &self.sinks.len())
             .finish_non_exhaustive()
     }
@@ -107,6 +174,110 @@ impl Simulator {
 
     /// Builds a simulation from a validated config.
     fn with_valid_config(cfg: SimConfig) -> Self {
+        Simulator {
+            engine: Engine::new(cfg),
+            sinks: Vec::new(),
+        }
+    }
+
+    /// Attaches an observer. Events start flowing to it from the next
+    /// `run`; attaching any sink enables event emission in the medium
+    /// and every MAC, but never changes simulation results (sinks have
+    /// no channel back, and no emission touches an RNG stream).
+    pub fn attach_sink(&mut self, sink: Box<dyn Observer>) {
+        self.engine.medium.enable_observation();
+        self.sinks.push(sink);
+    }
+
+    /// Pre-warms every node's link-cache row before the run: the links
+    /// to its candidate receivers, which its first `begin` would fill
+    /// (see [`Medium::warm_links`]). Purely an evaluation-order change:
+    /// cache fills are deterministic functions of the positions and
+    /// epochs, so a warmed run is bit-identical to a lazy one — the
+    /// differential harness drives both fill orders through this hook.
+    pub fn warm_link_cache(&mut self) {
+        for i in 0..self.engine.macs.len() {
+            self.engine.medium.warm_links(NodeId(i));
+        }
+    }
+
+    /// Runs the simulation for `duration` of simulated time and returns
+    /// the report.
+    ///
+    /// With no sink attached the event loop runs on the calling thread.
+    /// With sinks it runs on a scoped worker thread, while the calling
+    /// thread hands each event to every sink in attach order, so sinks
+    /// see the stream they would see inline, and no thread outlives the
+    /// call. A panic in the loop or in a sink resumes here with its own
+    /// payload.
+    pub fn run(self, duration: SimDuration) -> SimReport {
+        self.run_core(duration, false).0
+    }
+
+    /// Runs with the event-loop profiler enabled, returning the report
+    /// alongside the wall-clock profile. Profiling only *times* the
+    /// loop, so the report is identical to an unprofiled run; in an
+    /// observed run the sinks' work happens on the calling thread, off
+    /// the timed dispatches.
+    pub fn run_profiled(self, duration: SimDuration) -> (SimReport, RunProfile) {
+        let (report, profile) = self.run_core(duration, true);
+        #[expect(
+            clippy::expect_used,
+            reason = "run_core(.., true) always builds a profile; a None is a wiring bug"
+        )]
+        let profile = profile.expect("profiling was enabled");
+        (report, profile)
+    }
+
+    fn run_core(self, duration: SimDuration, profile: bool) -> (SimReport, Option<RunProfile>) {
+        let Simulator {
+            mut engine,
+            mut sinks,
+        } = self;
+        let end = SimTime::ZERO + duration;
+        let mut profiler = profile.then(Profiler::new);
+        if sinks.is_empty() {
+            engine.run_until(end, profiler.as_mut());
+        } else {
+            engine = engine.run_beside(&mut sinks, end, profiler.as_mut());
+        }
+        engine.report.duration = duration;
+        engine.tally.write_into(&mut engine.report);
+        engine.report.medium = engine.medium.stats();
+        for sink in &mut sinks {
+            sink.finish(&mut engine.report);
+        }
+        let profile = profiler.map(|p| {
+            p.finish(
+                duration,
+                engine.report.medium.ledger_checks,
+                engine.medium.ledger_check_nanos(),
+                engine.medium.counters(),
+            )
+        });
+        (engine.report, profile)
+    }
+}
+
+/// Hands every event of each batch from `full` to every sink in attach
+/// order, and returns the emptied batch over `empty`. Returns when the
+/// engine's end of `full` is gone. If a sink panics, unwinding drops
+/// both channel ends, which tells the engine to stop.
+fn feed(sinks: &mut [Box<dyn Observer>], full: Receiver<Batch>, empty: SyncSender<Batch>) {
+    for mut batch in full {
+        for (now, event) in &batch {
+            for sink in sinks.iter_mut() {
+                sink.on_event(*now, event);
+            }
+        }
+        batch.clear();
+        // A failed send means the engine is done and needs no more.
+        let _ = empty.send(batch);
+    }
+}
+
+impl Engine {
+    fn new(cfg: SimConfig) -> Self {
         let n = cfg.nodes.len();
         let true_positions: Vec<Position> = cfg.nodes.iter().map(|s| s.position).collect();
 
@@ -197,7 +368,7 @@ impl Simulator {
         }
 
         let move_seed = cfg.seed ^ 0xBB67_AE85_84CA_A73B;
-        Simulator {
+        Engine {
             cfg,
             medium,
             queue,
@@ -209,7 +380,8 @@ impl Simulator {
             resp_gen: vec![0; n],
             report: SimReport::default(),
             tally,
-            sinks: Vec::new(),
+            outlet: None,
+            hung_up: false,
             work: VecDeque::with_capacity(4 * n),
             actions: Vec::new(),
             move_seed,
@@ -219,51 +391,49 @@ impl Simulator {
         }
     }
 
-    /// Attaches an observer. Events start flowing to it from the next
-    /// `run`; attaching any sink enables event emission in the medium
-    /// and every MAC, but never changes simulation results (sinks have
-    /// no channel back, and no emission touches an RNG stream).
-    pub fn attach_sink(&mut self, sink: Box<dyn Observer>) {
-        self.medium.enable_observation();
-        self.sinks.push(sink);
-    }
-
-    /// Pre-warms every node's link-cache row before the run: the links
-    /// to its candidate receivers, which its first `begin` would fill
-    /// (see [`Medium::warm_links`]). Purely an evaluation-order change:
-    /// cache fills are deterministic functions of the positions and
-    /// epochs, so a warmed run is bit-identical to a lazy one — the
-    /// differential harness drives both fill orders through this hook.
-    pub fn warm_link_cache(&mut self) {
-        for i in 0..self.macs.len() {
-            self.medium.warm_links(NodeId(i));
+    /// Runs the event loop on a scoped worker thread while this thread
+    /// feeds the sinks, and returns the engine once every event has
+    /// reached every sink. The batches are allocated here, before the
+    /// loop starts, and then go round between the two threads.
+    fn run_beside(
+        mut self,
+        sinks: &mut [Box<dyn Observer>],
+        end: SimTime,
+        profiler: Option<&mut Profiler>,
+    ) -> Self {
+        let (full_tx, full_rx) = mpsc::sync_channel(BATCHES);
+        let (empty_tx, empty_rx) = mpsc::sync_channel(BATCHES);
+        for _ in 1..BATCHES {
+            // Cannot fail: the receiver is in hand and the channel has
+            // room for every batch.
+            let _ = empty_tx.send(Batch::with_capacity(BATCH));
         }
+        self.outlet = Some(Outlet {
+            batch: Batch::with_capacity(BATCH),
+            full: full_tx,
+            empty: empty_rx,
+        });
+        thread::scope(|scope| {
+            // The worker owns the engine, so a panic in the loop drops
+            // the outlet, which ends `feed`.
+            let worker = scope.spawn(move || {
+                self.run_until(end, profiler);
+                if let Some(outlet) = self.outlet.take() {
+                    outlet.close();
+                }
+                self
+            });
+            feed(sinks, full_rx, empty_tx);
+            worker
+                .join()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload))
+        })
     }
 
-    /// Runs the simulation for `duration` of simulated time and returns
-    /// the report.
-    pub fn run(self, duration: SimDuration) -> SimReport {
-        self.run_core(duration, false).0
-    }
-
-    /// Runs with the event-loop profiler enabled, returning the report
-    /// alongside the wall-clock profile. Profiling only *times* the
-    /// loop, so the report is identical to an unprofiled run.
-    pub fn run_profiled(self, duration: SimDuration) -> (SimReport, RunProfile) {
-        let (report, profile) = self.run_core(duration, true);
-        #[expect(
-            clippy::expect_used,
-            reason = "run_core(.., true) always builds a profile; a None is a wiring bug"
-        )]
-        let profile = profile.expect("profiling was enabled");
-        (report, profile)
-    }
-
-    fn run_core(mut self, duration: SimDuration, profile: bool) -> (SimReport, Option<RunProfile>) {
-        let end = SimTime::ZERO + duration;
-        let mut profiler = profile.then(Profiler::new);
+    /// Pops and dispatches every event up to `end`.
+    fn run_until(&mut self, end: SimTime, mut profiler: Option<&mut Profiler>) {
         while let Some(t) = self.queue.peek_time() {
-            if t > end {
+            if t > end || self.hung_up {
                 break;
             }
             if let Some(p) = &mut profiler {
@@ -274,7 +444,7 @@ impl Simulator {
             };
             self.now = t;
             self.report.events += 1;
-            let started = profiler.as_ref().map(Profiler::dispatch_start);
+            let started = profiler.as_deref().map(Profiler::dispatch_start);
             match event {
                 Event::TxEnd(tx) => {
                     self.medium.end_into(tx, self.now, &mut self.work);
@@ -300,39 +470,39 @@ impl Simulator {
                 p.dispatch_end(event.kind_index(), s);
             }
         }
-        self.report.duration = duration;
-        self.tally.write_into(&mut self.report);
-        self.report.medium = self.medium.stats();
-        for sink in &mut self.sinks {
-            sink.finish(&mut self.report);
-        }
-        let profile = profiler.map(|p| {
-            p.finish(
-                duration,
-                self.report.medium.ledger_checks,
-                self.medium.ledger_check_nanos(),
-                self.medium.counters(),
-            )
-        });
-        (self.report, profile)
     }
 
-    /// Fans one event out to every attached sink.
+    /// Queues one event for the sinks, if any are attached.
     fn emit(&mut self, event: SimEvent) {
-        for sink in &mut self.sinks {
-            sink.on_event(self.now, &event);
+        if let Some(outlet) = &mut self.outlet {
+            if !outlet.push(self.now, event) {
+                self.hang_up();
+            }
         }
     }
 
-    /// Drains the medium's pending events into the sinks. Called right
+    /// Queues the medium's pending events for the sinks. Called right
     /// after every `Medium::begin`/`Medium::end` so physical-layer
     /// events precede the MAC reactions they trigger.
     fn forward_medium_events(&mut self) {
-        for event in self.medium.drain_events() {
-            for sink in &mut self.sinks {
-                sink.on_event(self.now, &event);
-            }
+        let Some(outlet) = &mut self.outlet else {
+            return;
+        };
+        let now = self.now;
+        if !self
+            .medium
+            .drain_events()
+            .all(|event| outlet.push(now, event))
+        {
+            self.hang_up();
         }
+    }
+
+    /// Stops emitting and ends the run at its next event: the sinks'
+    /// thread is unwinding from a sink's panic.
+    fn hang_up(&mut self) {
+        self.outlet = None;
+        self.hung_up = true;
     }
 
     /// Executes a scheduled movement: physics first, then the position
@@ -400,7 +570,7 @@ impl Simulator {
                     continue;
                 }
             };
-            let observing = !self.sinks.is_empty();
+            let observing = self.outlet.is_some();
             let ctx = mac_ctx(self.now, &self.medium, node, observing, &self.directory);
             let mac = &mut self.macs[node.0];
             mac.handle(event, ctx, &mut actions);
@@ -428,7 +598,7 @@ impl Simulator {
     /// run that goes on has the MAC release builds have.
     #[cfg(debug_assertions)]
     fn audit_left_out(&mut self, node: NodeId, actions: &mut Vec<MacAction>) {
-        let observing = !self.sinks.is_empty();
+        let observing = self.outlet.is_some();
         let ctx = mac_ctx(self.now, &self.medium, node, observing, &self.directory);
         let mac = &mut self.macs[node.0];
         let before = self.audited[node.0].unwrap_or_else(|| debug_digest(mac));
@@ -779,6 +949,7 @@ mod tests {
         cfg.default_features = MacFeatures::COMAP;
         let sim = Simulator::new(cfg);
         let tables: Vec<_> = sim
+            .engine
             .macs
             .iter()
             .map(|m| m.protocol().expect("CO-MAP node").adaptation())
@@ -786,7 +957,7 @@ mod tests {
         assert!(std::ptr::eq(tables[0], tables[1]));
         assert_eq!(
             tables[0],
-            Protocol::new(NodeId(0), sim.cfg.protocol).adaptation()
+            Protocol::new(NodeId(0), sim.engine.cfg.protocol).adaptation()
         );
     }
 
@@ -841,19 +1012,19 @@ mod tests {
         }
         let sim = Simulator::new(cfg);
         assert_eq!(
-            sim.directory.len(),
+            sim.engine.directory.len(),
             6,
             "every node's report, its own included"
         );
-        for mac in &sim.macs {
+        for mac in &sim.engine.macs {
             let proto = mac.protocol().expect("CO-MAP node");
             assert!(
                 proto.neighbors().is_empty(),
                 "no protocol holds a position, its own included"
             );
             assert_eq!(
-                sim.directory.position(proto.addr()),
-                Some(sim.cfg.nodes[proto.addr().0].position),
+                sim.engine.directory.position(proto.addr()),
+                Some(sim.engine.cfg.nodes[proto.addr().0].position),
                 "each node's own report is in the directory"
             );
         }

@@ -117,6 +117,39 @@ fn sinks_do_not_perturb_the_report() {
     assert!(!buf.bytes().is_empty(), "the run produced events");
 }
 
+/// Panics at its [`PanicsAt::AT`]th event.
+struct PanicsAt(u64);
+
+impl PanicsAt {
+    const AT: u64 = 100;
+    const MESSAGE: &'static str = "the sink gives up at its 100th event";
+}
+
+impl Observer for PanicsAt {
+    fn on_event(&mut self, _now: SimTime, _event: &SimEvent) {
+        self.0 += 1;
+        if self.0 == Self::AT {
+            panic!("{}", Self::MESSAGE);
+        }
+    }
+}
+
+/// Sinks run on the calling thread while the event loop runs on a
+/// worker: a sink's panic must stop the worker and reach the caller
+/// with its own message, not hang the run or come back as another.
+#[test]
+fn a_panicking_sink_ends_the_run_with_its_own_panic() {
+    let mut sim = Simulator::new(busy_cfg(7));
+    sim.attach_sink(Box::new(NoopSink));
+    sim.attach_sink(Box::new(PanicsAt(0)));
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(DURATION)));
+    let payload = outcome.expect_err("the sink's panic reaches the caller");
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some(PanicsAt::MESSAGE)
+    );
+}
+
 #[test]
 fn profiling_does_not_perturb_the_report() {
     let bare = Simulator::new(busy_cfg(11)).run(DURATION);

@@ -1,5 +1,8 @@
 //! Sink heap budgets:
 //!
+//! * an observed run's event batches go round between the engine and
+//!   the sinks: the calling thread allocates them before the loop
+//!   starts, so its allocations do not grow with the run's length;
 //! * streaming a run's events through the JSONL sink costs a constant
 //!   number of heap allocations (the sink's box and the growth of its
 //!   one line buffer), however many events the run emits;
@@ -8,6 +11,13 @@
 //!
 //! The counting global allocator of `counting_alloc` counts
 //! allocations, live bytes and the live-byte high-water mark per thread.
+//! An observed run's event loop runs on a worker thread, so what these
+//! tests count is the calling thread's share: the simulator's
+//! construction, the sinks and their work, the batches, the channels
+//! and the worker's spawn, and the finished report. The engine's own
+//! allocations during the run are the worker's, and
+//! `event_allocations.rs` counts those on a run with no sink, which
+//! keeps the loop on the calling thread.
 
 #![expect(
     clippy::disallowed_macros,
@@ -42,13 +52,13 @@ fn cfg() -> SimConfig {
 
 const DURATION: SimDuration = SimDuration::from_millis(100);
 
-/// Allocations of one run of [`cfg`] with `sink` attached, counting the
-/// simulator's construction and the sink's box.
-fn allocations_with(sink: impl Observer + 'static) -> u64 {
+/// Allocations of one run of [`cfg`] for `duration` with `sink`
+/// attached, counting the simulator's construction and the sink's box.
+fn allocations_with(duration: SimDuration, sink: impl Observer + 'static) -> u64 {
     let before = allocations();
     let mut sim = Simulator::new(cfg());
     sim.attach_sink(Box::new(sink));
-    drop(sim.run(DURATION));
+    drop(sim.run(duration));
     allocations() - before
 }
 
@@ -72,6 +82,25 @@ impl Observer for EventCount {
     }
 }
 
+/// Allocations the calling thread makes only if it waits for a batch:
+/// a run's channel allocates its list of waiters the first time the
+/// thread waits on it, and a thread allocates its wait context the first
+/// time it waits on any channel. Whether the thread waits at all depends
+/// on how the two threads are scheduled.
+const WAIT_ALLOCATIONS: u64 = 2;
+
+#[test]
+fn an_observed_run_recycles_its_batches() {
+    let short = allocations_with(DURATION, NoopSink);
+    let long = allocations_with(DURATION * 4, NoopSink);
+    assert!(
+        long <= short + WAIT_ALLOCATIONS,
+        "a NoopSink run of {} made {long} allocations on the calling thread, \
+         one of {DURATION} {short}: batches must be allocated once and recycled",
+        DURATION * 4
+    );
+}
+
 /// The sink's box plus the line buffer's doublings up to the longest
 /// line the run writes.
 const JSONL_EXTRA_ALLOCATIONS: u64 = 8;
@@ -88,8 +117,8 @@ fn jsonl_sink_allocates_a_constant_per_run_not_per_event() {
         "the run is long enough for a per-event allocation to show: {events} events"
     );
 
-    let noop = allocations_with(NoopSink);
-    let jsonl = allocations_with(JsonlSink::new(io::sink()));
+    let noop = allocations_with(DURATION, NoopSink);
+    let jsonl = allocations_with(DURATION, JsonlSink::new(io::sink()));
     let extra = jsonl.saturating_sub(noop);
     assert!(
         extra <= JSONL_EXTRA_ALLOCATIONS,

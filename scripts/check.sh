@@ -4,8 +4,9 @@
 #
 # Runs formatting, lints, and the tier-1 verification suite
 # (`cargo build --release && cargo test -q`), then the allocation-budget
-# test and the experiments' library tests in release, the simbench
-# smoke test, the simbench full-scale
+# test, the observed-run tests (observability, sink allocations, golden
+# traces: an observed run's event loop runs on a worker thread) and the
+# experiments' library tests in release, the simbench smoke test, the simbench full-scale
 # digests of hall_saturated, campus_mobile and campus_observed, every
 # experiment's full run
 # against results/figures.txt, the examples, the CLI exit-code checks,
@@ -38,6 +39,13 @@ echo "==> allocation budget per event, release build (tier-1 ran it in debug)"
 # The counts are held exactly and agree across profiles; the release
 # count is the one users pay, so it is checked on its own build.
 cargo test -q --release -p comap-sim --test event_allocations
+
+echo "==> observed runs, release build: the event loop on a worker, the sinks on the caller"
+# With a sink attached the loop runs on a scoped worker thread and the
+# calling thread feeds the sinks; these run that threaded path optimized
+# too (tier-1 ran them in debug).
+cargo test -q --release -p comap-sim --test observability --test sink_allocations
+cargo test -q --release --test golden_traces
 
 echo "==> the experiments' figure pins, release build (tier-1 ran them in debug)"
 # Each pins a digest of its figure's data; a pin that only one build
